@@ -25,8 +25,8 @@ from .errors import (ConfigError, DescriberFailure, EmblendError,
                      InvariantViolation, ParseError, RemoteFailure)
 from .projection import (LossWeights, forward, init_projection, load_model,
                          save_model, train)
-from .retrieval import (RetrievalIndex, clustering_diagnostic, gap_reduction,
-                        modality_gap, recall_at_k)
+from .retrieval import (bidirectional_recall, check_clustering_samples,
+                        gap_reduction, is_clustered, modality_gap)
 from .sns import SnsConfig, apply_sns, calibrate_taus
 from .synth import SynthSpec, expert_configs, generate_corpus
 
@@ -267,17 +267,14 @@ def cmd_train(args) -> int:
 
 
 def _space_metrics(raw, anchors, modalities, k_values):
+    """Recall tables, gap report and clustering flag of one space. The gap
+    report's intra/inter statistics are the clustering diagnostic's, over
+    the same raw + anchor cloud, so they are computed once."""
     n = raw.shape[0]
-    ids = [f"s{i}" for i in range(n)]
-    ann_index = RetrievalIndex(ids, anchors, side="annotation_anchor")
-    raw_index = RetrievalIndex(ids, raw, side="raw_fused")
-    r2a = recall_at_k(raw, ids, ann_index, k_values)
-    a2r = recall_at_k(anchors, ids, raw_index, k_values)
+    recall = bidirectional_recall(raw, anchors, [f"s{i}" for i in range(n)], k_values)
     gaps = modality_gap(raw, anchors, modalities)
-    cloud = np.concatenate([raw, anchors], axis=0)
-    tags = list(modalities) + ["text"] * n
-    diag = clustering_diagnostic(cloud, tags)
-    return {"R2A": r2a, "A2R": a2r}, gaps, diag
+    check_clustering_samples(list(modalities) + ["text"] * n)
+    return recall, gaps, is_clustered(gaps.intra, gaps.inter)
 
 
 def cmd_eval(args) -> int:
@@ -289,29 +286,29 @@ def cmd_eval(args) -> int:
     modalities = [s.raw_modality for s in samples]
     anchors = engine.anchor_matrix(samples)
 
-    recall, gaps, clustering = {}, {}, {}
+    recall, gaps, clustered = {}, {}, {}
     for eid in engine.expert_order:
         raw_m, ann_m = engine.expert_space(samples, eid)
-        recall[eid], gaps[eid], clustering[eid] = _space_metrics(
+        recall[eid], gaps[eid], clustered[eid] = _space_metrics(
             raw_m, ann_m, modalities, k_values)
     fused = engine.fused_outputs(samples, model)
-    recall["projection"], gaps["projection"], clustering["projection"] = _space_metrics(
+    recall["projection"], gaps["projection"], clustered["projection"] = _space_metrics(
         fused, anchors, modalities, k_values)
 
     reduction = {eid: gap_reduction(gaps["projection"], gaps[eid])
                  for eid in engine.expert_order}
+    gap_docs = {space: g.to_dict() for space, g in gaps.items()}
     doc = {
         "note": DESK_SCALE_NOTE,
         "k_values": k_values,
         "recall": {space: {d: {str(k): v for k, v in t.items()} for d, t in r.items()}
                    for space, r in recall.items()},
-        "gaps": {space: g.to_dict() for space, g in gaps.items()},
+        "gaps": gap_docs,
         "gap_reduction_vs_projection": reduction,
         "clustering": {
-            space: {"clustered": d["clustered"],
-                    "intra": d["intra"],
-                    "inter": {f"{a}|{b}": v for (a, b), v in d["inter"].items()}}
-            for space, d in clustering.items()
+            space: {"clustered": flag, "intra": gap_docs[space]["intra"],
+                    "inter": gap_docs[space]["inter"]}
+            for space, flag in clustered.items()
         },
     }
     write_json(os.path.join(out, "eval.json"), doc)
@@ -416,12 +413,8 @@ def _recall10_by_expert(engine, samples):
     ids = [s.sample_id for s in samples]
     for eid in engine.expert_order:
         raw_m, ann_m = engine.expert_space(samples, eid)
-        ann_index = RetrievalIndex(ids, ann_m, side="annotation_anchor")
-        raw_index = RetrievalIndex(ids, raw_m, side="raw_fused")
-        out[eid] = {
-            "R2A": recall_at_k(raw_m, ids, ann_index, [10])[10],
-            "A2R": recall_at_k(ann_m, ids, raw_index, [10])[10],
-        }
+        recall = bidirectional_recall(raw_m, ann_m, ids, [10])
+        out[eid] = {direction: table[10] for direction, table in recall.items()}
     return out
 
 
@@ -506,11 +499,8 @@ def _ablate_lambda_depth(engine, config, samples, out, steps):
                                     seed=tcfg.seed)
             model, _ = train(inputs, anchors, modalities, model, tcfg, weights)
             fused, _ = forward(model, inputs)
-            ann_index = RetrievalIndex(ids, anchors, side="annotation_anchor")
-            raw_index = RetrievalIndex(ids, fused, side="raw_fused")
-            r2a = recall_at_k(fused, ids, ann_index, [1, 3, 5])
-            a2r = recall_at_k(anchors, ids, raw_index, [1, 3, 5])
-            mean_r = {k: (r2a[k] + a2r[k]) / 2.0 for k in (1, 3, 5)}
+            recall = bidirectional_recall(fused, anchors, ids, [1, 3, 5])
+            mean_r = {k: (recall["R2A"][k] + recall["A2R"][k]) / 2.0 for k in (1, 3, 5)}
             rows.append({"lambda_task": task, "lambda_scale": scale,
                          "lambda_cluster": cluster, "layers": depth,
                          "R1": mean_r[1], "R3": mean_r[3], "R5": mean_r[5]})

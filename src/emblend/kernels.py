@@ -1,38 +1,29 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Hot numeric kernels, exact and in plain numpy.
 
-The backend is chosen once at import: numba when importable, unless the
-environment variable ``EMBLEND_NUMBA`` is set to ``0``/``false``/``off``.
-Both paths are deterministic run-to-run; they may differ in the last float
-bits because summation order differs, so the active backend is recorded in
-run manifests. ``benchmarks/bench_kernels.py`` compares the two.
+Every kernel is deterministic run to run. ``active_backend()`` names the
+implementation so run manifests can record it.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    import numba
-
-    _NUMBA_IMPORTABLE = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    _NUMBA_IMPORTABLE = False
-
-_FLAG = os.environ.get("EMBLEND_NUMBA", "1").strip().lower()
-NUMBA_ENABLED = _NUMBA_IMPORTABLE and _FLAG not in ("0", "false", "off")
 
 
 def active_backend() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
 # pairwise distance statistics per modality group
 # ---------------------------------------------------------------------------
 
-def _np_group_distance_stats(x, labels, n_groups):
+def group_distance_stats(x, labels, n_groups):
+    """Pairwise L2 distance sums and counts, within and across groups.
+
+    Returns (intra_sum, intra_cnt, inter_sum, inter_cnt); inter arrays are
+    upper-triangular in (g1, g2) with g1 < g2.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
     sq = np.einsum("ij,ij->i", x, x)
     intra_sum = np.zeros(n_groups)
     intra_cnt = np.zeros(n_groups, dtype=np.int64)
@@ -57,87 +48,18 @@ def _np_group_distance_stats(x, labels, n_groups):
     return intra_sum, intra_cnt, inter_sum, inter_cnt
 
 
-if _NUMBA_IMPORTABLE:
-
-    @numba.njit(cache=False)
-    def _nb_group_distance_stats(x, labels, n_groups):  # pragma: no cover - jitted
-        n, d = x.shape
-        intra_sum = np.zeros(n_groups)
-        intra_cnt = np.zeros(n_groups, dtype=np.int64)
-        inter_sum = np.zeros((n_groups, n_groups))
-        inter_cnt = np.zeros((n_groups, n_groups), dtype=np.int64)
-        for i in range(n):
-            gi = labels[i]
-            for j in range(i + 1, n):
-                gj = labels[j]
-                acc = 0.0
-                for k in range(d):
-                    diff = x[i, k] - x[j, k]
-                    acc += diff * diff
-                dist = np.sqrt(acc)
-                if gi == gj:
-                    intra_sum[gi] += dist
-                    intra_cnt[gi] += 1
-                else:
-                    a, b = (gi, gj) if gi < gj else (gj, gi)
-                    inter_sum[a, b] += dist
-                    inter_cnt[a, b] += 1
-        return intra_sum, intra_cnt, inter_sum, inter_cnt
-
-
-def group_distance_stats(x, labels, n_groups):
-    """Pairwise L2 distance sums and counts, within and across groups.
-
-    Returns (intra_sum, intra_cnt, inter_sum, inter_cnt); inter arrays are
-    upper-triangular in (g1, g2) with g1 < g2.
-    """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    labels = np.ascontiguousarray(labels, dtype=np.int64)
-    if NUMBA_ENABLED:
-        return _nb_group_distance_stats(x, labels, n_groups)
-    return _np_group_distance_stats(x, labels, n_groups)
-
-
 # ---------------------------------------------------------------------------
 # k-means assignment step
 # ---------------------------------------------------------------------------
-
-def _np_kmeans_assign(x, centroids):
-    sq_x = np.einsum("ij,ij->i", x, x)
-    sq_c = np.einsum("ij,ij->i", centroids, centroids)
-    d2 = sq_x[:, None] - 2.0 * (x @ centroids.T) + sq_c[None, :]
-    return np.argmin(d2, axis=1).astype(np.int64)
-
-
-if _NUMBA_IMPORTABLE:
-
-    @numba.njit(cache=False)
-    def _nb_kmeans_assign(x, centroids):  # pragma: no cover - jitted
-        n, d = x.shape
-        k = centroids.shape[0]
-        labels = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            best = 0
-            best_d2 = np.inf
-            for j in range(k):
-                acc = 0.0
-                for m in range(d):
-                    diff = x[i, m] - centroids[j, m]
-                    acc += diff * diff
-                if acc < best_d2:
-                    best_d2 = acc
-                    best = j
-            labels[i] = best
-        return labels
-
 
 def kmeans_assign(x, centroids):
     """Index of the nearest centroid per row; ties keep the lowest index."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     centroids = np.ascontiguousarray(centroids, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _nb_kmeans_assign(x, centroids)
-    return _np_kmeans_assign(x, centroids)
+    sq_x = np.einsum("ij,ij->i", x, x)
+    sq_c = np.einsum("ij,ij->i", centroids, centroids)
+    d2 = sq_x[:, None] - 2.0 * (x @ centroids.T) + sq_c[None, :]
+    return np.argmin(d2, axis=1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -147,49 +69,21 @@ def kmeans_assign(x, centroids):
 _DEDUP_ROUNDING = 1e-12  # bit-identical rows must register distance <= 0
 
 
-def _np_dedup_scan(x, eps):
-    n = x.shape[0]
-    keep = np.zeros(n, dtype=np.bool_)
-    kept_rows = []
-    for i in range(n):
-        if kept_rows:
-            sims = np.asarray(kept_rows) @ x[i]
-            if np.any(1.0 - sims <= eps + _DEDUP_ROUNDING):
-                continue
-        keep[i] = True
-        kept_rows.append(x[i])
-    return keep
-
-
-if _NUMBA_IMPORTABLE:
-
-    @numba.njit(cache=False)
-    def _nb_dedup_scan(x, eps):  # pragma: no cover - jitted
-        n, d = x.shape
-        keep = np.zeros(n, dtype=np.bool_)
-        kept_idx = np.empty(n, dtype=np.int64)
-        n_kept = 0
-        for i in range(n):
-            dup = False
-            for t in range(n_kept):
-                j = kept_idx[t]
-                dot = 0.0
-                for m in range(d):
-                    dot += x[i, m] * x[j, m]
-                if 1.0 - dot <= eps + 1e-12:
-                    dup = True
-                    break
-            if not dup:
-                keep[i] = True
-                kept_idx[n_kept] = i
-                n_kept += 1
-        return keep
-
-
 def dedup_scan(x, eps):
     """Greedy keep-mask: drop a row whose cosine distance to any already-kept
     row is <= eps. Rows must be unit-norm and in the desired scan order."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _nb_dedup_scan(x, float(eps))
-    return _np_dedup_scan(x, float(eps))
+    eps = float(eps)
+    n = x.shape[0]
+    keep = np.zeros(n, dtype=np.bool_)
+    kept = np.empty_like(x)  # kept rows, in scan order, fill the first n_kept
+    n_kept = 0
+    for i in range(n):
+        if n_kept:
+            sims = kept[:n_kept] @ x[i]
+            if np.any(1.0 - sims <= eps + _DEDUP_ROUNDING):
+                continue
+        keep[i] = True
+        kept[n_kept] = x[i]
+        n_kept += 1
+    return keep

@@ -154,6 +154,21 @@ def project(model: ProjectionModel, concat_vector):
 # loss terms
 # ---------------------------------------------------------------------------
 
+def _softmax_xent(logits):
+    """Mean cross-entropy of row i against target column i, and its gradient
+    with respect to the logits."""
+    n = logits.shape[0]
+    row_max = logits.max(axis=1, keepdims=True)
+    expz = np.exp(logits - row_max)
+    denom = expz.sum(axis=1, keepdims=True)
+    log_probs = (logits - row_max) - np.log(denom)
+    loss = -np.diag(log_probs).mean()
+    dlogits = expz / denom
+    dlogits[np.arange(n), np.arange(n)] -= 1.0
+    dlogits /= n
+    return loss, dlogits
+
+
 def _task_loss_grad(fused, anchors, weights: LossWeights):
     n = fused.shape[0]
     if n < 2:
@@ -164,37 +179,18 @@ def _task_loss_grad(fused, anchors, weights: LossWeights):
     if weights.include_fused_negatives:
         logits_f = fused @ fused.T / tau
         np.fill_diagonal(logits_f, -np.inf)  # a query is not its own negative
-        logits = np.concatenate([logits_a, logits_f], axis=1)
-        row_max = logits.max(axis=1, keepdims=True)
-        expz = np.exp(logits - row_max)
-        denom = expz.sum(axis=1, keepdims=True)
-        log_probs = (logits - row_max) - np.log(denom)
-        loss = -log_probs[np.arange(n), np.arange(n)].mean()
-        dlogits = expz / denom
-        dlogits[np.arange(n), np.arange(n)] -= 1.0
-        dlogits /= n
+        loss, dlogits = _softmax_xent(np.concatenate([logits_a, logits_f], axis=1))
         da, df_part = dlogits[:, :n], dlogits[:, n:]
         np.fill_diagonal(df_part, 0.0)
         grad = da @ anchors / tau + df_part @ fused / tau + df_part.T @ fused / tau
         return loss, grad
 
-    def _one_direction(logits):
-        row_max = logits.max(axis=1, keepdims=True)
-        expz = np.exp(logits - row_max)
-        denom = expz.sum(axis=1, keepdims=True)
-        log_probs = (logits - row_max) - np.log(denom)
-        loss = -np.diag(log_probs).mean()
-        dlogits = expz / denom
-        dlogits[np.arange(n), np.arange(n)] -= 1.0
-        dlogits /= n
-        return loss, dlogits
-
-    loss_fwd, dlog_fwd = _one_direction(logits_a)
+    loss_fwd, dlog_fwd = _softmax_xent(logits_a)
     grad = dlog_fwd @ anchors / tau
     if not weights.symmetric:
         return loss_fwd, grad
     # reverse direction: anchor queries against fused candidates
-    loss_bwd, dlog_bwd = _one_direction(logits_a.T)
+    loss_bwd, dlog_bwd = _softmax_xent(logits_a.T)
     grad_bwd = dlog_bwd.T @ anchors / tau
     return 0.5 * (loss_fwd + loss_bwd), 0.5 * (grad + grad_bwd)
 

@@ -1,6 +1,7 @@
 """Exact similarity search, bidirectional Recall@K, and modality-geometry diagnostics."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +74,15 @@ def recall_at_k(queries, partner_ids, index: RetrievalIndex, k_values):
     return {int(k): float(np.mean(ranks <= k)) for k in k_values}
 
 
+def bidirectional_recall(raw, anchors, ids, k_values) -> dict:
+    """Recall@K both ways over paired rows: raw queries against the anchor
+    index ("R2A") and anchor queries against the raw index ("A2R")."""
+    ann_index = RetrievalIndex(ids, anchors, side="annotation_anchor")
+    raw_index = RetrievalIndex(ids, raw, side="raw_fused")
+    return {"R2A": recall_at_k(raw, ids, ann_index, k_values),
+            "A2R": recall_at_k(anchors, ids, raw_index, k_values)}
+
+
 @dataclass
 class GapReport:
     """Per-modality centroid gaps plus the intra/inter distance structure."""
@@ -112,8 +122,7 @@ def modality_gap(raw_embeddings, anchor_embeddings, modalities) -> GapReport:
     cloud = np.concatenate([raw, anchors], axis=0)
     tags = modalities + ["text"] * anchors.shape[0]
     stats = pairwise_modality_stats(cloud, tags)
-    intra = {m: stats["intra"].get(m, float("nan")) for m in stats["intra"]}
-    return GapReport(gaps=gaps, average=average, intra=intra, inter=stats["inter"])
+    return GapReport(gaps=gaps, average=average, intra=stats["intra"], inter=stats["inter"])
 
 
 def gap_reduction(report: GapReport, reference: GapReport) -> dict:
@@ -147,22 +156,28 @@ def pairwise_modality_stats(embeddings, modalities) -> dict:
     return {"intra": intra, "inter": inter}
 
 
-def clustering_diagnostic(embeddings, modalities) -> dict:
-    """Flags modality clustering: every modality pair has strictly smaller
-    intra-modality mean distance than its inter-modality mean distance."""
-    tags = list(modalities)
-    counts = {}
-    for t in tags:
-        counts[t] = counts.get(t, 0) + 1
+def check_clustering_samples(modalities) -> None:
+    """Raise InsufficientSamples unless at least two modalities are present
+    and each has at least two samples."""
+    counts = Counter(modalities)
     if len(counts) < 2:
         raise InsufficientSamples("need at least two modalities")
     for m, c in counts.items():
         if c < 2:
             raise InsufficientSamples(f"modality {m!r} has fewer than 2 samples")
+
+
+def is_clustered(intra, inter) -> bool:
+    """True when every modality pair has strictly smaller intra-modality mean
+    distances than its inter-modality mean distance."""
+    return all(intra[m1] < d and intra[m2] < d for (m1, m2), d in inter.items())
+
+
+def clustering_diagnostic(embeddings, modalities) -> dict:
+    """Flags modality clustering (see ``is_clustered``) from the pairwise
+    distance statistics of the cloud."""
+    tags = list(modalities)
+    check_clustering_samples(tags)
     stats = pairwise_modality_stats(embeddings, tags)
-    clustered = True
-    for (m1, m2), inter in stats["inter"].items():
-        if not (stats["intra"][m1] < inter and stats["intra"][m2] < inter):
-            clustered = False
-            break
-    return {"intra": stats["intra"], "inter": stats["inter"], "clustered": clustered}
+    return {"intra": stats["intra"], "inter": stats["inter"],
+            "clustered": is_clustered(stats["intra"], stats["inter"])}

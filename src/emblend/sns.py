@@ -168,20 +168,14 @@ def info_density(sim_proxy: float, size_x_bytes: int, size_y_bytes: int) -> floa
     return sim_proxy / (size_x_bytes + size_y_bytes)
 
 
-def forward_extract(components, sims, tau_alpha: float):
-    """Indices of raw components with sim > tau_alpha; all indices if none pass."""
-    kept = [i for i, s in enumerate(sims) if s > tau_alpha]
-    if not kept:
-        return list(range(len(components)))
-    return kept
+def extract(sims, tau: float):
+    """Indices of components with sim > tau; all indices if none pass.
 
-
-def backward_extract(components, sims, tau_beta: float):
-    """Indices of annotation sentences with sim > tau_beta; all if none pass."""
-    kept = [j for j, s in enumerate(sims) if s > tau_beta]
-    if not kept:
-        return list(range(len(components)))
-    return kept
+    Forward extraction passes raw-component sims and tau_alpha, backward
+    extraction annotation-sentence sims and tau_beta.
+    """
+    kept = [i for i, s in enumerate(sims) if s > tau]
+    return kept or list(range(len(sims)))
 
 
 class TableDescriber:
@@ -285,7 +279,7 @@ def _apply_directed(pair, config, gating, describe_fn, size_before):
     if config.direction in ("forward", "bidirectional"):
         tau = config.tau_alpha[pair.raw_modality]
         sims = [cosine_sim(v, ann_side) for v in raw_vecs]
-        kept = forward_extract(pair.raw_components, sims, tau)
+        kept = extract(sims, tau)
         nucleus_raw = [pair.raw_components[i] for i in kept]
         nucleus_raw_vecs = [raw_vecs[i] for i in kept]
         sim_fwd = cosine_sim(side_vector(nucleus_raw_vecs), ann_side)
@@ -313,7 +307,7 @@ def _apply_directed(pair, config, gating, describe_fn, size_before):
             raise DescriberFailure(str(exc)) from exc
         tau = config.tau_beta[pair.raw_modality]
         sims = [cosine_sim(desc_vec, v) for v in ann_vecs]
-        kept = backward_extract(pair.annotation_components, sims, tau)
+        kept = extract(sims, tau)
         nucleus_ann = [pair.annotation_components[j] for j in kept]
         nucleus_ann_vecs = [ann_vecs[j] for j in kept]
         sim_bwd = cosine_sim(side_vector(cur_raw_vecs), side_vector(nucleus_ann_vecs))

@@ -156,6 +156,43 @@ def test_eval_on_degenerate_identical_spaces(tmp_path):
     assert report.average == pytest.approx(0.0)
 
 
+@pytest.fixture(scope="module")
+def small_model(workspace, tmp_path_factory):
+    out = tmp_path_factory.mktemp("small-model")
+    assert run(["train", "--config", workspace["config"], "--corpus", workspace["corpus"],
+                "--out", str(out), "--steps", "10", "--seed", "4"]) == 0
+    return str(out / "model.json")
+
+
+def test_eval_one_stats_pass_per_space(workspace, small_model, tmp_path, monkeypatch):
+    # the gap report and the clustering diagnostic share one distance pass
+    from emblend import kernels
+    calls = []
+    original = kernels.group_distance_stats
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "group_distance_stats", counting)
+    assert run(["eval", "--config", workspace["config"], "--corpus", workspace["corpus"],
+                "--model", small_model, "--out", str(tmp_path / "eval")]) == 0
+    assert calls == [2 * 120] * 4  # 3 experts + projection, raw + anchor cloud each
+
+
+def test_eval_single_sample_modality_is_exit_2(workspace, small_model, tmp_path, capsys):
+    records = read_jsonl(workspace["corpus"])
+    audio = [r for r in records if r["modality"] == "audio"]
+    assert len(audio) > 1
+    kept = [r for r in records if r["modality"] != "audio"] + audio[:1]
+    corpus = tmp_path / "one-audio.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in kept))
+    code = run(["eval", "--config", workspace["config"], "--corpus", str(corpus),
+                "--model", small_model, "--out", str(tmp_path / "eval")])
+    assert code == 2
+    assert "'audio' has fewer than 2 samples" in capsys.readouterr().err
+
+
 def test_train_rerun_byte_identical(workspace, tmp_path):
     # rerunning with the same manifest (same args, same out dir) reproduces
     # every artifact byte for byte

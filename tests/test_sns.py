@@ -5,9 +5,8 @@ from emblend.errors import DescriberFailure, ZeroSize
 from emblend.experts import SyntheticExpert, SyntheticExpertConfig, encode_payload
 from emblend.geometry import normalize
 from emblend.sns import (Component, NucleusRecord, PairedSample, PayloadDescriber,
-                         SnsConfig, TableDescriber, apply_sns, backward_extract,
-                         calibrate_taus, forward_extract, info_density, mi_gate,
-                         segment_text, side_vector)
+                         SnsConfig, TableDescriber, apply_sns, calibrate_taus,
+                         extract, info_density, mi_gate, segment_text, side_vector)
 
 
 class TestSegmentText:
@@ -62,20 +61,19 @@ class TestGateAndDensity:
 
 class TestExtraction:
     def test_forward_threshold(self):
-        comps = ["a", "b", "c"]
-        assert forward_extract(comps, [0.9, 0.2, 0.7], 0.5) == [0, 2]
+        assert extract([0.9, 0.2, 0.7], 0.5) == [0, 2]
 
     def test_forward_fallback_to_all(self):
-        assert forward_extract(["a", "b"], [0.1, 0.2], 0.5) == [0, 1]
+        assert extract([0.1, 0.2], 0.5) == [0, 1]
 
     def test_forward_vacuous_threshold(self):
-        assert forward_extract(["a", "b"], [-0.9, 0.0], -1.0) == [0, 1]
+        assert extract([-0.9, 0.0], -1.0) == [0, 1]
 
     def test_backward_threshold(self):
-        assert backward_extract(["s1", "s2"], [0.3, 0.8], 0.5) == [1]
+        assert extract([0.3, 0.8], 0.5) == [1]
 
     def test_backward_fallback(self):
-        assert backward_extract(["s1", "s2"], [0.3, 0.2], 0.5) == [0, 1]
+        assert extract([0.3, 0.2], 0.5) == [0, 1]
 
 
 def gating_expert(dim=16, semantic_dim=8, noise=0.0, gap=0.0, seed=5):
