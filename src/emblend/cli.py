@@ -27,7 +27,7 @@ from .projection import (LossWeights, forward, init_projection, load_model,
                          save_model, train)
 from .retrieval import (bidirectional_recall, check_clustering_samples,
                         gap_reduction, is_clustered, modality_gap)
-from .sns import SnsConfig, apply_sns, calibrate_taus
+from .sns import SnsConfig, calibrate_taus, run_sns
 from .synth import SynthSpec, expert_configs, generate_corpus
 
 RHO_GRID = (0.0, 0.8, 0.95, 1.0, 1.02, 1.05, 1.1)
@@ -178,17 +178,7 @@ def _sns_config_with_overrides(config: EngineConfig, args) -> SnsConfig:
 
 
 def _run_sns(engine: Engine, samples, sns_config: SnsConfig, jobs: int = 1):
-    describe = engine.describe_fn()
-
-    def one(sample):
-        return apply_sns(sample, sns_config, engine.gating, describe)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, samples))  # input order preserved
-    else:
-        results = [one(s) for s in samples]
+    results = run_sns(samples, sns_config, engine.gating, engine.describe_fn(), jobs)
     emitted = [pair for pair, _ in results]
     records = [rec for _, rec in results]
     return emitted, records

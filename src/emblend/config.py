@@ -226,5 +226,7 @@ def build_describer(config: EngineConfig):
     settings = config.remote.with_env()
     if settings.describe_endpoint:
         return RemoteDescriber(settings.describe_endpoint, settings.describe_model,
-                               api_key=settings.api_key, timeout=settings.timeout)
+                               api_key=settings.api_key, timeout=settings.timeout,
+                               batch_size=settings.batch_size,
+                               max_in_flight=settings.max_in_flight)
     return None

@@ -5,6 +5,15 @@ for every expert, which keeps gating, fusion inputs and anchors consistent.
 Raw sides of each sample pass through all experts and concatenate in config
 order into the projection input; annotation sides embed once through the
 anchor expert.
+
+Embedding is batch-first. Each stage lists the (item, expert) keys it needs,
+and the expert's handle embeds the ones its store lacks with
+``expert.embed_batch``: first occurrence order, in slices of
+``SLICE_BATCHES`` expert batches, each slice stored with one write. Side
+matrices are then gathered from the store. The store is the expert's cache
+file, or an in-memory store when no cache directory is set; it is the only
+copy of an embedding a handle keeps. ``ExpertHandle.embed`` remains the
+single-item path, for queries and ``apply_sns``.
 """
 from __future__ import annotations
 
@@ -12,20 +21,22 @@ import os
 
 import numpy as np
 
-from .cache import EmbeddingCache
+from .cache import EmbeddingCache, MemoryStore
 from .config import EngineConfig, build_describer, build_expert
 from .experts import EmbedItem, SyntheticExpert
 from .projection import forward
-from .sns import PayloadDescriber, component_item_id, side_vector
+from .sns import PayloadDescriber, component_item_id, side_items, side_vectors
+
+SLICE_BATCHES = 8   # expert batches per embed_batch call and store write
+DEFAULT_BATCH = 32  # batch size of experts that do not declare one
 
 
 class ExpertHandle:
-    """Cache-through wrapper around one expert backend."""
+    """Store-through wrapper around one expert backend."""
 
-    def __init__(self, expert, cache: EmbeddingCache | None):
+    def __init__(self, expert, store):
         self.expert = expert
-        self.cache = cache
-        self._memo: dict = {}
+        self.store = store
 
     @property
     def expert_id(self) -> str:
@@ -36,22 +47,34 @@ class ExpertHandle:
         return self.expert.dim
 
     def embed(self, item: EmbedItem):
-        hit = self._memo.get(item.item_id)
-        if hit is not None:
-            return hit
-        if self.cache is not None:
-            cached = self.cache.get(item.item_id, self.expert_id)
-            if cached is not None:
-                self._memo[item.item_id] = cached
-                return cached
-        emb = self.expert.embed(item)
-        if self.cache is not None:
-            # return the storage-precision value so results do not depend on
-            # whether the cache was already populated
-            self.cache.put(emb)
-            emb = self.cache.get(item.item_id, self.expert_id)
-        self._memo[item.item_id] = emb
-        return emb
+        cached = self.store.get(item.item_id, self.expert_id)
+        if cached is not None:
+            return cached
+        self.store.put(self.expert.embed(item))
+        # return the storage-precision value so results do not depend on
+        # whether the cache was already populated
+        return self.store.get(item.item_id, self.expert_id)
+
+    def resolve(self, items) -> None:
+        """Embed and store every item whose key the store lacks.
+
+        Slices written before a failing one stay stored.
+        """
+        eid = self.expert_id
+        store = self.store
+        missing, seen = [], set()
+        for it in items:
+            if it.item_id not in seen and (it.item_id, eid) not in store:
+                seen.add(it.item_id)
+                missing.append(it)
+        step = SLICE_BATCHES * getattr(self.expert, "batch_size", DEFAULT_BATCH)
+        for start in range(0, len(missing), step):
+            store.put_many(self.expert.embed_batch(missing[start:start + step]))
+
+    def rows(self, items) -> np.ndarray:
+        """Stored float64 values of the items, one row each, embedding misses first."""
+        self.resolve(items)
+        return self.store.rows([it.item_id for it in items], self.expert_id)
 
 
 class Engine:
@@ -61,12 +84,13 @@ class Engine:
         self.expert_order = []
         for entry in config.experts:
             expert = build_expert(entry, config.remote)
-            cache = None
             if config.cache_dir:
                 os.makedirs(config.cache_dir, exist_ok=True)
-                cache = EmbeddingCache(
+                store = EmbeddingCache(
                     os.path.join(config.cache_dir, f"{expert.expert_id}.eec"), expert.dim)
-            self.handles[expert.expert_id] = ExpertHandle(expert, cache)
+            else:
+                store = MemoryStore(expert.dim)
+            self.handles[expert.expert_id] = ExpertHandle(expert, store)
             self.expert_order.append(expert.expert_id)
         self.gating = self.handles[config.gating_expert]
         self.anchor = self.handles[config.anchor_expert]
@@ -83,33 +107,16 @@ class Engine:
     def describe_fn(self):
         """Describer callable for non-text backward extraction."""
         if self.describer is not None:
-            remote = self.describer
-
-            def _remote(pair, components):
-                content = "\n".join(c.content for c in components)
-                return remote.describe(pair.sample_id, pair.raw_modality, content)
-
-            return _remote
+            return self.describer
         gating = self.gating.expert
         if isinstance(gating, SyntheticExpert):
             return PayloadDescriber(gating.config.semantic_dim)
         return None
 
-    def _side_vector(self, handle: ExpertHandle, sample, side: str) -> np.ndarray:
-        if side == "raw":
-            components, modality, tag = sample.raw_components, sample.raw_modality, "r"
-        else:
-            components, modality, tag = sample.annotation_components, "text", "a"
-        vecs = [
-            handle.embed(EmbedItem(component_item_id(sample.sample_id, tag, c.content),
-                                   modality, c.content)).values
-            for c in components
-        ]
-        return side_vector(vecs)
-
     def side_matrix(self, samples, side: str, expert_id: str) -> np.ndarray:
-        handle = self.handles[expert_id]
-        return np.vstack([self._side_vector(handle, s, side) for s in samples])
+        groups = [side_items(s, side) for s in samples]
+        rows = self.handles[expert_id].rows([it for group in groups for it in group])
+        return side_vectors(rows, [len(group) for group in groups])
 
     def anchor_matrix(self, samples) -> np.ndarray:
         return self.side_matrix(samples, "annotation", self.config.anchor_expert)
@@ -133,14 +140,13 @@ class Engine:
         return self.anchor.embed(item).values
 
     def populate_caches(self, samples) -> dict:
-        """Embed every component of every sample through every expert."""
-        counts = {}
+        """Embed every component of every sample through every expert.
+
+        Each sample contributes its raw components, then its annotation
+        components; a store write follows that order.
+        """
+        items = [it for s in samples for side in ("raw", "annotation")
+                 for it in side_items(s, side)]
         for eid in self.expert_order:
-            handle = self.handles[eid]
-            n = 0
-            for sample in samples:
-                for side in ("raw", "annotation"):
-                    self._side_vector(handle, sample, side)
-                n += len(sample.raw_components) + len(sample.annotation_components)
-            counts[eid] = n
-        return counts
+            self.handles[eid].resolve(items)
+        return {eid: len(items) for eid in self.expert_order}

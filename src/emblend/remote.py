@@ -6,8 +6,9 @@ Describe request adds "task": "describe"; the response carries
 {"descriptions": [{"id": str, "text": str}]}.
 
 Non-2xx status, a missing id, or a wrong-dimension vector raise RemoteFailure
-(DescriberFailure for describe). Requests are chunked into batches and issued
-through a pool bounded by ``max_in_flight``.
+(DescriberFailure for describe). Embeddings and descriptions alike are sent
+in requests of ``batch_size`` inputs, issued through a pool bounded by
+``max_in_flight``; a failed request fails the whole call.
 """
 from __future__ import annotations
 
@@ -31,6 +32,16 @@ def _post_json(endpoint, payload, headers, timeout, failure_cls):
         return resp.json()
     except ValueError as exc:
         raise failure_cls(f"{endpoint} returned non-JSON body") from exc
+
+
+def _in_chunks(fn, items, batch_size, max_in_flight) -> list:
+    """``fn`` over consecutive chunks of ``batch_size`` items, at most
+    ``max_in_flight`` at once; the results in item order."""
+    chunks = [items[i:i + batch_size] for i in range(0, len(items), batch_size)]
+    if len(chunks) <= 1:
+        return fn(items) if items else []
+    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
+        return [out for chunk in pool.map(fn, chunks) for out in chunk]
 
 
 class RemoteExpert:
@@ -87,36 +98,49 @@ class RemoteExpert:
             if it.modality not in self.descriptor.supported_modalities:
                 raise UnsupportedModality(
                     f"expert {self.expert_id!r} does not support {it.modality!r}")
-        if not items:
-            return []
-        chunks = [items[i:i + self.batch_size] for i in range(0, len(items), self.batch_size)]
-        if len(chunks) == 1:
-            return self._embed_chunk(chunks[0])
-        with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
-            results = list(pool.map(self._embed_chunk, chunks))
-        return [emb for chunk in results for emb in chunk]
+        return _in_chunks(self._embed_chunk, items, self.batch_size, self.max_in_flight)
 
 
 class RemoteDescriber:
     """Describer backed by a remote modality-to-text endpoint."""
 
     def __init__(self, endpoint: str, model: str, api_key: str | None = None,
-                 timeout: float = 60.0):
+                 timeout: float = 60.0, batch_size: int = 32, max_in_flight: int = 4):
         self.endpoint = endpoint
         self.model = model
         self.timeout = timeout
+        self.batch_size = max(1, int(batch_size))
+        self.max_in_flight = max(1, int(max_in_flight))
         self._headers = {"Content-Type": "application/json"}
         if api_key:
             self._headers["Authorization"] = f"Bearer {api_key}"
 
-    def describe(self, item_id: str, modality: str, content: str) -> str:
+    def _describe_chunk(self, inputs):
         payload = {
             "model": self.model,
             "task": "describe",
-            "inputs": [{"id": item_id, "modality": modality, "content": content}],
+            "inputs": [{"id": item_id, "modality": modality, "content": content}
+                       for item_id, modality, content in inputs],
         }
         body = _post_json(self.endpoint, payload, self._headers, self.timeout, DescriberFailure)
+        texts = {}
         for entry in body.get("descriptions", []):
-            if entry.get("id") == item_id and isinstance(entry.get("text"), str):
-                return entry["text"]
-        raise DescriberFailure(f"response missing description for id {item_id!r}")
+            if isinstance(entry.get("text"), str):
+                texts.setdefault(entry.get("id"), entry["text"])
+        for item_id, _, _ in inputs:
+            if item_id not in texts:
+                raise DescriberFailure(f"response missing description for id {item_id!r}")
+        return [texts[item_id] for item_id, _, _ in inputs]
+
+    def describe(self, item_id: str, modality: str, content: str) -> str:
+        return self._describe_chunk([(item_id, modality, content)])[0]
+
+    def describe_batch(self, requests) -> list:
+        """Descriptions of (pair, components) requests, in request order; a
+        pair is sent as its raw modality and its components joined by newlines."""
+        inputs = [(pair.sample_id, pair.raw_modality, "\n".join(c.content for c in components))
+                  for pair, components in requests]
+        return _in_chunks(self._describe_chunk, inputs, self.batch_size, self.max_in_flight)
+
+    def __call__(self, pair, components) -> str:
+        return self.describe_batch([(pair, components)])[0]

@@ -224,13 +224,24 @@ def component_item_id(sample_id: str, tag: str, content: str) -> str:
     return f"{sample_id}#{tag}:{digest}"
 
 
-def _embed_components(gating, sample_id, modality, components, tag):
+def side_items(pair: PairedSample, side: str) -> list:
+    """Items of one side's components: raw keeps the pair's modality, the
+    annotation side is text."""
+    if side == "raw":
+        components, modality, tag = pair.raw_components, pair.raw_modality, "r"
+    else:
+        components, modality, tag = pair.annotation_components, "text", "a"
+    return [EmbedItem(component_item_id(pair.sample_id, tag, c.content), modality, c.content)
+            for c in components]
+
+
+def _description_item(pair: PairedSample, description: str) -> EmbedItem:
+    return EmbedItem(component_item_id(pair.sample_id, "d", description), "text", description)
+
+
+def _embed_components(gating, pair: PairedSample, side: str) -> list:
     try:
-        return [
-            gating.embed(EmbedItem(component_item_id(sample_id, tag, comp.content),
-                                   modality, comp.content)).values
-            for comp in components
-        ]
+        return [gating.embed(it).values for it in side_items(pair, side)]
     except EmblendError as exc:
         raise GatingExpertFailure(str(exc)) from exc
 
@@ -240,85 +251,105 @@ def side_vector(component_vectors) -> np.ndarray:
     return normalize(np.mean(component_vectors, axis=0))
 
 
-def apply_sns(pair: PairedSample, config: SnsConfig, gating, describe_fn=None):
-    """Run the configured extraction direction(s) on one pair.
+def side_vectors(rows, counts) -> np.ndarray:
+    """``side_vector`` of each run of ``counts[i]`` consecutive rows, stacked.
 
-    Returns (emitted_pair, NucleusRecord). Backend failures never drop a
-    pair: it passes through unchanged with accepted=False and an error note.
+    Bit-equal to ``side_vector`` on each run: its rows are summed in order
+    (added position by position across runs, since ``np.add.reduceat`` does
+    not sum in order), divided by the run length and normalized.
     """
-    size_before = (pair.raw_bytes, pair.annotation_bytes)
-    if config.direction == "off":
-        rec = NucleusRecord(pair.sample_id, "off", False, None, None,
-                            size_before, size_before)
-        return pair, rec
-
-    try:
-        return _apply_directed(pair, config, gating, describe_fn, size_before)
-    except EmblendError as exc:
-        rec = NucleusRecord(pair.sample_id, config.direction, False, None, None,
-                            size_before, size_before, error=str(exc))
-        return pair, rec
+    counts = np.asarray(counts, dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    sums = rows[starts]
+    for j in range(1, counts.max(initial=0)):
+        longer = counts > j
+        sums[longer] += rows[starts[longer] + j]
+    return np.vstack([normalize(m) for m in sums / counts[:, None]])
 
 
-def _apply_directed(pair, config, gating, describe_fn, size_before):
-    raw_vecs = _embed_components(gating, pair.sample_id, pair.raw_modality,
-                                 pair.raw_components, "r")
-    ann_vecs = _embed_components(gating, pair.sample_id, "text",
-                                 pair.annotation_components, "a")
+@dataclass
+class _Trim:
+    """One pair after forward extraction, waiting for its backward pass."""
+
+    pair: PairedSample
+    ann_vecs: list
+    sim_original: float
+    cur_raw: list
+    cur_raw_vecs: list
+    describe_base: list
+    sim_fwd: float | None = None
+    fwd_accepted: bool | None = None
+
+
+def _passthrough(pair, config, error=None):
+    size = (pair.raw_bytes, pair.annotation_bytes)
+    return pair, NucleusRecord(pair.sample_id, config.direction, False, None, None,
+                               size, size, error=error)
+
+
+def _forward(pair, config, gating) -> _Trim:
+    """Embed both sides through ``gating``; forward extraction when configured."""
+    raw_vecs = _embed_components(gating, pair, "raw")
+    ann_vecs = _embed_components(gating, pair, "annotation")
     ann_side = side_vector(ann_vecs)
     sim_original = cosine_sim(side_vector(raw_vecs), ann_side)
-
-    cur_raw = list(pair.raw_components)
-    cur_raw_vecs = raw_vecs
-    cur_ann = list(pair.annotation_components)
-    sim_fwd = sim_bwd = None
-    fwd_accepted = bwd_accepted = None
-    nucleus_raw = None
-    nucleus_raw_vecs = None
-
+    # Bidirectional describes the forward-extraction output; backward-only
+    # describes the original raw side.
+    trim = _Trim(pair, ann_vecs, sim_original, list(pair.raw_components), raw_vecs,
+                 list(pair.raw_components))
     if config.direction in ("forward", "bidirectional"):
         tau = config.tau_alpha[pair.raw_modality]
-        sims = [cosine_sim(v, ann_side) for v in raw_vecs]
-        kept = extract(sims, tau)
+        kept = extract([cosine_sim(v, ann_side) for v in raw_vecs], tau)
         nucleus_raw = [pair.raw_components[i] for i in kept]
         nucleus_raw_vecs = [raw_vecs[i] for i in kept]
-        sim_fwd = cosine_sim(side_vector(nucleus_raw_vecs), ann_side)
-        fwd_accepted = mi_gate(sim_fwd, sim_original, config.rho)
-        if fwd_accepted and config.reinject:
-            cur_raw = nucleus_raw
-            cur_raw_vecs = nucleus_raw_vecs
+        trim.describe_base = nucleus_raw
+        trim.sim_fwd = cosine_sim(side_vector(nucleus_raw_vecs), ann_side)
+        trim.fwd_accepted = mi_gate(trim.sim_fwd, sim_original, config.rho)
+        if trim.fwd_accepted and config.reinject:
+            trim.cur_raw = nucleus_raw
+            trim.cur_raw_vecs = nucleus_raw_vecs
+    return trim
 
-    if config.direction in ("backward", "bidirectional"):
-        # Bidirectional describes the forward-extraction output; backward-only
-        # describes the original raw side. Text raw data is its own description.
-        describe_base = nucleus_raw if nucleus_raw is not None else list(pair.raw_components)
-        if pair.raw_modality == "text":
-            description = " ".join(c.content for c in describe_base)
-        else:
-            if describe_fn is None:
-                raise DescriberFailure(
-                    f"modality {pair.raw_modality!r} needs a describer for backward extraction")
-            description = describe_fn(pair, describe_base)
+
+def _needs_description(config) -> bool:
+    return config.direction in ("backward", "bidirectional")
+
+
+def _describe(trim: _Trim, describe_fn) -> str:
+    """Text raw data is its own description; other modalities go to describe_fn."""
+    pair = trim.pair
+    if pair.raw_modality == "text":
+        return " ".join(c.content for c in trim.describe_base)
+    if describe_fn is None:
+        raise DescriberFailure(
+            f"modality {pair.raw_modality!r} needs a describer for backward extraction")
+    return describe_fn(pair, trim.describe_base)
+
+
+def _backward(trim: _Trim, config, gating, description):
+    """Backward extraction when configured, then the emitted pair and its record."""
+    pair = trim.pair
+    cur_ann = list(pair.annotation_components)
+    sim_bwd = bwd_accepted = None
+    if _needs_description(config):
         try:
-            desc_vec = gating.embed(
-                EmbedItem(component_item_id(pair.sample_id, "d", description),
-                          "text", description)).values
+            desc_vec = gating.embed(_description_item(pair, description)).values
         except EmblendError as exc:
             raise DescriberFailure(str(exc)) from exc
         tau = config.tau_beta[pair.raw_modality]
-        sims = [cosine_sim(desc_vec, v) for v in ann_vecs]
-        kept = extract(sims, tau)
+        kept = extract([cosine_sim(desc_vec, v) for v in trim.ann_vecs], tau)
         nucleus_ann = [pair.annotation_components[j] for j in kept]
-        nucleus_ann_vecs = [ann_vecs[j] for j in kept]
-        sim_bwd = cosine_sim(side_vector(cur_raw_vecs), side_vector(nucleus_ann_vecs))
-        bwd_accepted = mi_gate(sim_bwd, sim_original, config.rho)
+        nucleus_ann_vecs = [trim.ann_vecs[j] for j in kept]
+        sim_bwd = cosine_sim(side_vector(trim.cur_raw_vecs), side_vector(nucleus_ann_vecs))
+        bwd_accepted = mi_gate(sim_bwd, trim.sim_original, config.rho)
         if bwd_accepted and config.reinject:
             cur_ann = nucleus_ann
 
+    sim_fwd, fwd_accepted = trim.sim_fwd, trim.fwd_accepted
     accepted = bool(fwd_accepted) or bool(bwd_accepted)
     emitted = pair
     if config.reinject and accepted:
-        emitted = replace(pair, raw_components=tuple(cur_raw),
+        emitted = replace(pair, raw_components=tuple(trim.cur_raw),
                           annotation_components=tuple(cur_ann))
     # sim of the emitted pair when accepted, else of the last rejected candidate
     if bwd_accepted:
@@ -329,11 +360,100 @@ def _apply_directed(pair, config, gating, describe_fn, size_before):
         sim_variant = sim_bwd if sim_bwd is not None else sim_fwd
 
     rec = NucleusRecord(
-        pair.sample_id, config.direction, accepted, sim_original, sim_variant,
-        size_before, (emitted.raw_bytes, emitted.annotation_bytes),
+        pair.sample_id, config.direction, accepted, trim.sim_original, sim_variant,
+        (pair.raw_bytes, pair.annotation_bytes), (emitted.raw_bytes, emitted.annotation_bytes),
         sim_forward=sim_fwd, sim_backward=sim_bwd,
         forward_accepted=fwd_accepted, backward_accepted=bwd_accepted)
     return emitted, rec
+
+
+def apply_sns(pair: PairedSample, config: SnsConfig, gating, describe_fn=None):
+    """Run the configured extraction direction(s) on one pair.
+
+    Returns (emitted_pair, NucleusRecord). Backend failures never drop a
+    pair: it passes through unchanged with accepted=False and an error note.
+    """
+    return run_sns([pair], config, gating, describe_fn)[0]
+
+
+def _prefetch(gating, items) -> None:
+    """Embed the items ``gating`` lacks in batches, when it can."""
+    resolve = getattr(gating, "resolve", None)
+    try:
+        if resolve is not None:
+            resolve(items)
+    except EmblendError:
+        pass  # what was not stored is embedded item by item, so each pair fails on its own
+
+
+def _describe_all(trims: dict, describe_fn, jobs: int) -> dict:
+    """The description, or the EmblendError raised for it, of every pair.
+
+    A describer with ``describe_batch`` gets every non-text pair in one call;
+    if that call fails, or the describer has none, pairs are described one at
+    a time, on ``jobs`` threads.
+    """
+    out = {}
+    batch = getattr(describe_fn, "describe_batch", None)
+    media = [i for i, t in trims.items() if t.pair.raw_modality != "text"]
+    if batch is not None and media:
+        try:
+            out.update(zip(media, batch([(trims[i].pair, trims[i].describe_base)
+                                         for i in media])))
+        except EmblendError:
+            pass
+
+    def one(i):
+        try:
+            return _describe(trims[i], describe_fn)
+        except EmblendError as exc:
+            return exc
+
+    rest = [i for i in trims if i not in out]
+    if jobs > 1 and len(rest) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            out.update(zip(rest, pool.map(one, rest)))
+    else:
+        out.update((i, one(i)) for i in rest)
+    return out
+
+
+def run_sns(pairs, config: SnsConfig, gating, describe_fn=None, jobs: int = 1) -> list:
+    """``apply_sns`` over many pairs: the (emitted_pair, NucleusRecord) of each.
+
+    ``gating`` embeds one item at a time (``embed``); an engine handle also
+    embeds what its store lacks in batches (``resolve``). Phases: one batched
+    embed of all components, then forward extraction of every pair; one
+    describe of every non-text pair; one batched embed of the descriptions,
+    stored in pair order; backward extraction of every pair.
+    """
+    pairs = list(pairs)
+    if config.direction == "off":
+        return [_passthrough(p, config) for p in pairs]
+    results = [None] * len(pairs)
+    trims = {}
+    _prefetch(gating, [it for p in pairs for side in ("raw", "annotation")
+                       for it in side_items(p, side)])
+    for i, pair in enumerate(pairs):
+        try:
+            trims[i] = _forward(pair, config, gating)
+        except EmblendError as exc:
+            results[i] = _passthrough(pair, config, str(exc))
+    descriptions = {}
+    if _needs_description(config):
+        descriptions = _describe_all(trims, describe_fn, jobs)
+        _prefetch(gating, [_description_item(pairs[i], descriptions[i]) for i in trims
+                           if isinstance(descriptions[i], str)])
+    for i, trim in trims.items():
+        description = descriptions.get(i)
+        try:
+            if isinstance(description, EmblendError):
+                raise description
+            results[i] = _backward(trim, config, gating, description)
+        except EmblendError as exc:
+            results[i] = _passthrough(trim.pair, config, str(exc))
+    return results
 
 
 def calibrate_taus(samples, gating, low_pct: float = 10.0, high_pct: float = 90.0):
@@ -345,10 +465,8 @@ def calibrate_taus(samples, gating, low_pct: float = 10.0, high_pct: float = 90.
     fwd_sims = {m: [] for m in MODALITIES}
     bwd_sims = {m: [] for m in MODALITIES}
     for pair in samples:
-        raw_vecs = _embed_components(gating, pair.sample_id, pair.raw_modality,
-                                     pair.raw_components, "r")
-        ann_vecs = _embed_components(gating, pair.sample_id, "text",
-                                     pair.annotation_components, "a")
+        raw_vecs = _embed_components(gating, pair, "raw")
+        ann_vecs = _embed_components(gating, pair, "annotation")
         ann_side = side_vector(ann_vecs)
         raw_side = side_vector(raw_vecs)
         fwd_sims[pair.raw_modality].extend(cosine_sim(v, ann_side) for v in raw_vecs)

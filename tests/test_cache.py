@@ -98,3 +98,54 @@ def test_concurrent_puts_all_land(tmp_path):
         t.join()
     reopened = EmbeddingCache(path, dim=8)
     assert len(reopened) == 40
+
+
+def test_put_many_bytes_equal_per_item_puts(tmp_path):
+    embs = [make_emb(f"s{i}", seed=i) for i in range(6)]
+    # a repeat with equal values is skipped; a changed value is appended again
+    sequence = embs + [embs[2], make_emb("s1", seed=99)]
+    one, many = tmp_path / "one.eec", tmp_path / "many.eec"
+    cache = EmbeddingCache(one, dim=8)
+    for emb in sequence:
+        cache.put(emb)
+    batched = EmbeddingCache(many, dim=8)
+    batched.put_many(sequence[:3])
+    batched.put_many(sequence[3:])
+    assert one.read_bytes() == many.read_bytes()
+    reopened = EmbeddingCache(many, dim=8)
+    assert len(reopened) == 6
+    assert np.array_equal(reopened.get("s1", "ex").values, cache.get("s1", "ex").values)
+
+
+def test_rows_are_float32_upcasts(tmp_path):
+    cache = EmbeddingCache(tmp_path / "c.eec", dim=8)
+    embs = [make_emb(f"s{i}", seed=i) for i in range(3)]
+    cache.put_many(embs)
+    rows = cache.rows(["s2", "s0"], "ex")
+    assert rows.dtype == np.float64 and rows.shape == (2, 8)
+    assert np.array_equal(rows[0], cache.get("s2", "ex").values)
+    assert np.array_equal(rows[1], embs[0].values.astype(np.float32).astype(np.float64))
+    assert cache.rows([], "ex").shape == (0, 8)
+    with pytest.raises(KeyError):
+        cache.rows(["absent"], "ex")
+
+
+def test_every_truncation_is_corrupt(tmp_path):
+    path = tmp_path / "c.eec"
+    cache = EmbeddingCache(path, dim=8)
+    cache.put_many([make_emb("s1"), make_emb("sample-two", seed=1)])
+    data = path.read_bytes()
+    for cut in range(1, len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(CacheCorrupt):
+            EmbeddingCache(path, dim=8)
+
+
+def test_unknown_modality_byte_rejected(tmp_path):
+    path = tmp_path / "c.eec"
+    EmbeddingCache(path, dim=8).put(make_emb("s1"))
+    data = bytearray(path.read_bytes())
+    data[20 + 2 + 2 + 2 + 2] = 250  # header, id_len, "s1", eid_len, "ex"
+    path.write_bytes(bytes(data))
+    with pytest.raises(CacheCorrupt, match="modality byte 250"):
+        EmbeddingCache(path, dim=8)

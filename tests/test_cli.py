@@ -254,3 +254,23 @@ def test_remote_failure_is_exit_3(tmp_path, workspace):
     out = tmp_path / "remote-out"
     assert run(["embed", "--config", str(bad), "--corpus", workspace["corpus"],
                 "--out", str(out)]) == 3
+
+
+def test_sns_jobs_2_gating_cache_bytes_repeat(workspace, tmp_path):
+    """Descriptions are stored in pair order, whatever the thread count."""
+    import shutil
+    cfg = yaml.safe_load(open(workspace["config"]))
+    cfg["cache_dir"] = str(tmp_path / "cache")
+    config = tmp_path / "cached.yaml"
+    config.write_text(yaml.safe_dump(cfg))
+    base = ["--config", str(config), "--corpus", workspace["corpus"]]
+    assert run(["embed"] + base + ["--out", str(tmp_path / "emb")]) == 0
+    shutil.copytree(tmp_path / "cache", tmp_path / "warm")
+    gating = {}
+    for name, jobs in (("a", "2"), ("b", "2"), ("c", "1")):
+        shutil.rmtree(tmp_path / "cache")
+        shutil.copytree(tmp_path / "warm", tmp_path / "cache")
+        assert run(["sns"] + base + ["--jobs", jobs, "--out", str(tmp_path / name)]) == 0
+        gating[name] = (tmp_path / "cache" / f"{cfg['gating_expert']}.eec").read_bytes()
+    assert len(gating["a"]) > (tmp_path / "warm" / f"{cfg['gating_expert']}.eec").stat().st_size
+    assert gating["a"] == gating["b"] == gating["c"]

@@ -1,13 +1,17 @@
+import os
+
 import numpy as np
 import pytest
 import yaml
 
+from emblend.cache import EmbeddingCache
 from emblend.config import (build_expert, config_from_dict, load_config,
                             save_config)
 from emblend.engine import Engine
 from emblend.errors import ConfigError
 from emblend.experts import SyntheticExpert
 from emblend.remote import RemoteExpert
+from emblend.sns import side_items, side_vector, side_vectors
 from emblend.synth import SynthSpec, expert_configs, generate_corpus
 
 
@@ -155,3 +159,76 @@ class TestEngine:
         vec_sample = next(s for s in samples if s.raw_modality == "image")
         desc = fn(vec_sample, list(vec_sample.raw_components))
         assert desc.startswith("@vec:")
+
+
+def _reference_side(engine, samples, side, expert_id):
+    """Per-sample side_vector over values read back one item at a time."""
+    handle = engine.handles[expert_id]
+    rows = []
+    for s in samples:
+        vecs = []
+        for item in side_items(s, side):
+            stored = handle.store.get(item.item_id, expert_id)
+            vecs.append((stored or handle.expert.embed(item)).values)
+        rows.append(side_vector(vecs))
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_side_matrices_bit_equal_per_sample_reference(setup, tmp_path, cached):
+    config, samples = setup
+    config = config_from_dict(dict(config.to_dict(),
+                                   cache_dir=str(tmp_path / "c") if cached else None))
+    engine = Engine(config)
+    fused = engine.fused_inputs(samples)
+    anchors = engine.anchor_matrix(samples)
+    blocks = []
+    for eid in engine.expert_order:
+        raw, ann = engine.expert_space(samples, eid)
+        assert np.array_equal(raw, _reference_side(engine, samples, "raw", eid))
+        assert np.array_equal(ann, _reference_side(engine, samples, "annotation", eid))
+        blocks.append(raw)
+    assert np.array_equal(fused, np.concatenate(blocks, axis=1))
+    assert np.array_equal(anchors, _reference_side(engine, samples, "annotation", "text"))
+
+
+def test_side_vectors_bit_equal_on_float64_rows():
+    rng = np.random.default_rng(4)
+    counts = [1, 2, 3, 7, 12, 4]
+    rows = rng.normal(size=(sum(counts), 7))
+    starts = np.cumsum(counts) - counts
+    ref = np.vstack([side_vector(list(rows[s:s + c])) for s, c in zip(starts, counts)])
+    assert np.array_equal(side_vectors(rows, counts), ref)
+
+
+def test_half_warm_cache_embeds_only_misses_in_order(setup, tmp_path, monkeypatch):
+    """A grown corpus embeds only its new items, appended in the order of a
+    per-sample, raw-then-annotation walk over the grown corpus."""
+    config, samples = setup
+    first, grown = samples[::2], samples
+    config = config_from_dict(dict(config.to_dict(), cache_dir=str(tmp_path / "batch")))
+    Engine(config).populate_caches(first)
+
+    calls = []
+    original = SyntheticExpert.embed
+    monkeypatch.setattr(SyntheticExpert, "embed",
+                        lambda self, item: calls.append(item.item_id) or original(self, item))
+    Engine(config).populate_caches(grown)
+    new = {it.item_id for s in grown[1::2] for side in ("raw", "annotation")
+           for it in side_items(s, side)}
+    assert sorted(calls) == sorted(list(new) * len(config.experts))
+    monkeypatch.setattr(SyntheticExpert, "embed", original)
+
+    # reference: the per-item walk, one put per miss
+    os.makedirs(tmp_path / "ref")
+    for entry in config.experts:
+        expert = build_expert(entry, config.remote)
+        ref = EmbeddingCache(tmp_path / "ref" / f"{expert.expert_id}.eec", expert.dim)
+        for corpus in (first, grown):
+            for s in corpus:
+                for side in ("raw", "annotation"):
+                    for item in side_items(s, side):
+                        if (item.item_id, expert.expert_id) not in ref:
+                            ref.put(expert.embed(item))
+        name = f"{expert.expert_id}.eec"
+        assert (tmp_path / "batch" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()

@@ -1,18 +1,26 @@
 """Remote wire-protocol tests against a local HTTP stub service."""
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+import yaml
 
+from emblend.cache import EmbeddingCache
+from emblend.cli import run
+from emblend.dataio import ingest
+from emblend.engine import SLICE_BATCHES
 from emblend.errors import DescriberFailure, RemoteFailure
 from emblend.experts import EmbedItem, ExpertDescriptor
 from emblend.remote import RemoteDescriber, RemoteExpert
+from emblend.sns import Component, PairedSample, side_items
 
 
 class StubHandler(BaseHTTPRequestHandler):
     behavior = "ok"
+    fail_after = 0  # embed requests answered before "fail_after" starts failing
     dim = 6
     seen = []
     active = 0
@@ -31,7 +39,12 @@ class StubHandler(BaseHTTPRequestHandler):
             length = int(self.headers["Content-Length"])
             req = json.loads(self.rfile.read(length))
             cls.seen.append(req)
-            if cls.behavior == "http_error":
+            describe = req.get("task") == "describe"
+            embeds = sum(1 for r in cls.seen if r.get("task") != "describe")
+            if (cls.behavior == "http_error"
+                    or (cls.behavior == "describe_error" and describe)
+                    or (cls.behavior == "fail_after" and not describe
+                        and embeds > cls.fail_after)):
                 self.send_response(500)
                 self.end_headers()
                 return
@@ -146,3 +159,117 @@ def test_describer_failure_on_http_error(stub_server):
     StubHandler.behavior = "http_error"
     with pytest.raises(DescriberFailure):
         RemoteDescriber(stub_server, model="cap").describe("s", "video", "x")
+
+
+def test_describe_batch_chunks_in_order(stub_server):
+    describer = RemoteDescriber(stub_server, model="cap", batch_size=3, max_in_flight=2)
+    pairs = [PairedSample(f"s{k}", "p", "image", [Component("a"), Component("b")],
+                          [Component("x.")]) for k in range(7)]
+    texts = describer.describe_batch([(p, p.raw_components) for p in pairs])
+    assert texts == [f"description of s{k}" for k in range(7)]
+    sent = [item for r in StubHandler.seen for item in r["inputs"]]
+    assert {"id": "s0", "modality": "image", "content": "a\nb"} in sent
+    assert sorted(len(r["inputs"]) for r in StubHandler.seen) == [1, 3, 3]
+    assert describer.describe_batch([]) == []
+
+
+# -- engine traffic through the CLI, every expert remote ---------------------
+
+BATCH = 4
+
+
+@pytest.fixture(scope="module")
+def remote_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("remote-corpus")
+    assert run(["synth", "--out", str(root), "--pools", "2", "--samples-per-pool", "9",
+                "--modalities", "image,text", "--seed", "3"]) == 0
+    return root
+
+
+def remote_config(tmp_path, corpus_dir, endpoint, max_in_flight=2, experts_remote=True):
+    doc = yaml.safe_load((corpus_dir / "config.yaml").read_text())
+    if experts_remote:
+        doc["experts"] = [{"expert_id": e["expert_id"], "kind": "remote", "dim": StubHandler.dim,
+                           "endpoint": endpoint, "model": e["expert_id"]}
+                          for e in doc["experts"]]
+    doc["remote"] = {"batch_size": BATCH, "max_in_flight": max_in_flight,
+                     "describe_endpoint": endpoint}
+    doc["cache_dir"] = str(tmp_path / "cache")
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return str(path), [e["expert_id"] for e in doc["experts"]]
+
+
+def posts(model=None, describe=False):
+    return sum(1 for r in StubHandler.seen
+               if (r.get("task") == "describe") == describe
+               and (model is None or r["model"] == model))
+
+
+def test_embed_posts_one_request_per_batch(stub_server, remote_corpus, tmp_path):
+    config, experts = remote_config(tmp_path, remote_corpus, stub_server)
+    corpus = str(remote_corpus / "corpus.jsonl")
+    ids = {it.item_id for s in ingest(corpus) for side in ("raw", "annotation")
+           for it in side_items(s, side)}
+    assert run(["embed", "--config", config, "--corpus", corpus,
+                "--out", str(tmp_path / "e1")]) == 0
+    for eid in experts:
+        assert posts(eid) == math.ceil(len(ids) / BATCH)
+    StubHandler.seen = []
+    assert run(["embed", "--config", config, "--corpus", corpus,
+                "--out", str(tmp_path / "e2")]) == 0
+    assert StubHandler.seen == []
+
+
+def test_sns_describes_in_batches(stub_server, remote_corpus, tmp_path):
+    config, experts = remote_config(tmp_path, remote_corpus, stub_server)
+    corpus = str(remote_corpus / "corpus.jsonl")
+    samples = ingest(corpus)
+    media = sum(1 for s in samples if s.raw_modality != "text")
+    assert run(["embed", "--config", config, "--corpus", corpus,
+                "--out", str(tmp_path / "e")]) == 0
+    StubHandler.seen = []
+    assert run(["sns", "--config", config, "--corpus", corpus,
+                "--out", str(tmp_path / "sns")]) == 0
+    assert posts(describe=True) == math.ceil(media / BATCH)
+    # one description per pair, embedded through the gating expert only
+    assert posts(experts[0]) == math.ceil(len(samples) / BATCH)
+    assert posts() == posts(experts[0])
+
+
+def test_describer_down_passes_media_pairs_through(stub_server, remote_corpus, tmp_path):
+    config, _ = remote_config(tmp_path, remote_corpus, stub_server, experts_remote=False)
+    corpus = remote_corpus / "corpus.jsonl"
+    StubHandler.behavior = "describe_error"
+    out = tmp_path / "sns"
+    assert run(["sns", "--config", config, "--corpus", str(corpus), "--out", str(out)]) == 0
+    inputs = corpus.read_text().splitlines()
+    emitted = (out / "trimmed.jsonl").read_text().splitlines()
+    log = [json.loads(line) for line in (out / "nucleus_log.jsonl").read_text().splitlines()]
+    samples = ingest(str(corpus))
+    assert len(log) == len(samples) == len(emitted)
+    for sample, src, line, rec in zip(samples, inputs, emitted, log):
+        if sample.raw_modality == "text":
+            assert rec["error"] is None and rec["sim_backward"] is not None
+        else:
+            assert rec["error"] and not rec["accepted"]
+            assert line == src
+    media = sum(1 for s in samples if s.raw_modality != "text")
+    assert posts(describe=True) >= media  # each media pair was tried on its own
+
+
+def test_embed_failure_mid_run_keeps_written_slices(stub_server, remote_corpus, tmp_path):
+    config, experts = remote_config(tmp_path, remote_corpus, stub_server, max_in_flight=1)
+    corpus = str(remote_corpus / "corpus.jsonl")
+    slice_posts = SLICE_BATCHES  # requests of BATCH items per slice
+    StubHandler.behavior = "fail_after"
+    StubHandler.fail_after = slice_posts + 3  # fails inside the second slice
+    assert run(["embed", "--config", config, "--corpus", corpus,
+                "--out", str(tmp_path / "e")]) == 3
+    first = EmbeddingCache(tmp_path / "cache" / f"{experts[0]}.eec", StubHandler.dim)
+    order = []
+    for s in ingest(corpus):
+        for side in ("raw", "annotation"):
+            order += [it.item_id for it in side_items(s, side) if it.item_id not in order]
+    assert len(first) == slice_posts * BATCH
+    assert all((item_id, experts[0]) in first for item_id in order[:slice_posts * BATCH])

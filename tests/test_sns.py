@@ -6,7 +6,8 @@ from emblend.experts import SyntheticExpert, SyntheticExpertConfig, encode_paylo
 from emblend.geometry import normalize
 from emblend.sns import (Component, NucleusRecord, PairedSample, PayloadDescriber,
                          SnsConfig, TableDescriber, apply_sns, calibrate_taus,
-                         extract, info_density, mi_gate, segment_text, side_vector)
+                         extract, info_density, mi_gate, run_sns, segment_text,
+                         side_vector)
 
 
 class TestSegmentText:
@@ -247,10 +248,8 @@ def test_calibrate_taus_lands_between_bands():
     sims = []
     from emblend.sns import _embed_components
     for p in pairs:
-        raw_vecs = _embed_components(gate, p.sample_id, p.raw_modality,
-                                     p.raw_components, "r")
-        ann_vecs = _embed_components(gate, p.sample_id, "text",
-                                     p.annotation_components, "a")
+        raw_vecs = _embed_components(gate, p, "raw")
+        ann_vecs = _embed_components(gate, p, "annotation")
         ann_side = side_vector(ann_vecs)
         sims.extend(float(v @ ann_side) for v in raw_vecs)
     assert min(sims) < tau_alpha["image"] < max(sims)
@@ -261,3 +260,47 @@ def test_nucleus_record_serializes():
     doc = rec.to_dict()
     assert doc["sample_id"] == "s1"
     assert doc["size_after"]["raw"] == 5
+
+
+def _handle(expert):
+    from emblend.cache import MemoryStore
+    from emblend.engine import ExpertHandle
+    return ExpertHandle(expert, MemoryStore(expert.dim))
+
+
+def _mixed_pairs():
+    pairs = [vec_pair(sample_id=f"s{i}", modality=("image", "audio")[i % 2],
+                      relevant=2, irrelevant=1 + i % 3, ann_off=1, seed=200 + i)[0]
+             for i in range(12)]
+    pairs.append(PairedSample(sample_id="t0", pool_id="p1", raw_modality="text",
+                              raw_components=[Component("red apples."), Component("a cart.")],
+                              annotation_components=[Component("apples in a cart.")]))
+    return pairs
+
+
+@pytest.mark.parametrize("direction", ["off", "forward", "backward", "bidirectional"])
+@pytest.mark.parametrize("describer", [True, False])
+def test_run_sns_matches_apply_sns(direction, describer):
+    pairs = _mixed_pairs()
+    cfg = SnsConfig(direction=direction, tau_alpha=0.5, tau_beta=0.5, rho=0.9)
+    describe = PayloadDescriber(8) if describer else None
+    expected = [apply_sns(p, cfg, gating_expert(noise=0.01), describe) for p in pairs]
+    got = run_sns(pairs, cfg, _handle(gating_expert(noise=0.01)), describe, jobs=2)
+    assert [out for out, _ in got] == [out for out, _ in expected]
+    assert [rec.to_dict() for _, rec in got] == [rec.to_dict() for _, rec in expected]
+    if direction in ("backward", "bidirectional") and not describer:
+        assert all(rec.error for out, rec in got if out.raw_modality != "text")
+
+
+def test_run_sns_gating_modality_errors_stay_per_pair():
+    """A gating expert without image support fails the image pairs only."""
+    cfg = SyntheticExpertConfig(expert_id="gate", seed=5, dim=16, semantic_dim=8)
+    text_audio = SyntheticExpert(cfg, supported_modalities=("text", "audio"))
+    pairs = _mixed_pairs()
+    sns_cfg = SnsConfig(direction="bidirectional", tau_alpha=0.5, tau_beta=0.5, rho=0.9)
+    got = run_sns(pairs, sns_cfg, _handle(text_audio), PayloadDescriber(8))
+    expected = [apply_sns(p, sns_cfg, text_audio, PayloadDescriber(8)) for p in pairs]
+    assert [rec.to_dict() for _, rec in got] == [rec.to_dict() for _, rec in expected]
+    errors = {p.raw_modality: rec.error for p, (_, rec) in zip(pairs, got)}
+    assert "does not support 'image'" in errors["image"]
+    assert errors["audio"] is None and errors["text"] is None
