@@ -45,6 +45,10 @@ class BatchTooSmall(EmblendError):
     """Contrastive loss needs at least two pairs in a batch."""
 
 
+class NonFiniteLoss(EmblendError):
+    """A training step produced a loss or gradient that is not finite."""
+
+
 class ZeroSize(EmblendError):
     """Byte size must be positive."""
 

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BatchTooSmall, ConfigError, DimMismatch, EmptyModality
+from .errors import (BatchTooSmall, ConfigError, DimMismatch, EmptyModality,
+                     NonFiniteLoss)
 from .geometry import normalize
 
 OPTIMIZERS = ("sgd", "momentum", "adam")
@@ -32,12 +34,10 @@ def softplus(x):
 
 
 def sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, both from e^-|x|
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 @dataclass
@@ -156,17 +156,19 @@ def project(model: ProjectionModel, concat_vector):
 
 def _softmax_xent(logits):
     """Mean cross-entropy of row i against target column i, and its gradient
-    with respect to the logits."""
+    with respect to the logits. Overwrites ``logits``: they are shifted and
+    exponentiated in place, then turned into the gradient, which is returned."""
     n = logits.shape[0]
-    row_max = logits.max(axis=1, keepdims=True)
-    expz = np.exp(logits - row_max)
-    denom = expz.sum(axis=1, keepdims=True)
-    log_probs = (logits - row_max) - np.log(denom)
-    loss = -np.diag(log_probs).mean()
-    dlogits = expz / denom
-    dlogits[np.arange(n), np.arange(n)] -= 1.0
-    dlogits /= n
-    return loss, dlogits
+    diag = np.arange(n)
+    logits -= logits.max(axis=1, keepdims=True)
+    target = logits[diag, diag]
+    np.exp(logits, out=logits)
+    denom = logits.sum(axis=1, keepdims=True)
+    loss = -(target - np.log(denom[:, 0])).mean()
+    logits /= denom
+    logits[diag, diag] -= 1.0
+    logits /= n
+    return loss, logits
 
 
 def _task_loss_grad(fused, anchors, weights: LossWeights):
@@ -174,22 +176,28 @@ def _task_loss_grad(fused, anchors, weights: LossWeights):
     if n < 2:
         raise BatchTooSmall("InfoNCE needs at least 2 pairs in a batch")
     tau = weights.temperature
-    logits_a = fused @ anchors.T / tau  # queries x annotation candidates
-
     if weights.include_fused_negatives:
-        logits_f = fused @ fused.T / tau
+        # [annotation candidates | fused candidates] side by side in one buffer
+        logits = np.empty((n, 2 * n))
+        logits_a, logits_f = logits[:, :n], logits[:, n:]
+        np.matmul(fused, anchors.T, out=logits_a)
+        logits_a /= tau
+        np.matmul(fused, fused.T, out=logits_f)
+        logits_f /= tau
         np.fill_diagonal(logits_f, -np.inf)  # a query is not its own negative
-        loss, dlogits = _softmax_xent(np.concatenate([logits_a, logits_f], axis=1))
+        loss, dlogits = _softmax_xent(logits)
         da, df_part = dlogits[:, :n], dlogits[:, n:]
         np.fill_diagonal(df_part, 0.0)
         grad = da @ anchors / tau + df_part @ fused / tau + df_part.T @ fused / tau
         return loss, grad
 
-    loss_fwd, dlog_fwd = _softmax_xent(logits_a)
+    logits_a = fused @ anchors.T / tau  # queries x annotation candidates
+    loss_fwd, dlog_fwd = _softmax_xent(logits_a.copy() if weights.symmetric else logits_a)
     grad = dlog_fwd @ anchors / tau
     if not weights.symmetric:
         return loss_fwd, grad
-    # reverse direction: anchor queries against fused candidates
+    # reverse direction: anchor queries against fused candidates, reduced over
+    # the transposed view itself (a contiguous copy sums in another order)
     loss_bwd, dlog_bwd = _softmax_xent(logits_a.T)
     grad_bwd = dlog_bwd.T @ anchors / tau
     return 0.5 * (loss_fwd + loss_bwd), 0.5 * (grad + grad_bwd)
@@ -207,62 +215,80 @@ def loss_task(fused, anchors, temperature: float = 0.07,
     return float(value)
 
 
-def _group_indices(n_fused, n_anchor, modalities):
-    """Group rows of the stacked (fused + anchor) cloud by modality tag."""
-    groups = {}
-    for i, m in enumerate(modalities):
-        groups.setdefault(m, []).append(i)
-    groups.setdefault("text", [])
-    groups["text"].extend(range(n_fused, n_fused + n_anchor))
-    return {m: np.asarray(ix, dtype=np.int64) for m, ix in groups.items() if len(ix)}
+def modality_codes(modalities) -> np.ndarray:
+    """Integer code per modality tag, with ``text`` (the group the anchor rows
+    join) as 0. An integer array is already encoded and passes through, so a
+    caller can encode once and take a batch's codes by slicing."""
+    if isinstance(modalities, np.ndarray) and modalities.dtype.kind == "i":
+        return modalities
+    modalities = list(modalities)
+    table = {"text": 0}
+    return np.fromiter((table.setdefault(m, len(table)) for m in modalities),
+                       dtype=np.int64, count=len(modalities))
 
 
-def _cluster_loss_grad(points, groups, n_fused):
-    n = points.shape[0]
-    mu = points.mean(axis=0)
-    loss = 0.0
-    sum_dev = np.zeros_like(mu)
-    grad = np.zeros((n_fused, points.shape[1]))
-    for idx in groups.values():
-        mu_m = points[idx].mean(axis=0)
-        dev = mu_m - mu
-        loss += float(dev @ dev)
-        sum_dev += dev
-        fused_idx = idx[idx < n_fused]
-        if fused_idx.size:
-            grad[fused_idx] += 2.0 * dev / idx.size
-    grad -= 2.0 * sum_dev / n
-    return loss, grad
+def _group_indices(codes, n_anchor):
+    """Group rows of the stacked (fused + anchor) cloud by modality code, in
+    first-occurrence order; the anchor rows join ``text``, which goes last
+    when no fused row carries it. Returns (rows, fused rows) per group."""
+    n_fused = codes.shape[0]
+    anchor_rows = np.arange(n_fused, n_fused + n_anchor)
+    present, first = np.unique(codes, return_index=True)
+    groups = []
+    for code in present[np.argsort(first)]:
+        rows = np.flatnonzero(codes == code)
+        groups.append((np.concatenate([rows, anchor_rows]) if code == 0 else rows, rows))
+    if present[0] != 0:
+        groups.append((anchor_rows, anchor_rows[:0]))
+    return groups
 
 
-def _scale_loss_grad(points, groups, n_fused):
+def _group_loss_grads(points, groups, n_fused, weights: LossWeights):
+    """L_cluster and L_scale with their gradients w.r.t. the fused rows, in one
+    pass over the groups that shares the overall and per-group centroids. A
+    term with zero weight is skipped: its loss reads 0 and its gradient None."""
     n, d = points.shape
+    with_cluster, with_scale = weights.lambda_cluster > 0, weights.lambda_scale > 0
     mu = points.mean(axis=0)
-    diff = points - mu
-    dist = np.linalg.norm(diff, axis=1)
-    unit = np.divide(diff, dist[:, None], out=np.zeros_like(diff), where=dist[:, None] > 0)
-    sigma = dist.mean()
-    d_sigma = (unit - unit.mean(axis=0)) / n  # d sigma / d point, rows
-    loss = 0.0
-    sign_total = 0.0
-    grad = np.zeros((n_fused, d))
-    for idx in groups.values():
-        mu_m = points[idx].mean(axis=0)
-        diff_m = points[idx] - mu_m
-        dist_m = np.linalg.norm(diff_m, axis=1)
-        unit_m = np.divide(diff_m, dist_m[:, None], out=np.zeros_like(diff_m),
-                           where=dist_m[:, None] > 0)
-        sigma_m = dist_m.mean()
-        s = np.sign(sigma_m - sigma)  # subgradient 0 at the kink
-        loss += abs(sigma_m - sigma)
-        sign_total += s
-        if s != 0:
-            d_sigma_m = (unit_m - unit_m.mean(axis=0)) / idx.size
-            inside = idx < n_fused
-            if inside.any():
-                grad[idx[inside]] += s * d_sigma_m[inside]
-    grad -= sign_total * d_sigma[:n_fused]
-    return float(loss), grad
+    l_cluster, grad_cluster, sum_dev = 0.0, None, None
+    l_scale, grad_scale, sign_total = 0.0, None, 0.0
+    if with_cluster:
+        sum_dev = np.zeros_like(mu)
+        grad_cluster = np.zeros((n_fused, d))
+    if with_scale:
+        diff = points - mu
+        dist = np.linalg.norm(diff, axis=1)
+        unit = np.divide(diff, dist[:, None], out=np.zeros_like(diff),
+                         where=dist[:, None] > 0)
+        sigma = dist.mean()
+        d_sigma = (unit - unit.mean(axis=0)) / n  # d sigma / d point, rows
+        grad_scale = np.zeros((n_fused, d))
+    for idx, fused_idx in groups:
+        group = points[idx]
+        mu_m = group.mean(axis=0)
+        if with_cluster:
+            dev = mu_m - mu
+            l_cluster += float(dev @ dev)
+            sum_dev += dev
+            grad_cluster[fused_idx] += 2.0 * dev / idx.size
+        if with_scale:
+            diff_m = group - mu_m
+            dist_m = np.linalg.norm(diff_m, axis=1)
+            sigma_m = dist_m.mean()
+            s = np.sign(sigma_m - sigma)  # subgradient 0 at the kink
+            l_scale += abs(sigma_m - sigma)
+            sign_total += s
+            if s != 0:
+                unit_m = np.divide(diff_m, dist_m[:, None], out=np.zeros_like(diff_m),
+                                   where=dist_m[:, None] > 0)
+                d_sigma_m = (unit_m - unit_m.mean(axis=0)) / idx.size
+                # the fused rows lead every group's index list
+                grad_scale[fused_idx] += s * d_sigma_m[:fused_idx.size]
+    if with_cluster:
+        grad_cluster -= 2.0 * sum_dev / n
+    if with_scale:
+        grad_scale -= sign_total * d_sigma[:n_fused]
+    return l_cluster, grad_cluster, float(l_scale), grad_scale
 
 
 def loss_cluster(groups: dict) -> float:
@@ -297,11 +323,11 @@ def batch_losses(fused, anchors, modalities, weights: LossWeights):
     """Total loss and per-term breakdown for one batch (no gradients)."""
     total, breakdown, _ = _batch_loss_grad_fused(
         np.asarray(fused, dtype=np.float64), np.asarray(anchors, dtype=np.float64),
-        modalities, weights)
+        modality_codes(modalities), weights)
     return total, breakdown
 
 
-def _batch_loss_grad_fused(fused, anchors, modalities, weights):
+def _batch_loss_grad_fused(fused, anchors, codes, weights):
     n = fused.shape[0]
     grad = np.zeros_like(fused)
     l_task = l_cluster = l_scale = 0.0
@@ -310,13 +336,12 @@ def _batch_loss_grad_fused(fused, anchors, modalities, weights):
         grad += weights.lambda_task * g
     if weights.lambda_cluster > 0 or weights.lambda_scale > 0:
         points = np.concatenate([fused, anchors], axis=0)
-        groups = _group_indices(n, anchors.shape[0], modalities)
-        if weights.lambda_cluster > 0:
-            l_cluster, g = _cluster_loss_grad(points, groups, n)
-            grad += weights.lambda_cluster * g
-        if weights.lambda_scale > 0:
-            l_scale, g = _scale_loss_grad(points, groups, n)
-            grad += weights.lambda_scale * g
+        groups = _group_indices(codes, anchors.shape[0])
+        l_cluster, g_cluster, l_scale, g_scale = _group_loss_grads(points, groups, n, weights)
+        if g_cluster is not None:
+            grad += weights.lambda_cluster * g_cluster
+        if g_scale is not None:
+            grad += weights.lambda_scale * g_scale
     total = (weights.lambda_task * l_task + weights.lambda_cluster * l_cluster
              + weights.lambda_scale * l_scale)
     breakdown = {"L_task": float(l_task), "L_cluster": float(l_cluster),
@@ -327,12 +352,14 @@ def _batch_loss_grad_fused(fused, anchors, modalities, weights):
 def backward(model: ProjectionModel, inputs, anchors, modalities, weights: LossWeights):
     """Analytic gradients of the total loss w.r.t. all layer parameters.
 
+    ``modalities`` holds one tag per row, or their ``modality_codes``.
     Returns (grad_weights, grad_biases, breakdown).
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     anchors = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
     fused, (activations, pre_acts, norms) = forward(model, inputs)
-    _, breakdown, d_fused = _batch_loss_grad_fused(fused, anchors, modalities, weights)
+    _, breakdown, d_fused = _batch_loss_grad_fused(
+        fused, anchors, modality_codes(modalities), weights)
 
     # through row-wise normalization: u = raw / |raw|
     inner = np.sum(fused * d_fused, axis=1, keepdims=True)
@@ -384,19 +411,31 @@ class _Optimizer:
                 p -= self.lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
+def _check_finite(step, breakdown, grad_w, grad_b):
+    for term, value in breakdown.items():
+        if not math.isfinite(value):
+            raise NonFiniteLoss(f"step {step}: loss term {term} is {value}")
+    for kind, grads in (("weight", grad_w), ("bias", grad_b)):
+        for layer, g in enumerate(grads):
+            if not np.isfinite(g).all():
+                raise NonFiniteLoss(f"step {step}: gradient of layer {layer} {kind} "
+                                    "is not finite")
+
+
 def train(inputs, anchors, modalities, model: ProjectionModel,
           train_config: TrainConfig, weights: LossWeights):
     """Fit the projection on (concatenated expert inputs, anchor) pairs.
 
     Deterministic for a fixed seed: init, shuffle order, and batch slicing
-    are all driven by the config seed. Anchors are never modified. Returns
-    (trained model, per-step loss log).
+    are all driven by the config seed. Anchors are never modified. Raises
+    NonFiniteLoss at the first step whose loss or gradient is not finite.
+    Returns (trained model, per-step loss log).
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     anchors = np.asarray(anchors, dtype=np.float64)
-    modalities = list(modalities)
+    codes = modality_codes(modalities)
     n = inputs.shape[0]
-    if n != anchors.shape[0] or n != len(modalities):
+    if n != anchors.shape[0] or n != codes.shape[0]:
         raise DimMismatch("inputs, anchors and modalities must have equal length")
     if anchors.shape[1] != model.output_dim:
         raise DimMismatch(
@@ -420,7 +459,8 @@ def train(inputs, anchors, modalities, model: ProjectionModel,
         take = order[cursor:cursor + batch]
         cursor += batch
         grad_w, grad_b, breakdown = backward(
-            model, inputs[take], anchors[take], [modalities[i] for i in take], weights)
+            model, inputs[take], anchors[take], codes[take], weights)
+        _check_finite(step, breakdown, grad_w, grad_b)
         opt.update(params, grad_w + grad_b)
         log.append({"step": step, **breakdown})
     return model, log

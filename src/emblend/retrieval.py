@@ -11,6 +11,8 @@ from .errors import (DimMismatch, EmptyModality, InsufficientSamples,
                      MissingPartner)
 from .geometry import centroid
 
+RANK_BLOCK = 64  # query rows compared at once in partner_ranks
+
 
 @dataclass
 class RetrievalIndex:
@@ -50,21 +52,29 @@ def top_k(index: RetrievalIndex, query, k: int):
 
 
 def partner_ranks(queries, partner_ids, index: RetrievalIndex):
-    """1-based rank of each query's ground-truth partner under top_k ordering."""
+    """1-based rank of each query's ground-truth partner under top_k ordering:
+    one plus the candidates scoring higher, plus those tied with a smaller id."""
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != index.dim:
         raise DimMismatch(f"query dim {queries.shape[1]} != index dim {index.dim}")
+    if queries.shape[0] != len(partner_ids):
+        raise DimMismatch(f"{queries.shape[0]} queries but {len(partner_ids)} partner ids")
     pos = {sid: i for i, sid in enumerate(index.ids)}
+    try:
+        cols = np.array([pos[pid] for pid in partner_ids], dtype=np.intp)
+    except KeyError as exc:
+        raise MissingPartner(f"partner {exc.args[0]!r} not in index") from None
+    id_rank = np.empty(len(index), dtype=np.intp)  # position in ascending id order
+    id_rank[np.argsort(index._id_arr)] = np.arange(len(index))
     sims = queries @ index.matrix.T
-    ranks = np.empty(len(partner_ids), dtype=np.int64)
-    for qi, pid in enumerate(partner_ids):
-        if pid not in pos:
-            raise MissingPartner(f"partner {pid!r} not in index")
-        row = sims[qi]
-        sp = row[pos[pid]]
-        better = int(np.count_nonzero(row > sp))
-        tied_before = int(np.count_nonzero((row == sp) & (index._id_arr < pid)))
-        ranks[qi] = 1 + better + tied_before
+    ranks = np.empty(cols.size, dtype=np.int64)
+    for start in range(0, cols.size, RANK_BLOCK):  # bounds the boolean temporaries
+        block = slice(start, start + RANK_BLOCK)
+        row_sims, col = sims[block], cols[block]
+        sp = row_sims[np.arange(col.size), col][:, None]
+        tied_before = (row_sims == sp) & (id_rank < id_rank[col][:, None])
+        ranks[block] = (1 + np.count_nonzero(row_sims > sp, axis=1)
+                        + np.count_nonzero(tied_before, axis=1))
     return ranks
 
 

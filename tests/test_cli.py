@@ -193,6 +193,21 @@ def test_eval_single_sample_modality_is_exit_2(workspace, small_model, tmp_path,
     assert "'audio' has fewer than 2 samples" in capsys.readouterr().err
 
 
+def test_train_non_finite_loss_is_exit_2(workspace, tmp_path, capsys):
+    from emblend.experts import encode_payload
+    records = read_jsonl(workspace["corpus"])
+    config = yaml.safe_load(open(workspace["config"]))
+    semantic_dim = config["experts"][0]["semantic_dim"]
+    bad = next(r for r in records if r["modality"] != "text")
+    bad["components"] = [encode_payload(np.full(semantic_dim, np.nan))]
+    corpus = tmp_path / "nan.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code = run(["train", "--config", workspace["config"], "--corpus", str(corpus),
+                "--out", str(tmp_path / "t"), "--steps", "5", "--batch-size", "256"])
+    assert code == 2
+    assert "step 0: loss term L_task is nan" in capsys.readouterr().err
+
+
 def test_train_rerun_byte_identical(workspace, tmp_path):
     # rerunning with the same manifest (same args, same out dir) reproduces
     # every artifact byte for byte

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from emblend.errors import BatchTooSmall, ConfigError, DimMismatch
+from emblend import projection
+from emblend.errors import BatchTooSmall, ConfigError, DimMismatch, NonFiniteLoss
 from emblend.projection import (LossWeights, TrainConfig,
                                 backward, batch_losses, forward,
                                 init_projection, load_model, loss_cluster,
@@ -209,6 +211,18 @@ class TestBackward:
         for a, b in zip(gw1 + gb1, gw2 + gb2):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_gradcheck_gap_collapse_mix(self, depth):
+        # fused negatives with L_cluster and L_scale over mixed modalities, as
+        # configs/gap-collapse.yaml trains
+        gen = np.random.default_rng(10 + depth)
+        model = init_projection(8, 4, depth, seed=depth)
+        x = gen.normal(size=(7, 8))
+        anchors = unit_rows(7, 4, gen)
+        mods = ["image", "audio", "text", "image", "video", "audio", "image"]
+        w = LossWeights(0.9, 0.05, 0.05, temperature=0.2, include_fused_negatives=True)
+        assert finite_difference_check(model, x, anchors, mods, w) <= 1e-4
+
     def test_near_optimum_gradient_small(self):
         # fused == anchor, negatives orthogonal, tiny temperature
         model = init_projection(4, 4, 1, seed=9)
@@ -278,6 +292,21 @@ class TestTrain:
         ids = [f"h{i}" for i in range(40)]
         index = RetrievalIndex(ids, anchors[200:])
         assert recall_at_k(fused, ids, index, [1])[1] >= 0.9
+
+    def test_nan_input_row_raises_at_step_zero(self):
+        x, anchors, mods = self.make_data(n=40)
+        x[5, 3] = np.nan
+        cfg = TrainConfig(batch_size=64, step_count=10, seed=1)
+        model = init_projection(x.shape[1], anchors.shape[1], 2, seed=1)
+        with pytest.raises(NonFiniteLoss, match=r"^step 0: loss term L_task is nan"):
+            train(x, anchors, mods, model, cfg, LossWeights(0.9, 0.05, 0.05))
+
+    def test_non_finite_gradient_names_the_layer(self):
+        grad_w = [np.zeros((3, 2)), np.zeros((1, 3))]
+        grad_b = [np.zeros(3), np.array([np.inf])]
+        breakdown = {"L_task": 1.0, "L_cluster": 0.0, "L_scale": 0.0, "L_total": 0.9}
+        with pytest.raises(NonFiniteLoss, match=r"^step 7: gradient of layer 1 bias"):
+            projection._check_finite(7, breakdown, grad_w, grad_b)
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigError):
@@ -349,3 +378,228 @@ class TestModelIO:
         save_model(model, p1)
         save_model(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Reference step: the training-step arithmetic as first written (boolean-mask
+# sigmoid, full log-probability matrix, concatenated logit blocks, separate
+# L_cluster and L_scale passes, string grouping on every step). The lean step
+# in emblend.projection must reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+
+def ref_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def ref_softmax_xent(logits):
+    n = logits.shape[0]
+    row_max = logits.max(axis=1, keepdims=True)
+    expz = np.exp(logits - row_max)
+    denom = expz.sum(axis=1, keepdims=True)
+    log_probs = (logits - row_max) - np.log(denom)
+    loss = -np.diag(log_probs).mean()
+    dlogits = expz / denom
+    dlogits[np.arange(n), np.arange(n)] -= 1.0
+    dlogits /= n
+    return loss, dlogits
+
+
+def ref_task_loss_grad(fused, anchors, weights):
+    n = fused.shape[0]
+    tau = weights.temperature
+    logits_a = fused @ anchors.T / tau
+    if weights.include_fused_negatives:
+        logits_f = fused @ fused.T / tau
+        np.fill_diagonal(logits_f, -np.inf)
+        loss, dlogits = ref_softmax_xent(np.concatenate([logits_a, logits_f], axis=1))
+        da, df_part = dlogits[:, :n], dlogits[:, n:]
+        np.fill_diagonal(df_part, 0.0)
+        grad = da @ anchors / tau + df_part @ fused / tau + df_part.T @ fused / tau
+        return loss, grad
+    loss_fwd, dlog_fwd = ref_softmax_xent(logits_a)
+    grad = dlog_fwd @ anchors / tau
+    if not weights.symmetric:
+        return loss_fwd, grad
+    loss_bwd, dlog_bwd = ref_softmax_xent(logits_a.T)
+    grad_bwd = dlog_bwd.T @ anchors / tau
+    return 0.5 * (loss_fwd + loss_bwd), 0.5 * (grad + grad_bwd)
+
+
+def ref_group_indices(n_fused, n_anchor, modalities):
+    groups = {}
+    for i, m in enumerate(modalities):
+        groups.setdefault(m, []).append(i)
+    groups.setdefault("text", [])
+    groups["text"].extend(range(n_fused, n_fused + n_anchor))
+    return {m: np.asarray(ix, dtype=np.int64) for m, ix in groups.items() if len(ix)}
+
+
+def ref_cluster_loss_grad(points, groups, n_fused):
+    n = points.shape[0]
+    mu = points.mean(axis=0)
+    loss = 0.0
+    sum_dev = np.zeros_like(mu)
+    grad = np.zeros((n_fused, points.shape[1]))
+    for idx in groups.values():
+        mu_m = points[idx].mean(axis=0)
+        dev = mu_m - mu
+        loss += float(dev @ dev)
+        sum_dev += dev
+        fused_idx = idx[idx < n_fused]
+        if fused_idx.size:
+            grad[fused_idx] += 2.0 * dev / idx.size
+    grad -= 2.0 * sum_dev / n
+    return loss, grad
+
+
+def ref_scale_loss_grad(points, groups, n_fused):
+    n, d = points.shape
+    mu = points.mean(axis=0)
+    diff = points - mu
+    dist = np.linalg.norm(diff, axis=1)
+    unit = np.divide(diff, dist[:, None], out=np.zeros_like(diff), where=dist[:, None] > 0)
+    sigma = dist.mean()
+    d_sigma = (unit - unit.mean(axis=0)) / n
+    loss = 0.0
+    sign_total = 0.0
+    grad = np.zeros((n_fused, d))
+    for idx in groups.values():
+        mu_m = points[idx].mean(axis=0)
+        diff_m = points[idx] - mu_m
+        dist_m = np.linalg.norm(diff_m, axis=1)
+        unit_m = np.divide(diff_m, dist_m[:, None], out=np.zeros_like(diff_m),
+                           where=dist_m[:, None] > 0)
+        sigma_m = dist_m.mean()
+        s = np.sign(sigma_m - sigma)
+        loss += abs(sigma_m - sigma)
+        sign_total += s
+        if s != 0:
+            d_sigma_m = (unit_m - unit_m.mean(axis=0)) / idx.size
+            inside = idx < n_fused
+            if inside.any():
+                grad[idx[inside]] += s * d_sigma_m[inside]
+    grad -= sign_total * d_sigma[:n_fused]
+    return float(loss), grad
+
+
+def ref_backward(model, inputs, anchors, modalities, weights):
+    fused, (activations, pre_acts, norms) = forward(model, inputs)
+    n = fused.shape[0]
+    d_fused = np.zeros_like(fused)
+    l_task = l_cluster = l_scale = 0.0
+    if weights.lambda_task > 0:
+        l_task, g = ref_task_loss_grad(fused, anchors, weights)
+        d_fused += weights.lambda_task * g
+    if weights.lambda_cluster > 0 or weights.lambda_scale > 0:
+        points = np.concatenate([fused, anchors], axis=0)
+        groups = ref_group_indices(n, anchors.shape[0], modalities)
+        if weights.lambda_cluster > 0:
+            l_cluster, g = ref_cluster_loss_grad(points, groups, n)
+            d_fused += weights.lambda_cluster * g
+        if weights.lambda_scale > 0:
+            l_scale, g = ref_scale_loss_grad(points, groups, n)
+            d_fused += weights.lambda_scale * g
+    total = (weights.lambda_task * l_task + weights.lambda_cluster * l_cluster
+             + weights.lambda_scale * l_scale)
+    breakdown = {"L_task": float(l_task), "L_cluster": float(l_cluster),
+                 "L_scale": float(l_scale), "L_total": float(total)}
+    inner = np.sum(fused * d_fused, axis=1, keepdims=True)
+    delta = (d_fused - fused * inner) / norms
+    grad_w = [None] * model.layer_count
+    grad_b = [None] * model.layer_count
+    for layer in range(model.layer_count - 1, -1, -1):
+        grad_w[layer] = delta.T @ activations[layer]
+        grad_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ model.weights[layer]) * ref_sigmoid(pre_acts[layer - 1])
+    return grad_w, grad_b, breakdown
+
+
+def ref_train(inputs, anchors, modalities, model, cfg, weights):
+    model = model.copy()
+    n = inputs.shape[0]
+    batch = min(cfg.batch_size, n)
+    params = model.weights + model.biases
+    opt = projection._Optimizer(cfg.optimizer, cfg.learning_rate, [p.shape for p in params])
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    order = np.arange(n)
+    cursor = n
+    log = []
+    for step in range(cfg.step_count):
+        if cursor + batch > n:
+            order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+            cursor = 0
+        take = order[cursor:cursor + batch]
+        cursor += batch
+        grad_w, grad_b, breakdown = ref_backward(
+            model, inputs[take], anchors[take], [modalities[i] for i in take], weights)
+        opt.update(params, grad_w + grad_b)
+        log.append({"step": step, **breakdown})
+    return model, log
+
+
+ORACLE_VARIANTS = {"fused_negatives": {"include_fused_negatives": True},
+                   "annotation_only": {},
+                   "symmetric": {"symmetric": True}}
+# (lambda_task, lambda_cluster, lambda_scale): gap-collapse mix, no L_cluster,
+# no L_scale, and the bias terms alone
+ORACLE_MIXES = ((0.9, 0.05, 0.05), (0.9, 0.0, 0.1), (0.9, 0.1, 0.0), (0.0, 0.5, 0.5))
+
+
+def oracle_layouts(n, gen):
+    """Modality tag layouts: a rare `video` and `text` absent from some batches,
+    no `text` row at all (anchors form the text group alone), and every fused
+    row tagged `text`."""
+    mixed = list(gen.choice(["image", "audio", "video", "text"], size=n,
+                            p=[0.45, 0.4, 0.1, 0.05]))
+    return {"mixed": mixed,
+            "no_text": list(gen.choice(["audio", "image"], size=n)),
+            "all_text": ["text"] * n}
+
+
+@pytest.mark.parametrize("variant", sorted(ORACLE_VARIANTS))
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_train_bit_identical_to_reference_step(depth, variant):
+    gen = np.random.default_rng(40 + depth)
+    n, d_in, d_out = 48, 12, 6
+    x = gen.normal(size=(n, d_in))
+    anchors = unit_rows(n, d_out, gen)
+    cfg = TrainConfig(batch_size=16, step_count=12, learning_rate=1e-2, seed=depth)
+    batches_without = {"video": 0, "text": 0}
+    mixed = None
+    for layout, mods in oracle_layouts(n, gen).items():
+        if layout == "mixed":
+            mixed = mods
+        for mix in ORACLE_MIXES:
+            weights = LossWeights(*mix, temperature=0.1, **ORACLE_VARIANTS[variant])
+            model = init_projection(d_in, d_out, depth, hidden_dim=10, seed=depth)
+            got, got_log = train(x, anchors, mods, model, cfg, weights)
+            want, want_log = ref_train(x, anchors, mods, model, cfg, weights)
+            for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+                assert np.array_equal(a, b)
+            assert json.dumps(got_log) == json.dumps(want_log)
+    # the mixed layout really has batches that lack a modality
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    for _ in range(cfg.step_count * cfg.batch_size // n):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            tags = {mixed[i] for i in order[start:start + cfg.batch_size]}
+            for m in batches_without:
+                batches_without[m] += m not in tags
+    assert all(batches_without.values()), batches_without
+
+
+def test_modality_codes_pass_through_and_group_order():
+    codes = projection.modality_codes(["audio", "text", "image", "audio"])
+    assert codes.tolist() == [1, 0, 2, 1]
+    assert projection.modality_codes(codes) is codes
+    groups = projection._group_indices(codes, 4)
+    assert [rows.tolist() for rows, _ in groups] == [[0, 3], [1, 4, 5, 6, 7], [2]]
+    assert [fused.tolist() for _, fused in groups] == [[0, 3], [1], [2]]
+    no_text = projection._group_indices(projection.modality_codes(["video", "image"]), 2)
+    assert [rows.tolist() for rows, _ in no_text] == [[0], [1], [2, 3]]

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from emblend.errors import (DimMismatch, InsufficientSamples, MissingPartner)
-from emblend.retrieval import (GapReport, RetrievalIndex, clustering_diagnostic,
-                               gap_reduction, modality_gap, recall_at_k, top_k)
+from emblend.retrieval import (RANK_BLOCK, GapReport, RetrievalIndex,
+                               clustering_diagnostic, gap_reduction, modality_gap,
+                               partner_ranks, recall_at_k, top_k)
 
 rng = np.random.default_rng(31)
 
@@ -19,6 +20,23 @@ def sort_oracle(ids, matrix, query, k):
     sims = matrix @ query
     order = sorted(range(len(ids)), key=lambda i: (-sims[i], ids[i]))
     return [(ids[i], float(sims[i])) for i in order[:k]]
+
+
+def loop_partner_ranks(queries, partner_ids, index):
+    """Oracle: one query at a time, ties broken by comparing id strings."""
+    pos = {sid: i for i, sid in enumerate(index.ids)}
+    sims = queries @ index.matrix.T
+    ids = np.asarray(index.ids)
+    ranks = np.empty(len(partner_ids), dtype=np.int64)
+    for qi, pid in enumerate(partner_ids):
+        if pid not in pos:
+            raise MissingPartner(f"partner {pid!r} not in index")
+        row = sims[qi]
+        sp = row[pos[pid]]
+        better = int(np.count_nonzero(row > sp))
+        tied_before = int(np.count_nonzero((row == sp) & (ids < pid)))
+        ranks[qi] = 1 + better + tied_before
+    return ranks
 
 
 class TestTopK:
@@ -93,6 +111,29 @@ class TestRecall:
             values = [r[k] for k in range(1, n + 1)]
             assert all(a <= b for a, b in zip(values, values[1:]))
             assert values[-1] == 1.0
+
+    @pytest.mark.parametrize("n", [7, RANK_BLOCK + 37])
+    def test_partner_ranks_match_loop_oracle_with_ties(self, n):
+        # sign vectors give exactly tied sims, broken by id; ids are shuffled
+        # so id order differs from row order
+        gen = np.random.default_rng(n)
+        mat = np.sign(gen.normal(size=(n, 6)))
+        queries = np.sign(mat + 1.5 * gen.normal(size=mat.shape))
+        ids = [f"s{v:05d}" for v in gen.permutation(10 * n)[:n]]
+        partners = [ids[i] for i in gen.permutation(n)]
+        index = RetrievalIndex(ids, mat)
+        want = loop_partner_ranks(queries, partners, index)
+        got = partner_ranks(queries, partners, index)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        sims = queries @ mat.T
+        tied = sum(int(np.count_nonzero(sims[q] == sims[q, ids.index(p)])) > 1
+                   for q, p in enumerate(partners))
+        assert tied > n // 4 and (want > 1).any()
+
+    def test_partner_ranks_query_count_mismatch(self):
+        index = RetrievalIndex(["a", "b"], np.eye(2))
+        with pytest.raises(DimMismatch):
+            partner_ranks(np.eye(2), ["a"], index)
 
     def test_missing_partner(self):
         index = RetrievalIndex(["a"], np.array([[1.0, 0.0]]))
