@@ -25,7 +25,8 @@ from .cache import EmbeddingCache, MemoryStore
 from .config import EngineConfig, build_describer, build_expert
 from .experts import EmbedItem, SyntheticExpert
 from .projection import forward
-from .sns import PayloadDescriber, component_item_id, side_items, side_vectors
+from .sns import (PayloadDescriber, component_item_id, component_items, side_items,
+                  side_vectors)
 
 SLICE_BATCHES = 8   # expert batches per embed_batch call and store write
 DEFAULT_BATCH = 32  # batch size of experts that do not declare one
@@ -145,8 +146,7 @@ class Engine:
         Each sample contributes its raw components, then its annotation
         components; a store write follows that order.
         """
-        items = [it for s in samples for side in ("raw", "annotation")
-                 for it in side_items(s, side)]
+        items = component_items(samples)
         for eid in self.expert_order:
             self.handles[eid].resolve(items)
         return {eid: len(items) for eid in self.expert_order}

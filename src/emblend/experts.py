@@ -19,12 +19,14 @@ import base64
 import binascii
 import hashlib
 import re
+import struct
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimMismatch, ParseError, UnsupportedModality
-from .geometry import MODALITIES, Embedding, make_embedding, normalize
+from .geometry import MODALITIES, Embedding, norm, normalize, normalize_rows
 
 EXPERT_KINDS = ("end_to_end", "fusion", "text_based", "synthetic", "remote")
 
@@ -83,13 +85,13 @@ def hash_payload(text: str, semantic_dim: int) -> np.ndarray:
         idx = int.from_bytes(digest[:4], "little") % semantic_dim
         sign = 1.0 if digest[4] & 1 else -1.0
         vec[idx] += sign
-    norm = np.linalg.norm(vec)
-    if norm < 1e-12:
+    n = norm(vec)
+    if n < 1e-12:
         # cancelled or empty token set: deterministic fallback direction
         vec[:] = 0.0
         vec[0] = 1.0
         return vec
-    return vec / norm
+    return vec / n
 
 
 def orthogonal_offsets(dim: int, semantic_dim: int, seed: int) -> dict:
@@ -137,9 +139,49 @@ class SyntheticExpertConfig:
             self.modality_offsets[m] = np.asarray(off, dtype=np.float64)
 
 
-def _noise_rng(seed: int, item_id: str) -> np.random.Generator:
-    digest = hashlib.blake2b(f"{seed}|{item_id}".encode("utf-8"), digest_size=16).digest()
-    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
+class _NoiseStream:
+    """Standard normal draws from a Philox stream keyed by blake2b(seed|item id).
+
+    One bit generator serves every item: it is rekeyed with a complete fresh
+    state (the digest's two little-endian 64-bit words as key, counter 0,
+    empty buffer), which draws the same numbers as a new
+    ``Philox(key=int.from_bytes(digest, "little"))`` without building the
+    OS-entropy seed sequence that constructor discards. A call holds the lock
+    for all its draws, so threads may share one stream.
+    """
+
+    _FRESH = (0, 0, 0, 0)
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._bitgen = np.random.Philox(key=0)
+        self._rng = np.random.Generator(self._bitgen)
+
+    def draws(self, seed: int, item_ids, dim: int) -> np.ndarray:
+        """``dim`` draws per item, one row each."""
+        out = np.empty((len(item_ids), dim))
+        with self._lock:
+            for row, item_id in zip(out, item_ids):
+                digest = hashlib.blake2b(f"{seed}|{item_id}".encode("utf-8"),
+                                         digest_size=16).digest()
+                self._bitgen.state = {
+                    "bit_generator": "Philox",
+                    "state": {"counter": self._FRESH, "key": struct.unpack("<2Q", digest)},
+                    "buffer": self._FRESH, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+                self._rng.standard_normal(out=row)
+        return out
+
+
+def _generate_rows(config: SyntheticExpertConfig, vecs: np.ndarray, modalities, item_ids,
+                   noise: _NoiseStream) -> np.ndarray:
+    """``synthetic_generate`` of each row of ``vecs`` (padded payloads), in place."""
+    if config.gap_magnitude > 0:
+        offsets = np.array([config.modality_offsets[m] for m in modalities]).reshape(vecs.shape)
+        vecs += config.gap_magnitude * offsets
+    if config.noise_sigma > 0:
+        # Generator.normal(0, sigma) returns loc + scale * z; the 0.0 + keeps its bits
+        vecs += 0.0 + config.noise_sigma * noise.draws(config.seed, item_ids, config.dim)
+    return normalize_rows(vecs)
 
 
 def synthetic_generate(config: SyntheticExpertConfig, semantic_payload, modality: str,
@@ -149,13 +191,9 @@ def synthetic_generate(config: SyntheticExpertConfig, semantic_payload, modality
     if payload.shape != (config.semantic_dim,):
         raise DimMismatch(
             f"payload has {payload.shape} entries, expected ({config.semantic_dim},)")
-    vec = np.zeros(config.dim)
-    vec[: config.semantic_dim] = payload
-    if config.gap_magnitude > 0:
-        vec = vec + config.gap_magnitude * config.modality_offsets[modality]
-    if config.noise_sigma > 0:
-        vec = vec + _noise_rng(config.seed, item_id).normal(0.0, config.noise_sigma, config.dim)
-    return normalize(vec)
+    vecs = np.zeros((1, config.dim))
+    vecs[0, : config.semantic_dim] = payload
+    return _generate_rows(config, vecs, [modality], [item_id], _NoiseStream())[0]
 
 
 class SyntheticExpert:
@@ -164,6 +202,7 @@ class SyntheticExpert:
     def __init__(self, config: SyntheticExpertConfig, kind: str = "synthetic",
                  supported_modalities=MODALITIES):
         self.config = config
+        self._noise = _NoiseStream()
         self.descriptor = ExpertDescriptor(
             expert_id=config.expert_id, kind=kind, dim=config.dim,
             supported_modalities=frozenset(supported_modalities))
@@ -187,12 +226,20 @@ class SyntheticExpert:
         return hash_payload(content, self.config.semantic_dim)
 
     def embed(self, item: EmbedItem) -> Embedding:
-        if item.modality not in self.descriptor.supported_modalities:
-            raise UnsupportedModality(
-                f"expert {self.expert_id!r} does not support {item.modality!r}")
-        payload = self.payload_of(item.content)
-        vec = synthetic_generate(self.config, payload, item.modality, item.item_id)
-        return make_embedding(vec, self.expert_id, item.modality, item.item_id)
+        return self.embed_batch([item])[0]
 
     def embed_batch(self, items) -> list:
-        return [self.embed(it) for it in items]
+        cfg = self.config
+        vecs = np.zeros((len(items), cfg.dim))
+        for row, it in zip(vecs, items):
+            if it.modality not in self.descriptor.supported_modalities:
+                raise UnsupportedModality(
+                    f"expert {self.expert_id!r} does not support {it.modality!r}")
+            row[: cfg.semantic_dim] = self.payload_of(it.content)
+        _generate_rows(cfg, vecs, [it.modality for it in items], [it.item_id for it in items],
+                       self._noise)
+        # a second normalization: stored embeddings are normalize(normalize(raw)),
+        # and the cache and artifact bytes depend on it
+        normalize_rows(vecs)
+        return [Embedding(row, self.expert_id, it.modality, it.item_id)
+                for row, it in zip(vecs, items)]

@@ -6,6 +6,7 @@ work in float64; caches may store float32.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,22 +18,51 @@ MODALITIES = ("text", "image", "audio", "video")
 ZERO_NORM_EPS = 1e-12
 
 
+def norm(v: np.ndarray) -> float:
+    """||v||_2 of a 1-D float64 vector, bit-equal to ``np.linalg.norm`` (which
+    computes ``sqrt(v.dot(v))`` for this case) without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def normalize(v) -> np.ndarray:
-    """Return v / ||v||_2 as float64. Raises ZeroVector for ||v|| < 1e-12."""
+    """Return v / ||v||_2 of a 1-D vector as float64. Raises ZeroVector for ||v|| < 1e-12."""
     v = np.asarray(v, dtype=np.float64)
-    n = float(np.linalg.norm(v))
+    n = norm(v)
     if n < ZERO_NORM_EPS:
         raise ZeroVector(f"cannot normalize vector with norm {n!r}")
     return v / n
 
 
+def normalize_rows(m: np.ndarray) -> np.ndarray:
+    """``normalize`` of each row of a float64 matrix, in place; returns ``m``.
+
+    Each row's norm is its own ``dot``, so the result is bit-equal to
+    ``normalize`` row by row (a reduction along ``axis=1`` sums in another
+    order). Raises ZeroVector for the first row with norm < 1e-12.
+    """
+    norms = [norm(row) for row in m]
+    for n in norms:
+        if n < ZERO_NORM_EPS:
+            raise ZeroVector(f"cannot normalize vector with norm {n!r}")
+    m /= np.array(norms)[:, None]
+    return m
+
+
 def cosine_sim(u, v) -> float:
-    """Dot product of two unit vectors, clamped to [-1, 1] against rounding."""
+    """Dot product of two unit vectors, clamped to [-1, 1] against rounding.
+
+    NaN passes through unclamped.
+    """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise DimMismatch(f"cosine_sim: {u.shape} vs {v.shape}")
-    return float(np.clip(np.dot(u, v), -1.0, 1.0))
+    d = float(u.dot(v))
+    if d > 1.0:
+        return 1.0
+    if d < -1.0:
+        return -1.0
+    return d
 
 
 def centroid(vectors) -> np.ndarray:
@@ -76,7 +106,7 @@ class Embedding:
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "dim", int(values.shape[0]))
-        n = float(np.linalg.norm(values))
+        n = norm(values)
         if abs(n - 1.0) > 1e-6:
             raise ZeroVector(f"embedding for {self.sample_id!r} is not unit-norm (|v|={n})")
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (DescriberFailure, EmblendError, GatingExpertFailure,
                      InvariantViolation, ZeroSize)
 from .experts import EmbedItem, decode_payload, encode_payload, hash_payload
-from .geometry import MODALITIES, cosine_sim, normalize
+from .geometry import MODALITIES, cosine_sim, normalize, normalize_rows
 
 DIRECTIONS = ("off", "forward", "backward", "bidirectional")
 
@@ -264,7 +264,7 @@ def side_vectors(rows, counts) -> np.ndarray:
     for j in range(1, counts.max(initial=0)):
         longer = counts > j
         sums[longer] += rows[starts[longer] + j]
-    return np.vstack([normalize(m) for m in sums / counts[:, None]])
+    return normalize_rows(sums / counts[:, None])
 
 
 @dataclass
@@ -376,6 +376,11 @@ def apply_sns(pair: PairedSample, config: SnsConfig, gating, describe_fn=None):
     return run_sns([pair], config, gating, describe_fn)[0]
 
 
+def component_items(pairs) -> list:
+    """Raw, then annotation component items of each pair, in pair order."""
+    return [it for p in pairs for side in ("raw", "annotation") for it in side_items(p, side)]
+
+
 def _prefetch(gating, items) -> None:
     """Embed the items ``gating`` lacks in batches, when it can."""
     resolve = getattr(gating, "resolve", None)
@@ -433,8 +438,7 @@ def run_sns(pairs, config: SnsConfig, gating, describe_fn=None, jobs: int = 1) -
         return [_passthrough(p, config) for p in pairs]
     results = [None] * len(pairs)
     trims = {}
-    _prefetch(gating, [it for p in pairs for side in ("raw", "annotation")
-                       for it in side_items(p, side)])
+    _prefetch(gating, component_items(pairs))
     for i, pair in enumerate(pairs):
         try:
             trims[i] = _forward(pair, config, gating)
@@ -460,10 +464,12 @@ def calibrate_taus(samples, gating, low_pct: float = 10.0, high_pct: float = 90.
     """Per-modality thresholds at the midpoint of the observed similarity band.
 
     Forward bands come from raw-component-vs-annotation similarities, backward
-    bands from annotation-sentence-vs-raw-side similarities.
+    bands from annotation-sentence-vs-raw-side similarities. ``gating`` embeds
+    as in ``run_sns``: every component in batches when it can, then one at a time.
     """
     fwd_sims = {m: [] for m in MODALITIES}
     bwd_sims = {m: [] for m in MODALITIES}
+    _prefetch(gating, component_items(samples))
     for pair in samples:
         raw_vecs = _embed_components(gating, pair, "raw")
         ann_vecs = _embed_components(gating, pair, "annotation")

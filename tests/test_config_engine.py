@@ -210,14 +210,15 @@ def test_half_warm_cache_embeds_only_misses_in_order(setup, tmp_path, monkeypatc
     Engine(config).populate_caches(first)
 
     calls = []
-    original = SyntheticExpert.embed
-    monkeypatch.setattr(SyntheticExpert, "embed",
-                        lambda self, item: calls.append(item.item_id) or original(self, item))
+    original = SyntheticExpert.embed_batch
+    monkeypatch.setattr(SyntheticExpert, "embed_batch",
+                        lambda self, items: calls.extend(it.item_id for it in items)
+                        or original(self, items))
     Engine(config).populate_caches(grown)
     new = {it.item_id for s in grown[1::2] for side in ("raw", "annotation")
            for it in side_items(s, side)}
     assert sorted(calls) == sorted(list(new) * len(config.experts))
-    monkeypatch.setattr(SyntheticExpert, "embed", original)
+    monkeypatch.setattr(SyntheticExpert, "embed_batch", original)
 
     # reference: the per-item walk, one put per miss
     os.makedirs(tmp_path / "ref")

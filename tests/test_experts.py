@@ -1,3 +1,8 @@
+import hashlib
+import re
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -145,3 +150,128 @@ def test_descriptor_validation():
         ExpertDescriptor("x", "bogus", 8)
     with pytest.raises(ValueError):
         ExpertDescriptor("x", "synthetic", 1)
+
+
+def _reference_normalize(v):
+    v = np.asarray(v, dtype=np.float64)
+    return v / float(np.linalg.norm(v))
+
+
+def _reference_hash_payload(text, semantic_dim):
+    vec = np.zeros(semantic_dim)
+    for tok in re.findall(r"\w+", text.lower()) or [text]:
+        digest = hashlib.blake2b(tok.encode("utf-8"), digest_size=8).digest()
+        vec[int.from_bytes(digest[:4], "little") % semantic_dim] += 1.0 if digest[4] & 1 else -1.0
+    norm = np.linalg.norm(vec)
+    if norm < 1e-12:
+        vec[:] = 0.0
+        vec[0] = 1.0
+        return vec
+    return vec / norm
+
+
+def _reference_generate(cfg, payload, modality, item_id):
+    """synthetic_generate as a per-item path: a fresh Philox(key=...) per item."""
+    vec = np.zeros(cfg.dim)
+    vec[: cfg.semantic_dim] = payload
+    if cfg.gap_magnitude > 0:
+        vec = vec + cfg.gap_magnitude * cfg.modality_offsets[modality]
+    if cfg.noise_sigma > 0:
+        digest = hashlib.blake2b(f"{cfg.seed}|{item_id}".encode("utf-8"), digest_size=16).digest()
+        rng = np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
+        vec = vec + rng.normal(0.0, cfg.noise_sigma, cfg.dim)
+    return _reference_normalize(vec)
+
+
+def _reference_embed(cfg, item):
+    """make_embedding(synthetic_generate(payload)) with np.linalg.norm throughout."""
+    explicit = decode_payload(item.content)
+    if explicit is not None:
+        payload = _reference_normalize(explicit)
+    else:
+        payload = _reference_hash_payload(item.content, cfg.semantic_dim)
+    return _reference_normalize(_reference_generate(cfg, payload, item.modality, item.item_id))
+
+
+def _mixed_items(n, semantic_dim=8, seed=3):
+    """@vec payloads over 12 orders of magnitude and hashed texts, all four
+    modalities; ids repeat from item 250 on."""
+    rng = np.random.default_rng(seed)
+    words = ["alpha", "beta", "gamma", "delta", "eps", "zeta"]
+    items = []
+    for i in range(n):
+        if i % 3:
+            content = encode_payload(rng.normal(size=semantic_dim) * 10.0 ** rng.uniform(-6, 6))
+        else:
+            content = " ".join(rng.choice(words, size=rng.integers(1, 6)))
+        items.append(EmbedItem(f"id-{i % 250}", MODALITIES[i % 4], content))
+    return items
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.9])
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_embed_batch_bit_equal_to_per_item_reference(gap, noise):
+    cfg = make_config(gap_magnitude=gap, noise_sigma=noise)
+    expert = SyntheticExpert(cfg)
+    items = _mixed_items(300)  # longer than one engine slice (8 batches of 32)
+    assert len({it.item_id for it in items}) < len(items)
+    expected = [_reference_embed(cfg, it) for it in items]
+    for start, stop in ((0, 300), (0, 256), (5, 6)):
+        got = expert.embed_batch(items[start:stop])
+        assert [(e.sample_id, e.modality) for e in got] == [
+            (it.item_id, it.modality) for it in items[start:stop]]
+        assert [e.values.tobytes() for e in got] == [
+            v.tobytes() for v in expected[start:stop]]
+    for it, want in zip(items[:20], expected):
+        assert expert.embed(it).values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.9])
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_synthetic_generate_bit_equal_to_per_item_reference(gap, noise):
+    cfg = make_config(gap_magnitude=gap, noise_sigma=noise)
+    rng = np.random.default_rng(4)
+    for i, m in enumerate(MODALITIES * 5):
+        payload = normalize(rng.normal(size=8))
+        got = synthetic_generate(cfg, payload, m, item_id=f"x{i}")
+        assert got.tobytes() == _reference_generate(cfg, payload, m, f"x{i}").tobytes()
+
+
+def test_unsupported_modality_mid_batch_raises():
+    expert = SyntheticExpert(make_config(), supported_modalities=("text", "image"))
+    items = [EmbedItem("a", "text", "x"), EmbedItem("b", "image", "y"),
+             EmbedItem("c", "audio", "z"), EmbedItem("d", "text", "w")]
+    with pytest.raises(UnsupportedModality, match="'audio'"):
+        expert.embed_batch(items)
+
+
+def test_concurrent_embeds_equal_sequential():
+    """Two batched and two single-item callers at once on one expert get the
+    bytes of one caller alone."""
+    expert = SyntheticExpert(make_config(gap_magnitude=0.5, noise_sigma=0.1))
+    items = _mixed_items(400)
+    want = [e.values.tobytes() for e in expert.embed_batch(items)]
+    results = {}
+
+    def batched(key):
+        results[key] = [e.values.tobytes() for s in range(0, len(items), 16)
+                        for e in expert.embed_batch(items[s:s + 16])]
+
+    def single(key):
+        results[key] = [expert.embed(it).values.tobytes() for it in items]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fn, args=(k,))
+                   for k, fn in enumerate((batched, single, batched, single))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for key in results:
+        assert results[key] == want

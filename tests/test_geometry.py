@@ -3,7 +3,7 @@ import pytest
 
 from emblend.errors import DimMismatch, EmptySet, ZeroVector
 from emblend.geometry import (Embedding, centroid, cosine_sim, make_embedding,
-                              normalize, spread)
+                              normalize, normalize_rows, spread)
 
 
 class TestNormalize:
@@ -110,3 +110,72 @@ class TestEmbedding:
     def test_non_unit_rejected(self):
         with pytest.raises(ZeroVector):
             Embedding(np.array([3.0, 4.0]), "e", "text", "s1")
+
+
+def _magnitude_vectors(seed=6):
+    """Random vectors of 1..40 entries with norms from about 1e-6 to 1e6."""
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=rng.integers(1, 40)) * 10.0 ** rng.uniform(-6, 6)
+            for _ in range(2000)]
+
+
+class TestScalarNorm:
+    def test_normalize_bit_equal_to_linalg_norm(self):
+        for v in _magnitude_vectors():
+            want = v / float(np.linalg.norm(v))
+            assert normalize(v).tobytes() == want.tobytes()
+
+    def test_normalize_rows_bit_equal_to_normalize(self):
+        rng = np.random.default_rng(7)
+        m = rng.normal(size=(300, 24)) * 10.0 ** rng.uniform(-6, 6, size=(300, 1))
+        want = np.vstack([normalize(row) for row in m])
+        assert normalize_rows(m.copy()).tobytes() == want.tobytes()
+
+    def test_normalize_rows_rejects_first_small_row(self):
+        m = np.ones((4, 3))
+        m[2] = 1e-13
+        m[3] = 0.0
+        with pytest.raises(ZeroVector, match=repr(float(np.linalg.norm(m[2])))):
+            normalize_rows(m)
+
+    def test_embedding_accepts_what_linalg_norm_accepts(self):
+        for v in _magnitude_vectors(8)[:500]:
+            unit = v / float(np.linalg.norm(v))
+            for scale in (1.0, 1.0 + 5e-7, 1.0 - 5e-7, 1.0 + 2e-6, 1.0 - 2e-6):
+                values = unit * scale
+                if abs(float(np.linalg.norm(values)) - 1.0) > 1e-6:
+                    with pytest.raises(ZeroVector):
+                        Embedding(values, "e", "text", "s")
+                else:
+                    assert Embedding(values, "e", "text", "s").values is values
+
+    def test_zero_vector_below_eps(self):
+        v = np.full(4, 4e-13)  # norm 8e-13
+        with pytest.raises(ZeroVector):
+            normalize(v)
+        assert normalize(v * 2).tobytes() == (v * 2 / float(np.linalg.norm(v * 2))).tobytes()
+
+class TestCosineClamp:
+    def test_rounding_past_one_is_clamped(self):
+        rng = np.random.default_rng(9)
+        over = None
+        for _ in range(10000):
+            v = normalize(rng.normal(size=32))
+            if v @ v > 1.0:
+                over = v
+                break
+        assert over is not None
+        assert cosine_sim(over, over) == 1.0
+        assert cosine_sim(over, -over) == -1.0
+
+    def test_in_range_value_is_the_dot(self):
+        u = normalize([1.0, 2.0, 3.0])
+        v = normalize([3.0, -1.0, 0.5])
+        assert cosine_sim(u, v) == float(np.dot(u, v))
+
+    def test_nan_passes_through(self):
+        assert np.isnan(cosine_sim([np.nan, 0.0], [1.0, 0.0]))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimMismatch):
+            cosine_sim(np.ones(3), np.ones((3, 1)))

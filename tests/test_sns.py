@@ -304,3 +304,24 @@ def test_run_sns_gating_modality_errors_stay_per_pair():
     errors = {p.raw_modality: rec.error for p, (_, rec) in zip(pairs, got)}
     assert "does not support 'image'" in errors["image"]
     assert errors["audio"] is None and errors["text"] is None
+
+
+def test_calibrate_taus_through_a_handle_embeds_in_batches():
+    """A handle gets every component in one batched resolve and no single-item
+    expert call; the taus equal those from the bare expert."""
+    pairs = _mixed_pairs()
+    expected = calibrate_taus(pairs, gating_expert(noise=0.01))
+    gate = gating_expert(noise=0.01)
+    calls = {"embed": 0, "embed_batch": 0}
+    embed, embed_batch = gate.embed, gate.embed_batch
+
+    def counted(name, fn):
+        def call(arg):
+            calls[name] += 1
+            return fn(arg)
+        return call
+
+    gate.embed = counted("embed", embed)
+    gate.embed_batch = counted("embed_batch", embed_batch)
+    assert calibrate_taus(pairs, _handle(gate)) == expected
+    assert calls == {"embed": 0, "embed_batch": 1}
