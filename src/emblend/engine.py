@@ -12,8 +12,8 @@ and the expert's handle embeds the ones its store lacks with
 ``SLICE_BATCHES`` expert batches, each slice stored with one write. Side
 matrices are then gathered from the store. The store is the expert's cache
 file, or an in-memory store when no cache directory is set; it is the only
-copy of an embedding a handle keeps. ``ExpertHandle.embed`` remains the
-single-item path, for queries and ``apply_sns``.
+copy of an embedding a handle keeps, and every vector a stage uses is a
+row read from it, at storage precision.
 """
 from __future__ import annotations
 
@@ -25,8 +25,7 @@ from .cache import EmbeddingCache, MemoryStore
 from .config import EngineConfig, build_describer, build_expert
 from .experts import EmbedItem, SyntheticExpert
 from .projection import forward
-from .sns import (PayloadDescriber, component_item_id, component_items, side_items,
-                  side_vectors)
+from .sns import PayloadDescriber, component_item_id, pair_items, side_items, side_vectors
 
 SLICE_BATCHES = 8   # expert batches per embed_batch call and store write
 DEFAULT_BATCH = 32  # batch size of experts that do not declare one
@@ -47,14 +46,9 @@ class ExpertHandle:
     def dim(self) -> int:
         return self.expert.dim
 
-    def embed(self, item: EmbedItem):
-        cached = self.store.get(item.item_id, self.expert_id)
-        if cached is not None:
-            return cached
-        self.store.put(self.expert.embed(item))
-        # return the storage-precision value so results do not depend on
-        # whether the cache was already populated
-        return self.store.get(item.item_id, self.expert_id)
+    def embed(self, item: EmbedItem) -> np.ndarray:
+        """The item's stored float64 row, embedding it first on a miss."""
+        return self.rows([item])[0]
 
     def resolve(self, items) -> None:
         """Embed and store every item whose key the store lacks.
@@ -138,7 +132,7 @@ class Engine:
 
     def embed_query(self, text: str) -> np.ndarray:
         item = EmbedItem(component_item_id("query", "q", text), "text", text)
-        return self.anchor.embed(item).values
+        return self.anchor.embed(item)
 
     def populate_caches(self, samples) -> dict:
         """Embed every component of every sample through every expert.
@@ -146,7 +140,7 @@ class Engine:
         Each sample contributes its raw components, then its annotation
         components; a store write follows that order.
         """
-        items = component_items(samples)
+        items = [it for s in samples for it in pair_items(s)]
         for eid in self.expert_order:
             self.handles[eid].resolve(items)
         return {eid: len(items) for eid in self.expert_order}

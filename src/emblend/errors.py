@@ -9,6 +9,10 @@ class ZeroVector(EmblendError):
     """Vector has (numerically) zero norm and cannot be normalized."""
 
 
+class NonFiniteVector(EmblendError):
+    """Vector has a NaN or infinite norm."""
+
+
 class DimMismatch(EmblendError):
     """Operands have incompatible dimensions."""
 

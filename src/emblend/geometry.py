@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, EmptySet, ZeroVector
+from .errors import DimMismatch, EmptySet, NonFiniteVector, ZeroVector
 
 MODALITIES = ("text", "image", "audio", "video")
 
@@ -24,13 +24,21 @@ def norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def normalize(v) -> np.ndarray:
-    """Return v / ||v||_2 of a 1-D vector as float64. Raises ZeroVector for ||v|| < 1e-12."""
-    v = np.asarray(v, dtype=np.float64)
+def _checked_norm(v: np.ndarray) -> float:
+    """``norm(v)``, or NonFiniteVector for a NaN or infinite norm and ZeroVector
+    for one below ``ZERO_NORM_EPS``."""
     n = norm(v)
-    if n < ZERO_NORM_EPS:
+    if not math.isfinite(n):
+        raise NonFiniteVector(f"vector has non-finite norm {n!r}")
+    if not n >= ZERO_NORM_EPS:
         raise ZeroVector(f"cannot normalize vector with norm {n!r}")
-    return v / n
+    return n
+
+
+def normalize(v) -> np.ndarray:
+    """Return v / ||v||_2 of a 1-D vector as float64; raises as ``_checked_norm``."""
+    v = np.asarray(v, dtype=np.float64)
+    return v / _checked_norm(v)
 
 
 def normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -38,13 +46,9 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
 
     Each row's norm is its own ``dot``, so the result is bit-equal to
     ``normalize`` row by row (a reduction along ``axis=1`` sums in another
-    order). Raises ZeroVector for the first row with norm < 1e-12.
+    order). Raises as ``normalize`` does for the first row that fails.
     """
-    norms = [norm(row) for row in m]
-    for n in norms:
-        if n < ZERO_NORM_EPS:
-            raise ZeroVector(f"cannot normalize vector with norm {n!r}")
-    m /= np.array(norms)[:, None]
+    m /= np.array([_checked_norm(row) for row in m])[:, None]
     return m
 
 
@@ -107,8 +111,9 @@ class Embedding:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "dim", int(values.shape[0]))
         n = norm(values)
-        if abs(n - 1.0) > 1e-6:
-            raise ZeroVector(f"embedding for {self.sample_id!r} is not unit-norm (|v|={n})")
+        if not abs(n - 1.0) <= 1e-6:
+            error = ZeroVector if math.isfinite(n) else NonFiniteVector
+            raise error(f"embedding for {self.sample_id!r} is not unit-norm (|v|={n})")
 
 
 def make_embedding(values, expert_id: str, modality: str, sample_id: str) -> Embedding:

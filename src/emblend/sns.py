@@ -235,17 +235,6 @@ def side_items(pair: PairedSample, side: str) -> list:
             for c in components]
 
 
-def _description_item(pair: PairedSample, description: str) -> EmbedItem:
-    return EmbedItem(component_item_id(pair.sample_id, "d", description), "text", description)
-
-
-def _embed_components(gating, pair: PairedSample, side: str) -> list:
-    try:
-        return [gating.embed(it).values for it in side_items(pair, side)]
-    except EmblendError as exc:
-        raise GatingExpertFailure(str(exc)) from exc
-
-
 def side_vector(component_vectors) -> np.ndarray:
     """Side embedding: normalized mean of its component embeddings."""
     return normalize(np.mean(component_vectors, axis=0))
@@ -272,10 +261,10 @@ class _Trim:
     """One pair after forward extraction, waiting for its backward pass."""
 
     pair: PairedSample
-    ann_vecs: list
+    ann_rows: np.ndarray
     sim_original: float
     cur_raw: list
-    cur_raw_vecs: list
+    cur_raw_side: np.ndarray
     describe_base: list
     sim_fwd: float | None = None
     fwd_accepted: bool | None = None
@@ -287,32 +276,27 @@ def _passthrough(pair, config, error=None):
                                size, size, error=error)
 
 
-def _forward(pair, config, gating) -> _Trim:
-    """Embed both sides through ``gating``; forward extraction when configured."""
-    raw_vecs = _embed_components(gating, pair, "raw")
-    ann_vecs = _embed_components(gating, pair, "annotation")
-    ann_side = side_vector(ann_vecs)
-    sim_original = cosine_sim(side_vector(raw_vecs), ann_side)
+def _forward(pair, config, rows) -> _Trim:
+    """Sides from the pair's rows (raw, then annotation); forward extraction when configured."""
+    raw_rows, ann_rows = np.split(rows, [len(pair.raw_components)])
+    raw_side, ann_side = side_vector(raw_rows), side_vector(ann_rows)
+    sim_original = cosine_sim(raw_side, ann_side)
     # Bidirectional describes the forward-extraction output; backward-only
     # describes the original raw side.
-    trim = _Trim(pair, ann_vecs, sim_original, list(pair.raw_components), raw_vecs,
+    trim = _Trim(pair, ann_rows, sim_original, list(pair.raw_components), raw_side,
                  list(pair.raw_components))
     if config.direction in ("forward", "bidirectional"):
         tau = config.tau_alpha[pair.raw_modality]
-        kept = extract([cosine_sim(v, ann_side) for v in raw_vecs], tau)
+        kept = extract([cosine_sim(v, ann_side) for v in raw_rows], tau)
         nucleus_raw = [pair.raw_components[i] for i in kept]
-        nucleus_raw_vecs = [raw_vecs[i] for i in kept]
+        nucleus_raw_side = side_vector(raw_rows[kept])
         trim.describe_base = nucleus_raw
-        trim.sim_fwd = cosine_sim(side_vector(nucleus_raw_vecs), ann_side)
+        trim.sim_fwd = cosine_sim(nucleus_raw_side, ann_side)
         trim.fwd_accepted = mi_gate(trim.sim_fwd, sim_original, config.rho)
         if trim.fwd_accepted and config.reinject:
             trim.cur_raw = nucleus_raw
-            trim.cur_raw_vecs = nucleus_raw_vecs
+            trim.cur_raw_side = nucleus_raw_side
     return trim
-
-
-def _needs_description(config) -> bool:
-    return config.direction in ("backward", "bidirectional")
 
 
 def _describe(trim: _Trim, describe_fn) -> str:
@@ -326,21 +310,17 @@ def _describe(trim: _Trim, describe_fn) -> str:
     return describe_fn(pair, trim.describe_base)
 
 
-def _backward(trim: _Trim, config, gating, description):
-    """Backward extraction when configured, then the emitted pair and its record."""
+def _backward(trim: _Trim, config, desc_rows):
+    """Backward extraction when configured, against the description's stored
+    row (``desc_rows``, one row); then the emitted pair and its record."""
     pair = trim.pair
     cur_ann = list(pair.annotation_components)
     sim_bwd = bwd_accepted = None
-    if _needs_description(config):
-        try:
-            desc_vec = gating.embed(_description_item(pair, description)).values
-        except EmblendError as exc:
-            raise DescriberFailure(str(exc)) from exc
+    if config.direction in ("backward", "bidirectional"):
         tau = config.tau_beta[pair.raw_modality]
-        kept = extract([cosine_sim(desc_vec, v) for v in trim.ann_vecs], tau)
+        kept = extract([cosine_sim(desc_rows[0], v) for v in trim.ann_rows], tau)
         nucleus_ann = [pair.annotation_components[j] for j in kept]
-        nucleus_ann_vecs = [trim.ann_vecs[j] for j in kept]
-        sim_bwd = cosine_sim(side_vector(trim.cur_raw_vecs), side_vector(nucleus_ann_vecs))
+        sim_bwd = cosine_sim(trim.cur_raw_side, side_vector(trim.ann_rows[kept]))
         bwd_accepted = mi_gate(sim_bwd, trim.sim_original, config.rho)
         if bwd_accepted and config.reinject:
             cur_ann = nucleus_ann
@@ -376,19 +356,28 @@ def apply_sns(pair: PairedSample, config: SnsConfig, gating, describe_fn=None):
     return run_sns([pair], config, gating, describe_fn)[0]
 
 
-def component_items(pairs) -> list:
-    """Raw, then annotation component items of each pair, in pair order."""
-    return [it for p in pairs for side in ("raw", "annotation") for it in side_items(p, side)]
+def pair_items(pair: PairedSample) -> list:
+    """Raw, then annotation component items of one pair."""
+    return side_items(pair, "raw") + side_items(pair, "annotation")
 
 
-def _prefetch(gating, items) -> None:
-    """Embed the items ``gating`` lacks in batches, when it can."""
-    resolve = getattr(gating, "resolve", None)
+def _stored_rows(gating, groups, failure) -> list:
+    """The stored rows of each group of items, or the ``failure`` raised for it.
+
+    One batched ``resolve`` embeds every group's missing items; what a failed
+    batch left missing is embedded group by group, so a group fails alone.
+    """
     try:
-        if resolve is not None:
-            resolve(items)
+        gating.resolve([it for group in groups for it in group])
     except EmblendError:
-        pass  # what was not stored is embedded item by item, so each pair fails on its own
+        pass
+    out = []
+    for group in groups:
+        try:
+            out.append(gating.rows(group))
+        except EmblendError as exc:
+            out.append(failure(str(exc)))
+    return out
 
 
 def _describe_all(trims: dict, describe_fn, jobs: int) -> dict:
@@ -427,34 +416,39 @@ def _describe_all(trims: dict, describe_fn, jobs: int) -> dict:
 def run_sns(pairs, config: SnsConfig, gating, describe_fn=None, jobs: int = 1) -> list:
     """``apply_sns`` over many pairs: the (emitted_pair, NucleusRecord) of each.
 
-    ``gating`` embeds one item at a time (``embed``); an engine handle also
-    embeds what its store lacks in batches (``resolve``). Phases: one batched
-    embed of all components, then forward extraction of every pair; one
-    describe of every non-text pair; one batched embed of the descriptions,
-    stored in pair order; backward extraction of every pair.
+    ``gating`` is an engine ``ExpertHandle``; every vector is a row read from
+    its store. Phases: one batched embed of all components, then forward
+    extraction of every pair; one describe of every non-text pair; one
+    batched embed of the descriptions, stored in pair order; backward
+    extraction of every pair.
     """
     pairs = list(pairs)
     if config.direction == "off":
         return [_passthrough(p, config) for p in pairs]
     results = [None] * len(pairs)
     trims = {}
-    _prefetch(gating, component_items(pairs))
-    for i, pair in enumerate(pairs):
+    component_rows = _stored_rows(gating, [pair_items(p) for p in pairs], GatingExpertFailure)
+    for i, (pair, rows) in enumerate(zip(pairs, component_rows)):
         try:
-            trims[i] = _forward(pair, config, gating)
+            if isinstance(rows, EmblendError):
+                raise rows
+            trims[i] = _forward(pair, config, rows)
         except EmblendError as exc:
             results[i] = _passthrough(pair, config, str(exc))
-    descriptions = {}
-    if _needs_description(config):
+    desc_rows = {}  # the description's stored row, or the EmblendError raised for it
+    if config.direction in ("backward", "bidirectional"):
         descriptions = _describe_all(trims, describe_fn, jobs)
-        _prefetch(gating, [_description_item(pairs[i], descriptions[i]) for i in trims
-                           if isinstance(descriptions[i], str)])
+        described = [i for i in trims if isinstance(descriptions[i], str)]
+        items = [EmbedItem(component_item_id(pairs[i].sample_id, "d", descriptions[i]), "text",
+                           descriptions[i]) for i in described]
+        rows = _stored_rows(gating, [[it] for it in items], DescriberFailure)
+        desc_rows = {**descriptions, **dict(zip(described, rows))}
     for i, trim in trims.items():
-        description = descriptions.get(i)
+        rows = desc_rows.get(i)
         try:
-            if isinstance(description, EmblendError):
-                raise description
-            results[i] = _backward(trim, config, gating, description)
+            if isinstance(rows, EmblendError):
+                raise rows
+            results[i] = _backward(trim, config, rows)
         except EmblendError as exc:
             results[i] = _passthrough(trim.pair, config, str(exc))
     return results
@@ -464,19 +458,20 @@ def calibrate_taus(samples, gating, low_pct: float = 10.0, high_pct: float = 90.
     """Per-modality thresholds at the midpoint of the observed similarity band.
 
     Forward bands come from raw-component-vs-annotation similarities, backward
-    bands from annotation-sentence-vs-raw-side similarities. ``gating`` embeds
-    as in ``run_sns``: every component in batches when it can, then one at a time.
+    bands from annotation-sentence-vs-raw-side similarities. ``gating`` is an
+    engine ``ExpertHandle``, read as in ``run_sns``; a pair whose components
+    cannot be embedded raises its GatingExpertFailure.
     """
     fwd_sims = {m: [] for m in MODALITIES}
     bwd_sims = {m: [] for m in MODALITIES}
-    _prefetch(gating, component_items(samples))
-    for pair in samples:
-        raw_vecs = _embed_components(gating, pair, "raw")
-        ann_vecs = _embed_components(gating, pair, "annotation")
-        ann_side = side_vector(ann_vecs)
-        raw_side = side_vector(raw_vecs)
-        fwd_sims[pair.raw_modality].extend(cosine_sim(v, ann_side) for v in raw_vecs)
-        bwd_sims[pair.raw_modality].extend(cosine_sim(raw_side, v) for v in ann_vecs)
+    for pair, rows in zip(samples, _stored_rows(gating, [pair_items(p) for p in samples],
+                                                GatingExpertFailure)):
+        if isinstance(rows, EmblendError):
+            raise rows
+        raw_rows, ann_rows = np.split(rows, [len(pair.raw_components)])
+        raw_side, ann_side = side_vector(raw_rows), side_vector(ann_rows)
+        fwd_sims[pair.raw_modality].extend(cosine_sim(v, ann_side) for v in raw_rows)
+        bwd_sims[pair.raw_modality].extend(cosine_sim(raw_side, v) for v in ann_rows)
 
     def midpoint(values):
         if not values:

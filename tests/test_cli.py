@@ -193,7 +193,8 @@ def test_eval_single_sample_modality_is_exit_2(workspace, small_model, tmp_path,
     assert "'audio' has fewer than 2 samples" in capsys.readouterr().err
 
 
-def test_train_non_finite_loss_is_exit_2(workspace, tmp_path, capsys):
+def nan_payload_corpus(workspace, tmp_path):
+    """The workspace corpus with one non-text sample's payload all NaN."""
     from emblend.experts import encode_payload
     records = read_jsonl(workspace["corpus"])
     config = yaml.safe_load(open(workspace["config"]))
@@ -202,8 +203,21 @@ def test_train_non_finite_loss_is_exit_2(workspace, tmp_path, capsys):
     bad["components"] = [encode_payload(np.full(semantic_dim, np.nan))]
     corpus = tmp_path / "nan.jsonl"
     corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
-    code = run(["train", "--config", workspace["config"], "--corpus", str(corpus),
-                "--out", str(tmp_path / "t"), "--steps", "5", "--batch-size", "256"])
+    return str(corpus)
+
+
+def test_embed_nan_payload_is_exit_2(workspace, tmp_path, capsys):
+    code = run(["embed", "--config", workspace["config"], "--corpus",
+                nan_payload_corpus(workspace, tmp_path), "--out", str(tmp_path / "e")])
+    assert code == 2
+    assert "norm nan" in capsys.readouterr().err
+
+
+def test_train_non_finite_loss_is_exit_2(workspace, tmp_path, capsys):
+    # a subnormal temperature turns the first step's contrastive logits non-finite
+    code = run(["train", "--config", workspace["config"], "--corpus", workspace["corpus"],
+                "--out", str(tmp_path / "t"), "--steps", "5", "--batch-size", "256",
+                "--temperature", "1e-320"])
     assert code == 2
     assert "step 0: loss term L_task is nan" in capsys.readouterr().err
 
@@ -269,6 +283,25 @@ def test_remote_failure_is_exit_3(tmp_path, workspace):
     out = tmp_path / "remote-out"
     assert run(["embed", "--config", str(bad), "--corpus", workspace["corpus"],
                 "--out", str(out)]) == 3
+
+
+def test_sns_cold_cache_matches_warm(workspace, tmp_path):
+    """``sns`` straight on an empty cache writes the same bytes as after ``embed``:
+    both read storage-precision rows."""
+    outputs = {}
+    for name in ("cold", "warm"):
+        cfg = yaml.safe_load(open(workspace["config"]))
+        cfg["cache_dir"] = str(tmp_path / name / "cache")
+        config = tmp_path / f"{name}.yaml"
+        config.write_text(yaml.safe_dump(cfg))
+        base = ["--config", str(config), "--corpus", workspace["corpus"]]
+        if name == "warm":
+            assert run(["embed"] + base + ["--out", str(tmp_path / name / "emb")]) == 0
+        out = tmp_path / name / "sns"
+        assert run(["sns"] + base + ["--out", str(out)]) == 0
+        outputs[name] = {f: (out / f).read_bytes()
+                         for f in ("nucleus_log.jsonl", "trimmed.jsonl")}
+    assert outputs["cold"] == outputs["warm"]
 
 
 def test_sns_jobs_2_gating_cache_bytes_repeat(workspace, tmp_path):

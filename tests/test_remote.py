@@ -1,6 +1,7 @@
 """Remote wire-protocol tests against a local HTTP stub service."""
 import json
 import math
+import struct
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -237,6 +238,33 @@ def test_sns_describes_in_batches(stub_server, remote_corpus, tmp_path):
     assert posts() == posts(experts[0])
 
 
+def stored_ids(path, dim):
+    """Item ids of a cache file's records, in file order."""
+    data = path.read_bytes()
+    pos, ids = 20, []  # past the header: magic, version, dim, count
+    while pos < len(data):
+        (n,) = struct.unpack_from("<H", data, pos)
+        ids.append(data[pos + 2:pos + 2 + n].decode())
+        pos += 2 + n
+        (n,) = struct.unpack_from("<H", data, pos)
+        pos += 2 + n + 1 + 4 * dim
+    return ids
+
+
+def test_sns_stores_descriptions_in_pair_order(stub_server, remote_corpus, tmp_path):
+    """The batched describer answers media pairs before text pairs; the
+    descriptions are still embedded, and stored, in pair order."""
+    config, experts = remote_config(tmp_path, remote_corpus, stub_server)
+    lines = (remote_corpus / "corpus.jsonl").read_text().splitlines(keepends=True)
+    corpus = str(tmp_path / "text_first.jsonl")  # the text pool, then the image pool
+    (tmp_path / "text_first.jsonl").write_text("".join(reversed(lines)))
+    assert run(["sns", "--config", config, "--corpus", corpus,
+                "--out", str(tmp_path / "sns")]) == 0
+    ids = stored_ids(tmp_path / "cache" / f"{experts[0]}.eec", StubHandler.dim)
+    described = [item_id.split("#")[0] for item_id in ids if "#d:" in item_id]
+    assert described == [s.sample_id for s in ingest(corpus)]
+
+
 def test_describer_down_passes_media_pairs_through(stub_server, remote_corpus, tmp_path):
     config, _ = remote_config(tmp_path, remote_corpus, stub_server, experts_remote=False)
     corpus = remote_corpus / "corpus.jsonl"
@@ -273,3 +301,36 @@ def test_embed_failure_mid_run_keeps_written_slices(stub_server, remote_corpus, 
             order += [it.item_id for it in side_items(s, side) if it.item_id not in order]
     assert len(first) == slice_posts * BATCH
     assert all((item_id, experts[0]) in first for item_id in order[:slice_posts * BATCH])
+
+
+def test_sns_gating_failure_mid_run_fails_unstored_pairs_alone(stub_server, remote_corpus,
+                                                               tmp_path):
+    """Cold-cache ``sns`` whose gating expert starts failing inside its second
+    slice: pairs whose rows the first slice stored are scored, and every other
+    pair, retried on its own, passes through unchanged with the remote error."""
+    config, experts = remote_config(tmp_path, remote_corpus, stub_server, max_in_flight=1)
+    corpus = remote_corpus / "corpus.jsonl"
+    StubHandler.behavior = "fail_after"
+    StubHandler.fail_after = SLICE_BATCHES + 3
+    out = tmp_path / "sns"
+    assert run(["sns", "--config", config, "--corpus", str(corpus), "--out", str(out),
+                "--direction", "forward"]) == 0
+    gating = EmbeddingCache(tmp_path / "cache" / f"{experts[0]}.eec", StubHandler.dim)
+    assert len(gating) == SLICE_BATCHES * BATCH
+    samples = ingest(str(corpus))
+    inputs = corpus.read_text().splitlines()
+    emitted = (out / "trimmed.jsonl").read_text().splitlines()
+    log = [json.loads(line) for line in (out / "nucleus_log.jsonl").read_text().splitlines()]
+    assert len(log) == len(samples) == len(emitted)
+    stored = [all((it.item_id, experts[0]) in gating
+                  for side in ("raw", "annotation") for it in side_items(s, side))
+              for s in samples]
+    assert any(stored) and not all(stored)
+    for ok, src, line, rec in zip(stored, inputs, emitted, log):
+        if ok:
+            assert rec["error"] is None and rec["sim_forward"] is not None
+        else:
+            assert "returned status 500" in rec["error"] and not rec["accepted"]
+            assert line == src
+    failed_posts = posts(experts[0]) - SLICE_BATCHES - 1  # less the first failed request
+    assert failed_posts >= stored.count(False)  # each unstored pair was tried on its own

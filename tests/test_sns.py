@@ -1,13 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from emblend.errors import DescriberFailure, ZeroSize
-from emblend.experts import SyntheticExpert, SyntheticExpertConfig, encode_payload
-from emblend.geometry import normalize
+from emblend.cache import MemoryStore
+from emblend.engine import ExpertHandle
+from emblend.errors import (DescriberFailure, EmblendError, GatingExpertFailure,
+                            ZeroSize)
+from emblend.experts import (EmbedItem, SyntheticExpert, SyntheticExpertConfig,
+                             encode_payload)
+from emblend.geometry import MODALITIES, cosine_sim, normalize
 from emblend.sns import (Component, NucleusRecord, PairedSample, PayloadDescriber,
                          SnsConfig, TableDescriber, apply_sns, calibrate_taus,
-                         extract, info_density, mi_gate, run_sns, segment_text,
-                         side_vector)
+                         component_item_id, extract, info_density, mi_gate, run_sns,
+                         segment_text, side_items, side_vector)
 
 
 class TestSegmentText:
@@ -77,11 +83,17 @@ class TestExtraction:
         assert extract([0.3, 0.2], 0.5) == [0, 1]
 
 
+def _handle(expert):
+    """``expert`` behind an engine handle whose in-memory store keeps its
+    float64 values unrounded."""
+    return ExpertHandle(expert, MemoryStore(expert.dim))
+
+
 def gating_expert(dim=16, semantic_dim=8, noise=0.0, gap=0.0, seed=5):
     cfg = SyntheticExpertConfig(expert_id="gate", seed=seed, dim=dim,
                                 semantic_dim=semantic_dim, gap_magnitude=gap,
                                 noise_sigma=noise)
-    return SyntheticExpert(cfg)
+    return _handle(SyntheticExpert(cfg))
 
 
 def vec_pair(sample_id="s1", modality="image", relevant=2, irrelevant=1,
@@ -246,10 +258,9 @@ def test_calibrate_taus_lands_between_bands():
                       ann_off=1, seed=100 + i)[0] for i in range(30)]
     tau_alpha, tau_beta = calibrate_taus(pairs, gate)
     sims = []
-    from emblend.sns import _embed_components
     for p in pairs:
-        raw_vecs = _embed_components(gate, p, "raw")
-        ann_vecs = _embed_components(gate, p, "annotation")
+        raw_vecs = [gate.expert.embed(it).values for it in side_items(p, "raw")]
+        ann_vecs = [gate.expert.embed(it).values for it in side_items(p, "annotation")]
         ann_side = side_vector(ann_vecs)
         sims.extend(float(v @ ann_side) for v in raw_vecs)
     assert min(sims) < tau_alpha["image"] < max(sims)
@@ -262,12 +273,6 @@ def test_nucleus_record_serializes():
     assert doc["size_after"]["raw"] == 5
 
 
-def _handle(expert):
-    from emblend.cache import MemoryStore
-    from emblend.engine import ExpertHandle
-    return ExpertHandle(expert, MemoryStore(expert.dim))
-
-
 def _mixed_pairs():
     pairs = [vec_pair(sample_id=f"s{i}", modality=("image", "audio")[i % 2],
                       relevant=2, irrelevant=1 + i % 3, ann_off=1, seed=200 + i)[0]
@@ -278,16 +283,124 @@ def _mixed_pairs():
     return pairs
 
 
+# -- a per-item reference -----------------------------------------------------
+#
+# SNS as one pair at a time over a bare expert: every component, and the
+# description, embedded on its own with ``expert.embed``, sides built with
+# ``side_vector``. Written out independently of ``sns``'s row-reading helpers.
+
+def _embed_each(expert, items, failure):
+    try:
+        return [expert.embed(it).values for it in items]
+    except EmblendError as exc:
+        raise failure(str(exc)) from exc
+
+
+def reference_sns(pair, config, expert, describe_fn=None):
+    size = (pair.raw_bytes, pair.annotation_bytes)
+
+    def passthrough(error=None):
+        return pair, NucleusRecord(pair.sample_id, config.direction, False, None, None,
+                                   size, size, error=error)
+
+    if config.direction == "off":
+        return passthrough()
+    try:
+        raw_vecs = _embed_each(expert, side_items(pair, "raw"), GatingExpertFailure)
+        ann_vecs = _embed_each(expert, side_items(pair, "annotation"), GatingExpertFailure)
+        ann_side = side_vector(ann_vecs)
+        sim_original = cosine_sim(side_vector(raw_vecs), ann_side)
+        cur_raw, cur_raw_vecs = list(pair.raw_components), raw_vecs
+        describe_base = list(pair.raw_components)
+        sim_fwd = fwd_accepted = None
+        if config.direction in ("forward", "bidirectional"):
+            kept = extract([cosine_sim(v, ann_side) for v in raw_vecs],
+                           config.tau_alpha[pair.raw_modality])
+            nucleus_raw = [pair.raw_components[i] for i in kept]
+            nucleus_raw_vecs = [raw_vecs[i] for i in kept]
+            describe_base = nucleus_raw
+            sim_fwd = cosine_sim(side_vector(nucleus_raw_vecs), ann_side)
+            fwd_accepted = mi_gate(sim_fwd, sim_original, config.rho)
+            if fwd_accepted and config.reinject:
+                cur_raw, cur_raw_vecs = nucleus_raw, nucleus_raw_vecs
+        cur_ann = list(pair.annotation_components)
+        sim_bwd = bwd_accepted = None
+        if config.direction in ("backward", "bidirectional"):
+            if pair.raw_modality == "text":
+                description = " ".join(c.content for c in describe_base)
+            elif describe_fn is None:
+                raise DescriberFailure(f"modality {pair.raw_modality!r} needs a describer "
+                                       "for backward extraction")
+            else:
+                description = describe_fn(pair, describe_base)
+            item = EmbedItem(component_item_id(pair.sample_id, "d", description), "text",
+                             description)
+            [desc_vec] = _embed_each(expert, [item], DescriberFailure)
+            kept = extract([cosine_sim(desc_vec, v) for v in ann_vecs],
+                           config.tau_beta[pair.raw_modality])
+            nucleus_ann = [pair.annotation_components[j] for j in kept]
+            sim_bwd = cosine_sim(side_vector(cur_raw_vecs),
+                                 side_vector([ann_vecs[j] for j in kept]))
+            bwd_accepted = mi_gate(sim_bwd, sim_original, config.rho)
+            if bwd_accepted and config.reinject:
+                cur_ann = nucleus_ann
+    except EmblendError as exc:
+        return passthrough(str(exc))
+
+    accepted = bool(fwd_accepted) or bool(bwd_accepted)
+    emitted = pair
+    if config.reinject and accepted:
+        emitted = replace(pair, raw_components=tuple(cur_raw),
+                          annotation_components=tuple(cur_ann))
+    if bwd_accepted:
+        sim_variant = sim_bwd
+    elif fwd_accepted:
+        sim_variant = sim_fwd
+    else:
+        sim_variant = sim_bwd if sim_bwd is not None else sim_fwd
+    return emitted, NucleusRecord(
+        pair.sample_id, config.direction, accepted, sim_original, sim_variant, size,
+        (emitted.raw_bytes, emitted.annotation_bytes), sim_forward=sim_fwd,
+        sim_backward=sim_bwd, forward_accepted=fwd_accepted, backward_accepted=bwd_accepted)
+
+
+def reference_taus(pairs, expert, low_pct=10.0, high_pct=90.0):
+    fwd_sims = {m: [] for m in MODALITIES}
+    bwd_sims = {m: [] for m in MODALITIES}
+    for pair in pairs:
+        raw_vecs = _embed_each(expert, side_items(pair, "raw"), GatingExpertFailure)
+        ann_vecs = _embed_each(expert, side_items(pair, "annotation"), GatingExpertFailure)
+        ann_side, raw_side = side_vector(ann_vecs), side_vector(raw_vecs)
+        fwd_sims[pair.raw_modality].extend(cosine_sim(v, ann_side) for v in raw_vecs)
+        bwd_sims[pair.raw_modality].extend(cosine_sim(raw_side, v) for v in ann_vecs)
+
+    def midpoint(values):
+        if not values:
+            return 0.0
+        lo, hi = np.percentile(values, [low_pct, high_pct])
+        return float((lo + hi) / 2.0)
+
+    return ({m: midpoint(v) for m, v in fwd_sims.items()},
+            {m: midpoint(v) for m, v in bwd_sims.items()})
+
+
+def assert_matches_reference(got, expected):
+    assert [out for out, _ in got] == [out for out, _ in expected]
+    assert [rec.to_dict() for _, rec in got] == [rec.to_dict() for _, rec in expected]
+
+
 @pytest.mark.parametrize("direction", ["off", "forward", "backward", "bidirectional"])
 @pytest.mark.parametrize("describer", [True, False])
 def test_run_sns_matches_apply_sns(direction, describer):
     pairs = _mixed_pairs()
     cfg = SnsConfig(direction=direction, tau_alpha=0.5, tau_beta=0.5, rho=0.9)
     describe = PayloadDescriber(8) if describer else None
-    expected = [apply_sns(p, cfg, gating_expert(noise=0.01), describe) for p in pairs]
-    got = run_sns(pairs, cfg, _handle(gating_expert(noise=0.01)), describe, jobs=2)
-    assert [out for out, _ in got] == [out for out, _ in expected]
-    assert [rec.to_dict() for _, rec in got] == [rec.to_dict() for _, rec in expected]
+    expected = [reference_sns(p, cfg, gating_expert(noise=0.01).expert, describe)
+                for p in pairs]
+    got = run_sns(pairs, cfg, gating_expert(noise=0.01), describe, jobs=2)
+    assert_matches_reference(got, expected)
+    assert_matches_reference([apply_sns(p, cfg, gating_expert(noise=0.01), describe)
+                              for p in pairs], expected)
     if direction in ("backward", "bidirectional") and not describer:
         assert all(rec.error for out, rec in got if out.raw_modality != "text")
 
@@ -299,8 +412,8 @@ def test_run_sns_gating_modality_errors_stay_per_pair():
     pairs = _mixed_pairs()
     sns_cfg = SnsConfig(direction="bidirectional", tau_alpha=0.5, tau_beta=0.5, rho=0.9)
     got = run_sns(pairs, sns_cfg, _handle(text_audio), PayloadDescriber(8))
-    expected = [apply_sns(p, sns_cfg, text_audio, PayloadDescriber(8)) for p in pairs]
-    assert [rec.to_dict() for _, rec in got] == [rec.to_dict() for _, rec in expected]
+    assert_matches_reference(
+        got, [reference_sns(p, sns_cfg, text_audio, PayloadDescriber(8)) for p in pairs])
     errors = {p.raw_modality: rec.error for p, (_, rec) in zip(pairs, got)}
     assert "does not support 'image'" in errors["image"]
     assert errors["audio"] is None and errors["text"] is None
@@ -310,8 +423,9 @@ def test_calibrate_taus_through_a_handle_embeds_in_batches():
     """A handle gets every component in one batched resolve and no single-item
     expert call; the taus equal those from the bare expert."""
     pairs = _mixed_pairs()
-    expected = calibrate_taus(pairs, gating_expert(noise=0.01))
-    gate = gating_expert(noise=0.01)
+    expected = reference_taus(pairs, gating_expert(noise=0.01).expert)
+    handle = gating_expert(noise=0.01)
+    gate = handle.expert
     calls = {"embed": 0, "embed_batch": 0}
     embed, embed_batch = gate.embed, gate.embed_batch
 
@@ -323,5 +437,22 @@ def test_calibrate_taus_through_a_handle_embeds_in_batches():
 
     gate.embed = counted("embed", embed)
     gate.embed_batch = counted("embed_batch", embed_batch)
-    assert calibrate_taus(pairs, _handle(gate)) == expected
+    assert calibrate_taus(pairs, handle) == expected
     assert calls == {"embed": 0, "embed_batch": 1}
+
+
+def test_non_finite_component_fails_its_pair_only():
+    """A NaN payload fails its own pair, as in the per-item reference; the
+    batch it shared with every other pair is read group by group."""
+    pairs = _mixed_pairs()
+    bad = pairs[3]
+    pairs[3] = replace(bad, raw_components=(
+        Component(encode_payload(np.full(8, np.nan))),) + bad.raw_components[1:])
+    cfg = SnsConfig(direction="bidirectional", tau_alpha=0.5, tau_beta=0.5, rho=0.9)
+    got = run_sns(pairs, cfg, gating_expert(noise=0.01), PayloadDescriber(8))
+    assert_matches_reference(
+        got, [reference_sns(p, cfg, gating_expert(noise=0.01).expert, PayloadDescriber(8))
+              for p in pairs])
+    errors = [rec.error for _, rec in got]
+    assert "norm nan" in errors[3] and got[3][0] is pairs[3]
+    assert errors[:3] + errors[4:] == [None] * (len(pairs) - 1)
