@@ -4,7 +4,8 @@ Binary layout: magic ``EEC1`` (4 bytes), version uint32 LE, dim uint32 LE,
 count uint64 LE, then per record: id_len uint16 LE, id UTF-8, expert_id_len
 uint16 LE, expert_id UTF-8, modality byte, dim x float32 LE. Values are
 stored at float32 precision; reads return exact float64 upcasts. An append
-writes its records first and the header count after them.
+writes its records right after the last counted one, cuts off any torn tail
+that followed, and writes the header count last.
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ class EmbeddingCache:
         self._lock = threading.Lock()
         self._map: dict = {}
         self._record_count = 0  # records on disk; last write per key wins
+        self._end = _HEADER.size  # file offset where the counted records end
         if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
             self._load()
         else:
@@ -82,6 +84,7 @@ class EmbeddingCache:
             self._map[(sample_id, expert_id)] = (modality, values)
             pos = eid_end + 1 + vec_bytes
         self._record_count = count
+        self._end = pos
 
     def get(self, sample_id: str, expert_id: str):
         """Return the cached Embedding, or None when absent."""
@@ -122,8 +125,10 @@ class EmbeddingCache:
                 return
             self._record_count += len(records)
             with open(self.path, "r+b") as fh:
-                fh.seek(0, os.SEEK_END)
+                fh.seek(self._end)
                 fh.write(b"".join(records))
+                self._end = fh.tell()
+                fh.truncate()
                 fh.seek(_COUNT_OFFSET)
                 fh.write(_COUNT.pack(self._record_count))
 

@@ -1,9 +1,14 @@
 """Command-line surface tying the modules into experiment flows.
 
-Subcommands: synth, embed, sns, train, eval, curate, ablate. Every run
-writes a manifest.json with the resolved configuration, seeds and versions,
-sufficient to reproduce its artifacts byte for byte. Exit codes: 0 success,
-1 validation error, 2 runtime failure, 3 remote-service failure.
+Subcommands: synth, embed, sns, train, eval, curate, ablate. All but synth
+share one set-up path: load --config, lay the subcommand's flags over it
+(FLAG_FIELDS), build the Engine, create --out and ingest --corpus. Each flag
+is checked exactly like the config field it overrides, so a value the
+config file would reject exits 1. The SNS runs of ``sns`` and ``ablate``
+honour --jobs. Every run writes a manifest.json with the resolved
+configuration, seeds and versions, sufficient to reproduce its artifacts
+byte for byte. Exit codes: 0 success, 1 validation error, 2 runtime
+failure, 3 remote-service failure.
 """
 from __future__ import annotations
 
@@ -15,8 +20,9 @@ import sys
 import numpy as np
 
 from . import __version__, kernels
-from .config import EngineConfig, config_from_dict, load_config, save_config
-from .curation import (blend_stats, curate_topn, sample_stratified,
+from .config import (EngineConfig, config_from_dict, load_config, save_config,
+                     with_overrides)
+from .curation import (STRATEGIES, blend_stats, curate_topn, sample_stratified,
                        sample_uniform, traditional_pipeline)
 from .dataio import (ingest, write_blend, write_corpus, write_json,
                      write_jsonl, write_nucleus_log)
@@ -27,7 +33,7 @@ from .projection import (LossWeights, forward, init_projection, load_model,
                          save_model, train)
 from .retrieval import (bidirectional_recall, check_clustering_samples,
                         gap_reduction, is_clustered, modality_gap)
-from .sns import SnsConfig, calibrate_taus, run_sns
+from .sns import calibrate_taus, run_sns
 from .synth import SynthSpec, expert_configs, generate_corpus
 
 RHO_GRID = (0.0, 0.8, 0.95, 1.0, 1.02, 1.05, 1.1)
@@ -57,11 +63,12 @@ def format_table(headers, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_manifest(out_dir, command, args_dict, config: EngineConfig | None, extra=None):
+def write_manifest(out_dir, args, config: EngineConfig, extra=None):
     doc = {
-        "command": command,
-        "args": {k: v for k, v in sorted(args_dict.items()) if v is not None},
-        "config": config.to_dict() if config is not None else None,
+        "command": args.command,
+        "args": {k: v for k, v in sorted(vars(args).items())
+                 if v is not None and k != "func"},
+        "config": config.to_dict(),
         "versions": {
             "emblend": __version__,
             "numpy": np.__version__,
@@ -73,26 +80,25 @@ def write_manifest(out_dir, command, args_dict, config: EngineConfig | None, ext
     write_json(os.path.join(out_dir, "manifest.json"), doc)
 
 
-def _ensure_out(args) -> str:
-    out = args.out or "runs/out"
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _load_engine(args):
+def _setup(args, cache_under_out=False):
+    """Load --config under the subcommand's FLAG_FIELDS, create --out, build
+    the Engine and ingest --corpus. Returns the config the manifest records,
+    the settings the run uses (that config plus the RUN_ONLY flags), the
+    engine, the output directory and the samples. ``cache_under_out`` gives
+    a config without a cache directory one under --out.
+    """
     if not args.config:
         raise ConfigError("--config is required for this command")
-    config = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "jobs", None) is not None:
-        config.jobs = args.jobs
-    return config, Engine(config)
-
-
-def _args_dict(args) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+    flags = {field: getattr(args, dest) for dest, field in FLAG_FIELDS[args.command]
+             if getattr(args, dest) not in (None, "")}
+    config = with_overrides(load_config(args.config),
+                            {f: v for f, v in flags.items() if f not in RUN_ONLY})
+    out = args.out or "runs/out"
+    if cache_under_out and not config.cache_dir:
+        config.cache_dir = os.path.join(out, "cache")
+    settings = with_overrides(config, {f: v for f, v in flags.items() if f in RUN_ONLY})
+    os.makedirs(out, exist_ok=True)
+    return config, settings, Engine(config), out, ingest(args.corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +106,8 @@ def _args_dict(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    out = _ensure_out(args)
+    out = args.out or "runs/out"
+    os.makedirs(out, exist_ok=True)
     spec = SynthSpec(
         seed=args.seed if args.seed is not None else 0,
         pools=args.pools,
@@ -139,7 +146,7 @@ def cmd_synth(args) -> int:
     config.sns.tau_beta = tau_beta
     config_path = os.path.join(out, "config.yaml")
     save_config(config, config_path)
-    write_manifest(out, "synth", _args_dict(args), config,
+    write_manifest(out, args, config,
                    extra={"synth_spec": dataclasses.asdict(spec)})
     print(f"wrote {len(samples)} samples to {corpus_path}")
     print(f"wrote engine config to {config_path}")
@@ -147,14 +154,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    config, engine = _load_engine(args)
-    out = _ensure_out(args)
-    if not config.cache_dir:
-        config.cache_dir = os.path.join(out, "cache")
-        engine = Engine(config)
-    samples = ingest(args.corpus)
+    config, _, engine, out, samples = _setup(args, cache_under_out=True)
     counts = engine.populate_caches(samples)
-    write_manifest(out, "embed", _args_dict(args), config)
+    write_manifest(out, args, config)
     write_json(os.path.join(out, "embed_summary.json"),
                {"corpus": os.path.basename(args.corpus), "samples": len(samples),
                 "items_per_expert": counts, "cache_dir": config.cache_dir})
@@ -163,34 +165,11 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _sns_config_with_overrides(config: EngineConfig, args) -> SnsConfig:
-    sns = config.sns
-    direction = args.direction or sns.direction
-    tau_alpha = dict(sns.tau_alpha)
-    tau_beta = dict(sns.tau_beta)
-    if args.tau_alpha is not None:
-        tau_alpha = {m: args.tau_alpha for m in tau_alpha}
-    if args.tau_beta is not None:
-        tau_beta = {m: args.tau_beta for m in tau_beta}
-    rho = args.rho if args.rho is not None else sns.rho
-    return SnsConfig(direction=direction, tau_alpha=tau_alpha, tau_beta=tau_beta,
-                     rho=rho, reinject=sns.reinject)
-
-
-def _run_sns(engine: Engine, samples, sns_config: SnsConfig, jobs: int = 1):
-    results = run_sns(samples, sns_config, engine.gating, engine.describe_fn(), jobs)
+def cmd_sns(args) -> int:
+    config, _, engine, out, samples = _setup(args)
+    results = run_sns(samples, config.sns, engine.gating, engine.describe_fn(), config.jobs)
     emitted = [pair for pair, _ in results]
     records = [rec for _, rec in results]
-    return emitted, records
-
-
-def cmd_sns(args) -> int:
-    config, engine = _load_engine(args)
-    out = _ensure_out(args)
-    samples = ingest(args.corpus)
-    sns_config = _sns_config_with_overrides(config, args)
-    config.sns = sns_config
-    emitted, records = _run_sns(engine, samples, sns_config, jobs=config.jobs)
     write_corpus(os.path.join(out, "trimmed.jsonl"), emitted)
     write_nucleus_log(os.path.join(out, "nucleus_log.jsonl"), records)
     accepted = sum(1 for r in records if r.accepted)
@@ -202,56 +181,30 @@ def cmd_sns(args) -> int:
         "acceptance_rate": accepted / len(records) if records else 0.0,
         "bytes_before": bytes_before,
         "bytes_after": bytes_after,
-        "direction": sns_config.direction,
-        "rho": sns_config.rho,
+        "direction": config.sns.direction,
+        "rho": config.sns.rho,
     }
     write_json(os.path.join(out, "sns_summary.json"), summary)
-    write_manifest(out, "sns", _args_dict(args), config)
+    write_manifest(out, args, config)
     print(f"accepted {accepted}/{len(records)} nucleus variants "
           f"({summary['acceptance_rate']:.3f}); bytes {bytes_before} -> {bytes_after}")
     return 0
 
 
-def _loss_weights_with_overrides(config: EngineConfig, args) -> LossWeights:
-    loss = config.loss
-    return LossWeights(
-        lambda_task=args.lambda_task if args.lambda_task is not None else loss.lambda_task,
-        lambda_cluster=(args.lambda_cluster if args.lambda_cluster is not None
-                        else loss.lambda_cluster),
-        lambda_scale=args.lambda_scale if args.lambda_scale is not None else loss.lambda_scale,
-        temperature=args.temperature if args.temperature is not None else loss.temperature,
-        include_fused_negatives=loss.include_fused_negatives,
-        symmetric=loss.symmetric,
-    )
-
-
 def cmd_train(args) -> int:
-    config, engine = _load_engine(args)
-    out = _ensure_out(args)
-    samples = ingest(args.corpus)
-    weights = _loss_weights_with_overrides(config, args)
-    config.loss = weights
-    tcfg = config.train
-    if args.steps is not None:
-        tcfg = dataclasses.replace(tcfg, step_count=args.steps)
-    if args.batch_size is not None:
-        tcfg = dataclasses.replace(tcfg, batch_size=args.batch_size)
-    if args.seed is not None:
-        tcfg = dataclasses.replace(tcfg, seed=args.seed)
-    config.train = tcfg
-    layers = args.layers if args.layers is not None else config.projection.layer_count
-
+    config, settings, engine, out, samples = _setup(args)
+    layers = settings.projection.layer_count
     inputs = engine.fused_inputs(samples)
     anchors = engine.anchor_matrix(samples)
     modalities = [s.raw_modality for s in samples]
     model = init_projection(inputs.shape[1], engine.dim, layers,
-                            hidden_dim=config.projection.hidden_dim, seed=tcfg.seed)
-    model, log = train(inputs, anchors, modalities, model, tcfg, weights)
+                            hidden_dim=config.projection.hidden_dim, seed=config.train.seed)
+    model, log = train(inputs, anchors, modalities, model, config.train, config.loss)
     save_model(model, os.path.join(out, "model.json"))
     write_jsonl(os.path.join(out, "train_log.jsonl"), log)
-    write_manifest(out, "train", _args_dict(args), config,
+    write_manifest(out, args, config,
                    extra={"layer_count": layers, "final_loss": log[-1]["L_total"]})
-    print(f"trained {layers}-layer projection for {tcfg.step_count} steps; "
+    print(f"trained {layers}-layer projection for {config.train.step_count} steps; "
           f"final L_total {log[-1]['L_total']:.6f}")
     return 0
 
@@ -268,11 +221,11 @@ def _space_metrics(raw, anchors, modalities, k_values):
 
 
 def cmd_eval(args) -> int:
-    config, engine = _load_engine(args)
-    out = _ensure_out(args)
-    samples = ingest(args.corpus)
+    config, _, engine, out, samples = _setup(args)
     model = load_model(args.model)
     k_values = [int(k) for k in args.k.split(",")] if args.k else [1, 3, 5, 10]
+    if min(k_values) < 1:
+        raise ConfigError(f"--k values must be >= 1, got {args.k}")
     modalities = [s.raw_modality for s in samples]
     anchors = engine.anchor_matrix(samples)
 
@@ -335,33 +288,23 @@ def cmd_eval(args) -> int:
                              "modality": "text" if space == "anchor" else s.raw_modality,
                              "vector": [round(float(v), 7) for v in matrix[i]]})
         write_jsonl(os.path.join(out, "embeddings.jsonl"), rows)
-    write_manifest(out, "eval", _args_dict(args), config)
+    write_manifest(out, args, config)
     print(recall_table)
     return 0
 
 
 def cmd_curate(args) -> int:
-    config, engine = _load_engine(args)
-    out = _ensure_out(args)
-    samples = ingest(args.corpus)
-    strategy = args.strategy or config.curation.strategy
-    n = args.n if args.n is not None else config.curation.n
-    query = args.query or config.curation.query
-    seed = args.seed if args.seed is not None else config.seed
+    config, settings, engine, out, samples = _setup(args)
+    strategy, n, query = (settings.curation.strategy, settings.curation.n,
+                          settings.curation.query)
     samples_by_id = {s.sample_id: s for s in samples}
+    if strategy == "eee_projection" and not args.model:
+        raise ConfigError("strategy eee_projection requires --model")
 
-    fused_by_id = None
-    if strategy == "eee_projection":
-        if not args.model:
-            raise ConfigError("strategy eee_projection requires --model")
-        model = load_model(args.model)
-        fused = engine.fused_outputs(samples, model)
-        blend = curate_topn(engine.embed_query(query), samples, fused, n, query_text=query)
-        fused_by_id = {s.sample_id: fused[i] for i, s in enumerate(samples)}
-    elif strategy == "uniform":
-        blend = sample_uniform(samples, n, seed)
+    if strategy == "uniform":
+        blend = sample_uniform(samples, n, config.seed)
     elif strategy == "stratified":
-        blend = sample_stratified(samples, n, seed)
+        blend = sample_stratified(samples, n, config.seed)
     elif strategy == "traditional":
         ann = engine.side_matrix(samples, "annotation", config.anchor_expert)
         blend, reports = traditional_pipeline(
@@ -369,24 +312,25 @@ def cmd_curate(args) -> int:
             filter_config=config.curation.filters,
             k_clusters=config.curation.dedup_k,
             epsilon=config.curation.dedup_epsilon,
-            seed=seed, query_text=query)
+            seed=config.seed, query_text=query)
         write_jsonl(os.path.join(out, "filter_reports.jsonl"),
                     (r.to_dict() for r in reports))
-    else:
-        raise ConfigError(f"unknown strategy {strategy!r}")
-
-    if fused_by_id is None and args.model:
-        model = load_model(args.model)
-        fused = engine.fused_outputs(samples, model)
+    # with --model, the fused rows embed after a baseline's own rows and
+    # before the eee_projection query, which fixes a cold cache's record order
+    fused_by_id = None
+    if args.model:
+        fused = engine.fused_outputs(samples, load_model(args.model))
         fused_by_id = {s.sample_id: fused[i] for i, s in enumerate(samples)}
+    if strategy == "eee_projection":
+        blend = curate_topn(engine.embed_query(query), samples, fused, n, query_text=query)
     stats, coords = blend_stats(blend, samples_by_id, fused_by_id)
     write_blend(out, "blend", blend, samples_by_id, stats, coords)
     if args.export_instructions:
         from .dataio import write_instruction_dataset
         write_instruction_dataset(os.path.join(out, "instructions.jsonl"),
                                   samples, blend, config.curation.instruction)
-    write_manifest(out, "curate", _args_dict(args), config,
-                   extra={"strategy": strategy, "n": n, "seed": seed})
+    write_manifest(out, args, config,
+                   extra={"strategy": strategy, "n": n, "seed": config.seed})
     if blend.warning:
         print(f"warning: {blend.warning}", file=sys.stderr)
     print(f"selected {len(blend)} samples via {strategy}; "
@@ -412,14 +356,11 @@ def _ablate_rho(engine, config, samples, out):
     cells = []
     acceptance = {}
     for rho in RHO_GRID:
-        sns_config = SnsConfig(direction=config.sns.direction,
-                               tau_alpha=dict(config.sns.tau_alpha),
-                               tau_beta=dict(config.sns.tau_beta),
-                               rho=rho, reinject=config.sns.reinject)
-        emitted, records = _run_sns(engine, samples, sns_config)
-        rate = sum(1 for r in records if r.accepted) / len(records)
+        results = run_sns(samples, dataclasses.replace(config.sns, rho=rho), engine.gating,
+                          engine.describe_fn(), config.jobs)
+        rate = sum(1 for _, r in results if r.accepted) / len(results)
         acceptance[str(rho)] = rate
-        recalls = _recall10_by_expert(engine, emitted)
+        recalls = _recall10_by_expert(engine, [pair for pair, _ in results])
         for eid, values in recalls.items():
             for direction, value in values.items():
                 cells.append({"rho": rho, "expert": eid, "direction": direction,
@@ -453,11 +394,11 @@ def _ablate_tau(engine, config, samples, out):
     cells = []
     for ta in TAU_GRID:
         for tb in TAU_GRID:
-            sns_config = SnsConfig(direction="bidirectional",
-                                   tau_alpha=ta, tau_beta=tb,
-                                   rho=config.sns.rho, reinject=config.sns.reinject)
-            emitted, _ = _run_sns(engine, samples, sns_config)
-            recalls = _recall10_by_expert(engine, emitted)
+            sns_config = dataclasses.replace(config.sns, direction="bidirectional",
+                                             tau_alpha=ta, tau_beta=tb)
+            results = run_sns(samples, sns_config, engine.gating, engine.describe_fn(),
+                              config.jobs)
+            recalls = _recall10_by_expert(engine, [pair for pair, _ in results])
             mean_r2a = float(np.mean([v["R2A"] for v in recalls.values()]))
             mean_a2r = float(np.mean([v["A2R"] for v in recalls.values()]))
             cells.append({"tau_alpha": ta, "tau_beta": tb,
@@ -508,18 +449,14 @@ def _ablate_lambda_depth(engine, config, samples, out, steps):
 
 
 def cmd_ablate(args) -> int:
-    config, engine = _load_engine(args)
-    out = _ensure_out(args)
-    samples = ingest(args.corpus)
+    config, _, engine, out, samples = _setup(args)
     if args.grid == "rho":
         _ablate_rho(engine, config, samples, out)
     elif args.grid == "tau":
         _ablate_tau(engine, config, samples, out)
     elif args.grid == "lambda-depth":
         _ablate_lambda_depth(engine, config, samples, out, args.steps or 300)
-    else:
-        raise ConfigError(f"unknown grid {args.grid!r}")
-    write_manifest(out, "ablate", _args_dict(args), config, extra={"grid": args.grid})
+    write_manifest(out, args, config, extra={"grid": args.grid})
     print(f"wrote ablate_{args.grid.replace('-', '_')} artifacts to {out}")
     return 0
 
@@ -527,6 +464,32 @@ def cmd_ablate(args) -> int:
 # ---------------------------------------------------------------------------
 # parser / entry point
 # ---------------------------------------------------------------------------
+
+# The config field each flag overrides, per subcommand, as (flag, dotted
+# field) pairs. An unset or empty flag keeps the config's value; a set one is
+# checked exactly like that value in the config file. RUN_ONLY fields steer
+# the run but stay out of the manifest's config; the manifest's extras list
+# them instead.
+_SEED_JOBS = (("seed", "seed"), ("jobs", "jobs"))
+FLAG_FIELDS = {
+    "embed": _SEED_JOBS,
+    "sns": _SEED_JOBS + (("rho", "sns.rho"), ("tau_alpha", "sns.tau_alpha"),
+                         ("tau_beta", "sns.tau_beta"), ("direction", "sns.direction")),
+    "train": _SEED_JOBS + (("seed", "train.seed"), ("steps", "train.step_count"),
+                           ("batch_size", "train.batch_size"),
+                           ("lambda_task", "loss.lambda_task"),
+                           ("lambda_cluster", "loss.lambda_cluster"),
+                           ("lambda_scale", "loss.lambda_scale"),
+                           ("temperature", "loss.temperature"),
+                           ("layers", "projection.layer_count")),
+    "eval": _SEED_JOBS,
+    "curate": _SEED_JOBS + (("strategy", "curation.strategy"), ("n", "curation.n"),
+                            ("query", "curation.query")),
+    "ablate": _SEED_JOBS,
+}
+RUN_ONLY = frozenset({"projection.layer_count", "curation.strategy", "curation.n",
+                      "curation.query"})
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="emblend",
@@ -593,9 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curate", help="build a datablend")
     common(p)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--strategy",
-                   choices=("eee_projection", "uniform", "stratified", "traditional"),
-                   default=None)
+    p.add_argument("--strategy", choices=STRATEGIES, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--query", default=None)
     p.add_argument("--model", default=None)

@@ -7,11 +7,12 @@ EMBLEND_REMOTE_API_KEY.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import yaml
 
-from .curation import FilterConfig
+from .curation import STRATEGIES, FilterConfig
 from .errors import ConfigError
 from .experts import EXPERT_KINDS, SyntheticExpertConfig, SyntheticExpert
 from .geometry import MODALITIES
@@ -62,6 +63,12 @@ class CurationSettings:
     dedup_k: int = 100
     dedup_epsilon: float = 0.05
     instruction: str = "Describe the media content in detail"
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ConfigError("curation n must be >= 1")
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"curation strategy must be one of {STRATEGIES}")
 
 
 @dataclass
@@ -144,12 +151,10 @@ class EngineConfig:
         return doc
 
 
-def _build_section(cls, data, name):
+def _build_section(build, data, name):
     try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigError(f"bad {name} section: {exc}") from exc
-    except ValueError as exc:
+        return build(**data)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {name} section: {exc}") from exc
 
 
@@ -176,6 +181,27 @@ def config_from_dict(doc: dict) -> EngineConfig:
     )
 
 
+def with_overrides(config: EngineConfig, fields: dict) -> EngineConfig:
+    """A copy of ``config`` with each dotted field (``"jobs"``, ``"sns.rho"``)
+    set, every value checked exactly like the same value in the config file.
+
+    A number set on a per-modality mapping (the SNS thresholds) fills each
+    modality the mapping already lists.
+    """
+    sections: dict = {}
+    for path, value in fields.items():
+        section, _, name = path.rpartition(".")
+        sections.setdefault(section, {})[name] = value
+    top = sections.pop("", {})
+    for section, values in sections.items():
+        current = getattr(config, section)
+        for name, value in values.items():
+            if isinstance(getattr(current, name), dict):
+                values[name] = dict.fromkeys(getattr(current, name), value)
+        top[section] = _build_section(partial(replace, current), values, section)
+    return _build_section(partial(replace, config), top, "engine")
+
+
 def load_config(path) -> EngineConfig:
     with open(path, encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
@@ -200,26 +226,29 @@ def build_expert(entry: dict, remote: RemoteSettings):
     """
     kind = entry.get("kind", "synthetic")
     expert_id = entry["expert_id"]
-    dim = int(entry["dim"])
-    modalities = tuple(entry.get("modalities", MODALITIES))
-    settings = remote.with_env()
-    endpoint = entry.get("endpoint") or (settings.endpoint if kind == "remote" else None)
-    if endpoint:
-        descriptor = ExpertDescriptor(expert_id, kind, dim, frozenset(modalities))
-        return RemoteExpert(descriptor, endpoint, entry.get("model", expert_id),
-                            api_key=settings.api_key, batch_size=settings.batch_size,
-                            max_in_flight=settings.max_in_flight, timeout=settings.timeout)
-    if kind == "remote":
-        raise ConfigError(f"remote expert {expert_id!r} needs an endpoint")
-    cfg = SyntheticExpertConfig(
-        expert_id=expert_id,
-        seed=int(entry.get("seed", 0)),
-        dim=dim,
-        semantic_dim=int(entry.get("semantic_dim", dim // 2)),
-        gap_magnitude=float(entry.get("gap_magnitude", 0.0)),
-        noise_sigma=float(entry.get("noise_sigma", 0.0)),
-    )
-    return SyntheticExpert(cfg, kind="synthetic", supported_modalities=modalities)
+    try:
+        dim = int(entry["dim"])
+        modalities = tuple(entry.get("modalities", MODALITIES))
+        settings = remote.with_env()
+        endpoint = entry.get("endpoint") or (settings.endpoint if kind == "remote" else None)
+        if endpoint:
+            descriptor = ExpertDescriptor(expert_id, kind, dim, frozenset(modalities))
+            return RemoteExpert(descriptor, endpoint, entry.get("model", expert_id),
+                                api_key=settings.api_key, batch_size=settings.batch_size,
+                                max_in_flight=settings.max_in_flight, timeout=settings.timeout)
+        if kind == "remote":
+            raise ConfigError(f"remote expert {expert_id!r} needs an endpoint")
+        cfg = SyntheticExpertConfig(
+            expert_id=expert_id,
+            seed=int(entry.get("seed", 0)),
+            dim=dim,
+            semantic_dim=int(entry.get("semantic_dim", dim // 2)),
+            gap_magnitude=float(entry.get("gap_magnitude", 0.0)),
+            noise_sigma=float(entry.get("noise_sigma", 0.0)),
+        )
+        return SyntheticExpert(cfg, kind="synthetic", supported_modalities=modalities)
+    except ValueError as exc:
+        raise ConfigError(f"bad expert {expert_id!r}: {exc}") from exc
 
 
 def build_describer(config: EngineConfig):

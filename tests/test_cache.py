@@ -149,3 +149,21 @@ def test_unknown_modality_byte_rejected(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(CacheCorrupt, match="modality byte 250"):
         EmbeddingCache(path, dim=8)
+
+
+def test_append_after_torn_append_drops_the_torn_tail(tmp_path):
+    # a writer died after 9 bytes of record "b", before the header count
+    # moved; the next append must overwrite that tail, not follow it
+    path = tmp_path / "c.eec"
+    EmbeddingCache(path, dim=8).put(make_emb("a", seed=1))
+    counted = path.read_bytes()
+    other = tmp_path / "b.eec"
+    EmbeddingCache(other, dim=8).put(make_emb("b", seed=2))
+    path.write_bytes(counted + other.read_bytes()[20:29])
+    EmbeddingCache(path, dim=8).put(make_emb("z", seed=3))
+    reloaded = EmbeddingCache(path, dim=8)
+    assert ("b", "ex") not in reloaded
+    for sample_id, seed in (("a", 1), ("z", 3)):
+        stored = make_emb(sample_id, seed=seed).values.astype(np.float32)
+        assert np.array_equal(reloaded.get(sample_id, "ex").values, stored)
+    assert path.stat().st_size == 2 * len(counted) - 20

@@ -12,6 +12,10 @@ compare equal. BLAS and OpenMP pools are pinned to one thread. The pipeline:
      configs/default.yaml and once with configs/gap-collapse.yaml
   -> curate with all four strategies (gap-collapse model, n=200)
   -> ablate the rho grid and the lambda-depth grid (60 steps)
+  -> the same stages again with their override flags set: sns with every SNS
+     flag and --jobs 2; train with --layers, --batch-size, the loss flags,
+     --seed and --steps, then eval --k of that model; curate traditional
+     with --query, --seed and --n; the tau ablation grid
 
 Prints one ``sha256  relpath`` line per file under OUT_DIR, sorted by path.
 Two checkouts produce byte-identical artifacts exactly when
@@ -63,6 +67,23 @@ def pipeline():
                   "--out", "ablate_rho"])
     steps.append(["ablate", "--config", "cached.yaml", *corpus, "--grid", "lambda-depth",
                   "--steps", "60", "--out", "ablate_lambda_depth"])
+    steps += [
+        ["sns", "--config", "cached.yaml", *corpus, "--direction", "forward",
+         "--rho", "0.95", "--tau-alpha", "0.2", "--tau-beta", "0.1", "--jobs", "2",
+         "--out", "sns_flags"],
+        ["train", "--config", "configs/default.yaml", *trimmed, "--layers", "1",
+         "--batch-size", "64", "--lambda-task", "0.99", "--lambda-cluster", "0.01",
+         "--lambda-scale", "0.001", "--temperature", "0.1", "--seed", "3",
+         "--steps", "60", "--out", "train_flags"],
+        ["eval", "--config", "configs/default.yaml", *trimmed,
+         "--model", "train_flags/model.json", "--k", "1,5", "--out", "eval_flags"],
+        ["curate", "--config", "configs/gap-collapse.yaml", *trimmed,
+         "--model", "train_gap-collapse/model.json", "--strategy", "traditional",
+         "--query", "people outdoors", "--seed", "11", "--n", "50",
+         "--out", "curate_flags"],
+        ["ablate", "--config", "cached.yaml", *corpus, "--grid", "tau",
+         "--out", "ablate_tau"],
+    ]
     return steps
 
 
