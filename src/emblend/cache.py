@@ -1,11 +1,13 @@
-"""Persistent embedding cache, and the in-memory store used without one.
+"""Embedding store: one row matrix per expert, persisted to a cache file
+when given a path and kept in memory for the process when not.
 
 Binary layout: magic ``EEC1`` (4 bytes), version uint32 LE, dim uint32 LE,
 count uint64 LE, then per record: id_len uint16 LE, id UTF-8, expert_id_len
 uint16 LE, expert_id UTF-8, modality byte, dim x float32 LE. Values are
 stored at float32 precision; reads return exact float64 upcasts. An append
 writes its records right after the last counted one, cuts off any torn tail
-that followed, and writes the header count last.
+that followed, and writes the header count last. Without a path the store
+keeps the experts' float64 values unrounded and writes nothing.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import threading
 import numpy as np
 
 from .errors import CacheCorrupt
+from .experts import EmbedItem
 from .geometry import MODALITIES, Embedding
 
 MAGIC = b"EEC1"
@@ -31,18 +34,21 @@ _BYTE_MODALITY = {i: m for m, i in _MODALITY_BYTE.items()}
 
 
 class EmbeddingCache:
-    """Content-addressed on-disk store keyed by (sample_id, expert_id).
-
-    Writes serialize through an internal lock; reads hit the in-memory map.
+    """Content-addressed store keyed by (sample_id, expert_id): one row matrix,
+    float32 with a path and float64 without, and a dict from key to (row,
+    modality). Writes serialize through an internal lock; reads hit the matrix.
     """
 
     def __init__(self, path, dim: int):
-        self.path = os.fspath(path)
+        self.path = None if path is None else os.fspath(path)
         self.dim = int(dim)
         self._lock = threading.Lock()
-        self._map: dict = {}
+        self._index: dict = {}
+        self._matrix = np.empty((0, self.dim), _F32 if self.path else np.float64)
         self._record_count = 0  # records on disk; last write per key wins
         self._end = _HEADER.size  # file offset where the counted records end
+        if self.path is None:
+            return
         if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
             self._load()
         else:
@@ -64,6 +70,7 @@ class EmbeddingCache:
         vec_bytes = 4 * self.dim
         end = len(data)
         pos = _HEADER.size
+        found = {}  # key -> (value offset, modality); insertion order fixes the row
         for _ in range(count):
             if pos + _LEN.size > end:
                 raise CacheCorrupt(f"{self.path}: truncated record")
@@ -78,49 +85,65 @@ class EmbeddingCache:
             modality = _BYTE_MODALITY.get(data[eid_end])
             if modality is None:
                 raise CacheCorrupt(f"unknown modality byte {data[eid_end]}")
-            sample_id = data[pos + _LEN.size:id_end].decode("utf-8")
-            expert_id = data[id_end + _LEN.size:eid_end].decode("utf-8")
-            values = np.frombuffer(data, _F32, self.dim, eid_end + 1)
-            self._map[(sample_id, expert_id)] = (modality, values)
+            key = (data[pos + _LEN.size:id_end].decode("utf-8"),
+                   data[id_end + _LEN.size:eid_end].decode("utf-8"))
+            found[key] = (eid_end + 1, modality)
             pos = eid_end + 1 + vec_bytes
+        block = bytearray().join(data[off:off + vec_bytes] for off, _ in found.values())
+        self._matrix = np.frombuffer(block, _F32).reshape(len(found), self.dim)
+        self._index = {key: (row, modality)
+                       for row, (key, (_, modality)) in enumerate(found.items())}
         self._record_count = count
         self._end = pos
 
     def get(self, sample_id: str, expert_id: str):
-        """Return the cached Embedding, or None when absent."""
-        hit = self._map.get((sample_id, expert_id))
+        """Return the stored Embedding, or None when absent."""
+        hit = self._index.get((sample_id, expert_id))
         if hit is None:
             return None
-        modality, values = hit
-        return Embedding(values.astype(np.float64), expert_id, modality, sample_id)
+        row, modality = hit
+        return Embedding(self._matrix[row].astype(np.float64), expert_id, modality, sample_id)
 
     def rows(self, sample_ids, expert_id: str) -> np.ndarray:
-        """Float64 upcasts of the cached values, one row per id; KeyError when absent."""
-        found = self._map
-        return np.array([found[(sid, expert_id)][1] for sid in sample_ids],
-                        dtype=np.float64).reshape(-1, self.dim)
+        """Float64 values of the stored rows, one per id; KeyError when absent."""
+        index = self._index
+        picks = np.array([index[(sid, expert_id)][0] for sid in sample_ids], dtype=np.intp)
+        return self._matrix[picks].astype(np.float64, copy=False)
 
     def put(self, embedding: Embedding) -> None:
-        self.put_many([embedding])
+        self.put_many(embedding.expert_id,
+                      [EmbedItem(embedding.sample_id, embedding.modality, "")],
+                      embedding.values[None, :])
 
-    def put_many(self, embeddings) -> None:
-        """Append the embeddings in order with one write.
+    def put_many(self, expert_id: str, items, matrix) -> None:
+        """Store row i of ``matrix`` as the values of ``items[i]``, in order,
+        with one file write.
 
-        A record equal to the one already cached under its key is skipped.
+        A record equal to the one already stored under its key is skipped.
         """
+        block = np.asarray(matrix, dtype=self._matrix.dtype).reshape(len(items), self.dim)
+        eid = expert_id.encode("utf-8")
+        eid_part = _LEN.pack(len(eid)) + eid
         with self._lock:
+            index, used = self._index, len(self._index)
+            if used + len(items) > len(self._matrix):  # grow to fit, at least doubling
+                grown = np.empty((max(used + len(items), 2 * used), self.dim), block.dtype)
+                grown[:used] = self._matrix[:used]
+                self._matrix = grown
+            stored = self._matrix
             records = []
-            for emb in embeddings:
-                key = (emb.sample_id, emb.expert_id)
-                values = np.asarray(emb.values, dtype=_F32)
-                prior = self._map.get(key)
-                if prior is not None and np.array_equal(prior[1], values):
+            for it, values in zip(items, block):
+                key = (it.item_id, expert_id)
+                prior = index.get(key)
+                if prior is not None and np.array_equal(stored[prior[0]], values):
                     continue
-                sid = emb.sample_id.encode("utf-8")
-                eid = emb.expert_id.encode("utf-8")
-                records.append(_LEN.pack(len(sid)) + sid + _LEN.pack(len(eid)) + eid
-                               + bytes([_MODALITY_BYTE[emb.modality]]) + values.tobytes())
-                self._map[key] = (emb.modality, values)
+                if self.path is not None:
+                    sid = it.item_id.encode("utf-8")
+                    records.append(_LEN.pack(len(sid)) + sid + eid_part
+                                   + bytes([_MODALITY_BYTE[it.modality]]) + values.tobytes())
+                row = len(index) if prior is None else prior[0]
+                stored[row] = values
+                index[key] = (row, it.modality)
             if not records:
                 return
             self._record_count += len(records)
@@ -133,34 +156,7 @@ class EmbeddingCache:
                 fh.write(_COUNT.pack(self._record_count))
 
     def __len__(self) -> int:
-        return len(self._map)
+        return len(self._index)
 
     def __contains__(self, key) -> bool:
-        return key in self._map
-
-
-class MemoryStore:
-    """Process-lifetime store with the cache's interface, for engines without
-    a cache directory. Keeps the experts' float64 values unrounded."""
-
-    def __init__(self, dim: int):
-        self.dim = int(dim)
-        self._map: dict = {}
-
-    def get(self, sample_id: str, expert_id: str):
-        return self._map.get((sample_id, expert_id))
-
-    def rows(self, sample_ids, expert_id: str) -> np.ndarray:
-        found = self._map
-        return np.array([found[(sid, expert_id)].values for sid in sample_ids],
-                        dtype=np.float64).reshape(-1, self.dim)
-
-    def put(self, embedding: Embedding) -> None:
-        self._map[(embedding.sample_id, embedding.expert_id)] = embedding
-
-    def put_many(self, embeddings) -> None:
-        for emb in embeddings:
-            self.put(emb)
-
-    def __contains__(self, key) -> bool:
-        return key in self._map
+        return key in self._index

@@ -223,7 +223,10 @@ def _space_metrics(raw, anchors, modalities, k_values):
 def cmd_eval(args) -> int:
     config, _, engine, out, samples = _setup(args)
     model = load_model(args.model)
-    k_values = [int(k) for k in args.k.split(",")] if args.k else [1, 3, 5, 10]
+    try:
+        k_values = [int(k) for k in args.k.split(",")] if args.k else [1, 3, 5, 10]
+    except ValueError:
+        raise ConfigError(f"--k must be comma-separated integers, got {args.k!r}") from None
     if min(k_values) < 1:
         raise ConfigError(f"--k values must be >= 1, got {args.k}")
     modalities = [s.raw_modality for s in samples]
@@ -414,11 +417,11 @@ def _ablate_tau(engine, config, samples, out):
 
 
 def _ablate_lambda_depth(engine, config, samples, out, steps):
+    tcfg = dataclasses.replace(config.train, step_count=steps)
     inputs = engine.fused_inputs(samples)
     anchors = engine.anchor_matrix(samples)
     modalities = [s.raw_modality for s in samples]
     ids = [s.sample_id for s in samples]
-    tcfg = dataclasses.replace(config.train, step_count=steps)
     rows = []
     for task, scale, cluster in LAMBDA_GRID:
         for depth in DEPTH_GRID:
@@ -455,7 +458,7 @@ def cmd_ablate(args) -> int:
     elif args.grid == "tau":
         _ablate_tau(engine, config, samples, out)
     elif args.grid == "lambda-depth":
-        _ablate_lambda_depth(engine, config, samples, out, args.steps or 300)
+        _ablate_lambda_depth(engine, config, samples, out, 300 if args.steps is None else args.steps)
     write_manifest(out, args, config, extra={"grid": args.grid})
     print(f"wrote ablate_{args.grid.replace('-', '_')} artifacts to {out}")
     return 0

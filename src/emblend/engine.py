@@ -9,11 +9,11 @@ anchor expert.
 Embedding is batch-first. Each stage lists the (item, expert) keys it needs,
 and the expert's handle embeds the ones its store lacks with
 ``expert.embed_batch``: first occurrence order, in slices of
-``SLICE_BATCHES`` expert batches, each slice stored with one write. Side
-matrices are then gathered from the store. The store is the expert's cache
-file, or an in-memory store when no cache directory is set; it is the only
-copy of an embedding a handle keeps, and every vector a stage uses is a
-row read from it, at storage precision.
+``SLICE_BATCHES`` expert batches; each slice's matrix goes to the store in
+one write. Side matrices are then gathered from the store. The store is
+backed by the expert's cache file, or kept in memory when no cache
+directory is set; it is the only copy of an embedding a handle keeps, and
+every vector a stage uses is a row read from it, at storage precision.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import os
 
 import numpy as np
 
-from .cache import EmbeddingCache, MemoryStore
+from .cache import EmbeddingCache
 from .config import EngineConfig, build_describer, build_expert
 from .experts import EmbedItem, SyntheticExpert
 from .projection import forward
@@ -64,7 +64,8 @@ class ExpertHandle:
                 missing.append(it)
         step = SLICE_BATCHES * getattr(self.expert, "batch_size", DEFAULT_BATCH)
         for start in range(0, len(missing), step):
-            store.put_many(self.expert.embed_batch(missing[start:start + step]))
+            chunk = missing[start:start + step]
+            store.put_many(eid, chunk, self.expert.embed_batch(chunk))
 
     def rows(self, items) -> np.ndarray:
         """Stored float64 values of the items, one row each, embedding misses first."""
@@ -79,13 +80,11 @@ class Engine:
         self.expert_order = []
         for entry in config.experts:
             expert = build_expert(entry, config.remote)
+            path = None
             if config.cache_dir:
                 os.makedirs(config.cache_dir, exist_ok=True)
-                store = EmbeddingCache(
-                    os.path.join(config.cache_dir, f"{expert.expert_id}.eec"), expert.dim)
-            else:
-                store = MemoryStore(expert.dim)
-            self.handles[expert.expert_id] = ExpertHandle(expert, store)
+                path = os.path.join(config.cache_dir, f"{expert.expert_id}.eec")
+            self.handles[expert.expert_id] = ExpertHandle(expert, EmbeddingCache(path, expert.dim))
             self.expert_order.append(expert.expert_id)
         self.gating = self.handles[config.gating_expert]
         self.anchor = self.handles[config.anchor_expert]

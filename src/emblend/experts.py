@@ -226,9 +226,10 @@ class SyntheticExpert:
         return hash_payload(content, self.config.semantic_dim)
 
     def embed(self, item: EmbedItem) -> Embedding:
-        return self.embed_batch([item])[0]
+        return Embedding(self.embed_batch([item])[0], self.expert_id, item.modality, item.item_id)
 
-    def embed_batch(self, items) -> list:
+    def embed_batch(self, items) -> np.ndarray:
+        """The items' unit embeddings, one float64 row each."""
         cfg = self.config
         vecs = np.zeros((len(items), cfg.dim))
         for row, it in zip(vecs, items):
@@ -240,6 +241,4 @@ class SyntheticExpert:
                        self._noise)
         # a second normalization: stored embeddings are normalize(normalize(raw)),
         # and the cache and artifact bytes depend on it
-        normalize_rows(vecs)
-        return [Embedding(row, self.expert_id, it.modality, it.item_id)
-                for row, it in zip(vecs, items)]
+        return normalize_rows(vecs)

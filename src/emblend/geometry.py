@@ -115,7 +115,3 @@ class Embedding:
             error = ZeroVector if math.isfinite(n) else NonFiniteVector
             raise error(f"embedding for {self.sample_id!r} is not unit-norm (|v|={n})")
 
-
-def make_embedding(values, expert_id: str, modality: str, sample_id: str) -> Embedding:
-    """Normalize raw values and wrap them in an Embedding."""
-    return Embedding(normalize(values), expert_id, modality, sample_id)

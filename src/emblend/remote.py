@@ -8,17 +8,19 @@ Describe request adds "task": "describe"; the response carries
 Non-2xx status, a missing id, or a wrong-dimension vector raise RemoteFailure
 (DescriberFailure for describe). Embeddings and descriptions alike are sent
 in requests of ``batch_size`` inputs, issued through a pool bounded by
-``max_in_flight``; a failed request fails the whole call.
+``max_in_flight``; a failed request fails the whole call. ``embed_batch``
+returns the normalized vectors as one float64 matrix, a row per input.
 """
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import requests
 
 from .errors import DescriberFailure, RemoteFailure, UnsupportedModality
 from .experts import EmbedItem, ExpertDescriptor
-from .geometry import make_embedding
+from .geometry import Embedding, normalize_rows
 
 
 def _post_json(endpoint, payload, headers, timeout, failure_cls):
@@ -78,7 +80,6 @@ class RemoteExpert:
         }
         body = _post_json(self.endpoint, payload, self._headers, self.timeout, RemoteFailure)
         vectors = {e.get("id"): e.get("vector") for e in body.get("embeddings", [])}
-        out = []
         for it in items:
             vec = vectors.get(it.item_id)
             if vec is None:
@@ -86,19 +87,20 @@ class RemoteExpert:
             if len(vec) != self.dim:
                 raise RemoteFailure(
                     f"expert {self.expert_id!r} returned dim {len(vec)}, expected {self.dim}")
-            out.append(make_embedding(vec, self.expert_id, it.modality, it.item_id))
-        return out
+        return [vectors[it.item_id] for it in items]
 
-    def embed(self, item: EmbedItem):
-        return self.embed_batch([item])[0]
+    def embed(self, item: EmbedItem) -> Embedding:
+        return Embedding(self.embed_batch([item])[0], self.expert_id, item.modality, item.item_id)
 
-    def embed_batch(self, items) -> list:
+    def embed_batch(self, items) -> np.ndarray:
+        """The items' normalized vectors, one float64 row each."""
         items = list(items)
         for it in items:
             if it.modality not in self.descriptor.supported_modalities:
                 raise UnsupportedModality(
                     f"expert {self.expert_id!r} does not support {it.modality!r}")
-        return _in_chunks(self._embed_chunk, items, self.batch_size, self.max_in_flight)
+        vectors = _in_chunks(self._embed_chunk, items, self.batch_size, self.max_in_flight)
+        return normalize_rows(np.array(vectors, dtype=np.float64).reshape(len(items), self.dim))
 
 
 class RemoteDescriber:

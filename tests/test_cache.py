@@ -1,4 +1,5 @@
 import struct
+import sys
 import threading
 
 import numpy as np
@@ -6,12 +7,30 @@ import pytest
 
 from emblend.cache import MAGIC, EmbeddingCache
 from emblend.errors import CacheCorrupt
-from emblend.geometry import make_embedding
+from emblend.experts import EmbedItem
+from emblend.geometry import Embedding, normalize
 
 
 def make_emb(sample_id, dim=8, seed=0, expert="ex"):
     rng = np.random.default_rng(seed)
-    return make_embedding(rng.normal(size=dim), expert, "text", sample_id)
+    return Embedding(normalize(rng.normal(size=dim)), expert, "text", sample_id)
+
+
+def put_embs(cache, embs):
+    """One ``put_many`` of the embeddings, all of expert "ex", as one matrix."""
+    cache.put_many("ex", [EmbedItem(e.sample_id, e.modality, "") for e in embs],
+                   np.array([e.values for e in embs]))
+
+
+@pytest.fixture(params=["memory", "file"])
+def store_path(request, tmp_path):
+    """The path of a store: None keeps it in memory, else a cache file."""
+    return None if request.param == "memory" else tmp_path / "c.eec"
+
+
+def stored(values, path):
+    """The float64 values a store at ``path`` returns for ``values``."""
+    return values if path is None else values.astype(np.float32).astype(np.float64)
 
 
 def test_put_get_roundtrip_float32_exact(tmp_path):
@@ -72,32 +91,77 @@ def test_dim_mismatch_rejected(tmp_path):
         EmbeddingCache(path, dim=16)
 
 
-def test_reput_identical_is_noop(tmp_path):
-    path = tmp_path / "c.eec"
-    cache = EmbeddingCache(path, dim=8)
+def test_reput_identical_is_noop(store_path):
+    cache = EmbeddingCache(store_path, dim=8)
     emb = make_emb("s1")
     cache.put(emb)
-    size_once = path.stat().st_size
+    size_once = None if store_path is None else store_path.stat().st_size
     cache.put(emb)
-    assert path.stat().st_size == size_once
+    put_embs(cache, [emb, emb])
+    assert len(cache) == 1
+    assert np.array_equal(cache.rows(["s1"], "ex")[0], stored(emb.values, store_path))
+    if store_path is not None:
+        assert store_path.stat().st_size == size_once
+
+
+def test_changed_value_wins(store_path):
+    cache = EmbeddingCache(store_path, dim=8)
+    put_embs(cache, [make_emb("s0", seed=0), make_emb("s1", seed=1), make_emb("s2", seed=2)])
+    changed = make_emb("s1", seed=99)
+    cache.put(changed)
+    put_embs(cache, [make_emb("s0", seed=5), make_emb("s0", seed=6)])  # last in a batch wins
+    want = stored(changed.values, store_path)
+    reads = [cache]
+    if store_path is not None:
+        reads.append(EmbeddingCache(store_path, dim=8))
+    for store in reads:
+        assert len(store) == 3
+        assert np.array_equal(store.rows(["s1"], "ex")[0], want)
+        assert np.array_equal(store.get("s1", "ex").values, want)
+        assert np.array_equal(store.rows(["s0"], "ex")[0],
+                              stored(make_emb("s0", seed=6).values, store_path))
+        assert np.array_equal(store.rows(["s2"], "ex")[0],
+                              stored(make_emb("s2", seed=2).values, store_path))
 
 
 def test_concurrent_puts_all_land(tmp_path):
+    # four writers grow the row matrix while a reader checks that every key
+    # it finds stored reads back its own row
     path = tmp_path / "c.eec"
     cache = EmbeddingCache(path, dim=8)
-    embs = [make_emb(f"s{i}", seed=i) for i in range(40)]
+    embs = [make_emb(f"s{i}", seed=i) for i in range(200)]
+    want = {e.sample_id: stored(e.values, path) for e in embs}
+    done, wrong = threading.Event(), []
 
     def worker(chunk):
         for e in chunk:
             cache.put(e)
 
-    threads = [threading.Thread(target=worker, args=(embs[i::4],)) for i in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    def reader():
+        while not done.is_set():
+            ids = [sid for sid in want if (sid, "ex") in cache]
+            rows = cache.rows(ids, "ex")
+            wrong.extend(sid for sid, row in zip(ids, rows) if not np.array_equal(row, want[sid]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        check = threading.Thread(target=reader)
+        check.start()
+        threads = [threading.Thread(target=worker, args=(embs[i::4],)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        done.set()
+        check.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads + [check])
+    assert wrong == []
     reopened = EmbeddingCache(path, dim=8)
-    assert len(reopened) == 40
+    assert len(reopened) == 200
+    assert np.array_equal(reopened.rows(list(want), "ex"), np.array(list(want.values())))
 
 
 def test_put_many_bytes_equal_per_item_puts(tmp_path):
@@ -109,31 +173,55 @@ def test_put_many_bytes_equal_per_item_puts(tmp_path):
     for emb in sequence:
         cache.put(emb)
     batched = EmbeddingCache(many, dim=8)
-    batched.put_many(sequence[:3])
-    batched.put_many(sequence[3:])
+    put_embs(batched, sequence[:3])
+    put_embs(batched, sequence[3:])
     assert one.read_bytes() == many.read_bytes()
     reopened = EmbeddingCache(many, dim=8)
     assert len(reopened) == 6
     assert np.array_equal(reopened.get("s1", "ex").values, cache.get("s1", "ex").values)
 
 
-def test_rows_are_float32_upcasts(tmp_path):
-    cache = EmbeddingCache(tmp_path / "c.eec", dim=8)
+def test_rows_are_float64_at_storage_precision(store_path):
+    # a store without a path keeps the values unrounded; a file keeps float32
+    cache = EmbeddingCache(store_path, dim=8)
     embs = [make_emb(f"s{i}", seed=i) for i in range(3)]
-    cache.put_many(embs)
-    rows = cache.rows(["s2", "s0"], "ex")
-    assert rows.dtype == np.float64 and rows.shape == (2, 8)
+    put_embs(cache, embs)
+    rows = cache.rows(["s2", "s0", "s2"], "ex")
+    assert rows.dtype == np.float64 and rows.shape == (3, 8)
     assert np.array_equal(rows[0], cache.get("s2", "ex").values)
-    assert np.array_equal(rows[1], embs[0].values.astype(np.float32).astype(np.float64))
-    assert cache.rows([], "ex").shape == (0, 8)
+    assert np.array_equal(rows[1], stored(embs[0].values, store_path))
+    assert np.array_equal(rows[2], rows[0])
+    assert (store_path is None) == np.array_equal(rows[1], embs[0].values)
+    empty = cache.rows([], "ex")
+    assert empty.dtype == np.float64 and empty.shape == (0, 8)
     with pytest.raises(KeyError):
         cache.rows(["absent"], "ex")
+    with pytest.raises(KeyError):
+        cache.rows(["s0"], "other-expert")
+
+
+def test_rows_survive_growth(store_path):
+    # the row matrix grows by doubling; earlier rows keep their values
+    cache = EmbeddingCache(store_path, dim=8)
+    embs = [make_emb(f"s{i}", seed=i) for i in range(40)]
+    for start in range(0, 40, 7):
+        put_embs(cache, embs[start:start + 7])
+    rows = cache.rows([e.sample_id for e in embs], "ex")
+    assert np.array_equal(rows, np.array([stored(e.values, store_path) for e in embs]))
+
+
+def test_pathless_store_writes_no_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cache = EmbeddingCache(None, dim=8)
+    cache.put(make_emb("s1"))
+    assert cache.path is None and ("s1", "ex") in cache
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_every_truncation_is_corrupt(tmp_path):
     path = tmp_path / "c.eec"
     cache = EmbeddingCache(path, dim=8)
-    cache.put_many([make_emb("s1"), make_emb("sample-two", seed=1)])
+    put_embs(cache, [make_emb("s1"), make_emb("sample-two", seed=1)])
     data = path.read_bytes()
     for cut in range(1, len(data)):
         path.write_bytes(data[:cut])

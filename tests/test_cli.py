@@ -193,6 +193,14 @@ def test_eval_single_sample_modality_is_exit_2(workspace, small_model, tmp_path,
     assert "'audio' has fewer than 2 samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", ["a,b", "1,,3"])
+def test_eval_non_integer_k_is_exit_1(workspace, small_model, tmp_path, capsys, k):
+    code = run(["eval", "--config", workspace["config"], "--corpus", workspace["corpus"],
+                "--model", small_model, "--out", str(tmp_path / "eval"), "--k", k])
+    assert code == 1
+    assert f"error: --k must be comma-separated integers, got {k!r}" in capsys.readouterr().err
+
+
 def nan_payload_corpus(workspace, tmp_path):
     """The workspace corpus with one non-text sample's payload all NaN."""
     from emblend.experts import encode_payload
@@ -260,6 +268,16 @@ def test_ablate_lambda_depth_grid_shape(workspace, tmp_path):
             "R1", "R3", "R5"} <= set(doc["cells"][0])
     text = (out / "ablate_lambda_depth.txt").read_text()
     assert "task" in text and "layers" in text and "R@1" in text
+
+
+def test_ablate_lambda_depth_zero_steps_is_exit_1(workspace, tmp_path, capsys):
+    out = tmp_path / "ab-ld0"
+    code = run(["ablate", "--config", workspace["config"], "--corpus",
+                workspace["corpus"], "--grid", "lambda-depth", "--out", str(out),
+                "--steps", "0"])
+    assert code == 1
+    assert "error: step_count must be >= 1" in capsys.readouterr().err
+    assert not (out / "ablate_lambda_depth.json").exists()
 
 
 def test_exit_codes():

@@ -184,7 +184,7 @@ def _reference_generate(cfg, payload, modality, item_id):
 
 
 def _reference_embed(cfg, item):
-    """make_embedding(synthetic_generate(payload)) with np.linalg.norm throughout."""
+    """normalize(synthetic_generate(payload)) with np.linalg.norm throughout."""
     explicit = decode_payload(item.content)
     if explicit is not None:
         payload = _reference_normalize(explicit)
@@ -218,12 +218,14 @@ def test_embed_batch_bit_equal_to_per_item_reference(gap, noise):
     expected = [_reference_embed(cfg, it) for it in items]
     for start, stop in ((0, 300), (0, 256), (5, 6)):
         got = expert.embed_batch(items[start:stop])
-        assert [(e.sample_id, e.modality) for e in got] == [
-            (it.item_id, it.modality) for it in items[start:stop]]
-        assert [e.values.tobytes() for e in got] == [
-            v.tobytes() for v in expected[start:stop]]
+        assert isinstance(got, np.ndarray)
+        assert got.shape == (stop - start, cfg.dim) and got.dtype == np.float64
+        assert [row.tobytes() for row in got] == [v.tobytes() for v in expected[start:stop]]
     for it, want in zip(items[:20], expected):
-        assert expert.embed(it).values.tobytes() == want.tobytes()
+        emb = expert.embed(it)
+        assert (emb.sample_id, emb.expert_id, emb.modality) == (
+            it.item_id, cfg.expert_id, it.modality)
+        assert emb.values.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("gap", [0.0, 0.9])
@@ -250,12 +252,12 @@ def test_concurrent_embeds_equal_sequential():
     bytes of one caller alone."""
     expert = SyntheticExpert(make_config(gap_magnitude=0.5, noise_sigma=0.1))
     items = _mixed_items(400)
-    want = [e.values.tobytes() for e in expert.embed_batch(items)]
+    want = [row.tobytes() for row in expert.embed_batch(items)]
     results = {}
 
     def batched(key):
-        results[key] = [e.values.tobytes() for s in range(0, len(items), 16)
-                        for e in expert.embed_batch(items[s:s + 16])]
+        results[key] = [row.tobytes() for s in range(0, len(items), 16)
+                        for row in expert.embed_batch(items[s:s + 16])]
 
     def single(key):
         results[key] = [expert.embed(it).values.tobytes() for it in items]

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from emblend.errors import DimMismatch, EmptySet, ZeroVector
-from emblend.geometry import (Embedding, centroid, cosine_sim, make_embedding,
-                              normalize, normalize_rows, spread)
+from emblend.geometry import Embedding, centroid, cosine_sim, normalize, normalize_rows, spread
 
 
 class TestNormalize:
@@ -103,7 +102,7 @@ class TestSpread:
 
 class TestEmbedding:
     def test_construction_normalizes(self):
-        emb = make_embedding([3.0, 4.0], "e", "text", "s1")
+        emb = Embedding(normalize([3.0, 4.0]), "e", "text", "s1")
         assert emb.dim == 2
         assert abs(np.linalg.norm(emb.values) - 1.0) <= 1e-6
 

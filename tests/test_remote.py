@@ -15,6 +15,7 @@ from emblend.dataio import ingest
 from emblend.engine import SLICE_BATCHES
 from emblend.errors import DescriberFailure, RemoteFailure
 from emblend.experts import EmbedItem, ExpertDescriptor
+from emblend.geometry import Embedding, normalize
 from emblend.remote import RemoteDescriber, RemoteExpert
 from emblend.sns import Component, PairedSample, side_items
 
@@ -97,13 +98,25 @@ def make_expert(endpoint, batch_size=32, max_in_flight=4):
                         batch_size=batch_size, max_in_flight=max_in_flight)
 
 
+def assert_rows_are_stub_vectors(rows, items):
+    """Row i is the stub's vector for item i, normalized bit for bit as one
+    ``Embedding(normalize(vector))``."""
+    for row, it in zip(rows, items, strict=True):
+        want = Embedding(normalize(_vector_for(it.item_id, StubHandler.dim)),
+                         "remote-x", it.modality, it.item_id)
+        assert row.tobytes() == want.values.tobytes()
+
+
 def test_batch_cardinality_and_dim(stub_server):
     expert = make_expert(stub_server)
     items = [EmbedItem("a", "text", "hello"), EmbedItem("b", "image", "pic")]
-    embs = expert.embed_batch(items)
-    assert len(embs) == 2
-    assert all(e.dim == StubHandler.dim for e in embs)
-    assert [e.sample_id for e in embs] == ["a", "b"]
+    rows = expert.embed_batch(items)
+    assert isinstance(rows, np.ndarray)
+    assert rows.shape == (2, StubHandler.dim) and rows.dtype == np.float64
+    assert_rows_are_stub_vectors(rows, items)
+    emb = expert.embed(items[1])
+    assert (emb.sample_id, emb.expert_id, emb.modality) == ("b", "remote-x", "image")
+    assert emb.values.tobytes() == rows[1].tobytes()
 
 
 def test_request_wire_format(stub_server):
@@ -143,8 +156,9 @@ def test_unreachable_endpoint_raises():
 def test_in_flight_bound_respected(stub_server):
     expert = make_expert(stub_server, batch_size=1, max_in_flight=2)
     items = [EmbedItem(f"i{k}", "text", "x") for k in range(12)]
-    embs = expert.embed_batch(items)
-    assert len(embs) == 12
+    rows = expert.embed_batch(items)
+    assert rows.shape == (12, StubHandler.dim)
+    assert_rows_are_stub_vectors(rows, items)
     assert StubHandler.max_active <= 2
 
 

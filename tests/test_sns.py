@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from emblend.cache import MemoryStore
+from emblend.cache import EmbeddingCache
 from emblend.engine import ExpertHandle
 from emblend.errors import (DescriberFailure, EmblendError, GatingExpertFailure,
                             ZeroSize)
@@ -84,9 +84,9 @@ class TestExtraction:
 
 
 def _handle(expert):
-    """``expert`` behind an engine handle whose in-memory store keeps its
+    """``expert`` behind an engine handle whose pathless store keeps its
     float64 values unrounded."""
-    return ExpertHandle(expert, MemoryStore(expert.dim))
+    return ExpertHandle(expert, EmbeddingCache(None, expert.dim))
 
 
 def gating_expert(dim=16, semantic_dim=8, noise=0.0, gap=0.0, seed=5):

@@ -26,3 +26,23 @@ def test_every_traced_entry_point_exists():
     missing += [f"{home.__name__}.{attr}" for home, attr, _, _ in functions
                 if not callable(getattr(home, attr, None))]
     assert missing == []
+
+
+def test_stub_embed_values_are_the_batch_rows():
+    """``perfbench/stub.py`` answers remote embed requests with
+    ``SyntheticExpert.embed(item).values``; those bytes must be the row
+    ``embed_batch`` gives the same item."""
+    from emblend.experts import EmbedItem, SyntheticExpert, SyntheticExpertConfig, encode_payload
+    from emblend.geometry import Embedding
+
+    expert = SyntheticExpert(SyntheticExpertConfig(
+        expert_id="stub", seed=3, dim=16, semantic_dim=8, gap_magnitude=0.7, noise_sigma=0.05))
+    items = [EmbedItem("a", "text", "a red kite over the dunes"),
+             EmbedItem("b#r0", "image", encode_payload([0.5, -1, 2, 0, 1.5, 3, -0.2, 1e-3])),
+             EmbedItem("c#a1", "audio", "rain")]
+    batch = expert.embed_batch(items)
+    for row, item in zip(batch, items, strict=True):
+        emb = expert.embed(item)
+        assert isinstance(emb, Embedding)
+        assert emb.values.tobytes() == expert.embed_batch([item])[0].tobytes()
+        assert emb.values.tobytes() == row.tobytes()
