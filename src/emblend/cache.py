@@ -84,7 +84,7 @@ class EmbeddingCache:
                 raise CacheCorrupt(f"{self.path}: truncated record")
             modality = _BYTE_MODALITY.get(data[eid_end])
             if modality is None:
-                raise CacheCorrupt(f"unknown modality byte {data[eid_end]}")
+                raise CacheCorrupt(f"{self.path}: unknown modality byte {data[eid_end]}")
             key = (data[pos + _LEN.size:id_end].decode("utf-8"),
                    data[id_end + _LEN.size:eid_end].decode("utf-8"))
             found[key] = (eid_end + 1, modality)
@@ -119,37 +119,65 @@ class EmbeddingCache:
         """Store row i of ``matrix`` as the values of ``items[i]``, in order,
         with one file write.
 
-        A record equal to the one already stored under its key is skipped.
+        An item equal to what its key holds at that point, stored before or
+        put earlier in the batch, is skipped; the last write of a key wins.
         """
         block = np.asarray(matrix, dtype=self._matrix.dtype).reshape(len(items), self.dim)
-        eid = expert_id.encode("utf-8")
-        eid_part = _LEN.pack(len(eid)) + eid
         with self._lock:
             index, used = self._index, len(self._index)
-            if used + len(items) > len(self._matrix):  # grow to fit, at least doubling
-                grown = np.empty((max(used + len(items), 2 * used), self.dim), block.dtype)
-                grown[:used] = self._matrix[:used]
+            keys = [(it.item_id, expert_id) for it in items]
+            rows, latest = [], {}  # latest: key -> position of its latest item so far
+            # items whose key already holds a value, and where that value is:
+            # a row of the stored matrix, or an earlier item of the batch
+            on_stored, stored_rows, on_batch, batch_pos = [], [], [], []
+            for i, key in enumerate(keys):
+                earlier = latest.get(key)
+                if earlier is not None:
+                    row = rows[earlier]
+                    on_batch.append(i)
+                    batch_pos.append(earlier)
+                else:
+                    hit = index.get(key)
+                    if hit is None:
+                        row = used
+                        used += 1
+                    else:
+                        row = hit[0]
+                        on_stored.append(i)
+                        stored_rows.append(row)
+                latest[key] = i
+                rows.append(row)
+            if self.path is not None:
+                eid = expert_id.encode("utf-8")
+                tails = {m: _LEN.pack(len(eid)) + eid + bytes([b])
+                         for m, b in _MODALITY_BYTE.items()}
+                sids = [it.item_id.encode("utf-8") for it in items]
+                headers = [_LEN.pack(len(sid)) + sid + tails[it.modality]
+                           for sid, it in zip(sids, items)]
+            if used > len(self._matrix):  # grow to fit, at least doubling
+                grown = np.empty((max(used, 2 * len(index)), self.dim), block.dtype)
+                grown[:len(index)] = self._matrix[:len(index)]
                 self._matrix = grown
             stored = self._matrix
-            records = []
-            for it, values in zip(items, block):
-                key = (it.item_id, expert_id)
-                prior = index.get(key)
-                if prior is not None and np.array_equal(stored[prior[0]], values):
-                    continue
-                if self.path is not None:
-                    sid = it.item_id.encode("utf-8")
-                    records.append(_LEN.pack(len(sid)) + sid + eid_part
-                                   + bytes([_MODALITY_BYTE[it.modality]]) + values.tobytes())
-                row = len(index) if prior is None else prior[0]
-                stored[row] = values
-                index[key] = (row, it.modality)
-            if not records:
+            written = range(len(items))
+            if on_stored or on_batch:
+                same = np.zeros(len(items), dtype=bool)
+                same[on_stored] = (block[on_stored] == stored[stored_rows]).all(axis=1)
+                same[on_batch] = (block[on_batch] == block[batch_pos]).all(axis=1)
+                written = np.flatnonzero(~same).tolist()
+            final = {keys[i]: i for i in written}  # the last write of a key wins
+            last = list(final.values())
+            stored[[rows[i] for i in last]] = block[last]
+            index.update({key: (rows[i], items[i].modality) for key, i in final.items()})
+            if self.path is None or not written:
                 return
-            self._record_count += len(records)
+            values = block.tobytes()
+            size = block.itemsize * self.dim
+            self._record_count += len(written)
             with open(self.path, "r+b") as fh:
                 fh.seek(self._end)
-                fh.write(b"".join(records))
+                fh.write(b"".join([headers[i] + values[i * size:(i + 1) * size]
+                                   for i in written]))
                 self._end = fh.tell()
                 fh.truncate()
                 fh.seek(_COUNT_OFFSET)

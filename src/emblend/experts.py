@@ -12,6 +12,12 @@ Content conventions:
     (used by synthetic corpora for non-text media stand-ins).
   * Any other string is feature-hashed by token into the payload space, so
     texts sharing words embed nearby.
+
+The expert embeds in batches (``embed_batch``): one pass over the items
+checks each modality and takes each payload's bytes or text; the explicit
+payloads, the hashed texts, the offsets, the noise and both normalizations
+then run on the batch's matrix. Every row is bit-equal to embedding its item
+alone, and a batch fails with its first failing item's error.
 """
 from __future__ import annotations
 
@@ -19,14 +25,13 @@ import base64
 import binascii
 import hashlib
 import re
-import struct
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, ParseError, UnsupportedModality
-from .geometry import MODALITIES, Embedding, norm, normalize, normalize_rows
+from .errors import DimMismatch, EmblendError, ParseError, UnsupportedModality
+from .geometry import MODALITIES, Embedding, normalize_rows, row_norms
 
 EXPERT_KINDS = ("end_to_end", "fusion", "text_based", "synthetic", "remote")
 
@@ -65,33 +70,50 @@ def encode_payload(vec) -> str:
     return VEC_PREFIX + base64.b64encode(arr.tobytes()).decode("ascii")
 
 
-def decode_payload(content: str) -> np.ndarray | None:
-    """Parse ``@vec:`` content into a float64 vector, or None for plain text."""
+def _payload_bytes(content: str) -> bytes | None:
+    """The bytes of ``@vec:`` content, or None for plain text."""
     if not content.startswith(VEC_PREFIX):
         return None
     try:
-        raw = base64.b64decode(content[len(VEC_PREFIX):].encode("ascii"))
-        return np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        return binascii.a2b_base64(content[len(VEC_PREFIX):].encode("ascii"))
     except (ValueError, binascii.Error) as exc:
         raise ParseError(f"malformed @vec payload: {exc}") from exc
 
 
+def _payload_values(raw: bytes) -> np.ndarray:
+    """The float64 vector of ``@vec`` bytes."""
+    try:
+        return np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    except ValueError as exc:
+        raise ParseError(f"malformed @vec payload: {exc}") from exc
+
+
+def decode_payload(content: str) -> np.ndarray | None:
+    """Parse ``@vec:`` content into a float64 vector, or None for plain text."""
+    raw = _payload_bytes(content)
+    return None if raw is None else _payload_values(raw)
+
+
 def hash_payload(text: str, semantic_dim: int) -> np.ndarray:
     """Deterministic token feature-hash into a unit vector of semantic_dim."""
-    vec = np.zeros(semantic_dim)
-    tokens = _TOKEN_RE.findall(text.lower()) or [text]
-    for tok in tokens:
-        digest = hashlib.blake2b(tok.encode("utf-8"), digest_size=8).digest()
-        idx = int.from_bytes(digest[:4], "little") % semantic_dim
-        sign = 1.0 if digest[4] & 1 else -1.0
-        vec[idx] += sign
-    n = norm(vec)
-    if n < 1e-12:
-        # cancelled or empty token set: deterministic fallback direction
-        vec[:] = 0.0
-        vec[0] = 1.0
-        return vec
-    return vec / n
+    return _hash_rows([text], semantic_dim)[0]
+
+
+def _hash_rows(texts, semantic_dim: int) -> np.ndarray:
+    """``hash_payload`` of each text, one row each."""
+    counts = []
+    for text in texts:
+        vec = [0.0] * semantic_dim
+        for tok in _TOKEN_RE.findall(text.lower()) or [text]:
+            digest = hashlib.blake2b(tok.encode("utf-8"), digest_size=8).digest()
+            vec[int.from_bytes(digest[:4], "little") % semantic_dim] += (
+                1.0 if digest[4] & 1 else -1.0)
+        if not any(vec):
+            vec[0] = 1.0  # cancelled or empty token set: deterministic fallback direction
+        counts.append(vec)
+    vecs = np.array(counts, dtype=np.float64).reshape(len(texts), semantic_dim)
+    vecs /= row_norms(vecs)[:, None]
+    return vecs
 
 
 def orthogonal_offsets(dim: int, semantic_dim: int, seed: int) -> dict:
@@ -160,14 +182,16 @@ class _NoiseStream:
     def draws(self, seed: int, item_ids, dim: int) -> np.ndarray:
         """``dim`` draws per item, one row each."""
         out = np.empty((len(item_ids), dim))
+        keys = np.frombuffer(b"".join(
+            hashlib.blake2b(f"{seed}|{item_id}".encode("utf-8"), digest_size=16).digest()
+            for item_id in item_ids), dtype="<u8").reshape(-1, 2).tolist()
+        philox = {"counter": self._FRESH, "key": None}
+        state = {"bit_generator": "Philox", "state": philox, "buffer": self._FRESH,
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         with self._lock:
-            for row, item_id in zip(out, item_ids):
-                digest = hashlib.blake2b(f"{seed}|{item_id}".encode("utf-8"),
-                                         digest_size=16).digest()
-                self._bitgen.state = {
-                    "bit_generator": "Philox",
-                    "state": {"counter": self._FRESH, "key": struct.unpack("<2Q", digest)},
-                    "buffer": self._FRESH, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            for row, key in zip(out, keys):
+                philox["key"] = key
+                self._bitgen.state = state
                 self._rng.standard_normal(out=row)
         return out
 
@@ -215,28 +239,48 @@ class SyntheticExpert:
     def dim(self) -> int:
         return self.config.dim
 
-    def payload_of(self, content: str) -> np.ndarray:
-        explicit = decode_payload(content)
-        if explicit is not None:
-            if explicit.shape != (self.config.semantic_dim,):
-                raise DimMismatch(
-                    f"@vec payload has {explicit.shape[0]} entries, "
-                    f"expected {self.config.semantic_dim}")
-            return normalize(explicit)
-        return hash_payload(content, self.config.semantic_dim)
-
     def embed(self, item: EmbedItem) -> Embedding:
         return Embedding(self.embed_batch([item])[0], self.expert_id, item.modality, item.item_id)
 
     def embed_batch(self, items) -> np.ndarray:
-        """The items' unit embeddings, one float64 row each."""
+        """The items' unit embeddings, one float64 row each.
+
+        One pass in item order checks each modality and takes each payload:
+        the bytes of an ``@vec`` item, the feature hash of a text. The
+        explicit payloads are then normalized as one matrix. The first item
+        that fails, in batch order, raises its own error.
+        """
         cfg = self.config
+        sd = cfg.semantic_dim
         vecs = np.zeros((len(items), cfg.dim))
-        for row, it in zip(vecs, items):
-            if it.modality not in self.descriptor.supported_modalities:
-                raise UnsupportedModality(
-                    f"expert {self.expert_id!r} does not support {it.modality!r}")
-            row[: cfg.semantic_dim] = self.payload_of(it.content)
+        explicit, blobs, hashed, texts = [], [], [], []
+        failure = None
+        for i, it in enumerate(items):
+            try:
+                if it.modality not in self.descriptor.supported_modalities:
+                    raise UnsupportedModality(
+                        f"expert {self.expert_id!r} does not support {it.modality!r}")
+                raw = _payload_bytes(it.content)
+                if raw is None:
+                    hashed.append(i)
+                    texts.append(it.content)
+                elif len(raw) != 4 * sd:
+                    n = len(_payload_values(raw))  # ParseError unless whole float32s
+                    raise DimMismatch(f"@vec payload has {n} entries, expected {sd}")
+                else:
+                    explicit.append(i)
+                    blobs.append(raw)
+            except EmblendError as exc:
+                failure = exc
+                break
+        if explicit:
+            # the payloads before the failing item still fail first
+            vecs[explicit, :sd] = normalize_rows(
+                np.frombuffer(b"".join(blobs), dtype="<f4").astype(np.float64).reshape(-1, sd))
+        if failure is not None:
+            raise failure
+        if texts:
+            vecs[hashed, :sd] = _hash_rows(texts, sd)
         _generate_rows(cfg, vecs, [it.modality for it in items], [it.item_id for it in items],
                        self._noise)
         # a second normalization: stored embeddings are normalize(normalize(raw)),

@@ -41,15 +41,38 @@ def normalize(v) -> np.ndarray:
     return v / _checked_norm(v)
 
 
+def row_norms(m: np.ndarray) -> np.ndarray:
+    """``norm`` of each row of a float64 matrix, bit-equal to it row by row:
+    ``np.vecdot`` runs the same per-row ``ddot`` that ``v.dot(v)`` does (a
+    reduction along ``axis=1`` sums in another order)."""
+    return np.sqrt(np.vecdot(m, m))
+
+
+def normalizable(norms: np.ndarray) -> np.ndarray:
+    """Mask of the norms ``normalize`` accepts: finite and >= ``ZERO_NORM_EPS``."""
+    return np.isfinite(norms) & (norms >= ZERO_NORM_EPS)
+
+
 def normalize_rows(m: np.ndarray) -> np.ndarray:
     """``normalize`` of each row of a float64 matrix, in place; returns ``m``.
 
-    Each row's norm is its own ``dot``, so the result is bit-equal to
-    ``normalize`` row by row (a reduction along ``axis=1`` sums in another
-    order). Raises as ``normalize`` does for the first row that fails.
+    Bit-equal to ``normalize`` row by row (see ``row_norms``). When a row
+    fails, ``m`` is left as it was and the first failing row raises what
+    ``normalize`` raises for it.
     """
-    m /= np.array([_checked_norm(row) for row in m])[:, None]
+    norms = row_norms(m)
+    ok = normalizable(norms)
+    if np.count_nonzero(ok) < len(ok):
+        _checked_norm(m[np.argmin(ok)])
+    m /= norms[:, None]
     return m
+
+
+def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``cosine_sim`` of each row of ``a`` with the same row of ``b``, or with
+    ``b`` itself when it is 1-D: each a ``ddot``, clamped to [-1, 1] with NaN
+    passing through."""
+    return np.clip(np.vecdot(a, b), -1.0, 1.0)
 
 
 def cosine_sim(u, v) -> float:

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import (DescriberFailure, EmblendError, GatingExpertFailure,
                      InvariantViolation, ZeroSize)
 from .experts import EmbedItem, decode_payload, encode_payload, hash_payload
-from .geometry import MODALITIES, cosine_sim, normalize, normalize_rows
+from .geometry import (MODALITIES, cosine_rows, normalizable, normalize, normalize_rows,
+                       row_norms)
 
 DIRECTIONS = ("off", "forward", "backward", "bidirectional")
 
@@ -240,34 +242,95 @@ def side_vector(component_vectors) -> np.ndarray:
     return normalize(np.mean(component_vectors, axis=0))
 
 
-def side_vectors(rows, counts) -> np.ndarray:
-    """``side_vector`` of each run of ``counts[i]`` consecutive rows, stacked.
+def _run_means(rows, picks, counts) -> np.ndarray:
+    """The mean of the rows ``picks[k, :counts[k]]`` for each k, stacked.
 
-    Bit-equal to ``side_vector`` on each run: its rows are summed in order
-    (added position by position across runs, since ``np.add.reduceat`` does
-    not sum in order), divided by the run length and normalized.
+    Each mean sums its rows in pick order, as ``np.mean`` sums them: added
+    position by position across means, since ``np.add.reduceat`` does not
+    sum in order.
     """
+    sums = rows[picks[:, 0]]
+    for j in range(1, picks.shape[1]):
+        longer = counts > j
+        sums[longer] += rows[picks[longer, j]]
+    return sums / counts[:, None]
+
+
+def side_vectors(rows, counts) -> np.ndarray:
+    """``side_vector`` of each run of ``counts[i]`` consecutive rows, stacked;
+    bit-equal to it on each run."""
     counts = np.asarray(counts, dtype=np.intp)
     starts = np.cumsum(counts) - counts
-    sums = rows[starts]
-    for j in range(1, counts.max(initial=0)):
+    picks = starts[:, None] + np.arange(counts.max(initial=1))
+    return normalize_rows(_run_means(rows, picks, counts))
+
+
+def _picks(starts, offsets):
+    """Row positions ``starts[k] + j`` for each j in ``offsets[k]``: one
+    left-aligned row per k, padded with 0, and the count of each row."""
+    counts = np.array([len(off) for off in offsets], dtype=np.intp)
+    picks = np.zeros((len(counts), counts.max(initial=1)), dtype=np.intp)
+    picks[np.arange(picks.shape[1]) < counts[:, None]] = [
+        start + j for start, off in zip(starts, offsets) for j in off]
+    return picks, counts
+
+
+def _sides(rows, picks, counts):
+    """``side_vector`` of the rows ``picks[k, :counts[k]]`` for each k,
+    stacked, and the EmblendError it raises for each k whose mean does not
+    normalize (that row is left as the mean)."""
+    means = _run_means(rows, picks, counts)
+    ok = normalizable(row_norms(means))
+    means[ok] = normalize_rows(means[ok])
+    errors = {}
+    for k in np.flatnonzero(~ok).tolist():
+        try:
+            normalize(means[k])
+        except EmblendError as exc:
+            errors[k] = exc
+    return means, errors
+
+
+def _sims(rows, picks, counts, vectors) -> list:
+    """``cosine_sim`` of the rows ``picks[k, :counts[k]]`` with ``vectors[k]``,
+    one list per k; gathered position by position, like ``_run_means``."""
+    sims = np.zeros(picks.shape)
+    for j in range(picks.shape[1]):
         longer = counts > j
-        sums[longer] += rows[starts[longer] + j]
-    return normalize_rows(sums / counts[:, None])
+        sims[longer, j] = cosine_rows(rows[picks[longer, j]], vectors[longer])
+    return [row[:n] for row, n in zip(sims.tolist(), counts.tolist())]
+
+
+def _pair_sides(pairs, rows):
+    """For pairs whose rows lie one after another, raw then annotation: the
+    picks, counts and sides of their raw and of their annotation components,
+    and the EmblendError of each pair (by position) whose raw, else whose
+    annotation, side does not normalize."""
+    sizes = [(len(p.raw_components), len(p.annotation_components)) for p in pairs]
+    starts = [0, *accumulate(n_raw + n_ann for n_raw, n_ann in sizes)]
+    raw = _picks(starts, [range(n_raw) for n_raw, _ in sizes])
+    ann = _picks(starts, [range(n_raw, n_raw + n_ann) for n_raw, n_ann in sizes])
+    raw_sides, raw_errors = _sides(rows, *raw)
+    ann_sides, ann_errors = _sides(rows, *ann)
+    return (*raw, raw_sides), (*ann, ann_sides), {**ann_errors, **raw_errors}
 
 
 @dataclass
 class _Trim:
-    """One pair after forward extraction, waiting for its backward pass."""
+    """One pair between the phases of ``run_sns``; its annotation rows start
+    at row ``ann_at``."""
 
     pair: PairedSample
-    ann_rows: np.ndarray
+    ann_at: int
     sim_original: float
     cur_raw: list
     cur_raw_side: np.ndarray
     describe_base: list
+    cur_ann: list
     sim_fwd: float | None = None
     fwd_accepted: bool | None = None
+    sim_bwd: float | None = None
+    bwd_accepted: bool | None = None
 
 
 def _passthrough(pair, config, error=None):
@@ -276,27 +339,35 @@ def _passthrough(pair, config, error=None):
                                size, size, error=error)
 
 
-def _forward(pair, config, rows) -> _Trim:
-    """Sides from the pair's rows (raw, then annotation); forward extraction when configured."""
-    raw_rows, ann_rows = np.split(rows, [len(pair.raw_components)])
-    raw_side, ann_side = side_vector(raw_rows), side_vector(ann_rows)
-    sim_original = cosine_sim(raw_side, ann_side)
+def _forward(pairs: dict, rows, config) -> dict:
+    """Sides of each pair, then forward extraction when configured: {i:
+    _Trim, or the EmblendError that fails pair i}. ``rows`` holds the pairs'
+    rows one after another, raw then annotation."""
+    if not pairs:
+        return {}
+    (raw_picks, n_raw, raw_sides), (ann_picks, n_ann, ann_sides), errors = _pair_sides(
+        pairs.values(), rows)
     # Bidirectional describes the forward-extraction output; backward-only
     # describes the original raw side.
-    trim = _Trim(pair, ann_rows, sim_original, list(pair.raw_components), raw_side,
-                 list(pair.raw_components))
+    trims = [_Trim(pair, at, sim, list(pair.raw_components), side,
+                   list(pair.raw_components), list(pair.annotation_components))
+             for pair, at, sim, side in zip(pairs.values(), ann_picks[:, 0].tolist(),
+                                            cosine_rows(raw_sides, ann_sides).tolist(),
+                                            raw_sides)]
     if config.direction in ("forward", "bidirectional"):
-        tau = config.tau_alpha[pair.raw_modality]
-        kept = extract([cosine_sim(v, ann_side) for v in raw_rows], tau)
-        nucleus_raw = [pair.raw_components[i] for i in kept]
-        nucleus_raw_side = side_vector(raw_rows[kept])
-        trim.describe_base = nucleus_raw
-        trim.sim_fwd = cosine_sim(nucleus_raw_side, ann_side)
-        trim.fwd_accepted = mi_gate(trim.sim_fwd, sim_original, config.rho)
-        if trim.fwd_accepted and config.reinject:
-            trim.cur_raw = nucleus_raw
-            trim.cur_raw_side = nucleus_raw_side
-    return trim
+        kept = [extract(sims, config.tau_alpha[t.pair.raw_modality])
+                for t, sims in zip(trims, _sims(rows, raw_picks, n_raw, ann_sides))]
+        nucleus_sides, nucleus_errors = _sides(rows, *_picks(raw_picks[:, 0].tolist(), kept))
+        errors = {**nucleus_errors, **errors}
+        sims = cosine_rows(nucleus_sides, ann_sides).tolist()
+        for t, k, side, sim in zip(trims, kept, nucleus_sides, sims):
+            nucleus_raw = [t.pair.raw_components[j] for j in k]
+            t.describe_base = nucleus_raw
+            t.sim_fwd = sim
+            t.fwd_accepted = mi_gate(sim, t.sim_original, config.rho)
+            if t.fwd_accepted and config.reinject:
+                t.cur_raw, t.cur_raw_side = nucleus_raw, side
+    return {i: errors.get(k, t) for k, (i, t) in enumerate(zip(pairs, trims))}
 
 
 def _describe(trim: _Trim, describe_fn) -> str:
@@ -310,27 +381,37 @@ def _describe(trim: _Trim, describe_fn) -> str:
     return describe_fn(pair, trim.describe_base)
 
 
-def _backward(trim: _Trim, config, desc_rows):
-    """Backward extraction when configured, against the description's stored
-    row (``desc_rows``, one row); then the emitted pair and its record."""
-    pair = trim.pair
-    cur_ann = list(pair.annotation_components)
-    sim_bwd = bwd_accepted = None
-    if config.direction in ("backward", "bidirectional"):
-        tau = config.tau_beta[pair.raw_modality]
-        kept = extract([cosine_sim(desc_rows[0], v) for v in trim.ann_rows], tau)
-        nucleus_ann = [pair.annotation_components[j] for j in kept]
-        sim_bwd = cosine_sim(trim.cur_raw_side, side_vector(trim.ann_rows[kept]))
-        bwd_accepted = mi_gate(sim_bwd, trim.sim_original, config.rho)
-        if bwd_accepted and config.reinject:
-            cur_ann = nucleus_ann
+def _backward(trims: dict, rows, descs, config) -> dict:
+    """Backward extraction of each trim against its description's stored row
+    (``descs``, one row per trim in order): {i: the trim, or the EmblendError
+    that fails pair i}."""
+    if not trims:
+        return {}
+    ann_at = [t.ann_at for t in trims.values()]
+    ann_picks, n_ann = _picks(ann_at, [range(len(t.pair.annotation_components))
+                                       for t in trims.values()])
+    kept = [extract(sims, config.tau_beta[t.pair.raw_modality])
+            for t, sims in zip(trims.values(), _sims(rows, ann_picks, n_ann, descs))]
+    sides, errors = _sides(rows, *_picks(ann_at, kept))
+    cur_raw_sides = np.array([t.cur_raw_side for t in trims.values()])
+    for t, k, sim in zip(trims.values(), kept, cosine_rows(cur_raw_sides, sides).tolist()):
+        t.sim_bwd = sim
+        t.bwd_accepted = mi_gate(sim, t.sim_original, config.rho)
+        if t.bwd_accepted and config.reinject:
+            t.cur_ann = [t.pair.annotation_components[j] for j in k]
+    return {i: errors.get(k, t) for k, (i, t) in enumerate(trims.items())}
 
+
+def _emit(trim: _Trim, config):
+    """The emitted pair and its record."""
+    pair = trim.pair
     sim_fwd, fwd_accepted = trim.sim_fwd, trim.fwd_accepted
+    sim_bwd, bwd_accepted = trim.sim_bwd, trim.bwd_accepted
     accepted = bool(fwd_accepted) or bool(bwd_accepted)
     emitted = pair
     if config.reinject and accepted:
         emitted = replace(pair, raw_components=tuple(trim.cur_raw),
-                          annotation_components=tuple(cur_ann))
+                          annotation_components=tuple(trim.cur_ann))
     # sim of the emitted pair when accepted, else of the last rejected candidate
     if bwd_accepted:
         sim_variant = sim_bwd
@@ -361,23 +442,25 @@ def pair_items(pair: PairedSample) -> list:
     return side_items(pair, "raw") + side_items(pair, "annotation")
 
 
-def _stored_rows(gating, groups, failure) -> list:
-    """The stored rows of each group of items, or the ``failure`` raised for it.
+def _stored_rows(gating, groups, failure):
+    """The stored rows of every group that can be embedded, one group after
+    another, and the ``failure`` raised for each other group, by position.
 
-    One batched ``resolve`` embeds every group's missing items; what a failed
-    batch left missing is embedded group by group, so a group fails alone.
+    One batched ``resolve`` embeds every group's missing items; when it
+    fails, what it left missing is embedded group by group, so a group fails
+    alone.
     """
+    errors = {}
     try:
         gating.resolve([it for group in groups for it in group])
     except EmblendError:
-        pass
-    out = []
-    for group in groups:
-        try:
-            out.append(gating.rows(group))
-        except EmblendError as exc:
-            out.append(failure(str(exc)))
-    return out
+        for k, group in enumerate(groups):
+            try:
+                gating.resolve(group)
+            except EmblendError as exc:
+                errors[k] = failure(str(exc))
+    rows = gating.rows([it for k, group in enumerate(groups) if k not in errors for it in group])
+    return rows, errors
 
 
 def _describe_all(trims: dict, describe_fn, jobs: int) -> dict:
@@ -417,40 +500,43 @@ def run_sns(pairs, config: SnsConfig, gating, describe_fn=None, jobs: int = 1) -
     """``apply_sns`` over many pairs: the (emitted_pair, NucleusRecord) of each.
 
     ``gating`` is an engine ``ExpertHandle``; every vector is a row read from
-    its store. Phases: one batched embed of all components, then forward
-    extraction of every pair; one describe of every non-text pair; one
+    its store. Each phase works on the row matrices of all pairs still in
+    play: one batched embed of all components; the sides of every pair with
+    one ``side_vectors`` pass and forward extraction, with the component sims
+    as row dots (``cosine_rows``); one describe of every non-text pair; one
     batched embed of the descriptions, stored in pair order; backward
-    extraction of every pair.
+    extraction. Only ``extract``, the gate and the records run per pair. A
+    pair that fails in a phase passes through with its error and leaves the
+    later phases.
     """
     pairs = list(pairs)
     if config.direction == "off":
         return [_passthrough(p, config) for p in pairs]
     results = [None] * len(pairs)
-    trims = {}
-    component_rows = _stored_rows(gating, [pair_items(p) for p in pairs], GatingExpertFailure)
-    for i, (pair, rows) in enumerate(zip(pairs, component_rows)):
-        try:
-            if isinstance(rows, EmblendError):
-                raise rows
-            trims[i] = _forward(pair, config, rows)
-        except EmblendError as exc:
-            results[i] = _passthrough(pair, config, str(exc))
-    desc_rows = {}  # the description's stored row, or the EmblendError raised for it
+
+    def survivors(outcomes: dict) -> dict:
+        """The outcomes that are not errors; an error passes its pair through."""
+        kept = {}
+        for i, outcome in outcomes.items():
+            if isinstance(outcome, EmblendError):
+                results[i] = _passthrough(pairs[i], config, str(outcome))
+            else:
+                kept[i] = outcome
+        return kept
+
+    rows, errors = _stored_rows(gating, [pair_items(p) for p in pairs], GatingExpertFailure)
+    live = survivors({i: errors.get(i, pair) for i, pair in enumerate(pairs)})
+    trims = survivors(_forward(live, rows, config))
     if config.direction in ("backward", "bidirectional"):
         descriptions = _describe_all(trims, describe_fn, jobs)
-        described = [i for i in trims if isinstance(descriptions[i], str)]
-        items = [EmbedItem(component_item_id(pairs[i].sample_id, "d", descriptions[i]), "text",
-                           descriptions[i]) for i in described]
-        rows = _stored_rows(gating, [[it] for it in items], DescriberFailure)
-        desc_rows = {**descriptions, **dict(zip(described, rows))}
+        described = survivors({i: descriptions[i] for i in trims})
+        items = [[EmbedItem(component_item_id(pairs[i].sample_id, "d", d), "text", d)]
+                 for i, d in described.items()]
+        descs, errors = _stored_rows(gating, items, DescriberFailure)
+        embedded = survivors({i: errors.get(k, trims[i]) for k, i in enumerate(described)})
+        trims = survivors(_backward(embedded, rows, descs, config))
     for i, trim in trims.items():
-        rows = desc_rows.get(i)
-        try:
-            if isinstance(rows, EmblendError):
-                raise rows
-            results[i] = _backward(trim, config, rows)
-        except EmblendError as exc:
-            results[i] = _passthrough(trim.pair, config, str(exc))
+        results[i] = _emit(trim, config)
     return results
 
 
@@ -459,19 +545,25 @@ def calibrate_taus(samples, gating, low_pct: float = 10.0, high_pct: float = 90.
 
     Forward bands come from raw-component-vs-annotation similarities, backward
     bands from annotation-sentence-vs-raw-side similarities. ``gating`` is an
-    engine ``ExpertHandle``, read as in ``run_sns``; a pair whose components
-    cannot be embedded raises its GatingExpertFailure.
+    engine ``ExpertHandle``, read as in ``run_sns``; the first pair, in
+    sample order, whose components cannot be embedded or whose side does not
+    normalize raises its error.
     """
+    samples = list(samples)
+    rows, errors = _stored_rows(gating, [pair_items(p) for p in samples], GatingExpertFailure)
+    live = [k for k in range(len(samples)) if k not in errors]
     fwd_sims = {m: [] for m in MODALITIES}
     bwd_sims = {m: [] for m in MODALITIES}
-    for pair, rows in zip(samples, _stored_rows(gating, [pair_items(p) for p in samples],
-                                                GatingExpertFailure)):
-        if isinstance(rows, EmblendError):
-            raise rows
-        raw_rows, ann_rows = np.split(rows, [len(pair.raw_components)])
-        raw_side, ann_side = side_vector(raw_rows), side_vector(ann_rows)
-        fwd_sims[pair.raw_modality].extend(cosine_sim(v, ann_side) for v in raw_rows)
-        bwd_sims[pair.raw_modality].extend(cosine_sim(raw_side, v) for v in ann_rows)
+    if live:
+        (raw_picks, n_raw, raw_sides), (ann_picks, n_ann, ann_sides), side_errors = \
+            _pair_sides([samples[k] for k in live], rows)
+        errors.update((live[j], exc) for j, exc in side_errors.items())
+        for k, fwd, bwd in zip(live, _sims(rows, raw_picks, n_raw, ann_sides),
+                               _sims(rows, ann_picks, n_ann, raw_sides)):
+            fwd_sims[samples[k].raw_modality].extend(fwd)
+            bwd_sims[samples[k].raw_modality].extend(bwd)
+    if errors:
+        raise errors[min(errors)]
 
     def midpoint(values):
         if not values:

@@ -1,3 +1,4 @@
+import re
 import struct
 import sys
 import threading
@@ -237,6 +238,52 @@ def test_unknown_modality_byte_rejected(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(CacheCorrupt, match="modality byte 250"):
         EmbeddingCache(path, dim=8)
+
+
+def test_unknown_modality_error_names_the_file(tmp_path):
+    path = tmp_path / "c.eec"
+    put_embs(EmbeddingCache(path, dim=8), [make_emb("s1"), make_emb("s2", seed=1)])
+    data = bytearray(path.read_bytes())
+    record = 2 + 2 + 2 + 2 + 1 + 4 * 8  # id_len, "s1", eid_len, "ex", modality, values
+    data[20 + record + 8] = 7  # the second record's modality byte
+    path.write_bytes(bytes(data))
+    with pytest.raises(CacheCorrupt, match=f"^{re.escape(str(path))}: unknown modality byte 7$"):
+        EmbeddingCache(path, dim=8)
+
+
+def test_put_many_equals_sequential_puts(store_path, tmp_path):
+    """Batches with repeated keys, equal and changed values, a -0.0 against a
+    stored 0.0 and NaN values store and write what one ``put`` per item does."""
+    rng = np.random.default_rng(13)
+    base = rng.normal(size=(6, 8))
+    base[0, 3] = 0.0
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+    signed = base[0].copy()
+    signed[3] = -0.0  # equal to base[0] under ==, so a put of it is skipped
+    nan = np.full(8, np.nan)  # never equal, so always written
+    modalities = ["text", "image", "audio", "video"]
+    batches = [
+        [("a", base[0]), ("b", base[1]), ("a", base[2]), ("c", base[3]), ("a", base[0])],
+        [("b", base[1]), ("a", signed), ("d", nan), ("d", nan), ("c", base[4])],
+        [("e", base[5]), ("b", base[2]), ("b", base[1]), ("e", base[5]), ("c", base[4])],
+    ]
+    sequential_path = None if store_path is None else tmp_path / "sequential.eec"
+    sequential = EmbeddingCache(sequential_path, dim=8)
+    batched = EmbeddingCache(store_path, dim=8)
+    for n, batch in enumerate(batches):
+        items = [EmbedItem(sid, modalities[(n + k) % 4], "") for k, (sid, _) in enumerate(batch)]
+        for it, (_, values) in zip(items, batch):
+            sequential.put_many("ex", [it], values[None, :])
+        batched.put_many("ex", items, np.array([values for _, values in batch]))
+    stores = [(sequential, batched)]
+    if store_path is not None:
+        assert sequential_path.read_bytes() == store_path.read_bytes()
+        stores.append((EmbeddingCache(sequential_path, dim=8), EmbeddingCache(store_path, dim=8)))
+    for want, got in stores:
+        assert len(got) == len(want) == 5
+        assert got.rows(list("abcde"), "ex").tobytes() == want.rows(list("abcde"), "ex").tobytes()
+        for sid in "abce":  # d holds NaN, which get() refuses
+            assert got.get(sid, "ex").modality == want.get(sid, "ex").modality
 
 
 def test_append_after_torn_append_drops_the_torn_tail(tmp_path):

@@ -1,4 +1,6 @@
+import base64
 import hashlib
+import itertools
 import re
 import sys
 import threading
@@ -6,7 +8,8 @@ import threading
 import numpy as np
 import pytest
 
-from emblend.errors import DimMismatch, UnsupportedModality
+from emblend.errors import (DimMismatch, EmblendError, NonFiniteVector, ParseError,
+                            UnsupportedModality, ZeroVector)
 from emblend.experts import (EmbedItem, ExpertDescriptor, SyntheticExpert,
                              SyntheticExpertConfig, decode_payload,
                              encode_payload, hash_payload, orthogonal_offsets,
@@ -277,3 +280,94 @@ def test_concurrent_embeds_equal_sequential():
     assert sorted(results) == [0, 1, 2, 3]
     for key in results:
         assert results[key] == want
+
+
+def _cancelling_text(semantic_dim):
+    """Two tokens that hash to one coordinate with opposite signs: their text
+    takes the fallback direction."""
+    seen = {}
+    for i in range(1000):
+        tok = f"w{i}"
+        digest = hashlib.blake2b(tok.encode("utf-8"), digest_size=8).digest()
+        key = int.from_bytes(digest[:4], "little") % semantic_dim
+        sign = digest[4] & 1
+        if (key, 1 - sign) in seen:
+            return f"{seen[key, 1 - sign]} {tok}"
+        seen[key, sign] = tok
+    raise AssertionError("no cancelling pair")
+
+
+def _item_by_item(expert, items):
+    """The payloads of the old per-item loop, in batch order: each item's
+    modality check, then its @vec payload decoded, length-checked and
+    normalized, or its text hashed. Raises the first failing item's error."""
+    sd = expert.config.semantic_dim
+    payloads = []
+    for it in items:
+        if it.modality not in expert.descriptor.supported_modalities:
+            raise UnsupportedModality(
+                f"expert {expert.expert_id!r} does not support {it.modality!r}")
+        explicit = decode_payload(it.content)
+        if explicit is None:
+            payloads.append(_reference_hash_payload(it.content, sd))
+        elif explicit.shape != (sd,):
+            raise DimMismatch(f"@vec payload has {explicit.shape[0]} entries, expected {sd}")
+        else:
+            payloads.append(normalize(explicit))
+    return payloads
+
+
+GOOD_CONTENT = {
+    "vec": encode_payload(np.arange(1.0, 9.0)),
+    "text": "a plain sentence about apples.",
+    "empty": "",
+}
+BAD_CONTENT = {
+    "short vec": encode_payload(np.ones(5)),
+    "bad base64": "@vec:abc",
+    "ragged vec": "@vec:" + base64.b64encode(b"123456").decode("ascii"),
+    "non-ascii vec": "@vec:\u00e9t\u00e9",
+    "zero vec": encode_payload(np.zeros(8)),
+    "nan vec": encode_payload(np.full(8, np.nan)),
+}
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_embed_batch_mixed_rows_bit_equal_to_reference(noise):
+    expert = SyntheticExpert(make_config(gap_magnitude=0.9, noise_sigma=noise))
+    cfg = expert.config
+    contents = [*GOOD_CONTENT.values(), _cancelling_text(cfg.semantic_dim)]
+    assert _reference_hash_payload(contents[-1], cfg.semantic_dim).tolist() == \
+        [1.0] + [0.0] * (cfg.semantic_dim - 1)
+    items = [EmbedItem(f"m{i}", MODALITIES[i % 4], contents[i % len(contents)])
+             for i in range(40)]
+    payloads = _item_by_item(expert, items)
+    want = [_reference_normalize(_reference_generate(cfg, p, it.modality, it.item_id))
+            for p, it in zip(payloads, items)]
+    got = expert.embed_batch(items)
+    assert [row.tobytes() for row in got] == [v.tobytes() for v in want]
+
+
+def _bad_item(kind):
+    if kind == "video":
+        return EmbedItem("bad-video", "video", GOOD_CONTENT["vec"])
+    return EmbedItem(f"bad-{kind}", "image", BAD_CONTENT[kind])
+
+
+@pytest.mark.parametrize("first,second",
+                         list(itertools.permutations([*BAD_CONTENT, "video"], 2)))
+def test_embed_batch_raises_the_first_failing_item_error(first, second):
+    """Two failing items among good ones: the batch raises what the item-by-item
+    loop raised, the first failing item's own error and text."""
+    expert = SyntheticExpert(make_config(gap_magnitude=0.9, noise_sigma=0.05),
+                             supported_modalities=("text", "image", "audio"))
+    good = [EmbedItem(f"g{i}", ("text", "image", "audio")[i % 3], content)
+            for i, content in enumerate(GOOD_CONTENT.values())]
+    items = [good[0], _bad_item(first), good[1], _bad_item(second), good[2]]
+    with pytest.raises(EmblendError) as want:
+        _item_by_item(expert, items)
+    with pytest.raises(type(want.value)) as got:
+        expert.embed_batch(items)
+    assert str(got.value) == str(want.value)
+    assert type(got.value) in (DimMismatch, ParseError, UnsupportedModality, ZeroVector,
+                               NonFiniteVector)

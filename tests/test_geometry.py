@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from emblend.errors import DimMismatch, EmptySet, ZeroVector
-from emblend.geometry import Embedding, centroid, cosine_sim, normalize, normalize_rows, spread
+from emblend.errors import DimMismatch, EmblendError, EmptySet, NonFiniteVector, ZeroVector
+from emblend.geometry import (Embedding, centroid, cosine_rows, cosine_sim, normalize,
+                              normalize_rows, spread)
 
 
 class TestNormalize:
@@ -137,6 +140,40 @@ class TestScalarNorm:
         with pytest.raises(ZeroVector, match=repr(float(np.linalg.norm(m[2])))):
             normalize_rows(m)
 
+    @pytest.mark.parametrize("dim", [2, 3, 31, 32, 33, 128])
+    def test_normalize_rows_bit_equal_per_dim(self, dim):
+        rng = np.random.default_rng(dim)
+        m = rng.normal(size=(200, dim)) * 10.0 ** rng.uniform(-6, 6, size=(200, 1))
+        want = [normalize(row).tobytes() for row in m]
+        assert [row.tobytes() for row in normalize_rows(m.copy())] == want
+        assert normalize_rows(m[:1].copy())[0].tobytes() == want[0]
+
+    def test_normalize_rows_bit_equal_on_strided_rows(self):
+        # every other column of a wider matrix: rows with a stride of two
+        rng = np.random.default_rng(11)
+        wide = rng.normal(size=(150, 66)) * 10.0 ** rng.uniform(-6, 6, size=(150, 1))
+        m = wide[:, ::2]
+        assert not m.flags.c_contiguous
+        want = [normalize(row).tobytes() for row in m]
+        assert [row.tobytes() for row in normalize_rows(m)] == want
+        assert [row.tobytes() for row in wide[:, ::2]] == want  # divided in place
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(["nan", "inf", "zero"])))
+    def test_normalize_rows_raises_what_the_first_bad_row_raises(self, order):
+        bad = {"nan": np.array([np.nan, 1.0, 2.0]), "inf": np.array([1.0, -np.inf, 0.0]),
+               "zero": np.zeros(3)}
+        m = np.ones((7, 3))
+        for at, name in zip((1, 3, 5), order):
+            m[at] = bad[name]
+        with pytest.raises(EmblendError) as want:
+            normalize(bad[order[0]])
+        assert type(want.value) is (ZeroVector if order[0] == "zero" else NonFiniteVector)
+        before = m.copy()
+        with pytest.raises(type(want.value)) as got:
+            normalize_rows(m)
+        assert str(got.value) == str(want.value)
+        np.testing.assert_array_equal(m, before)  # left as it was
+
     def test_embedding_accepts_what_linalg_norm_accepts(self):
         for v in _magnitude_vectors(8)[:500]:
             unit = v / float(np.linalg.norm(v))
@@ -178,3 +215,23 @@ class TestCosineClamp:
     def test_shape_mismatch(self):
         with pytest.raises(DimMismatch):
             cosine_sim(np.ones(3), np.ones((3, 1)))
+
+    def test_cosine_rows_equal_cosine_sim_per_row(self):
+        rng = np.random.default_rng(12)
+        for dim in (2, 3, 31, 32, 33, 128):
+            a = np.array([normalize(rng.normal(size=dim)) for _ in range(50)])
+            b = np.array([normalize(rng.normal(size=dim)) for _ in range(50)])
+            assert cosine_rows(a, b).tolist() == [cosine_sim(u, v) for u, v in zip(a, b)]
+            # a 1-D second argument is every row's partner
+            assert cosine_rows(a, b[0]).tolist() == [cosine_sim(u, b[0]) for u in a]
+            assert cosine_rows(a, b[0]).tolist() == [cosine_sim(b[0], u) for u in a]
+
+    def test_cosine_rows_clamps_as_cosine_sim(self):
+        rng = np.random.default_rng(9)
+        over = next(v for v in (normalize(rng.normal(size=32)) for _ in range(10000))
+                    if v @ v > 1.0)
+        a = np.array([over, over, [np.nan] + [0.0] * 31])
+        b = np.array([over, -over, over])
+        got = cosine_rows(a, b).tolist()
+        assert got[:2] == [1.0, -1.0] == [cosine_sim(over, over), cosine_sim(over, -over)]
+        assert np.isnan(got[2])

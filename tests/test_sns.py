@@ -6,14 +6,14 @@ import pytest
 from emblend.cache import EmbeddingCache
 from emblend.engine import ExpertHandle
 from emblend.errors import (DescriberFailure, EmblendError, GatingExpertFailure,
-                            ZeroSize)
+                            ZeroSize, ZeroVector)
 from emblend.experts import (EmbedItem, SyntheticExpert, SyntheticExpertConfig,
                              encode_payload)
 from emblend.geometry import MODALITIES, cosine_sim, normalize
 from emblend.sns import (Component, NucleusRecord, PairedSample, PayloadDescriber,
                          SnsConfig, TableDescriber, apply_sns, calibrate_taus,
-                         component_item_id, extract, info_density, mi_gate, run_sns,
-                         segment_text, side_items, side_vector)
+                         component_item_id, extract, info_density, mi_gate, pair_items,
+                         run_sns, segment_text, side_items, side_vector)
 
 
 class TestSegmentText:
@@ -456,3 +456,195 @@ def test_non_finite_component_fails_its_pair_only():
     errors = [rec.error for _, rec in got]
     assert "norm nan" in errors[3] and got[3][0] is pairs[3]
     assert errors[:3] + errors[4:] == [None] * (len(pairs) - 1)
+
+
+# -- the per-pair phases SNS had before it worked on row matrices --------------
+#
+# Kept as an oracle: each pair's rows are read on their own, every side is a
+# ``side_vector`` and every similarity a ``cosine_sim``, one component at a time.
+
+def _oracle_rows(gating, groups, failure):
+    try:
+        gating.resolve([it for group in groups for it in group])
+    except EmblendError:
+        pass
+    out = []
+    for group in groups:
+        try:
+            out.append(gating.rows(group))
+        except EmblendError as exc:
+            out.append(failure(str(exc)))
+    return out
+
+
+def _oracle_forward(pair, config, rows):
+    raw_rows, ann_rows = np.split(rows, [len(pair.raw_components)])
+    raw_side, ann_side = side_vector(raw_rows), side_vector(ann_rows)
+    trim = {"ann_rows": ann_rows, "sim_original": cosine_sim(raw_side, ann_side),
+            "cur_raw": list(pair.raw_components), "cur_raw_side": raw_side,
+            "describe_base": list(pair.raw_components), "sim_fwd": None, "fwd_accepted": None}
+    if config.direction in ("forward", "bidirectional"):
+        kept = extract([cosine_sim(v, ann_side) for v in raw_rows],
+                       config.tau_alpha[pair.raw_modality])
+        nucleus_raw = [pair.raw_components[i] for i in kept]
+        nucleus_raw_side = side_vector(raw_rows[kept])
+        trim["describe_base"] = nucleus_raw
+        trim["sim_fwd"] = cosine_sim(nucleus_raw_side, ann_side)
+        trim["fwd_accepted"] = mi_gate(trim["sim_fwd"], trim["sim_original"], config.rho)
+        if trim["fwd_accepted"] and config.reinject:
+            trim["cur_raw"], trim["cur_raw_side"] = nucleus_raw, nucleus_raw_side
+    return trim
+
+
+def _oracle_backward(pair, trim, config, desc_rows):
+    cur_ann = list(pair.annotation_components)
+    sim_bwd = bwd_accepted = None
+    if config.direction in ("backward", "bidirectional"):
+        kept = extract([cosine_sim(desc_rows[0], v) for v in trim["ann_rows"]],
+                       config.tau_beta[pair.raw_modality])
+        sim_bwd = cosine_sim(trim["cur_raw_side"], side_vector(trim["ann_rows"][kept]))
+        bwd_accepted = mi_gate(sim_bwd, trim["sim_original"], config.rho)
+        if bwd_accepted and config.reinject:
+            cur_ann = [pair.annotation_components[j] for j in kept]
+    sim_fwd, fwd_accepted = trim["sim_fwd"], trim["fwd_accepted"]
+    accepted = bool(fwd_accepted) or bool(bwd_accepted)
+    emitted = pair
+    if config.reinject and accepted:
+        emitted = replace(pair, raw_components=tuple(trim["cur_raw"]),
+                          annotation_components=tuple(cur_ann))
+    if bwd_accepted:
+        sim_variant = sim_bwd
+    elif fwd_accepted:
+        sim_variant = sim_fwd
+    else:
+        sim_variant = sim_bwd if sim_bwd is not None else sim_fwd
+    return emitted, NucleusRecord(
+        pair.sample_id, config.direction, accepted, trim["sim_original"], sim_variant,
+        (pair.raw_bytes, pair.annotation_bytes), (emitted.raw_bytes, emitted.annotation_bytes),
+        sim_forward=sim_fwd, sim_backward=sim_bwd, forward_accepted=fwd_accepted,
+        backward_accepted=bwd_accepted)
+
+
+def oracle_run_sns(pairs, config, gating, describe_fn):
+    def passthrough(pair, error=None):
+        size = (pair.raw_bytes, pair.annotation_bytes)
+        return pair, NucleusRecord(pair.sample_id, config.direction, False, None, None,
+                                   size, size, error=error)
+
+    if config.direction == "off":
+        return [passthrough(p) for p in pairs]
+    results, trims = [None] * len(pairs), {}
+    for i, (pair, rows) in enumerate(zip(pairs, _oracle_rows(
+            gating, [pair_items(p) for p in pairs], GatingExpertFailure))):
+        try:
+            if isinstance(rows, EmblendError):
+                raise rows
+            trims[i] = _oracle_forward(pair, config, rows)
+        except EmblendError as exc:
+            results[i] = passthrough(pair, str(exc))
+    desc_rows = {}
+    if config.direction in ("backward", "bidirectional"):
+        described = {}
+        for i, trim in trims.items():
+            pair = pairs[i]
+            try:
+                if pair.raw_modality == "text":
+                    described[i] = " ".join(c.content for c in trim["describe_base"])
+                elif describe_fn is None:
+                    raise DescriberFailure("no describer")
+                else:
+                    described[i] = describe_fn(pair, trim["describe_base"])
+            except EmblendError as exc:
+                desc_rows[i] = exc
+        items = [[EmbedItem(component_item_id(pairs[i].sample_id, "d", d), "text", d)]
+                 for i, d in described.items()]
+        desc_rows.update(zip(described, _oracle_rows(gating, items, DescriberFailure)))
+    for i, trim in trims.items():
+        try:
+            rows = desc_rows.get(i)
+            if isinstance(rows, EmblendError):
+                raise rows
+            results[i] = _oracle_backward(pairs[i], trim, config, rows)
+        except EmblendError as exc:
+            results[i] = passthrough(pairs[i], str(exc))
+    return results
+
+
+class _PartlyFailingDescriber(PayloadDescriber):
+    """The payload describer, except for the pairs it cannot describe."""
+
+    def __call__(self, pair, components):
+        if pair.sample_id in ("s3", "s8"):
+            raise DescriberFailure(f"describer refused {pair.sample_id}")
+        return super().__call__(pair, components)
+
+
+def _parity_pairs():
+    """Mixed pairs plus: a NaN @vec component; raw components, and in another
+    pair annotation components, that cancel (their side is the zero vector
+    under a noise-free expert); and a video
+    pair whose forward nucleus keeps two cancelling components and drops the
+    one aligned against the annotation."""
+    pairs = _mixed_pairs()
+    bad = pairs[5]
+    pairs[5] = replace(bad, raw_components=bad.raw_components[:1] + (
+        Component(encode_payload(np.full(8, np.nan))),))
+    rng = np.random.default_rng(21)
+    v = normalize(rng.normal(size=8))
+    pairs.append(PairedSample("cancel", "p2", "image",
+                              [Component(encode_payload(v)), Component(encode_payload(-v))],
+                              [Component(encode_payload(v))], presegmented=True))
+    pairs.append(PairedSample("ann-cancel", "p2", "audio", [Component(encode_payload(v))],
+                              [Component(encode_payload(v)), Component(encode_payload(-v))],
+                              presegmented=True))
+    a = np.zeros(8)
+    a[0] = 1.0
+    u = np.zeros(8)
+    u[1] = 1.0
+    pairs.append(PairedSample("nucleus", "p2", "video",
+                              [Component(encode_payload(u)), Component(encode_payload(-u)),
+                               Component(encode_payload(-a))],
+                              [Component(encode_payload(a))], presegmented=True))
+    return pairs
+
+
+@pytest.mark.parametrize("direction", ["off", "forward", "backward", "bidirectional"])
+@pytest.mark.parametrize("reinject", [True, False])
+@pytest.mark.parametrize("rho", [0.0, 1.0, 1.05])
+def test_run_sns_equals_per_pair_oracle(direction, reinject, rho):
+    """Every record field (floats by ==) and every emitted pair equal the
+    per-pair phases', including pairs that fail at reading, at a side, at a
+    nucleus side and at describing."""
+    pairs = _parity_pairs()
+    tau = {"text": 0.5, "image": 0.5, "audio": 0.5, "video": -0.5}
+    cfg = SnsConfig(direction=direction, tau_alpha=tau, tau_beta=dict(tau), rho=rho,
+                    reinject=reinject)
+    for noise in (0.0, 0.01):
+        got = run_sns(pairs, cfg, gating_expert(noise=noise), _PartlyFailingDescriber(8))
+        want = oracle_run_sns(pairs, cfg, gating_expert(noise=noise), _PartlyFailingDescriber(8))
+        assert [out for out, _ in got] == [out for out, _ in want]
+        for (_, g), (_, w) in zip(got, want):
+            assert g == w
+        if direction == "off":
+            continue
+        errors = {rec.sample_id: rec.error for _, rec in got}
+        assert "norm nan" in errors["s5"]
+        if noise == 0.0:
+            assert errors["cancel"] == errors["ann-cancel"] == \
+                "cannot normalize vector with norm 0.0"
+            if direction in ("forward", "bidirectional"):
+                assert errors["nucleus"] == "cannot normalize vector with norm 0.0"
+        if direction in ("backward", "bidirectional"):
+            assert (errors["s3"], errors["s8"]) == ("describer refused s3", "describer refused s8")
+
+
+def test_calibrate_taus_raises_the_first_failing_pair():
+    """A pair whose side does not normalize and a pair that cannot be read:
+    the first in sample order raises, as when pairs were read one by one."""
+    pairs = _parity_pairs()
+    cancel = next(p for p in pairs if p.sample_id == "cancel")
+    unreadable = pairs[5]
+    with pytest.raises(ZeroVector, match="norm 0.0"):
+        calibrate_taus([pairs[0], cancel, unreadable], gating_expert())
+    with pytest.raises(GatingExpertFailure, match="norm nan"):
+        calibrate_taus([pairs[0], unreadable, cancel], gating_expert())
