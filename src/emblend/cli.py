@@ -216,7 +216,6 @@ def _space_metrics(raw, anchors, modalities, k_values):
     n = raw.shape[0]
     recall = bidirectional_recall(raw, anchors, [f"s{i}" for i in range(n)], k_values)
     gaps = modality_gap(raw, anchors, modalities)
-    check_clustering_samples(list(modalities) + ["text"] * n)
     return recall, gaps, is_clustered(gaps.intra, gaps.inter)
 
 
@@ -230,14 +229,19 @@ def cmd_eval(args) -> int:
     if min(k_values) < 1:
         raise ConfigError(f"--k values must be >= 1, got {args.k}")
     modalities = [s.raw_modality for s in samples]
+    check_clustering_samples(modalities + ["text"] * len(samples))
+    # the anchor matrix is built first, which fixes a cold cache's record
+    # order; each side matrix is then built once and reused
     anchors = engine.anchor_matrix(samples)
 
-    recall, gaps, clustered = {}, {}, {}
+    recall, gaps, clustered, raws = {}, {}, {}, []
     for eid in engine.expert_order:
-        raw_m, ann_m = engine.expert_space(samples, eid)
+        raws.append(engine.side_matrix(samples, "raw", eid))
+        ann_m = (anchors if eid == config.anchor_expert
+                 else engine.side_matrix(samples, "annotation", eid))
         recall[eid], gaps[eid], clustered[eid] = _space_metrics(
-            raw_m, ann_m, modalities, k_values)
-    fused = engine.fused_outputs(samples, model)
+            raws[-1], ann_m, modalities, k_values)
+    fused, _ = forward(model, np.concatenate(raws, axis=1))
     recall["projection"], gaps["projection"], clustered["projection"] = _space_metrics(
         fused, anchors, modalities, k_values)
 

@@ -2,6 +2,21 @@
 
 Every kernel is deterministic run to run. ``active_backend()`` names the
 implementation so run manifests can record it.
+
+``group_distance_stats`` holds one float64 Gram matrix per modality group
+(or per pair of groups) and nothing else of that size. Its sums must keep
+the bits of the plain full-matrix form, because ``eval.json`` stores them at
+full precision. Two rules keep them:
+
+- One ``gemm`` per block, on two distinct operand buffers (``x[a]`` and a
+  second copy ``x[a].T``). Splitting the product into row tiles, or
+  multiplying one buffer by its own transpose (which numpy hands to
+  ``syrk``), both changed the bits of some entries with OpenBLAS.
+- Everything after the product is elementwise, so it runs in row tiles. Each
+  tile's distances are written back, compacted in row-major order, into the
+  front of the Gram matrix's own buffer, and one ``.sum()`` over that prefix
+  sees the same contiguous sequence as the full form's gathered triangle:
+  numpy's pairwise summation then gives the same bits.
 """
 from __future__ import annotations
 
@@ -15,6 +30,36 @@ def active_backend() -> str:
 # ---------------------------------------------------------------------------
 # pairwise distance statistics per modality group
 # ---------------------------------------------------------------------------
+
+TILE_ROWS = 256  # rows of d2 alive at once next to the Gram matrix
+
+
+def _distance_sum(gram, sq_rows, sq_cols, upper):
+    """Sum of sqrt(max(sq_rows[i] + sq_cols[j] - 2 gram[i, j], 0)) over all
+    (i, j), or over j > i when ``upper``, and the number of terms.
+
+    Consumes ``gram``: row i's compacted distances land at or before flat
+    offset i * n_cols, so no row is overwritten before its tile has read it.
+    """
+    n_rows, n_cols = gram.shape
+    flat = gram.reshape(-1)
+    cols = np.arange(n_cols)
+    pos = 0
+    for r0 in range(0, n_rows, TILE_ROWS):
+        r1 = min(r0 + TILE_ROWS, n_rows)
+        c0 = r0 + 1 if upper else 0
+        g = gram[r0:r1, c0:]
+        g *= 2.0  # exact, and in place: the tile is read once, below
+        d2 = sq_rows[r0:r1, None] + sq_cols[None, c0:]
+        d2 -= g
+        np.maximum(d2, 0.0, out=d2)
+        if upper:
+            d2 = d2[cols[c0:] > cols[r0:r1, None]]
+        cnt = d2.size
+        np.sqrt(d2.reshape(-1), out=flat[pos:pos + cnt])
+        pos += cnt
+    return flat[:pos].sum(), pos
+
 
 def group_distance_stats(x, labels, n_groups):
     """Pairwise L2 distance sums and counts, within and across groups.
@@ -32,19 +77,14 @@ def group_distance_stats(x, labels, n_groups):
     idx = [np.flatnonzero(labels == g) for g in range(n_groups)]
     for g1 in range(n_groups):
         a = idx[g1]
-        if a.size >= 2:
-            d2 = sq[a][:, None] + sq[a][None, :] - 2.0 * (x[a] @ x[a].T)
-            np.maximum(d2, 0.0, out=d2)
-            iu = np.triu_indices(a.size, k=1)
-            intra_sum[g1] = np.sqrt(d2[iu]).sum()
-            intra_cnt[g1] = iu[0].size
+        if a.size >= 2:  # x[a] twice: two buffers, so gemm, not syrk
+            intra_sum[g1], intra_cnt[g1] = _distance_sum(
+                x[a] @ x[a].T, sq[a], sq[a], upper=True)
         for g2 in range(g1 + 1, n_groups):
             b = idx[g2]
             if a.size and b.size:
-                d2 = sq[a][:, None] + sq[b][None, :] - 2.0 * (x[a] @ x[b].T)
-                np.maximum(d2, 0.0, out=d2)
-                inter_sum[g1, g2] = np.sqrt(d2).sum()
-                inter_cnt[g1, g2] = a.size * b.size
+                inter_sum[g1, g2], inter_cnt[g1, g2] = _distance_sum(
+                    x[a] @ x[b].T, sq[a], sq[b], upper=False)
     return intra_sum, intra_cnt, inter_sum, inter_cnt
 
 

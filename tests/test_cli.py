@@ -180,6 +180,24 @@ def test_eval_one_stats_pass_per_space(workspace, small_model, tmp_path, monkeyp
     assert calls == [2 * 120] * 4  # 3 experts + projection, raw + anchor cloud each
 
 
+def test_eval_builds_each_side_matrix_once(workspace, small_model, tmp_path, monkeypatch):
+    # the anchor expert's annotation side is the anchor matrix, and the
+    # projection's input is the experts' raw matrices
+    from emblend.engine import Engine
+    calls = []
+    original = Engine.side_matrix
+
+    def counting(self, samples, side, expert_id):
+        calls.append((side, expert_id))
+        return original(self, samples, side, expert_id)
+
+    monkeypatch.setattr(Engine, "side_matrix", counting)
+    assert run(["eval", "--config", workspace["config"], "--corpus", workspace["corpus"],
+                "--model", small_model, "--out", str(tmp_path / "eval")]) == 0
+    assert len(calls) == 6 and len(set(calls)) == 6  # 3 raw, 3 annotation
+    assert calls[0][0] == "annotation"
+
+
 def test_eval_single_sample_modality_is_exit_2(workspace, small_model, tmp_path, capsys):
     records = read_jsonl(workspace["corpus"])
     audio = [r for r in records if r["modality"] == "audio"]

@@ -1,4 +1,9 @@
 """Each kernel must match a brute-force oracle on random inputs."""
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +11,7 @@ from emblend import kernels
 
 
 rng = np.random.default_rng(42)
+TILE = kernels.TILE_ROWS
 
 
 def group_stats_oracle(x, labels, n_groups):
@@ -25,6 +31,35 @@ def group_stats_oracle(x, labels, n_groups):
                 a, b = min(gi, gj), max(gi, gj)
                 inter_sum[a, b] += dist
                 inter_cnt[a, b] += 1
+    return intra_sum, intra_cnt, inter_sum, inter_cnt
+
+
+def full_matrix_stats(x, labels, n_groups):
+    """The kernel in its plain form: each block's whole d2 matrix, its upper
+    triangle gathered with triu_indices. The tiled kernel must keep its bits."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    sq = np.einsum("ij,ij->i", x, x)
+    intra_sum = np.zeros(n_groups)
+    intra_cnt = np.zeros(n_groups, dtype=np.int64)
+    inter_sum = np.zeros((n_groups, n_groups))
+    inter_cnt = np.zeros((n_groups, n_groups), dtype=np.int64)
+    idx = [np.flatnonzero(labels == g) for g in range(n_groups)]
+    for g1 in range(n_groups):
+        a = idx[g1]
+        if a.size >= 2:
+            d2 = sq[a][:, None] + sq[a][None, :] - 2.0 * (x[a] @ x[a].T)
+            np.maximum(d2, 0.0, out=d2)
+            iu = np.triu_indices(a.size, k=1)
+            intra_sum[g1] = np.sqrt(d2[iu]).sum()
+            intra_cnt[g1] = iu[0].size
+        for g2 in range(g1 + 1, n_groups):
+            b = idx[g2]
+            if a.size and b.size:
+                d2 = sq[a][:, None] + sq[b][None, :] - 2.0 * (x[a] @ x[b].T)
+                np.maximum(d2, 0.0, out=d2)
+                inter_sum[g1, g2] = np.sqrt(d2).sum()
+                inter_cnt[g1, g2] = a.size * b.size
     return intra_sum, intra_cnt, inter_sum, inter_cnt
 
 
@@ -64,6 +99,55 @@ def test_group_distance_stats_brute_force():
     assert np.array_equal(intra_cnt, exp_icnt)
     assert np.allclose(inter_sum, exp_inter)
     assert np.array_equal(inter_cnt, exp_xcnt)
+
+
+# 100 rows fit in one tile: a kernel that reused one buffer for both operands
+# there would get syrk's bits, not gemm's
+GROUP_SIZES = (0, 1, 2, 100, TILE - 1, TILE, TILE + 1, 2 * TILE + 1, 2500)
+
+
+@pytest.mark.parametrize("d", (2, 3, 32, 33, 96))
+@pytest.mark.parametrize("n", GROUP_SIZES)
+@pytest.mark.parametrize("others", ((), (1, 37, TILE + 1)), ids=("one_group", "four_groups"))
+def test_group_distance_stats_bits(n, d, others):
+    """Same bits as the full-matrix form, intra and inter, at every tile edge."""
+    sizes = (n,) + others
+    local = np.random.default_rng(1000 * n + d + len(others))
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    local.shuffle(labels)
+    x = local.normal(size=(labels.size, d))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)  # unit rows, as eval sees them
+    got = kernels.group_distance_stats(x, labels, len(sizes))
+    ref = full_matrix_stats(x, labels, len(sizes))
+    for a, b in zip(ref, got):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_group_distance_stats_bits_with_one_blas_thread():
+    """The bit checks above, again in a process whose BLAS runs one thread."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "test_group_distance_stats_bits and not one_blas_thread"],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert f"{2 * 5 * len(GROUP_SIZES)} passed" in proc.stdout
+
+
+def test_group_distance_stats_peak_is_one_gram_matrix():
+    n = 2500
+    x = np.random.default_rng(3).normal(size=(n, 32))
+    labels = np.zeros(n, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        kernels.group_distance_stats(x, labels, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * n * n * 8
 
 
 @pytest.mark.parametrize("n,d,k", [(50, 4, 3), (200, 8, 10)])
