@@ -56,8 +56,13 @@ def ingest(path) -> list:
     """Parse a JSONL corpus into validated PairedSamples."""
     samples = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, which fail to re-encode below
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError("line is not valid UTF-8", line=lineno) from None
             line = line.strip()
             if not line:
                 continue

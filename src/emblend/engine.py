@@ -18,6 +18,8 @@ every vector a stage uses is a row read from it, at storage precision.
 from __future__ import annotations
 
 import os
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -55,22 +57,16 @@ class ExpertHandle:
 
         Slices written before a failing one stay stored.
         """
-        eid = self.expert_id
-        store = self.store
-        missing, seen = [], set()
-        for it in items:
-            if it.item_id not in seen and (it.item_id, eid) not in store:
-                seen.add(it.item_id)
-                missing.append(it)
+        missing = self.store.missing(items, self.expert_id)
         step = SLICE_BATCHES * getattr(self.expert, "batch_size", DEFAULT_BATCH)
         for start in range(0, len(missing), step):
             chunk = missing[start:start + step]
-            store.put_many(eid, chunk, self.expert.embed_batch(chunk))
+            self.store.put_many(self.expert_id, chunk, self.expert.embed_batch(chunk))
 
     def rows(self, items) -> np.ndarray:
         """Stored float64 values of the items, one row each, embedding misses first."""
         self.resolve(items)
-        return self.store.rows([it.item_id for it in items], self.expert_id)
+        return self.store.rows(map(attrgetter("item_id"), items), self.expert_id)
 
 
 class Engine:
@@ -109,7 +105,7 @@ class Engine:
 
     def side_matrix(self, samples, side: str, expert_id: str) -> np.ndarray:
         groups = [side_items(s, side) for s in samples]
-        rows = self.handles[expert_id].rows([it for group in groups for it in group])
+        rows = self.handles[expert_id].rows(list(chain.from_iterable(groups)))
         return side_vectors(rows, [len(group) for group in groups])
 
     def anchor_matrix(self, samples) -> np.ndarray:

@@ -42,7 +42,8 @@ class GatingExpertFailure(EmblendError):
 
 
 class CacheCorrupt(EmblendError):
-    """Embedding cache file has a bad magic, version, or is truncated."""
+    """Embedding cache file has a bad header, a record that cannot be read,
+    or a failed CRC before its final segment."""
 
 
 class BatchTooSmall(EmblendError):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -64,6 +65,18 @@ class PairedSample:
             object.__setattr__(
                 self, "annotation_text",
                 "\n".join(c.content for c in self.annotation_components))
+
+    @cached_property
+    def raw_items(self) -> tuple:
+        """Items of the raw components, in the pair's modality: computed once
+        per sample and shared by every caller."""
+        return _component_items(self.sample_id, "r", self.raw_components, self.raw_modality)
+
+    @cached_property
+    def annotation_items(self) -> tuple:
+        """Items of the annotation components, as text: computed once per
+        sample and shared by every caller."""
+        return _component_items(self.sample_id, "a", self.annotation_components, "text")
 
     @property
     def raw_bytes(self) -> int:
@@ -226,15 +239,15 @@ def component_item_id(sample_id: str, tag: str, content: str) -> str:
     return f"{sample_id}#{tag}:{digest}"
 
 
-def side_items(pair: PairedSample, side: str) -> list:
+def _component_items(sample_id: str, tag: str, components, modality: str) -> tuple:
+    return tuple(EmbedItem(component_item_id(sample_id, tag, c.content), modality, c.content)
+                 for c in components)
+
+
+def side_items(pair: PairedSample, side: str) -> tuple:
     """Items of one side's components: raw keeps the pair's modality, the
     annotation side is text."""
-    if side == "raw":
-        components, modality, tag = pair.raw_components, pair.raw_modality, "r"
-    else:
-        components, modality, tag = pair.annotation_components, "text", "a"
-    return [EmbedItem(component_item_id(pair.sample_id, tag, c.content), modality, c.content)
-            for c in components]
+    return pair.raw_items if side == "raw" else pair.annotation_items
 
 
 def side_vector(component_vectors) -> np.ndarray:
@@ -437,9 +450,9 @@ def apply_sns(pair: PairedSample, config: SnsConfig, gating, describe_fn=None):
     return run_sns([pair], config, gating, describe_fn)[0]
 
 
-def pair_items(pair: PairedSample) -> list:
+def pair_items(pair: PairedSample) -> tuple:
     """Raw, then annotation component items of one pair."""
-    return side_items(pair, "raw") + side_items(pair, "annotation")
+    return pair.raw_items + pair.annotation_items
 
 
 def _stored_rows(gating, groups, failure):

@@ -1,11 +1,15 @@
+import os
+import pathlib
 import re
 import struct
+import subprocess
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+from cachefile import HEADER, records, reseal, segment_spans, v1_bytes
 from emblend.cache import MAGIC, EmbeddingCache
 from emblend.errors import CacheCorrupt
 from emblend.experts import EmbedItem
@@ -75,11 +79,14 @@ def test_bad_version_rejected(tmp_path):
         EmbeddingCache(path, dim=8)
 
 
+def v1_record(emb):
+    return emb.sample_id, emb.expert_id, emb.modality, emb.values
+
+
 def test_truncated_record_rejected(tmp_path):
+    # a version 1 file whose counted record is cut short
     path = tmp_path / "c.eec"
-    cache = EmbeddingCache(path, dim=8)
-    cache.put(make_emb("s1"))
-    data = path.read_bytes()
+    data = v1_bytes(8, [v1_record(make_emb("s1"))])
     path.write_bytes(data[:-5])
     with pytest.raises(CacheCorrupt):
         EmbeddingCache(path, dim=8)
@@ -176,7 +183,11 @@ def test_put_many_bytes_equal_per_item_puts(tmp_path):
     batched = EmbeddingCache(many, dim=8)
     put_embs(batched, sequence[:3])
     put_embs(batched, sequence[3:])
-    assert one.read_bytes() == many.read_bytes()
+    # the same record bytes in the same order, in 7 segments against 2
+    assert records(one, 8) == records(many, 8)
+    assert len(records(one, 8)) == 7
+    assert len(segment_spans(one.read_bytes())) == 7
+    assert len(segment_spans(many.read_bytes())) == 2
     reopened = EmbeddingCache(many, dim=8)
     assert len(reopened) == 6
     assert np.array_equal(reopened.get("s1", "ex").values, cache.get("s1", "ex").values)
@@ -220,10 +231,10 @@ def test_pathless_store_writes_no_file(tmp_path, monkeypatch):
 
 
 def test_every_truncation_is_corrupt(tmp_path):
+    # a version 1 file counts its records in the header, so every cut is
+    # corrupt; a version 2 file drops a torn final segment instead (below)
     path = tmp_path / "c.eec"
-    cache = EmbeddingCache(path, dim=8)
-    put_embs(cache, [make_emb("s1"), make_emb("sample-two", seed=1)])
-    data = path.read_bytes()
+    data = v1_bytes(8, [v1_record(make_emb("s1")), v1_record(make_emb("sample-two", seed=1))])
     for cut in range(1, len(data)):
         path.write_bytes(data[:cut])
         with pytest.raises(CacheCorrupt):
@@ -232,8 +243,7 @@ def test_every_truncation_is_corrupt(tmp_path):
 
 def test_unknown_modality_byte_rejected(tmp_path):
     path = tmp_path / "c.eec"
-    EmbeddingCache(path, dim=8).put(make_emb("s1"))
-    data = bytearray(path.read_bytes())
+    data = bytearray(v1_bytes(8, [v1_record(make_emb("s1"))]))
     data[20 + 2 + 2 + 2 + 2] = 250  # header, id_len, "s1", eid_len, "ex"
     path.write_bytes(bytes(data))
     with pytest.raises(CacheCorrupt, match="modality byte 250"):
@@ -242,8 +252,7 @@ def test_unknown_modality_byte_rejected(tmp_path):
 
 def test_unknown_modality_error_names_the_file(tmp_path):
     path = tmp_path / "c.eec"
-    put_embs(EmbeddingCache(path, dim=8), [make_emb("s1"), make_emb("s2", seed=1)])
-    data = bytearray(path.read_bytes())
+    data = bytearray(v1_bytes(8, [v1_record(make_emb("s1")), v1_record(make_emb("s2", seed=1))]))
     record = 2 + 2 + 2 + 2 + 1 + 4 * 8  # id_len, "s1", eid_len, "ex", modality, values
     data[20 + record + 8] = 7  # the second record's modality byte
     path.write_bytes(bytes(data))
@@ -277,7 +286,7 @@ def test_put_many_equals_sequential_puts(store_path, tmp_path):
         batched.put_many("ex", items, np.array([values for _, values in batch]))
     stores = [(sequential, batched)]
     if store_path is not None:
-        assert sequential_path.read_bytes() == store_path.read_bytes()
+        assert records(sequential_path, 8) == records(store_path, 8)
         stores.append((EmbeddingCache(sequential_path, dim=8), EmbeddingCache(store_path, dim=8)))
     for want, got in stores:
         assert len(got) == len(want) == 5
@@ -287,18 +296,238 @@ def test_put_many_equals_sequential_puts(store_path, tmp_path):
 
 
 def test_append_after_torn_append_drops_the_torn_tail(tmp_path):
-    # a writer died after 9 bytes of record "b", before the header count
-    # moved; the next append must overwrite that tail, not follow it
+    # a writer died after 9 bytes of its segment for "b"; a load leaves that
+    # tail in place, and the next append overwrites it rather than follow it
     path = tmp_path / "c.eec"
     EmbeddingCache(path, dim=8).put(make_emb("a", seed=1))
-    counted = path.read_bytes()
+    complete = path.read_bytes()
     other = tmp_path / "b.eec"
     EmbeddingCache(other, dim=8).put(make_emb("b", seed=2))
-    path.write_bytes(counted + other.read_bytes()[20:29])
+    path.write_bytes(complete + other.read_bytes()[HEADER.size:HEADER.size + 9])
     EmbeddingCache(path, dim=8).put(make_emb("z", seed=3))
     reloaded = EmbeddingCache(path, dim=8)
     assert ("b", "ex") not in reloaded
     for sample_id, seed in (("a", 1), ("z", 3)):
         stored = make_emb(sample_id, seed=seed).values.astype(np.float32)
         assert np.array_equal(reloaded.get(sample_id, "ex").values, stored)
-    assert path.stat().st_size == 2 * len(counted) - 20
+    assert path.stat().st_size == 2 * len(complete) - HEADER.size
+
+
+def store_state(store, keys):
+    """Rows, modalities and row positions of ``keys`` in ``store``."""
+    return ([store.rows([sid], eid).tobytes() for sid, eid in keys],
+            [store.get(sid, eid).modality for sid, eid in keys],
+            list(store._index.items()))
+
+
+def random_batches(seed, dim=8):
+    """Three batches of (item, values) that repeat keys within and across
+    batches, with changed values and every modality."""
+    rng = np.random.default_rng(seed)
+    modalities = ["text", "image", "audio", "video"]
+    names = ["a", "bé", "c", "d", "e", "f"]
+    batches = []
+    for n in range(3):
+        picks = rng.integers(0, len(names), size=5)
+        batches.append([(EmbedItem(names[p], modalities[(n + k) % 4], ""),
+                         normalize(rng.normal(size=dim))) for k, p in enumerate(picks)])
+    return batches
+
+
+def test_v1_file_migrates_to_v2(tmp_path):
+    """A version 1 file is read by the record walk and rewritten once as
+    version 2: same rows (first occurrence), values (last write) and
+    modalities; records past the header count are dropped."""
+    rng = np.random.default_rng(21)
+    rows = rng.normal(size=(7, 8))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    written = [("a", "ex", "text", rows[0]), ("b", "ex", "image", rows[1]),
+               ("a", "ex", "audio", rows[2]), ("c", "other", "video", rows[3]),
+               ("d", "ex", "text", rows[4]), ("b", "ex", "image", rows[5])]
+    path = tmp_path / "c.eec"
+    path.write_bytes(v1_bytes(8, written + [("torn", "ex", "text", rows[6])], count=6)[:-3])
+    mode = 0o640
+    path.chmod(mode)
+    migrated = EmbeddingCache(path, dim=8)
+    want = {("a", "ex"): (rows[2], "audio"), ("b", "ex"): (rows[5], "image"),
+            ("c", "other"): (rows[3], "video"), ("d", "ex"): (rows[4], "text")}
+    assert list(migrated._index.items()) == [(key, row) for row, key in enumerate(want)]
+    # one segment per run of one expert's rows, in row order
+    assert [r[:3] for r in records(path, 8)] == [(*key, m) for key, (_, m) in want.items()]
+    assert len(segment_spans(path.read_bytes())) == 3
+    assert path.stat().st_mode & 0o777 == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["c.eec"]
+    for store in (migrated, EmbeddingCache(path, dim=8)):
+        assert len(store) == 4 and ("torn", "ex") not in store
+        for (sid, eid), (values, modality) in want.items():
+            assert np.array_equal(store.rows([sid], eid)[0],
+                                  values.astype(np.float32).astype(np.float64))
+            assert store.get(sid, eid).modality == modality
+
+
+def test_v1_non_utf8_id_is_corrupt(tmp_path):
+    path = tmp_path / "c.eec"
+    data = bytearray(v1_bytes(8, [v1_record(make_emb("s1")), v1_record(make_emb("s2", seed=1))]))
+    record = 2 + 2 + 2 + 2 + 1 + 4 * 8
+    data[20 + record + 2] = 0xFF  # the first byte of the second record's id
+    path.write_bytes(bytes(data))
+    with pytest.raises(CacheCorrupt, match="non-UTF-8 id"):
+        EmbeddingCache(path, dim=8)
+    assert path.read_bytes() == bytes(data)  # a failed migration leaves the file as it was
+
+
+def test_every_cut_of_the_final_segment_reopens_the_store_before_it(tmp_path):
+    path = tmp_path / "c.eec"
+    cache = EmbeddingCache(path, dim=8)
+    batches = random_batches(3)
+    for batch in batches[:2]:
+        cache.put_many("ex", [it for it, _ in batch], np.array([v for _, v in batch]))
+    keys = list(cache._index)
+    before = store_state(cache, keys)
+    prefix = path.read_bytes()
+    last = batches[2]
+    cache.put_many("ex", [it for it, _ in last], np.array([v for _, v in last]))
+    full = path.read_bytes()
+    after = store_state(EmbeddingCache(path, dim=8), list(cache._index))
+    assert len(full) > len(prefix)
+    z = make_emb("z", seed=9)
+    for cut in range(len(prefix), len(full)):
+        path.write_bytes(full[:cut])
+        reopened = EmbeddingCache(path, dim=8)
+        assert store_state(reopened, keys) == before and len(reopened) == len(keys)
+        assert path.read_bytes() == full[:cut]  # a load never cuts the tail
+        reopened.put(z)
+        assert path.read_bytes()[:len(prefix)] == prefix
+        assert len(segment_spans(path.read_bytes())) == 3
+        assert np.array_equal(EmbeddingCache(path, dim=8).get("z", "ex").values,
+                              z.values.astype(np.float32))
+    path.write_bytes(full)
+    assert store_state(EmbeddingCache(path, dim=8), list(cache._index)) == after
+
+
+def test_bad_crc_in_the_final_segment_is_a_torn_tail(tmp_path):
+    path = tmp_path / "c.eec"
+    cache = EmbeddingCache(path, dim=8)
+    put_embs(cache, [make_emb("a", seed=1)])
+    prefix = path.read_bytes()
+    put_embs(cache, [make_emb("b", seed=2)])
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0x10
+    path.write_bytes(bytes(data))
+    reopened = EmbeddingCache(path, dim=8)
+    assert list(reopened._index) == [("a", "ex")]
+    reopened.put(make_emb("c", seed=3))
+    assert path.read_bytes()[:len(prefix)] == prefix
+    assert [r[0] for r in records(path, 8)] == ["a", "c"]
+
+
+def test_every_bit_flip_in_a_non_final_segment_is_corrupt(tmp_path):
+    path = tmp_path / "c.eec"
+    cache = EmbeddingCache(path, dim=4)
+    rng = np.random.default_rng(5)
+    for names in (["s1", "s2"], ["s3"]):
+        cache.put_many("ex", [EmbedItem(n, "image", "") for n in names],
+                       rng.normal(size=(len(names), 4)))
+    data = path.read_bytes()
+    (start, end), _ = segment_spans(data)
+    for bit in range(8 * start, 8 * end):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(CacheCorrupt, match="bad (CRC|segment head)"):
+            EmbeddingCache(path, dim=4)
+
+
+@pytest.mark.parametrize("field", ["modality", "id"])
+def test_v2_body_with_valid_crc_but_bad_contents_is_corrupt(tmp_path, field):
+    path = tmp_path / "c.eec"
+    put_embs(EmbeddingCache(path, dim=8), [make_emb("s1"), make_emb("s2", seed=1)])
+    data = bytearray(path.read_bytes())
+    body = HEADER.size + 20
+    if field == "modality":
+        data[len(data) - 2 * 4 * 8 - 1] = 9  # the second record's modality byte
+        match = f"^{re.escape(str(path))}: unknown modality byte 9$"
+    else:
+        data[body + 2 + 2 + 2 * 4] = 0xFF  # the first byte of the id table's text
+        match = "bad segment body"
+    path.write_bytes(reseal(bytes(data), HEADER.size))
+    with pytest.raises(CacheCorrupt, match=match):
+        EmbeddingCache(path, dim=8)
+
+
+def test_first_occurrence_row_and_last_write_hold_across_segments(tmp_path):
+    path = tmp_path / "c.eec"
+    memory, cache = EmbeddingCache(None, dim=8), EmbeddingCache(path, dim=8)
+    order, last = [], {}
+    for batch in random_batches(11):
+        items, values = [it for it, _ in batch], np.array([v for _, v in batch])
+        for store in (memory, cache):
+            store.put_many("ex", items, values)
+        for it, v in batch:
+            if it.item_id not in last:
+                order.append(it.item_id)
+            last[it.item_id] = (v, it.modality)
+    reopened = EmbeddingCache(path, dim=8)
+    for store, cast in ((memory, np.float64), (cache, np.float32), (reopened, np.float32)):
+        assert list(store._index.items()) == [((sid, "ex"), row) for row, sid in enumerate(order)]
+        assert np.array_equal(store.rows(order, "ex"),
+                              np.array([last[sid][0].astype(cast) for sid in order]))
+        assert [store.get(sid, "ex").modality for sid in order] == [last[s][1] for s in order]
+
+
+def test_append_takes_in_segments_another_writer_added(tmp_path):
+    path = tmp_path / "c.eec"
+    first, second = EmbeddingCache(path, dim=8), EmbeddingCache(path, dim=8)
+    put_embs(first, [make_emb("a", seed=1), make_emb("b", seed=2)])
+    # "a" as "first" stored it is not written again; "b" changes; "c" is new
+    put_embs(second, [make_emb("a", seed=1), make_emb("b", seed=5), make_emb("c", seed=3)])
+    assert [r[0] for r in records(path, 8)] == ["a", "b", "b", "c"]
+    for store in (second, EmbeddingCache(path, dim=8)):
+        assert list(store._index) == [("a", "ex"), ("b", "ex"), ("c", "ex")]
+        assert np.array_equal(store.rows(["b"], "ex")[0],
+                              make_emb("b", seed=5).values.astype(np.float32))
+
+
+ROUNDS = 150
+WRITER = """
+import os, sys, time
+import numpy as np
+from emblend.cache import EmbeddingCache
+from emblend.experts import EmbedItem
+path, writer, rounds = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+cache = EmbeddingCache(path, dim=4)
+open(f"{path}.ready{writer}", "w").close()  # start together
+while not all(os.path.exists(f"{path}.ready{w}") for w in (1, 2)):
+    time.sleep(0.001)
+for rnd in range(rounds):
+    keys = [f"k{(rnd + j) % 12}" for j in range(5)]
+    # values name the writer, round and slot: no two puts are equal
+    values = np.array([[writer, rnd, j, 1.0] for j in range(5)])
+    cache.put_many("ex", [EmbedItem(k, "text", "") for k in keys], values)
+"""
+
+
+def test_two_writer_processes_leave_a_valid_file(tmp_path):
+    path = tmp_path / "c.eec"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(__file__).resolve().parents[1] / "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    procs = [subprocess.Popen([sys.executable, "-c", WRITER, str(path), str(w), str(ROUNDS)],
+                              env=env) for w in (1, 2)]
+    assert [p.wait(timeout=120) for p in procs] == [0, 0]
+    stored = records(path, 4)
+    # every put landed whole, as one segment
+    assert len(segment_spans(path.read_bytes())) == 2 * ROUNDS and len(stored) == 10 * ROUNDS
+    batches = [stored[i:i + 5] for i in range(0, len(stored), 5)]
+    assert all(len({tuple(np.frombuffer(r[3], "<f4")[:2]) for r in b}) == 1 for b in batches)
+    rounds = sorted(tuple(np.frombuffer(b[0][3], "<f4")[:2]) for b in batches)
+    assert rounds == sorted((w, r) for w in (1.0, 2.0) for r in range(ROUNDS))
+    last, order = {}, []
+    for item_id, _, _, value in stored:
+        if item_id not in last:
+            order.append(item_id)
+        last[item_id] = value
+    reopened = EmbeddingCache(path, dim=4)
+    assert list(reopened._index) == [(k, "ex") for k in order]
+    assert [reopened.rows([k], "ex").astype(np.float32).tobytes() for k in order] == \
+        [last[k] for k in order]

@@ -211,6 +211,18 @@ def test_eval_single_sample_modality_is_exit_2(workspace, small_model, tmp_path,
     assert "'audio' has fewer than 2 samples" in capsys.readouterr().err
 
 
+def test_non_utf8_corpus_line_is_exit_1(workspace, tmp_path, capsys):
+    lines = open(workspace["corpus"], "rb").read().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b'"components":["', b'"components":["\xff', 1)
+    assert b"\xff" in lines[2]
+    corpus = tmp_path / "bad-utf8.jsonl"
+    corpus.write_bytes(b"".join(lines))
+    code = run(["embed", "--config", workspace["config"], "--corpus", str(corpus),
+                "--out", str(tmp_path / "emb")])
+    assert code == 1
+    assert "error: line 3: line is not valid UTF-8" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("k", ["a,b", "1,,3"])
 def test_eval_non_integer_k_is_exit_1(workspace, small_model, tmp_path, capsys, k):
     code = run(["eval", "--config", workspace["config"], "--corpus", workspace["corpus"],

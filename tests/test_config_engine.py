@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+from cachefile import records
 from emblend.cache import EmbeddingCache
 from emblend.config import (build_expert, config_from_dict, load_config,
                             save_config)
@@ -232,4 +233,5 @@ def test_half_warm_cache_embeds_only_misses_in_order(setup, tmp_path, monkeypatc
                         if (item.item_id, expert.expert_id) not in ref:
                             ref.put(expert.embed(item))
         name = f"{expert.expert_id}.eec"
-        assert (tmp_path / "batch" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+        assert records(tmp_path / "batch" / name, expert.dim) == \
+            records(tmp_path / "ref" / name, expert.dim)

@@ -1,7 +1,6 @@
 """Remote wire-protocol tests against a local HTTP stub service."""
 import json
 import math
-import struct
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from cachefile import records
 from emblend.cache import EmbeddingCache
 from emblend.cli import run
 from emblend.dataio import ingest
@@ -254,15 +254,7 @@ def test_sns_describes_in_batches(stub_server, remote_corpus, tmp_path):
 
 def stored_ids(path, dim):
     """Item ids of a cache file's records, in file order."""
-    data = path.read_bytes()
-    pos, ids = 20, []  # past the header: magic, version, dim, count
-    while pos < len(data):
-        (n,) = struct.unpack_from("<H", data, pos)
-        ids.append(data[pos + 2:pos + 2 + n].decode())
-        pos += 2 + n
-        (n,) = struct.unpack_from("<H", data, pos)
-        pos += 2 + n + 1 + 4 * dim
-    return ids
+    return [item_id for item_id, _, _, _ in records(path, dim)]
 
 
 def test_sns_stores_descriptions_in_pair_order(stub_server, remote_corpus, tmp_path):

@@ -648,3 +648,40 @@ def test_calibrate_taus_raises_the_first_failing_pair():
         calibrate_taus([pairs[0], cancel, unreadable], gating_expert())
     with pytest.raises(GatingExpertFailure, match="norm nan"):
         calibrate_taus([pairs[0], unreadable, cancel], gating_expert())
+
+
+def per_call_side_items(pair, side):
+    """The builder ``side_items`` used before items were kept per sample:
+    one blake2b id, f-string and ``EmbedItem`` per component on each call."""
+    if side == "raw":
+        components, modality, tag = pair.raw_components, pair.raw_modality, "r"
+    else:
+        components, modality, tag = pair.annotation_components, "text", "a"
+    return [EmbedItem(component_item_id(pair.sample_id, tag, c.content), modality, c.content)
+            for c in components]
+
+
+def test_side_items_equal_the_per_call_builder():
+    from emblend.synth import SynthSpec, generate_corpus
+    spec = SynthSpec(seed=3, pools=4, samples_per_pool=12, dim=16, semantic_dim=8,
+                     raw_distractors=2, annotation_extras=1)
+    pairs = generate_corpus(spec)
+    cfg = SnsConfig(direction="bidirectional", tau_alpha=0.3, tau_beta=0.3, rho=0.5)
+    trimmed = [emitted for emitted, _ in run_sns(pairs, cfg, gating_expert(noise=0.01),
+                                                 PayloadDescriber(8))]
+    assert sum(t is not p for t, p in zip(trimmed, pairs)) > 0  # some variants were emitted
+    assert any(len(p.raw_components) > 2 for p in pairs)  # distractors
+    assert any(len(p.annotation_components) > 1 for p in pairs)  # extras
+    for pair in pairs + trimmed:
+        for side in ("raw", "annotation"):
+            want = tuple(per_call_side_items(pair, side))
+            assert side_items(pair, side) == want
+            assert side_items(pair, side) is side_items(pair, side)  # computed once
+        assert pair_items(pair) == tuple(per_call_side_items(pair, "raw")
+                                         + per_call_side_items(pair, "annotation"))
+    # a variant's items are its own, and keep the ids of the components it kept
+    for pair, variant in zip(pairs, trimmed):
+        if variant is not pair:
+            kept = {it.item_id for it in variant.raw_items + variant.annotation_items}
+            assert kept <= {it.item_id for it in pair.raw_items + pair.annotation_items}
+            assert variant.raw_items is not pair.raw_items
