@@ -20,12 +20,15 @@ complete segments other processes appended since, then writes its segment
 over any torn tail. A version 1 file (a header count, then records of id,
 expert id, modality byte and values) is read once and rewritten as version
 2: a temporary file in the same directory, fsynced, then ``os.replace``d
-under ``LOCK_EX``. Without a path the store keeps the experts' float64
+under ``LOCK_EX``. Where the process may not write the file or its
+directory, it is read as it stands and ``put_many`` raises PermissionError
+rather than append to it. Without a path the store keeps the experts' float64
 values unrounded and writes nothing.
 """
 from __future__ import annotations
 
 import contextlib
+import errno
 import fcntl
 import os
 import struct
@@ -52,6 +55,7 @@ _F32 = np.dtype("<f4")
 _ID_LEN = np.dtype("<u4")
 
 _MODALITY_BYTE = {m: i for i, m in enumerate(MODALITIES)}
+_READ_ONLY = (errno.EACCES, errno.EPERM, errno.EROFS)  # why a v1 rewrite may be refused
 
 
 class EmbeddingCache:
@@ -91,21 +95,34 @@ class EmbeddingCache:
 
     def _load(self):
         shared = os.path.exists(self.path) and os.path.getsize(self.path) > 0
+        v1 = False  # a version 1 file was read under LOCK_SH
         while True:
-            with self._locked(fcntl.LOCK_SH if shared else fcntl.LOCK_EX) as fh:
-                data = fh.read()
-                version = self._version(data)
-                if version == VERSION:
-                    *records, self._end = self._walk(memoryview(data)[_HEADER.size:], _HEADER.size)
-                    self._merge(*records)
-                    return
-                if not shared:  # creating the file or rewriting v1 needs LOCK_EX
-                    if version is None:
-                        fh.write(_HEADER.pack(MAGIC, VERSION, self.dim))
-                    else:
+            try:
+                with self._locked(fcntl.LOCK_SH if shared else fcntl.LOCK_EX) as fh:
+                    data = fh.read()
+                    version = self._version(data)
+                    if version == VERSION:
+                        *records, self._end = self._walk(memoryview(data)[_HEADER.size:],
+                                                         _HEADER.size)
+                        self._merge(*records)
+                        return
+                    if version == 1 and (v1 or not shared):
                         self._merge(*self._read_v1(data))
-                        self._rewrite(fh)
+                        self._end = None  # no appends to a version 1 file
+                        if not shared:
+                            self._rewrite(fh)
+                        return
+                    if not shared:  # creating the file needs LOCK_EX
+                        fh.write(_HEADER.pack(MAGIC, VERSION, self.dim))
+                        return
+                    v1 = version == 1
+            except OSError as exc:
+                if exc.errno not in _READ_ONLY or not v1 or shared:
+                    raise
+                if self._end is None:  # read under LOCK_EX; only the rewrite was refused
                     return
+                shared = True  # read it under LOCK_SH as it stands
+                continue
             shared = False
 
     def _version(self, data):
@@ -328,6 +345,10 @@ class EmbeddingCache:
             if self.path is None:
                 self._merge(*self._changed(keys, codes, block))
                 return
+            if self._end is None:
+                raise PermissionError(
+                    errno.EACCES, "version 1 cache file could not be rewritten as version 2, "
+                    "so it takes no new records", self.path)
             with self._locked(fcntl.LOCK_EX) as fh:
                 if os.fstat(fh.fileno()).st_size < self._end:
                     raise CacheCorrupt(f"{self.path}: file ends before offset {self._end}")

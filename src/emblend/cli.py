@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -209,13 +210,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _space_metrics(raw, anchors, modalities, k_values):
+def _space_metrics(raw, anchors, modalities, k_values, workspace):
     """Recall tables, gap report and clustering flag of one space. The gap
     report's intra/inter statistics are the clustering diagnostic's, over
-    the same raw + anchor cloud, so they are computed once."""
+    the same raw + anchor cloud, so they are computed once. Every O(n^2)
+    product of both passes is written into ``workspace``."""
     n = raw.shape[0]
-    recall = bidirectional_recall(raw, anchors, [f"s{i}" for i in range(n)], k_values)
-    gaps = modality_gap(raw, anchors, modalities)
+    recall = bidirectional_recall(raw, anchors, [f"s{i}" for i in range(n)], k_values,
+                                  workspace)
+    gaps = modality_gap(raw, anchors, modalities, workspace)
     return recall, gaps, is_clustered(gaps.intra, gaps.inter)
 
 
@@ -229,7 +232,12 @@ def cmd_eval(args) -> int:
     if min(k_values) < 1:
         raise ConfigError(f"--k values must be >= 1, got {args.k}")
     modalities = [s.raw_modality for s in samples]
-    check_clustering_samples(modalities + ["text"] * len(samples))
+    cloud_tags = modalities + ["text"] * len(samples)  # the anchors count as text
+    check_clustering_samples(cloud_tags)
+    # one buffer for the largest product: the n x n recall similarities or
+    # the Gram matrix of the cloud's largest modality group
+    side = max(len(samples), *Counter(cloud_tags).values())
+    workspace = np.empty(side * side)
     # the anchor matrix is built first, which fixes a cold cache's record
     # order; each side matrix is then built once and reused
     anchors = engine.anchor_matrix(samples)
@@ -240,10 +248,11 @@ def cmd_eval(args) -> int:
         ann_m = (anchors if eid == config.anchor_expert
                  else engine.side_matrix(samples, "annotation", eid))
         recall[eid], gaps[eid], clustered[eid] = _space_metrics(
-            raws[-1], ann_m, modalities, k_values)
+            raws[-1], ann_m, modalities, k_values, workspace)
     fused, _ = forward(model, np.concatenate(raws, axis=1))
     recall["projection"], gaps["projection"], clustered["projection"] = _space_metrics(
-        fused, anchors, modalities, k_values)
+        fused, anchors, modalities, k_values, workspace)
+    del workspace
 
     reduction = {eid: gap_reduction(gaps["projection"], gaps[eid])
                  for eid in engine.expert_order}

@@ -3,6 +3,13 @@
 Every kernel is deterministic run to run. ``active_backend()`` names the
 implementation so run manifests can record it.
 
+``gram`` is the one product of the O(n^2) passes: ``a @ b.T`` as one
+``gemm``, written into the front of a caller's flat float64 workspace when
+one is given and into a new array of the same shape when not. ``eval``
+sizes one workspace for its largest product and hands it to both the
+recall ranks and ``group_distance_stats``, so no second n x n block is
+ever alive next to it.
+
 ``group_distance_stats`` holds one float64 Gram matrix per modality group
 (or per pair of groups) and nothing else of that size. Its sums must keep
 the bits of the plain full-matrix form, because ``eval.json`` stores them at
@@ -11,12 +18,14 @@ full precision. Two rules keep them:
 - One ``gemm`` per block, on two distinct operand buffers (``x[a]`` and a
   second copy ``x[a].T``). Splitting the product into row tiles, or
   multiplying one buffer by its own transpose (which numpy hands to
-  ``syrk``), both changed the bits of some entries with OpenBLAS.
-- Everything after the product is elementwise, so it runs in row tiles. Each
-  tile's distances are written back, compacted in row-major order, into the
-  front of the Gram matrix's own buffer, and one ``.sum()`` over that prefix
-  sees the same contiguous sequence as the full form's gathered triangle:
-  numpy's pairwise summation then gives the same bits.
+  ``syrk``), both changed the bits of some entries with OpenBLAS. Where the
+  product is written does not change them.
+- Everything after the product is elementwise, so it runs in row tiles of
+  ``TILE_ROWS``. Each tile's distances are written back, compacted in
+  row-major order, into the front of the Gram matrix's own buffer, and one
+  ``.sum()`` over that prefix sees the same contiguous sequence as the full
+  form's gathered triangle: numpy's pairwise summation then gives the same
+  bits.
 """
 from __future__ import annotations
 
@@ -27,11 +36,21 @@ def active_backend() -> str:
     return "numpy"
 
 
+def gram(a, b, workspace=None):
+    """``a @ b.T`` as one product. With a flat float64 ``workspace`` the
+    result is a view of its first ``len(a) * len(b)`` entries, whose bytes
+    it overwrites; without one it is a new array."""
+    shape = (a.shape[0], b.shape[0])
+    out = (np.empty(shape) if workspace is None
+           else workspace[:shape[0] * shape[1]].reshape(shape))
+    return np.matmul(a, b.T, out=out)
+
+
 # ---------------------------------------------------------------------------
 # pairwise distance statistics per modality group
 # ---------------------------------------------------------------------------
 
-TILE_ROWS = 256  # rows of d2 alive at once next to the Gram matrix
+TILE_ROWS = 64  # rows of d2 alive at once next to the Gram matrix
 
 
 def _distance_sum(gram, sq_rows, sq_cols, upper):
@@ -61,8 +80,9 @@ def _distance_sum(gram, sq_rows, sq_cols, upper):
     return flat[:pos].sum(), pos
 
 
-def group_distance_stats(x, labels, n_groups):
-    """Pairwise L2 distance sums and counts, within and across groups.
+def group_distance_stats(x, labels, n_groups, workspace=None):
+    """Pairwise L2 distance sums and counts, within and across groups. Each
+    block's Gram matrix goes to ``gram`` with ``workspace``.
 
     Returns (intra_sum, intra_cnt, inter_sum, inter_cnt); inter arrays are
     upper-triangular in (g1, g2) with g1 < g2.
@@ -79,12 +99,12 @@ def group_distance_stats(x, labels, n_groups):
         a = idx[g1]
         if a.size >= 2:  # x[a] twice: two buffers, so gemm, not syrk
             intra_sum[g1], intra_cnt[g1] = _distance_sum(
-                x[a] @ x[a].T, sq[a], sq[a], upper=True)
+                gram(x[a], x[a], workspace), sq[a], sq[a], upper=True)
         for g2 in range(g1 + 1, n_groups):
             b = idx[g2]
             if a.size and b.size:
                 inter_sum[g1, g2], inter_cnt[g1, g2] = _distance_sum(
-                    x[a] @ x[b].T, sq[a], sq[b], upper=False)
+                    gram(x[a], x[b], workspace), sq[a], sq[b], upper=False)
     return intra_sum, intra_cnt, inter_sum, inter_cnt
 
 

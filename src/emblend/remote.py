@@ -5,18 +5,23 @@ Embedding response: {"embeddings": [{"id": str, "vector": [float, ...]}]}
 Describe request adds "task": "describe"; the response carries
 {"descriptions": [{"id": str, "text": str}]}.
 
-Non-2xx status, a missing id, or a wrong-dimension vector raise RemoteFailure
-(DescriberFailure for describe). Embeddings and descriptions alike are sent
-in requests of ``batch_size`` inputs, issued through a pool bounded by
-``max_in_flight``; a failed request fails the whole call. ``embed_batch``
-returns the normalized vectors as one float64 matrix, a row per input.
+Requests go out through the standard library's ``urllib.request``. A failed
+connection, a non-2xx status, a body that is not JSON, a missing id, or a
+wrong-dimension vector raise RemoteFailure (DescriberFailure for describe).
+Embeddings and descriptions alike are sent in requests of ``batch_size``
+inputs, issued through a pool bounded by ``max_in_flight``; a failed request
+fails the whole call. ``embed_batch`` returns the normalized vectors as one
+float64 matrix, a row per input.
 """
 from __future__ import annotations
 
+import http.client
+import json
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import requests
 
 from .errors import DescriberFailure, RemoteFailure, UnsupportedModality
 from .experts import EmbedItem, ExpertDescriptor
@@ -24,14 +29,20 @@ from .geometry import Embedding, normalize_rows
 
 
 def _post_json(endpoint, payload, headers, timeout, failure_cls):
+    """POST ``payload`` as JSON and return the decoded JSON reply; a failure
+    of any kind raises ``failure_cls``."""
     try:
-        resp = requests.post(endpoint, json=payload, headers=headers, timeout=timeout)
-    except requests.RequestException as exc:
+        request = urllib.request.Request(endpoint, data=json.dumps(payload).encode("utf-8"),
+                                         headers=headers, method="POST")
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            body = resp.read()
+    except urllib.error.HTTPError as exc:  # a non-2xx status
+        exc.close()
+        raise failure_cls(f"{endpoint} returned status {exc.code}") from None
+    except (OSError, http.client.HTTPException, ValueError) as exc:
         raise failure_cls(f"request to {endpoint} failed: {exc}") from exc
-    if not 200 <= resp.status_code < 300:
-        raise failure_cls(f"{endpoint} returned status {resp.status_code}")
     try:
-        return resp.json()
+        return json.loads(body)
     except ValueError as exc:
         raise failure_cls(f"{endpoint} returned non-JSON body") from exc
 

@@ -51,9 +51,10 @@ def top_k(index: RetrievalIndex, query, k: int):
     return [(index.ids[i], float(sims[i])) for i in order]
 
 
-def partner_ranks(queries, partner_ids, index: RetrievalIndex):
+def partner_ranks(queries, partner_ids, index: RetrievalIndex, workspace=None):
     """1-based rank of each query's ground-truth partner under top_k ordering:
-    one plus the candidates scoring higher, plus those tied with a smaller id."""
+    one plus the candidates scoring higher, plus those tied with a smaller id.
+    The query-by-index similarities go through ``kernels.gram``."""
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != index.dim:
         raise DimMismatch(f"query dim {queries.shape[1]} != index dim {index.dim}")
@@ -66,7 +67,7 @@ def partner_ranks(queries, partner_ids, index: RetrievalIndex):
         raise MissingPartner(f"partner {exc.args[0]!r} not in index") from None
     id_rank = np.empty(len(index), dtype=np.intp)  # position in ascending id order
     id_rank[np.argsort(index._id_arr)] = np.arange(len(index))
-    sims = queries @ index.matrix.T
+    sims = kernels.gram(queries, index.matrix, workspace)
     ranks = np.empty(cols.size, dtype=np.int64)
     for start in range(0, cols.size, RANK_BLOCK):  # bounds the boolean temporaries
         block = slice(start, start + RANK_BLOCK)
@@ -78,19 +79,19 @@ def partner_ranks(queries, partner_ids, index: RetrievalIndex):
     return ranks
 
 
-def recall_at_k(queries, partner_ids, index: RetrievalIndex, k_values):
+def recall_at_k(queries, partner_ids, index: RetrievalIndex, k_values, workspace=None):
     """R@K = fraction of queries whose partner ranks within the top K."""
-    ranks = partner_ranks(queries, partner_ids, index)
+    ranks = partner_ranks(queries, partner_ids, index, workspace)
     return {int(k): float(np.mean(ranks <= k)) for k in k_values}
 
 
-def bidirectional_recall(raw, anchors, ids, k_values) -> dict:
+def bidirectional_recall(raw, anchors, ids, k_values, workspace=None) -> dict:
     """Recall@K both ways over paired rows: raw queries against the anchor
     index ("R2A") and anchor queries against the raw index ("A2R")."""
     ann_index = RetrievalIndex(ids, anchors, side="annotation_anchor")
     raw_index = RetrievalIndex(ids, raw, side="raw_fused")
-    return {"R2A": recall_at_k(raw, ids, ann_index, k_values),
-            "A2R": recall_at_k(anchors, ids, raw_index, k_values)}
+    return {"R2A": recall_at_k(raw, ids, ann_index, k_values, workspace),
+            "A2R": recall_at_k(anchors, ids, raw_index, k_values, workspace)}
 
 
 @dataclass
@@ -111,7 +112,7 @@ class GapReport:
         }
 
 
-def modality_gap(raw_embeddings, anchor_embeddings, modalities) -> GapReport:
+def modality_gap(raw_embeddings, anchor_embeddings, modalities, workspace=None) -> GapReport:
     """L2 distance between the raw centroid and the paired-anchor centroid,
     per modality, plus intra/inter pairwise-distance means over the combined
     cloud (anchors count as text)."""
@@ -131,7 +132,7 @@ def modality_gap(raw_embeddings, anchor_embeddings, modalities) -> GapReport:
 
     cloud = np.concatenate([raw, anchors], axis=0)
     tags = modalities + ["text"] * anchors.shape[0]
-    stats = pairwise_modality_stats(cloud, tags)
+    stats = pairwise_modality_stats(cloud, tags, workspace)
     return GapReport(gaps=gaps, average=average, intra=stats["intra"], inter=stats["inter"])
 
 
@@ -146,7 +147,7 @@ def gap_reduction(report: GapReport, reference: GapReport) -> dict:
     return out
 
 
-def pairwise_modality_stats(embeddings, modalities) -> dict:
+def pairwise_modality_stats(embeddings, modalities, workspace=None) -> dict:
     """Mean pairwise L2 distance within each modality and across each pair."""
     x = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     tags = list(modalities)
@@ -154,7 +155,7 @@ def pairwise_modality_stats(embeddings, modalities) -> dict:
     label_of = {m: i for i, m in enumerate(present)}
     labels = np.asarray([label_of[t] for t in tags], dtype=np.int64)
     intra_sum, intra_cnt, inter_sum, inter_cnt = kernels.group_distance_stats(
-        x, labels, len(present))
+        x, labels, len(present), workspace)
     intra = {m: float(intra_sum[label_of[m]] / intra_cnt[label_of[m]])
              for m in present if intra_cnt[label_of[m]] > 0}
     inter = {}

@@ -1,3 +1,5 @@
+import errno
+import fcntl
 import os
 import pathlib
 import re
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from cachefile import HEADER, records, reseal, segment_spans, v1_bytes
+from emblend import cache as cache_module
 from emblend.cache import MAGIC, EmbeddingCache
 from emblend.errors import CacheCorrupt
 from emblend.experts import EmbedItem
@@ -363,6 +366,49 @@ def test_v1_file_migrates_to_v2(tmp_path):
             assert np.array_equal(store.rows([sid], eid)[0],
                                   values.astype(np.float32).astype(np.float64))
             assert store.get(sid, eid).modality == modality
+
+
+def refuse_lock_ex(monkeypatch):
+    """The cache file's LOCK_EX open is refused, as on a read-only file."""
+    locked = EmbeddingCache._locked
+
+    def refusing(self, mode):
+        if mode == fcntl.LOCK_EX:
+            raise PermissionError(errno.EACCES, "Permission denied", self.path)
+        return locked(self, mode)
+    monkeypatch.setattr(EmbeddingCache, "_locked", refusing)
+
+
+def refuse_temp_file(monkeypatch):
+    """The temporary file beside the cache is refused, as in a read-only directory."""
+    def refusing(*args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", kwargs.get("dir"))
+    monkeypatch.setattr(cache_module.tempfile, "mkstemp", refusing)
+
+
+@pytest.mark.parametrize("refuse", (refuse_lock_ex, refuse_temp_file))
+def test_v1_file_that_cannot_be_rewritten_is_read_as_it_stands(tmp_path, monkeypatch, refuse):
+    """A version 1 file the process may not rewrite loads as version 1 and
+    stays so: a write to it raises PermissionError naming the file and
+    leaves its bytes as they were, while a read-only use of it works."""
+    embs = [make_emb("s1"), make_emb("s2", seed=1)]
+    path = tmp_path / "c.eec"
+    data = v1_bytes(8, [v1_record(e) for e in embs])
+    path.write_bytes(data)
+    refuse(monkeypatch)
+    store = EmbeddingCache(path, dim=8)
+    assert len(store) == 2
+    for e in embs:
+        assert np.array_equal(store.rows([e.sample_id], "ex")[0], stored(e.values, path))
+    assert store.missing([EmbedItem("s1", "text", ""), EmbedItem("s3", "text", "")],
+                         "ex") == [EmbedItem("s3", "text", "")]
+    with pytest.raises(PermissionError, match=re.escape(str(path))):
+        put_embs(store, [make_emb("s3", seed=2)])
+    assert path.read_bytes() == data
+    assert [p.name for p in tmp_path.iterdir()] == ["c.eec"]
+    monkeypatch.undo()  # once it may be rewritten, the next open migrates it
+    assert len(EmbeddingCache(path, dim=8)) == 2
+    assert [r[0] for r in records(path, 8)] == ["s1", "s2"]
 
 
 def test_v1_non_utf8_id_is_corrupt(tmp_path):

@@ -1,6 +1,7 @@
 """End-to-end subcommand tests on a miniature corpus."""
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -178,6 +179,31 @@ def test_eval_one_stats_pass_per_space(workspace, small_model, tmp_path, monkeyp
     assert run(["eval", "--config", workspace["config"], "--corpus", workspace["corpus"],
                 "--model", small_model, "--out", str(tmp_path / "eval")]) == 0
     assert calls == [2 * 120] * 4  # 3 experts + projection, raw + anchor cloud each
+
+
+def test_eval_products_share_one_workspace(workspace, small_model, tmp_path, monkeypatch):
+    """Every O(n^2) product of eval, recall and gap passes alike, is written
+    into one buffer sized to the largest of them, which eval frees."""
+    from emblend import kernels
+    shapes, bases = [], []
+    original = kernels.gram
+
+    def recording(a, b, workspace=None):
+        assert workspace is not None, f"a {len(a)} x {len(b)} product in a buffer of its own"
+        out = original(a, b, workspace)
+        shapes.append(out.shape)
+        if not bases or bases[-1]() is not out.base:
+            bases.append(weakref.ref(out.base))
+        return out
+
+    monkeypatch.setattr(kernels, "gram", recording)
+    assert run(["eval", "--config", workspace["config"], "--corpus", workspace["corpus"],
+                "--model", small_model, "--out", str(tmp_path / "eval")]) == 0
+    assert len(bases) == 1 and bases[0]() is None  # one buffer, gone once eval returned
+    assert shapes.count((120, 120)) == 2 * 4  # both recall directions, 4 spaces
+    assert len(shapes) > 2 * 4
+    texts = sum(1 for line in read_jsonl(workspace["corpus"]) if line["modality"] == "text")
+    assert max(m * n for m, n in shapes) == (120 + texts) ** 2  # the anchors join the text group
 
 
 def test_eval_builds_each_side_matrix_once(workspace, small_model, tmp_path, monkeypatch):

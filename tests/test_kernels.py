@@ -101,26 +101,51 @@ def test_group_distance_stats_brute_force():
     assert np.array_equal(inter_cnt, exp_xcnt)
 
 
-# 100 rows fit in one tile: a kernel that reused one buffer for both operands
-# there would get syrk's bits, not gemm's
-GROUP_SIZES = (0, 1, 2, 100, TILE - 1, TILE, TILE + 1, 2 * TILE + 1, 2500)
+# rows at the edges of one, two, four and eight tiles; a kernel that reused
+# one buffer for both operands would get syrk's bits, not gemm's, at sizes
+# such as 100
+GROUP_SIZES = (0, 1, 2, 100, TILE - 1, TILE, TILE + 1, 2 * TILE + 1,
+               4 * TILE - 1, 4 * TILE, 4 * TILE + 1, 8 * TILE + 1, 2500)
+OTHERS = ((), (1, 37, TILE + 1))  # sizes of the groups beside the one of n rows
+OTHERS_IDS = ("one_group", "four_groups")
 
 
-@pytest.mark.parametrize("d", (2, 3, 32, 33, 96))
-@pytest.mark.parametrize("n", GROUP_SIZES)
-@pytest.mark.parametrize("others", ((), (1, 37, TILE + 1)), ids=("one_group", "four_groups"))
-def test_group_distance_stats_bits(n, d, others):
-    """Same bits as the full-matrix form, intra and inter, at every tile edge."""
+def check_bits(n, d, others, workspace=None):
+    """Same bits as the full-matrix form, intra and inter."""
     sizes = (n,) + others
     local = np.random.default_rng(1000 * n + d + len(others))
     labels = np.repeat(np.arange(len(sizes)), sizes)
     local.shuffle(labels)
     x = local.normal(size=(labels.size, d))
     x /= np.linalg.norm(x, axis=1, keepdims=True)  # unit rows, as eval sees them
-    got = kernels.group_distance_stats(x, labels, len(sizes))
+    got = kernels.group_distance_stats(x, labels, len(sizes), workspace)
     ref = full_matrix_stats(x, labels, len(sizes))
     for a, b in zip(ref, got):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("d", (2, 3, 32, 33, 96))
+@pytest.mark.parametrize("n", GROUP_SIZES)
+@pytest.mark.parametrize("others", OTHERS, ids=OTHERS_IDS)
+def test_group_distance_stats_bits(n, d, others):
+    """Each Gram matrix in an array of its own, at every tile edge."""
+    check_bits(n, d, others)
+
+
+@pytest.fixture(scope="module")
+def stale_workspace():
+    """One workspace for every case, larger than any block and NaN at first:
+    each case finds the bytes that the cases before it left."""
+    return np.full(2501 * 2501, np.nan)
+
+
+@pytest.mark.parametrize("d", (2, 3, 32, 33, 96))
+@pytest.mark.parametrize("n", GROUP_SIZES)
+@pytest.mark.parametrize("others", OTHERS, ids=OTHERS_IDS)
+def test_group_distance_stats_bits_in_one_workspace(n, d, others, stale_workspace):
+    """Every Gram matrix in the front of one reused workspace: no stale byte
+    reaches a sum."""
+    check_bits(n, d, others, stale_workspace)
 
 
 def test_group_distance_stats_bits_with_one_blas_thread():
@@ -134,7 +159,7 @@ def test_group_distance_stats_bits_with_one_blas_thread():
          "-k", "test_group_distance_stats_bits and not one_blas_thread"],
         env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    assert f"{2 * 5 * len(GROUP_SIZES)} passed" in proc.stdout
+    assert f"{2 * 2 * 5 * len(GROUP_SIZES)} passed" in proc.stdout
 
 
 def test_group_distance_stats_peak_is_one_gram_matrix():
@@ -148,6 +173,33 @@ def test_group_distance_stats_peak_is_one_gram_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 1.3 * n * n * 8
+
+
+def test_group_distance_stats_allocates_little_beside_a_workspace():
+    n = 2500
+    x = np.random.default_rng(3).normal(size=(n, 32))
+    labels = np.zeros(n, dtype=np.int64)
+    workspace = np.empty(n * n)
+    tracemalloc.start()
+    try:
+        kernels.group_distance_stats(x, labels, 1, workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.3 * n * n * 8
+
+
+@pytest.mark.parametrize("m,n", [(0, 3), (5, 7), (70, 70)])
+def test_gram_is_one_product_in_place(m, n):
+    """``gram`` equals ``a @ b.T`` bit for bit, with or without a workspace,
+    and with one it writes the workspace's first m * n entries only."""
+    gen = np.random.default_rng(m + n)
+    a, b = gen.normal(size=(m, 9)), gen.normal(size=(n, 9))
+    workspace = np.full(m * n + 4, np.nan)
+    got = kernels.gram(a, b, workspace)
+    assert got.base is workspace and np.array_equal(got, a @ b.T)
+    assert np.isnan(workspace[m * n:]).all()
+    assert np.array_equal(kernels.gram(a, b), a @ b.T)
 
 
 @pytest.mark.parametrize("n,d,k", [(50, 4, 3), (200, 8, 10)])

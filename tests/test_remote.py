@@ -1,6 +1,8 @@
 """Remote wire-protocol tests against a local HTTP stub service."""
 import json
 import math
+import re
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -25,6 +27,7 @@ class StubHandler(BaseHTTPRequestHandler):
     fail_after = 0  # embed requests answered before "fail_after" starts failing
     dim = 6
     seen = []
+    seen_headers = []
     active = 0
     max_active = 0
     lock = threading.Lock()
@@ -41,6 +44,7 @@ class StubHandler(BaseHTTPRequestHandler):
             length = int(self.headers["Content-Length"])
             req = json.loads(self.rfile.read(length))
             cls.seen.append(req)
+            cls.seen_headers.append(self.headers)
             describe = req.get("task") == "describe"
             embeds = sum(1 for r in cls.seen if r.get("task") != "describe")
             if (cls.behavior == "http_error"
@@ -48,6 +52,10 @@ class StubHandler(BaseHTTPRequestHandler):
                     or (cls.behavior == "fail_after" and not describe
                         and embeds > cls.fail_after)):
                 self.send_response(500)
+                self.end_headers()
+                return
+            if cls.behavior == "not_found":
+                self.send_response(404)
                 self.end_headers()
                 return
             if req.get("task") == "describe":
@@ -63,7 +71,7 @@ class StubHandler(BaseHTTPRequestHandler):
                 body = {"embeddings": [
                     {"id": i, "vector": _vector_for(i, dim)} for i in ids
                 ]}
-            payload = json.dumps(body).encode()
+            payload = json.dumps(body).encode() if cls.behavior != "not_json" else b"<html>"
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))
@@ -84,6 +92,7 @@ def _vector_for(item_id, dim):
 def stub_server():
     StubHandler.behavior = "ok"
     StubHandler.seen = []
+    StubHandler.seen_headers = []
     StubHandler.max_active = 0
     server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -92,9 +101,9 @@ def stub_server():
     server.shutdown()
 
 
-def make_expert(endpoint, batch_size=32, max_in_flight=4):
+def make_expert(endpoint, batch_size=32, max_in_flight=4, api_key=None):
     descriptor = ExpertDescriptor("remote-x", "remote", StubHandler.dim)
-    return RemoteExpert(descriptor, endpoint, model="stub-model",
+    return RemoteExpert(descriptor, endpoint, model="stub-model", api_key=api_key,
                         batch_size=batch_size, max_in_flight=max_in_flight)
 
 
@@ -151,6 +160,50 @@ def test_unreachable_endpoint_raises():
     expert.timeout = 0.2
     with pytest.raises(RemoteFailure):
         expert.embed(EmbedItem("a", "text", "x"))
+
+
+# -- the client's failure messages and headers --------------------------------
+
+def clients(endpoint):
+    """A call to each remote client at ``endpoint`` and the failure it raises."""
+    return [(lambda: make_expert(endpoint).embed_batch([EmbedItem("a", "text", "x")]),
+             RemoteFailure),
+            (lambda: RemoteDescriber(endpoint, model="cap").describe("s", "video", "x"),
+             DescriberFailure)]
+
+
+def test_refused_connection_is_a_failed_request():
+    with socket.socket() as sock:  # a port that nothing listens on once closed
+        sock.bind(("127.0.0.1", 0))
+        endpoint = f"http://127.0.0.1:{sock.getsockname()[1]}/embed"
+    for call, failure in clients(endpoint):
+        with pytest.raises(failure, match=f"^request to {re.escape(endpoint)} failed: "):
+            call()
+
+
+@pytest.mark.parametrize("behavior,message", [("not_json", "returned non-JSON body"),
+                                              ("not_found", "returned status 404"),
+                                              ("http_error", "returned status 500")])
+def test_bad_reply_names_the_endpoint(stub_server, behavior, message):
+    StubHandler.behavior = behavior
+    for call, failure in clients(stub_server):
+        with pytest.raises(failure, match=f"^{re.escape(stub_server)} {message}$"):
+            call()
+
+
+def test_endpoint_without_scheme_is_a_failed_request():
+    for call, failure in clients("127.0.0.1:1/embed"):
+        with pytest.raises(failure, match="^request to 127.0.0.1:1/embed failed: "):
+            call()
+
+
+def test_auth_and_content_type_headers_reach_the_server(stub_server):
+    make_expert(stub_server, api_key="key-1").embed_batch([EmbedItem("a", "text", "x")])
+    RemoteDescriber(stub_server, model="cap", api_key="key-2").describe("s", "video", "x")
+    make_expert(stub_server).embed_batch([EmbedItem("b", "text", "y")])
+    auth = [h.get("Authorization") for h in StubHandler.seen_headers]
+    assert auth == ["Bearer key-1", "Bearer key-2", None]
+    assert [h.get("Content-Type") for h in StubHandler.seen_headers] == ["application/json"] * 3
 
 
 def test_in_flight_bound_respected(stub_server):

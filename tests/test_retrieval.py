@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,36 @@ class TestRecall:
         tied = sum(int(np.count_nonzero(sims[q] == sims[q, ids.index(p)])) > 1
                    for q, p in enumerate(partners))
         assert tied > n // 4 and (want > 1).any()
+
+    @pytest.mark.parametrize("n", [7, RANK_BLOCK + 37, 300])
+    def test_partner_ranks_with_workspace_equal_ranks_without(self, n):
+        """Through a reused, oversized workspace that starts as NaN, exact
+        ties included (sign vectors), the ranks equal those of a run without."""
+        gen = np.random.default_rng(n + 1)
+        ids = [f"s{v:05d}" for v in gen.permutation(10 * n)[:n]]
+        partners = [ids[i] for i in gen.permutation(n)]
+        workspace = np.full(n * n + 11, np.nan)
+        for mat, queries in ((np.sign(gen.normal(size=(n, 6))), np.sign(gen.normal(size=(n, 6)))),
+                             (unit_rows(n, 16, gen), unit_rows(n, 16, gen))):
+            index = RetrievalIndex(ids, mat)
+            want = partner_ranks(queries, partners, index)
+            got = partner_ranks(queries, partners, index, workspace)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert np.isnan(workspace[n * n:]).all()  # only the product's prefix is written
+
+    def test_partner_ranks_allocate_little_beside_a_workspace(self):
+        n = 2000
+        gen = np.random.default_rng(5)
+        ids = [f"s{i}" for i in range(n)]
+        index = RetrievalIndex(ids, unit_rows(n, 32, gen))
+        queries, workspace = unit_rows(n, 32, gen), np.empty(n * n)
+        tracemalloc.start()
+        try:
+            partner_ranks(queries, ids, index, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.3 * n * n * 8
 
     def test_partner_ranks_query_count_mismatch(self):
         index = RetrievalIndex(["a", "b"], np.eye(2))
