@@ -14,12 +14,13 @@ import yaml
 
 from .curation import STRATEGIES, FilterConfig
 from .errors import ConfigError
-from .experts import EXPERT_KINDS, SyntheticExpertConfig, SyntheticExpert
+from .experts import SyntheticExpert, SyntheticExpertConfig
 from .geometry import MODALITIES
 from .projection import LossWeights, TrainConfig
-from .remote import RemoteDescriber, RemoteExpert
-from .experts import ExpertDescriptor
+from .remote import RemoteExpert
 from .sns import SnsConfig
+
+EXPERT_KINDS = ("end_to_end", "fusion", "text_based", "synthetic", "remote")
 
 ENV_REMOTE_ENDPOINT = "EMBLEND_REMOTE_ENDPOINT"
 ENV_DESCRIBE_ENDPOINT = "EMBLEND_DESCRIBE_ENDPOINT"
@@ -47,11 +48,10 @@ class RemoteSettings:
     timeout: float = 30.0
 
     def with_env(self) -> "RemoteSettings":
-        endpoint = os.environ.get(ENV_REMOTE_ENDPOINT, self.endpoint)
-        describe = os.environ.get(ENV_DESCRIBE_ENDPOINT, self.describe_endpoint)
-        key = os.environ.get(ENV_REMOTE_API_KEY, self.api_key)
-        return RemoteSettings(endpoint, describe, self.describe_model, key,
-                              self.batch_size, self.max_in_flight, self.timeout)
+        return replace(
+            self, endpoint=os.environ.get(ENV_REMOTE_ENDPOINT, self.endpoint),
+            describe_endpoint=os.environ.get(ENV_DESCRIBE_ENDPOINT, self.describe_endpoint),
+            api_key=os.environ.get(ENV_REMOTE_API_KEY, self.api_key))
 
 
 @dataclass
@@ -127,27 +127,9 @@ class EngineConfig:
         return int(self.experts[0]["dim"])
 
     def to_dict(self) -> dict:
-        doc = {
-            "experts": [dict(e) for e in self.experts],
-            "gating_expert": self.gating_expert,
-            "anchor_expert": self.anchor_expert,
-            "sns": {
-                "direction": self.sns.direction,
-                "tau_alpha": dict(self.sns.tau_alpha),
-                "tau_beta": dict(self.sns.tau_beta),
-                "rho": self.sns.rho,
-                "reinject": self.sns.reinject,
-            },
-            "loss": asdict(self.loss),
-            "train": asdict(self.train),
-            "projection": asdict(self.projection),
-            "remote": {k: v for k, v in asdict(self.remote).items() if k != "api_key"},
-            "curation": asdict(self.curation),
-            "seed": self.seed,
-            "jobs": self.jobs,
-            "cache_dir": self.cache_dir,
-            "output_dir": self.output_dir,
-        }
+        """Every setting but the API key, as plain data."""
+        doc = asdict(self)
+        del doc["remote"]["api_key"]
         return doc
 
 
@@ -204,12 +186,18 @@ def with_overrides(config: EngineConfig, fields: dict) -> EngineConfig:
 
 def load_config(path) -> EngineConfig:
     with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except (yaml.YAMLError, ValueError) as exc:
+            raise ConfigError(f"{path}: not a YAML file: {exc}") from None
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config root must be a mapping")
-    return config_from_dict(doc)
+    try:
+        return config_from_dict(doc)
+    except (AttributeError, TypeError, ValueError) as exc:  # a value of the wrong type
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def save_config(config: EngineConfig, path) -> None:
@@ -228,13 +216,13 @@ def build_expert(entry: dict, remote: RemoteSettings):
     expert_id = entry["expert_id"]
     try:
         dim = int(entry["dim"])
-        modalities = tuple(entry.get("modalities", MODALITIES))
+        modalities = entry.get("modalities", MODALITIES)
         settings = remote.with_env()
         endpoint = entry.get("endpoint") or (settings.endpoint if kind == "remote" else None)
         if endpoint:
-            descriptor = ExpertDescriptor(expert_id, kind, dim, frozenset(modalities))
-            return RemoteExpert(descriptor, endpoint, entry.get("model", expert_id),
-                                api_key=settings.api_key, batch_size=settings.batch_size,
+            return RemoteExpert(expert_id, dim, endpoint, entry.get("model", expert_id),
+                                modalities, api_key=settings.api_key,
+                                batch_size=settings.batch_size,
                                 max_in_flight=settings.max_in_flight, timeout=settings.timeout)
         if kind == "remote":
             raise ConfigError(f"remote expert {expert_id!r} needs an endpoint")
@@ -246,16 +234,7 @@ def build_expert(entry: dict, remote: RemoteSettings):
             gap_magnitude=float(entry.get("gap_magnitude", 0.0)),
             noise_sigma=float(entry.get("noise_sigma", 0.0)),
         )
-        return SyntheticExpert(cfg, kind="synthetic", supported_modalities=modalities)
+        return SyntheticExpert(cfg, modalities)
     except ValueError as exc:
         raise ConfigError(f"bad expert {expert_id!r}: {exc}") from exc
 
-
-def build_describer(config: EngineConfig):
-    settings = config.remote.with_env()
-    if settings.describe_endpoint:
-        return RemoteDescriber(settings.describe_endpoint, settings.describe_model,
-                               api_key=settings.api_key, timeout=settings.timeout,
-                               batch_size=settings.batch_size,
-                               max_in_flight=settings.max_in_flight)
-    return None

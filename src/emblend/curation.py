@@ -6,7 +6,7 @@ selected. Tie-breaking and scan orders are ascending sample id throughout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -133,8 +133,7 @@ class FilterReport:
     measured: dict
 
     def to_dict(self) -> dict:
-        return {"sample_id": self.sample_id, "passed": self.passed,
-                "failed_rules": list(self.failed_rules), "measured": dict(self.measured)}
+        return asdict(self)
 
 
 def heuristic_filter(text: str, config: FilterConfig, sample_id: str = "") -> FilterReport:

@@ -24,9 +24,10 @@ from operator import attrgetter
 import numpy as np
 
 from .cache import EmbeddingCache
-from .config import EngineConfig, build_describer, build_expert
+from .config import EngineConfig, build_expert
 from .experts import EmbedItem, SyntheticExpert
 from .projection import forward
+from .remote import RemoteDescriber
 from .sns import PayloadDescriber, component_item_id, pair_items, side_items, side_vectors
 
 SLICE_BATCHES = 8   # expert batches per embed_batch call and store write
@@ -84,7 +85,16 @@ class Engine:
             self.expert_order.append(expert.expert_id)
         self.gating = self.handles[config.gating_expert]
         self.anchor = self.handles[config.anchor_expert]
-        self.describer = build_describer(config)
+        remote = config.remote.with_env()
+        gating = self.gating.expert
+        self.describer = None
+        if remote.describe_endpoint:
+            self.describer = RemoteDescriber(
+                remote.describe_endpoint, remote.describe_model, api_key=remote.api_key,
+                timeout=remote.timeout, batch_size=remote.batch_size,
+                max_in_flight=remote.max_in_flight)
+        elif isinstance(gating, SyntheticExpert):
+            self.describer = PayloadDescriber(gating.config.semantic_dim)
 
     @property
     def dim(self) -> int:
@@ -95,13 +105,8 @@ class Engine:
         return len(self.expert_order)
 
     def describe_fn(self):
-        """Describer callable for non-text backward extraction."""
-        if self.describer is not None:
-            return self.describer
-        gating = self.gating.expert
-        if isinstance(gating, SyntheticExpert):
-            return PayloadDescriber(gating.config.semantic_dim)
-        return None
+        """Describer callable for non-text backward extraction, or None."""
+        return self.describer
 
     def side_matrix(self, samples, side: str, expert_id: str) -> np.ndarray:
         groups = [side_items(s, side) for s in samples]

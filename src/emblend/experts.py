@@ -33,26 +33,9 @@ import numpy as np
 from .errors import DimMismatch, EmblendError, ParseError, UnsupportedModality
 from .geometry import MODALITIES, Embedding, normalize_rows, row_norms
 
-EXPERT_KINDS = ("end_to_end", "fusion", "text_based", "synthetic", "remote")
-
 VEC_PREFIX = "@vec:"
 
 _TOKEN_RE = re.compile(r"\w+")
-
-
-@dataclass(frozen=True)
-class ExpertDescriptor:
-    expert_id: str
-    kind: str
-    dim: int
-    supported_modalities: frozenset = frozenset(MODALITIES)
-
-    def __post_init__(self):
-        if self.kind not in EXPERT_KINDS:
-            raise ValueError(f"unknown expert kind {self.kind!r}")
-        if self.dim < 2:
-            raise ValueError("expert dim must be >= 2")
-        object.__setattr__(self, "supported_modalities", frozenset(self.supported_modalities))
 
 
 @dataclass(frozen=True)
@@ -223,21 +206,12 @@ def synthetic_generate(config: SyntheticExpertConfig, semantic_payload, modality
 class SyntheticExpert:
     """Deterministic expert: same (seed, item) always yields the same embedding."""
 
-    def __init__(self, config: SyntheticExpertConfig, kind: str = "synthetic",
-                 supported_modalities=MODALITIES):
+    def __init__(self, config: SyntheticExpertConfig, modalities=MODALITIES):
         self.config = config
+        self.expert_id = config.expert_id
+        self.dim = config.dim
+        self.modalities = frozenset(modalities)
         self._noise = _NoiseStream()
-        self.descriptor = ExpertDescriptor(
-            expert_id=config.expert_id, kind=kind, dim=config.dim,
-            supported_modalities=frozenset(supported_modalities))
-
-    @property
-    def expert_id(self) -> str:
-        return self.config.expert_id
-
-    @property
-    def dim(self) -> int:
-        return self.config.dim
 
     def embed(self, item: EmbedItem) -> Embedding:
         return Embedding(self.embed_batch([item])[0], self.expert_id, item.modality, item.item_id)
@@ -257,7 +231,7 @@ class SyntheticExpert:
         failure = None
         for i, it in enumerate(items):
             try:
-                if it.modality not in self.descriptor.supported_modalities:
+                if it.modality not in self.modalities:
                     raise UnsupportedModality(
                         f"expert {self.expert_id!r} does not support {it.modality!r}")
                 raw = _payload_bytes(it.content)

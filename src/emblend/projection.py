@@ -503,11 +503,17 @@ def save_model(model: ProjectionModel, path) -> None:
 
 def load_model(path) -> ProjectionModel:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: not a JSON file: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ConfigError(f"{path}: not a projection model file")
     if doc.get("version") != MODEL_VERSION:
         raise ConfigError(f"{path}: unsupported model version {doc.get('version')}")
-    weights = [_decode_block(layer["weight"]) for layer in doc["layers"]]
-    biases = [_decode_block(layer["bias"]) for layer in doc["layers"]]
-    return ProjectionModel(weights, biases, int(doc.get("seed", 0)))
+    try:
+        weights = [_decode_block(layer["weight"]) for layer in doc["layers"]]
+        biases = [_decode_block(layer["bias"]) for layer in doc["layers"]]
+        return ProjectionModel(weights, biases, int(doc.get("seed", 0)))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed model layers: {exc!r}") from None

@@ -5,12 +5,14 @@ Embedding response: {"embeddings": [{"id": str, "vector": [float, ...]}]}
 Describe request adds "task": "describe"; the response carries
 {"descriptions": [{"id": str, "text": str}]}.
 
-Requests go out through the standard library's ``urllib.request``. A failed
-connection, a non-2xx status, a body that is not JSON, a missing id, or a
-wrong-dimension vector raise RemoteFailure (DescriberFailure for describe).
-Embeddings and descriptions alike are sent in requests of ``batch_size``
-inputs, issued through a pool bounded by ``max_in_flight``; a failed request
-fails the whole call. ``embed_batch`` returns the normalized vectors as one
+Both clients share one ``EndpointClient``: it sends the inputs in requests
+of ``batch_size`` through a pool bounded by ``max_in_flight`` with the
+standard library's ``urllib.request``, and checks each reply's shape. A
+failed connection, a non-2xx status, a body that is not JSON, a reply that
+is not an object listing objects under its key, or an input whose id has no
+valid value (a vector of ``dim`` numbers, a text string) raise RemoteFailure
+(DescriberFailure for describe), naming the endpoint; a failed request fails
+the whole call. ``embed_batch`` returns the normalized vectors as one
 float64 matrix, a row per input.
 """
 from __future__ import annotations
@@ -24,46 +26,19 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import DescriberFailure, RemoteFailure, UnsupportedModality
-from .experts import EmbedItem, ExpertDescriptor
-from .geometry import Embedding, normalize_rows
+from .experts import EmbedItem
+from .geometry import MODALITIES, Embedding, normalize_rows
+
+_NUMBERS = frozenset((int, float))  # the types json decodes a number to
 
 
-def _post_json(endpoint, payload, headers, timeout, failure_cls):
-    """POST ``payload`` as JSON and return the decoded JSON reply; a failure
-    of any kind raises ``failure_cls``."""
-    try:
-        request = urllib.request.Request(endpoint, data=json.dumps(payload).encode("utf-8"),
-                                         headers=headers, method="POST")
-        with urllib.request.urlopen(request, timeout=timeout) as resp:
-            body = resp.read()
-    except urllib.error.HTTPError as exc:  # a non-2xx status
-        exc.close()
-        raise failure_cls(f"{endpoint} returned status {exc.code}") from None
-    except (OSError, http.client.HTTPException, ValueError) as exc:
-        raise failure_cls(f"request to {endpoint} failed: {exc}") from exc
-    try:
-        return json.loads(body)
-    except ValueError as exc:
-        raise failure_cls(f"{endpoint} returned non-JSON body") from exc
+class EndpointClient:
+    """One remote endpoint: its model, auth header, request bounds and timeout."""
 
+    failure = RemoteFailure
 
-def _in_chunks(fn, items, batch_size, max_in_flight) -> list:
-    """``fn`` over consecutive chunks of ``batch_size`` items, at most
-    ``max_in_flight`` at once; the results in item order."""
-    chunks = [items[i:i + batch_size] for i in range(0, len(items), batch_size)]
-    if len(chunks) <= 1:
-        return fn(items) if items else []
-    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        return [out for chunk in pool.map(fn, chunks) for out in chunk]
-
-
-class RemoteExpert:
-    """Expert backed by a remote embedding endpoint."""
-
-    def __init__(self, descriptor: ExpertDescriptor, endpoint: str, model: str,
-                 api_key: str | None = None, batch_size: int = 32,
-                 max_in_flight: int = 4, timeout: float = 30.0):
-        self.descriptor = descriptor
+    def __init__(self, endpoint: str, model: str, api_key: str | None = None,
+                 batch_size: int = 32, max_in_flight: int = 4, timeout: float = 30.0):
         self.endpoint = endpoint
         self.model = model
         self.batch_size = max(1, int(batch_size))
@@ -73,32 +48,61 @@ class RemoteExpert:
         if api_key:
             self._headers["Authorization"] = f"Bearer {api_key}"
 
-    @property
-    def expert_id(self) -> str:
-        return self.descriptor.expert_id
+    def _post(self, payload):
+        """POST ``payload`` as JSON and return the decoded JSON reply."""
+        try:
+            request = urllib.request.Request(self.endpoint, headers=self._headers, method="POST",
+                                             data=json.dumps(payload).encode("utf-8"))
+            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                body = resp.read()
+        except urllib.error.HTTPError as exc:  # a non-2xx status
+            exc.close()
+            raise self.failure(f"{self.endpoint} returned status {exc.code}") from None
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            raise self.failure(f"request to {self.endpoint} failed: {exc}") from exc
+        try:
+            return json.loads(body)
+        except ValueError as exc:
+            raise self.failure(f"{self.endpoint} returned non-JSON body") from exc
 
-    @property
-    def dim(self) -> int:
-        return self.descriptor.dim
-
-    def _embed_chunk(self, items):
-        payload = {
-            "model": self.model,
-            "inputs": [
+    def _values(self, items, key: str, field: str, valid, **task) -> list:
+        """The ``field`` of each item's entry in the replies' ``key`` lists, in
+        item order; an entry's ``field`` must pass ``valid``. Each request
+        carries ``batch_size`` items, at most ``max_in_flight`` at once."""
+        def request(chunk):
+            body = self._post({"model": self.model, **task, "inputs": [
                 {"id": it.item_id, "modality": it.modality, "content": it.content}
-                for it in items
-            ],
-        }
-        body = _post_json(self.endpoint, payload, self._headers, self.timeout, RemoteFailure)
-        vectors = {e.get("id"): e.get("vector") for e in body.get("embeddings", [])}
-        for it in items:
-            vec = vectors.get(it.item_id)
-            if vec is None:
-                raise RemoteFailure(f"response missing embedding for id {it.item_id!r}")
-            if len(vec) != self.dim:
-                raise RemoteFailure(
-                    f"expert {self.expert_id!r} returned dim {len(vec)}, expected {self.dim}")
-        return [vectors[it.item_id] for it in items]
+                for it in chunk]})
+            entries = body.get(key) if isinstance(body, dict) else None
+            if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+                raise self.failure(f"{self.endpoint} returned no {key!r} list of objects")
+            found = {e.get("id"): e.get(field) for e in entries if isinstance(e.get("id"), str)}
+            for it in chunk:
+                if not valid(found.get(it.item_id)):
+                    raise self.failure(
+                        f"{self.endpoint} returned no valid {field} for id {it.item_id!r}")
+            return [found[it.item_id] for it in chunk]
+
+        chunks = [items[i:i + self.batch_size] for i in range(0, len(items), self.batch_size)]
+        if len(chunks) <= 1:
+            return request(items) if items else []
+        with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
+            return [value for chunk in pool.map(request, chunks) for value in chunk]
+
+
+class RemoteExpert(EndpointClient):
+    """Expert backed by a remote embedding endpoint."""
+
+    def __init__(self, expert_id: str, dim: int, endpoint: str, model: str,
+                 modalities=MODALITIES, api_key: str | None = None, batch_size: int = 32,
+                 max_in_flight: int = 4, timeout: float = 30.0):
+        super().__init__(endpoint, model, api_key, batch_size, max_in_flight, timeout)
+        self.expert_id = expert_id
+        self.dim = dim
+        self.modalities = frozenset(modalities)
+
+    def _is_vector(self, vec) -> bool:
+        return isinstance(vec, list) and len(vec) == self.dim and set(map(type, vec)) <= _NUMBERS
 
     def embed(self, item: EmbedItem) -> Embedding:
         return Embedding(self.embed_batch([item])[0], self.expert_id, item.modality, item.item_id)
@@ -107,53 +111,35 @@ class RemoteExpert:
         """The items' normalized vectors, one float64 row each."""
         items = list(items)
         for it in items:
-            if it.modality not in self.descriptor.supported_modalities:
+            if it.modality not in self.modalities:
                 raise UnsupportedModality(
                     f"expert {self.expert_id!r} does not support {it.modality!r}")
-        vectors = _in_chunks(self._embed_chunk, items, self.batch_size, self.max_in_flight)
+        vectors = self._values(items, "embeddings", "vector", self._is_vector)
         return normalize_rows(np.array(vectors, dtype=np.float64).reshape(len(items), self.dim))
 
 
-class RemoteDescriber:
+class RemoteDescriber(EndpointClient):
     """Describer backed by a remote modality-to-text endpoint."""
+
+    failure = DescriberFailure
 
     def __init__(self, endpoint: str, model: str, api_key: str | None = None,
                  timeout: float = 60.0, batch_size: int = 32, max_in_flight: int = 4):
-        self.endpoint = endpoint
-        self.model = model
-        self.timeout = timeout
-        self.batch_size = max(1, int(batch_size))
-        self.max_in_flight = max(1, int(max_in_flight))
-        self._headers = {"Content-Type": "application/json"}
-        if api_key:
-            self._headers["Authorization"] = f"Bearer {api_key}"
+        super().__init__(endpoint, model, api_key, batch_size, max_in_flight, timeout)
 
-    def _describe_chunk(self, inputs):
-        payload = {
-            "model": self.model,
-            "task": "describe",
-            "inputs": [{"id": item_id, "modality": modality, "content": content}
-                       for item_id, modality, content in inputs],
-        }
-        body = _post_json(self.endpoint, payload, self._headers, self.timeout, DescriberFailure)
-        texts = {}
-        for entry in body.get("descriptions", []):
-            if isinstance(entry.get("text"), str):
-                texts.setdefault(entry.get("id"), entry["text"])
-        for item_id, _, _ in inputs:
-            if item_id not in texts:
-                raise DescriberFailure(f"response missing description for id {item_id!r}")
-        return [texts[item_id] for item_id, _, _ in inputs]
+    def _describe(self, items) -> list:
+        return self._values(items, "descriptions", "text", lambda text: isinstance(text, str),
+                            task="describe")
 
     def describe(self, item_id: str, modality: str, content: str) -> str:
-        return self._describe_chunk([(item_id, modality, content)])[0]
+        return self._describe([EmbedItem(item_id, modality, content)])[0]
 
     def describe_batch(self, requests) -> list:
         """Descriptions of (pair, components) requests, in request order; a
         pair is sent as its raw modality and its components joined by newlines."""
-        inputs = [(pair.sample_id, pair.raw_modality, "\n".join(c.content for c in components))
-                  for pair, components in requests]
-        return _in_chunks(self._describe_chunk, inputs, self.batch_size, self.max_in_flight)
+        return self._describe([
+            EmbedItem(pair.sample_id, pair.raw_modality, "\n".join(c.content for c in components))
+            for pair, components in requests])
 
     def __call__(self, pair, components) -> str:
         return self.describe_batch([(pair, components)])[0]

@@ -348,6 +348,52 @@ def test_validation_error_is_exit_1(tmp_path):
     assert run(["embed", "--config", str(bad), "--corpus", "x.jsonl"]) == 1
 
 
+@pytest.mark.parametrize("case", ["not yaml", "expert not a mapping", "seed not a number"])
+def test_malformed_config_file_is_exit_1(workspace, tmp_path, capsys, case):
+    doc = yaml.safe_load(open(workspace["config"]))
+    bad = tmp_path / "bad.yaml"
+    bad.write_text({"not yaml": "experts: [\n",
+                    "expert not a mapping": yaml.safe_dump(dict(doc, experts=[1])),
+                    "seed not a number": yaml.safe_dump(dict(doc, seed="abc"))}[case])
+    assert run(["embed", "--config", str(bad), "--corpus", workspace["corpus"],
+                "--out", str(tmp_path / "emb")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+def _drop(key):
+    """A model edit that deletes ``key`` from the first block that has it."""
+    def edit(doc):
+        for node in (doc, doc["layers"][0], doc["layers"][0]["weight"]):
+            if key in node:
+                del node[key]
+                return
+    return edit
+
+
+def _overfill(doc):
+    shape = doc["layers"][0]["weight"]["shape"]
+    shape[0] += 1
+
+
+MODEL_EDITS = {"layers": _drop("layers"), "weight": _drop("weight"), "bias": _drop("bias"),
+               "data": _drop("data"), "shape": _drop("shape"), "short data": _overfill}
+
+
+@pytest.mark.parametrize("edit", ["not json", *MODEL_EDITS])
+def test_malformed_model_file_is_exit_1(workspace, small_model, tmp_path, capsys, edit):
+    model = tmp_path / "model.json"
+    if edit == "not json":
+        model.write_text("{\"format\":")
+    else:
+        doc = read_json(small_model)
+        MODEL_EDITS[edit](doc)
+        model.write_text(json.dumps(doc))
+    code = run(["eval", "--config", workspace["config"], "--corpus", workspace["corpus"],
+                "--model", str(model), "--out", str(tmp_path / "eval")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {model}: ")
+
+
 def test_remote_failure_is_exit_3(tmp_path, workspace):
     cfg = yaml.safe_load(open(workspace["config"]))
     cfg["experts"][0] = {"expert_id": "e2e", "kind": "remote", "dim": 32,

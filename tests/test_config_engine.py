@@ -1,4 +1,7 @@
+import json
 import os
+import pathlib
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -6,13 +9,14 @@ import yaml
 
 from cachefile import records
 from emblend.cache import EmbeddingCache
+from emblend.cli import run
 from emblend.config import (build_expert, config_from_dict, load_config,
-                            save_config)
+                            save_config, with_overrides)
 from emblend.engine import Engine
 from emblend.errors import ConfigError
 from emblend.experts import SyntheticExpert
-from emblend.remote import RemoteExpert
-from emblend.sns import side_items, side_vector, side_vectors
+from emblend.remote import RemoteDescriber, RemoteExpert
+from emblend.sns import PayloadDescriber, side_items, side_vector, side_vectors
 from emblend.synth import SynthSpec, expert_configs, generate_corpus
 
 
@@ -73,6 +77,14 @@ class TestConfig:
         doc = base_doc(remote={"endpoint": "http://x", "api_key": "secret"})
         config = config_from_dict(doc)
         assert "api_key" not in config.to_dict()["remote"]
+
+    @pytest.mark.parametrize("field,value", [("kind", "bogus"), ("dim", 1)])
+    def test_bad_expert_kind_or_dim_rejected(self, field, value):
+        doc = base_doc()
+        for entry in doc["experts"]:
+            entry[field] = value
+        with pytest.raises(ConfigError):
+            config_from_dict(doc)
 
     def test_duplicate_expert_ids_rejected(self):
         doc = base_doc()
@@ -161,6 +173,19 @@ class TestEngine:
         desc = fn(vec_sample, list(vec_sample.raw_components))
         assert desc.startswith("@vec:")
 
+    def test_describer_is_chosen_once(self, setup, monkeypatch):
+        config, _ = setup
+        engine = Engine(config)
+        assert isinstance(engine.describe_fn(), PayloadDescriber)
+        assert engine.describe_fn() is engine.describe_fn()
+        remote_gating = dict(config.experts[0], endpoint="http://svc/embed")
+        assert Engine(replace(config, experts=[remote_gating, *config.experts[1:]])
+                      ).describe_fn() is None
+        monkeypatch.setenv("EMBLEND_DESCRIBE_ENDPOINT", "http://svc/describe")
+        describer = Engine(config).describe_fn()
+        assert isinstance(describer, RemoteDescriber)
+        assert (describer.endpoint, describer.timeout) == ("http://svc/describe", 30.0)
+
 
 def _reference_side(engine, samples, side, expert_id):
     """Per-sample side_vector over values read back one item at a time."""
@@ -235,3 +260,47 @@ def test_half_warm_cache_embeds_only_misses_in_order(setup, tmp_path, monkeypatc
         name = f"{expert.expert_id}.eec"
         assert records(tmp_path / "batch" / name, expert.dim) == \
             records(tmp_path / "ref" / name, expert.dim)
+
+
+PRESETS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+
+def hand_written_to_dict(config):
+    """``EngineConfig.to_dict`` as it was written out field by field."""
+    return {
+        "experts": [dict(e) for e in config.experts],
+        "gating_expert": config.gating_expert,
+        "anchor_expert": config.anchor_expert,
+        "sns": {
+            "direction": config.sns.direction,
+            "tau_alpha": dict(config.sns.tau_alpha),
+            "tau_beta": dict(config.sns.tau_beta),
+            "rho": config.sns.rho,
+            "reinject": config.sns.reinject,
+        },
+        "loss": asdict(config.loss),
+        "train": asdict(config.train),
+        "projection": asdict(config.projection),
+        "remote": {k: v for k, v in asdict(config.remote).items() if k != "api_key"},
+        "curation": asdict(config.curation),
+        "seed": config.seed,
+        "jobs": config.jobs,
+        "cache_dir": config.cache_dir,
+        "output_dir": config.output_dir,
+    }
+
+
+@pytest.mark.parametrize("source", ["default", "gap-collapse", "synth", "sns overrides"])
+def test_to_dict_equals_the_hand_written_dict(source, tmp_path):
+    if source == "synth":
+        assert run(["synth", "--out", str(tmp_path), "--pools", "2", "--samples-per-pool", "4",
+                    "--seed", "3"]) == 0
+        config = load_config(tmp_path / "config.yaml")
+    elif source == "sns overrides":
+        config = with_overrides(load_config(PRESETS / "default.yaml"),
+                                {"sns.tau_alpha": 0.25, "sns.tau_beta": -0.5, "sns.rho": 0.5})
+    else:
+        config = load_config(PRESETS / f"{source}.yaml")
+    config.remote.api_key = "secret"
+    # same keys in the same order, so the manifests' bytes do not move
+    assert json.dumps(config.to_dict()) == json.dumps(hand_written_to_dict(config))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,14 @@ class TestHeuristicFilter:
     def test_empty_text_dedicated_rule(self):
         report = heuristic_filter("   ", FilterConfig())
         assert report.failed_rules == ["empty_text"]
+
+    @pytest.mark.parametrize("text", ["   ", "A clean sentence.", "!!!@@ ab\n!!!@@ ab",
+                                      "Click here to subscribe."])
+    def test_to_dict_equals_the_hand_written_dict(self, text):
+        report = heuristic_filter(text, FilterConfig(boilerplate=["click HERE"]), "s1")
+        want = {"sample_id": report.sample_id, "passed": report.passed,
+                "failed_rules": list(report.failed_rules), "measured": dict(report.measured)}
+        assert json.dumps(report.to_dict()) == json.dumps(want)
 
 
 class TestKMeans:

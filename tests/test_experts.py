@@ -10,10 +10,9 @@ import pytest
 
 from emblend.errors import (DimMismatch, EmblendError, NonFiniteVector, ParseError,
                             UnsupportedModality, ZeroVector)
-from emblend.experts import (EmbedItem, ExpertDescriptor, SyntheticExpert,
-                             SyntheticExpertConfig, decode_payload,
-                             encode_payload, hash_payload, orthogonal_offsets,
-                             synthetic_generate)
+from emblend.experts import (EmbedItem, SyntheticExpert, SyntheticExpertConfig,
+                             decode_payload, encode_payload, hash_payload,
+                             orthogonal_offsets, synthetic_generate)
 from emblend.geometry import MODALITIES, normalize
 from emblend.retrieval import clustering_diagnostic
 
@@ -122,7 +121,7 @@ class TestSyntheticExpert:
             np.linalg.norm(exp_img - exp_aud), abs=1e-12)
 
     def test_unsupported_modality(self):
-        expert = SyntheticExpert(make_config(), supported_modalities=("text",))
+        expert = SyntheticExpert(make_config(), modalities=("text",))
         with pytest.raises(UnsupportedModality):
             expert.embed(EmbedItem("s", "audio", "x"))
 
@@ -146,13 +145,6 @@ class TestSyntheticExpert:
                 tags.append(m)
         diag = clustering_diagnostic(np.vstack(embs), tags)
         assert diag["clustered"] is True
-
-
-def test_descriptor_validation():
-    with pytest.raises(ValueError):
-        ExpertDescriptor("x", "bogus", 8)
-    with pytest.raises(ValueError):
-        ExpertDescriptor("x", "synthetic", 1)
 
 
 def _reference_normalize(v):
@@ -243,7 +235,7 @@ def test_synthetic_generate_bit_equal_to_per_item_reference(gap, noise):
 
 
 def test_unsupported_modality_mid_batch_raises():
-    expert = SyntheticExpert(make_config(), supported_modalities=("text", "image"))
+    expert = SyntheticExpert(make_config(), modalities=("text", "image"))
     items = [EmbedItem("a", "text", "x"), EmbedItem("b", "image", "y"),
              EmbedItem("c", "audio", "z"), EmbedItem("d", "text", "w")]
     with pytest.raises(UnsupportedModality, match="'audio'"):
@@ -304,7 +296,7 @@ def _item_by_item(expert, items):
     sd = expert.config.semantic_dim
     payloads = []
     for it in items:
-        if it.modality not in expert.descriptor.supported_modalities:
+        if it.modality not in expert.modalities:
             raise UnsupportedModality(
                 f"expert {expert.expert_id!r} does not support {it.modality!r}")
         explicit = decode_payload(it.content)
@@ -360,7 +352,7 @@ def test_embed_batch_raises_the_first_failing_item_error(first, second):
     """Two failing items among good ones: the batch raises what the item-by-item
     loop raised, the first failing item's own error and text."""
     expert = SyntheticExpert(make_config(gap_magnitude=0.9, noise_sigma=0.05),
-                             supported_modalities=("text", "image", "audio"))
+                             modalities=("text", "image", "audio"))
     good = [EmbedItem(f"g{i}", ("text", "image", "audio")[i % 3], content)
             for i, content in enumerate(GOOD_CONTENT.values())]
     items = [good[0], _bad_item(first), good[1], _bad_item(second), good[2]]

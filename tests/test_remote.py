@@ -16,7 +16,7 @@ from emblend.cli import run
 from emblend.dataio import ingest
 from emblend.engine import SLICE_BATCHES
 from emblend.errors import DescriberFailure, RemoteFailure
-from emblend.experts import EmbedItem, ExpertDescriptor
+from emblend.experts import EmbedItem
 from emblend.geometry import Embedding, normalize
 from emblend.remote import RemoteDescriber, RemoteExpert
 from emblend.sns import Component, PairedSample, side_items
@@ -58,7 +58,11 @@ class StubHandler(BaseHTTPRequestHandler):
                 self.send_response(404)
                 self.end_headers()
                 return
-            if req.get("task") == "describe":
+            if cls.behavior in WRONG_SHAPES:
+                body = wrong_shapes([item["id"] for item in req["inputs"]])[cls.behavior]
+            elif cls.behavior == "describe_wrong_shape" and describe:
+                body = {"descriptions": ["x"]}
+            elif describe:
                 body = {"descriptions": [
                     {"id": item["id"], "text": f"description of {item['id']}"}
                     for item in req["inputs"]
@@ -82,6 +86,22 @@ class StubHandler(BaseHTTPRequestHandler):
                 cls.active -= 1
 
 
+def wrong_shapes(ids):
+    """200 replies of the wrong JSON shape, by stub behaviour; each breaks
+    embed and describe requests alike."""
+    def entries(vector, text, key=lambda i: i):
+        return {"embeddings": [{"id": key(i), "vector": vector} for i in ids],
+                "descriptions": [{"id": key(i), "text": text} for i in ids]}
+    return {"list": [], "string": "x",
+            "entries_not_objects": {"embeddings": [1], "descriptions": ["x"]},
+            "scalar_values": entries(5, 5),
+            "strings_in_vector": entries(["x", 1, 2, 3, 4, 5], ["x"]),
+            "unhashable_ids": entries([1, 0, 0, 0, 0, 0], "t", key=lambda i: [i])}
+
+
+WRONG_SHAPES = list(wrong_shapes([]))
+
+
 def _vector_for(item_id, dim):
     rng = np.random.default_rng(abs(hash(item_id)) % (2 ** 32))
     v = rng.normal(size=dim)
@@ -102,9 +122,8 @@ def stub_server():
 
 
 def make_expert(endpoint, batch_size=32, max_in_flight=4, api_key=None):
-    descriptor = ExpertDescriptor("remote-x", "remote", StubHandler.dim)
-    return RemoteExpert(descriptor, endpoint, model="stub-model", api_key=api_key,
-                        batch_size=batch_size, max_in_flight=max_in_flight)
+    return RemoteExpert("remote-x", StubHandler.dim, endpoint, model="stub-model",
+                        api_key=api_key, batch_size=batch_size, max_in_flight=max_in_flight)
 
 
 def assert_rows_are_stub_vectors(rows, items):
@@ -188,6 +207,14 @@ def test_bad_reply_names_the_endpoint(stub_server, behavior, message):
     StubHandler.behavior = behavior
     for call, failure in clients(stub_server):
         with pytest.raises(failure, match=f"^{re.escape(stub_server)} {message}$"):
+            call()
+
+
+@pytest.mark.parametrize("behavior", WRONG_SHAPES)
+def test_reply_of_the_wrong_shape_names_the_endpoint(stub_server, behavior):
+    StubHandler.behavior = behavior
+    for call, failure in clients(stub_server):
+        with pytest.raises(failure, match=f"^{re.escape(stub_server)} returned no "):
             call()
 
 
@@ -343,6 +370,29 @@ def test_describer_down_passes_media_pairs_through(stub_server, remote_corpus, t
             assert line == src
     media = sum(1 for s in samples if s.raw_modality != "text")
     assert posts(describe=True) >= media  # each media pair was tried on its own
+
+
+def test_describer_reply_of_the_wrong_shape_fails_its_pairs_alone(stub_server, remote_corpus,
+                                                                  tmp_path):
+    config, _ = remote_config(tmp_path, remote_corpus, stub_server, experts_remote=False)
+    corpus = remote_corpus / "corpus.jsonl"
+    StubHandler.behavior = "describe_wrong_shape"
+    out = tmp_path / "sns"
+    assert run(["sns", "--config", config, "--corpus", str(corpus), "--out", str(out)]) == 0
+    log = [json.loads(line) for line in (out / "nucleus_log.jsonl").read_text().splitlines()]
+    for sample, rec in zip(ingest(str(corpus)), log, strict=True):
+        if sample.raw_modality == "text":
+            assert rec["error"] is None
+        else:
+            assert "returned no 'descriptions' list of objects" in rec["error"]
+
+
+def test_embed_reply_of_the_wrong_shape_is_exit_3(stub_server, remote_corpus, tmp_path, capsys):
+    config, _ = remote_config(tmp_path, remote_corpus, stub_server)
+    StubHandler.behavior = "strings_in_vector"
+    assert run(["embed", "--config", config, "--corpus", str(remote_corpus / "corpus.jsonl"),
+                "--out", str(tmp_path / "e")]) == 3
+    assert "remote failure: " in capsys.readouterr().err
 
 
 def test_embed_failure_mid_run_keeps_written_slices(stub_server, remote_corpus, tmp_path):

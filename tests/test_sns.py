@@ -408,7 +408,7 @@ def test_run_sns_matches_apply_sns(direction, describer):
 def test_run_sns_gating_modality_errors_stay_per_pair():
     """A gating expert without image support fails the image pairs only."""
     cfg = SyntheticExpertConfig(expert_id="gate", seed=5, dim=16, semantic_dim=8)
-    text_audio = SyntheticExpert(cfg, supported_modalities=("text", "audio"))
+    text_audio = SyntheticExpert(cfg, modalities=("text", "audio"))
     pairs = _mixed_pairs()
     sns_cfg = SnsConfig(direction="bidirectional", tau_alpha=0.5, tau_beta=0.5, rho=0.9)
     got = run_sns(pairs, sns_cfg, _handle(text_audio), PayloadDescriber(8))
