@@ -35,8 +35,8 @@ import struct
 import tempfile
 import threading
 import zlib
-from itertools import compress, repeat
-from operator import attrgetter, not_
+from itertools import compress, groupby, repeat
+from operator import attrgetter, itemgetter, not_
 
 import numpy as np
 
@@ -60,16 +60,17 @@ _READ_ONLY = (errno.EACCES, errno.EPERM, errno.EROFS)  # why a v1 rewrite may be
 
 class EmbeddingCache:
     """Content-addressed store keyed by (sample_id, expert_id): one row matrix,
-    float32 with a path and float64 without, a modality code per row, and a
-    dict from key to row. Writes serialize through an internal lock; reads hit
-    the matrix.
+    float32 with a path and float64 without, a modality code per row, and per
+    expert a dict from item id to row. Writes serialize through an internal
+    lock; reads hit the matrix.
     """
 
     def __init__(self, path, dim: int):
         self.path = None if path is None else os.fspath(path)
         self.dim = int(dim)
         self._lock = threading.Lock()
-        self._index: dict = {}
+        self._index: dict = {}  # expert_id -> {item_id: row}
+        self._size = 0  # rows in use, over all experts
         self._matrix = np.empty((0, self.dim), _F32 if self.path else np.float64)
         self._codes = np.empty(0, np.uint8)
         self._end = _HEADER.size  # file offset where the complete segments end
@@ -102,12 +103,14 @@ class EmbeddingCache:
                     data = fh.read()
                     version = self._version(data)
                     if version == VERSION:
-                        *records, self._end = self._walk(memoryview(data)[_HEADER.size:],
-                                                         _HEADER.size)
-                        self._merge(*records)
+                        runs, self._end = self._walk(memoryview(data)[_HEADER.size:],
+                                                     _HEADER.size)
+                        for run in runs:
+                            self._merge(*run)
                         return
                     if version == 1 and (v1 or not shared):
-                        self._merge(*self._read_v1(data))
+                        for run in self._read_v1(data):
+                            self._merge(*run)
                         self._end = None  # no appends to a version 1 file
                         if not shared:
                             self._rewrite(fh)
@@ -141,10 +144,11 @@ class EmbeddingCache:
         return version
 
     def _walk(self, data, at):
-        """Keys, modality codes and values of the complete segments in
-        ``data``, the file's bytes from offset ``at`` on, and the offset where
-        they end. A final segment that is short or fails its body CRC is left out."""
-        keys, codes, blocks = [], [], []
+        """The records of the complete segments in ``data``, the file's bytes
+        from offset ``at`` on, as one (expert_id, ids, codes, values) per run
+        of segments of one expert, and the offset where they end. A final
+        segment that is short or fails its body CRC is left out."""
+        segments = []
         view, pos, size = memoryview(data), 0, len(data)
         while pos + _HEAD.size + _CRC.size <= size:
             head = view[pos:pos + _HEAD.size]
@@ -159,16 +163,20 @@ class EmbeddingCache:
                 if end == size:
                     break
                 raise CacheCorrupt(f"{self.path}: bad CRC in segment at offset {at + pos}")
-            seg_keys, seg_codes, seg_values = self._decode(view[start:end], count)
-            keys += seg_keys
-            codes.append(seg_codes)
-            blocks.append(seg_values)
+            segments.append(self._decode(view[start:end], count))
             pos = end
-        return (keys, np.concatenate([np.empty(0, np.uint8), *codes]),
-                np.concatenate([np.empty((0, self.dim), _F32), *blocks]), at + pos)
+        runs = []
+        for expert_id, group in groupby(segments, itemgetter(0)):
+            _, lengths, texts, codes, blocks = zip(*group)
+            ends = np.cumsum(np.concatenate(lengths)).tolist()
+            text = "".join(texts)  # each run's id table is split once
+            runs.append((expert_id, [text[a:b] for a, b in zip([0, *ends], ends)],
+                         np.concatenate(codes), np.concatenate(blocks)))
+        return runs, at + pos
 
     def _decode(self, body, count):
-        """Keys, modality codes and values of one segment body."""
+        """Expert id, id lengths, id text, modality codes and values of one
+        segment body."""
         values_at = len(body) - 4 * self.dim * count
         codes_at = values_at - count
         try:
@@ -180,26 +188,25 @@ class EmbeddingCache:
             text = str(body[ids_at:codes_at], "utf-8")
         except (struct.error, ValueError) as exc:
             raise CacheCorrupt(f"{self.path}: bad segment body: {exc}") from exc
-        ends = np.cumsum(np.frombuffer(body, _ID_LEN, count, _LEN.size + eid_len)).tolist()
-        if (ends[-1] if ends else 0) != len(text):
+        lengths = np.frombuffer(body, _ID_LEN, count, _LEN.size + eid_len)
+        if lengths.sum() != len(text):
             raise CacheCorrupt(f"{self.path}: id lengths do not match the id table")
-        ids = [text[a:b] for a, b in zip([0, *ends], ends)]
         codes = np.frombuffer(body, np.uint8, count, codes_at)
         if count and codes.max() >= len(MODALITIES):
             raise CacheCorrupt(f"{self.path}: unknown modality byte {codes.max()}")
         values = np.frombuffer(body, _F32, count * self.dim, values_at)
-        return list(zip(ids, repeat(expert_id))), codes, values.reshape(count, self.dim)
+        return expert_id, lengths, text, codes, values.reshape(count, self.dim)
 
     def _read_v1(self, data):
-        """Keys, modality codes and values of a version 1 file's counted
-        records, in file order."""
+        """The records of a version 1 file's counted records, in file order,
+        as one (expert_id, ids, codes, values) per run of one expert."""
         if len(data) < _V1_HEADER.size:
             raise CacheCorrupt(f"{self.path}: truncated header")
         count = _V1_HEADER.unpack_from(data)[3]
         vec_bytes = 4 * self.dim
         end = len(data)
         pos = _V1_HEADER.size
-        keys, codes, offsets = [], [], []
+        ids, eids, codes, offsets = [], [], [], []
         for _ in range(count):
             if pos + _LEN.size > end:
                 raise CacheCorrupt(f"{self.path}: truncated record")
@@ -214,8 +221,8 @@ class EmbeddingCache:
             if data[eid_end] >= len(MODALITIES):
                 raise CacheCorrupt(f"{self.path}: unknown modality byte {data[eid_end]}")
             try:
-                keys.append((data[pos + _LEN.size:id_end].decode("utf-8"),
-                             data[id_end + _LEN.size:eid_end].decode("utf-8")))
+                ids.append(data[pos + _LEN.size:id_end].decode("utf-8"))
+                eids.append(data[id_end + _LEN.size:eid_end].decode("utf-8"))
             except UnicodeDecodeError as exc:
                 raise CacheCorrupt(f"{self.path}: record at offset {pos} has a non-UTF-8 id") \
                     from exc
@@ -223,16 +230,22 @@ class EmbeddingCache:
             offsets.append(eid_end + 1)
             pos = eid_end + 1 + vec_bytes
         block = b"".join(data[off:off + vec_bytes] for off in offsets)
-        return (keys, np.array(codes, np.uint8),
-                np.frombuffer(block, _F32).reshape(count, self.dim))
+        codes = np.array(codes, np.uint8)
+        values = np.frombuffer(block, _F32).reshape(count, self.dim)
+        starts = [i for i in range(count) if i == 0 or eids[i] != eids[i - 1]]
+        return [(eids[a], ids[a:b], codes[a:b], values[a:b])
+                for a, b in zip(starts, [*starts[1:], count])]
 
     def _rewrite(self, fh):
         """Replace the file ``fh`` holds under LOCK_EX with a version 2 file of
         the stored rows: one segment per run of rows of one expert."""
-        keys = list(self._index)
-        runs = [0] + [i for i in range(1, len(keys)) if keys[i][1] != keys[i - 1][1]]
-        segments = [_segment(keys[a:b], self._codes[a:b], self._matrix[a:b])
-                    for a, b in zip(runs, [*runs[1:], len(keys)]) if a < b]
+        ids, owners = [None] * self._size, [None] * self._size
+        for expert_id, index in self._index.items():
+            for item_id, row in index.items():
+                ids[row], owners[row] = item_id, expert_id
+        runs = [i for i in range(self._size) if i == 0 or owners[i] != owners[i - 1]]
+        segments = [_segment(owners[a], ids[a:b], self._codes[a:b], self._matrix[a:b])
+                    for a, b in zip(runs, [*runs[1:], self._size])]
         data = b"".join([_HEADER.pack(MAGIC, VERSION, self.dim), *segments])
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(self.path) or ".", suffix=".tmp")
         try:
@@ -248,18 +261,20 @@ class EmbeddingCache:
             raise
         self._end = len(data)
 
-    def _merge(self, keys, codes, values):
-        """Take in records in order: a key new to the store takes the next
-        row, and a key's last record gives its value and modality. A key
-        enters the index only once its row is written."""
-        last = dict(zip(keys, range(len(keys))))  # key -> its last record, first-seen order
-        if len(last) < len(keys):
+    def _merge(self, expert_id, ids, codes, values):
+        """Take in one expert's records in order: an id new to the store takes
+        the next row, and an id's last record gives its value and modality.
+        An id enters the index only once its row is written."""
+        if not ids:
+            return
+        last = dict(zip(ids, range(len(ids))))  # id -> its last record, first-seen order
+        if len(last) < len(ids):
             picks = np.fromiter(last.values(), np.intp, len(last))
             codes, values = codes[picks], values[picks]
-        index = self._index
-        used = len(index)
+        index = self._index.get(expert_id)
+        used = self._size
         rows = np.full(len(last), -1, np.intp)
-        if used:
+        if index:
             rows[:] = np.fromiter(map(index.get, last, repeat(-1)), np.intp, len(last))
         new = rows < 0
         need = used + np.count_nonzero(new)
@@ -273,19 +288,22 @@ class EmbeddingCache:
             self._matrix, self._codes = matrix, grown
         self._matrix[rows] = values
         self._codes[rows] = codes
-        if used or len(last) < len(keys):
+        if index:
             index.update(zip(compress(last, new.tolist()), rows[new].tolist()))
+        elif used or len(last) < len(ids):
+            self._index[expert_id] = dict(zip(last, range(used, need)))
         else:  # into an empty store without repeats: record i took row i
-            self._index = last
+            self._index[expert_id] = last
+        self._size = need
 
-    def _changed(self, keys, codes, block):
-        """The records of a batch that change what their key holds at that
-        point: those equal to the stored row or to the key's earlier record
-        in the batch are dropped."""
-        index = self._index
-        latest = {}  # key -> position of its latest record so far
+    def _changed(self, expert_id, ids, codes, block):
+        """The records of a batch that change what their id holds at that
+        point: those equal to the stored row or to the id's earlier record in
+        the batch are dropped."""
+        index = self._index.get(expert_id, {})
+        latest = {}  # id -> position of its latest record so far
         on_stored, stored_rows, on_batch, batch_pos = [], [], [], []
-        for i, key in enumerate(keys):
+        for i, key in enumerate(ids):
             earlier = latest.get(key)
             if earlier is not None:
                 on_batch.append(i)
@@ -295,16 +313,16 @@ class EmbeddingCache:
                 stored_rows.append(index[key])
             latest[key] = i
         if not (on_stored or on_batch):
-            return keys, codes, block
-        same = np.zeros(len(keys), dtype=bool)
+            return ids, codes, block
+        same = np.zeros(len(ids), dtype=bool)
         same[on_stored] = (block[on_stored] == self._matrix[stored_rows]).all(axis=1)
         same[on_batch] = (block[on_batch] == block[batch_pos]).all(axis=1)
         kept = np.flatnonzero(~same)
-        return [keys[i] for i in kept.tolist()], codes[kept], block[kept]
+        return [ids[i] for i in kept.tolist()], codes[kept], block[kept]
 
     def get(self, sample_id: str, expert_id: str):
         """Return the stored Embedding, or None when absent."""
-        row = self._index.get((sample_id, expert_id))
+        row = self._index.get(expert_id, {}).get(sample_id)
         if row is None:
             return None
         return Embedding(self._matrix[row].astype(np.float64), expert_id,
@@ -312,15 +330,27 @@ class EmbeddingCache:
 
     def rows(self, sample_ids, expert_id: str) -> np.ndarray:
         """Float64 values of the stored rows, one per id; KeyError when absent."""
-        picks = np.fromiter(map(self._index.__getitem__, zip(sample_ids, repeat(expert_id))),
-                            np.intp)
+        index = self._index.get(expert_id, {})
+        picks = np.fromiter(map(index.__getitem__, sample_ids), np.intp)
         return self._matrix[picks].astype(np.float64, copy=False)
+
+    def find(self, sample_ids, expert_id: str) -> np.ndarray:
+        """The row of each id in ``matrix``, -1 where the store lacks it."""
+        index = self._index.get(expert_id, {})
+        return np.fromiter(map(index.get, sample_ids, repeat(-1)), np.intp)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The stored rows at storage precision, by row: a view, which a later
+        write may change in place or, when the store grows, leave behind."""
+        return self._matrix[:self._size]
 
     def missing(self, items, expert_id: str) -> list:
         """The items whose key the store lacks, the first of each id, in order."""
-        keys = zip(map(attrgetter("item_id"), items), repeat(expert_id))
+        index = self._index.get(expert_id, {})
         absent, seen = [], set()
-        for it in compress(items, map(not_, map(self._index.__contains__, keys))):
+        for it in compress(items, map(not_, map(index.__contains__,
+                                                map(attrgetter("item_id"), items)))):
             if it.item_id not in seen:
                 seen.add(it.item_id)
                 absent.append(it)
@@ -339,11 +369,11 @@ class EmbeddingCache:
         put earlier in the batch, is skipped; the last write of a key wins.
         """
         block = np.asarray(matrix, dtype=self._matrix.dtype).reshape(len(items), self.dim)
-        keys = [(it.item_id, expert_id) for it in items]
+        ids = [it.item_id for it in items]
         codes = np.array([_MODALITY_BYTE[it.modality] for it in items], np.uint8)
         with self._lock:
             if self.path is None:
-                self._merge(*self._changed(keys, codes, block))
+                self._merge(expert_id, *self._changed(expert_id, ids, codes, block))
                 return
             if self._end is None:
                 raise PermissionError(
@@ -354,28 +384,29 @@ class EmbeddingCache:
                     raise CacheCorrupt(f"{self.path}: file ends before offset {self._end}")
                 fh.seek(self._end)
                 tail = fh.read()
-                *appended, end = self._walk(tail, self._end)
-                self._merge(*appended)
+                runs, end = self._walk(tail, self._end)
+                for run in runs:
+                    self._merge(*run)
                 self._end = end
-                keys, codes, block = self._changed(keys, codes, block)
-                if keys:
+                ids, codes, block = self._changed(expert_id, ids, codes, block)
+                if ids:
                     fh.seek(self._end)
-                    fh.write(_segment(keys, codes, block))
+                    fh.write(_segment(expert_id, ids, codes, block))
                     fh.truncate()
-                    self._merge(keys, codes, block)
+                    self._merge(expert_id, ids, codes, block)
                     self._end = fh.tell()
 
     def __len__(self) -> int:
-        return len(self._index)
+        return self._size
 
     def __contains__(self, key) -> bool:
-        return key in self._index
+        sample_id, expert_id = key
+        return sample_id in self._index.get(expert_id, {})
 
 
-def _segment(keys, codes, block) -> bytes:
-    """One segment of records that share an expert id."""
-    ids = [sample_id for sample_id, _ in keys]
-    eid = keys[0][1].encode("utf-8")
+def _segment(expert_id, ids, codes, block) -> bytes:
+    """One segment of records of one expert."""
+    eid = expert_id.encode("utf-8")
     body = b"".join([_LEN.pack(len(eid)), eid, np.array([len(s) for s in ids], _ID_LEN).tobytes(),
                      "".join(ids).encode("utf-8"), codes.tobytes(),
                      block.astype(_F32, copy=False).tobytes()])

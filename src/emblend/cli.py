@@ -210,6 +210,17 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_model(path, engine):
+    """The projection model at ``path``, which must map the engine's fused
+    input (every expert's raw side, concatenated) to its embedding dim."""
+    model = load_model(path)
+    want = (engine.n_experts * engine.dim, engine.dim)
+    if (model.input_dim, model.output_dim) != want:
+        raise ConfigError(f"{path}: model maps {model.input_dim} to {model.output_dim} dims, "
+                          f"but the config's experts need {want[0]} to {want[1]}")
+    return model
+
+
 def _space_metrics(raw, anchors, modalities, k_values, workspace):
     """Recall tables, gap report and clustering flag of one space. The gap
     report's intra/inter statistics are the clustering diagnostic's, over
@@ -224,7 +235,7 @@ def _space_metrics(raw, anchors, modalities, k_values, workspace):
 
 def cmd_eval(args) -> int:
     config, _, engine, out, samples = _setup(args)
-    model = load_model(args.model)
+    model = _load_model(args.model, engine)
     try:
         k_values = [int(k) for k in args.k.split(",")] if args.k else [1, 3, 5, 10]
     except ValueError:
@@ -234,24 +245,26 @@ def cmd_eval(args) -> int:
     modalities = [s.raw_modality for s in samples]
     cloud_tags = modalities + ["text"] * len(samples)  # the anchors count as text
     check_clustering_samples(cloud_tags)
+    # Every input is built before the workspace is touched. The anchor matrix
+    # comes first, which fixes a cold cache's record order; then each
+    # expert's raw and annotation side matrices, each built once; then the
+    # fused outputs, whose forward caches are dropped at once.
+    anchors = engine.anchor_matrix(samples)
+    raws, anns = [], []
+    for eid in engine.expert_order:
+        raws.append(engine.side_matrix(samples, "raw", eid))
+        anns.append(anchors if eid == config.anchor_expert
+                    else engine.side_matrix(samples, "annotation", eid))
+    fused = forward(model, np.concatenate(raws, axis=1))[0]
     # one buffer for the largest product: the n x n recall similarities or
     # the Gram matrix of the cloud's largest modality group
     side = max(len(samples), *Counter(cloud_tags).values())
     workspace = np.empty(side * side)
-    # the anchor matrix is built first, which fixes a cold cache's record
-    # order; each side matrix is then built once and reused
-    anchors = engine.anchor_matrix(samples)
-
-    recall, gaps, clustered, raws = {}, {}, {}, []
-    for eid in engine.expert_order:
-        raws.append(engine.side_matrix(samples, "raw", eid))
-        ann_m = (anchors if eid == config.anchor_expert
-                 else engine.side_matrix(samples, "annotation", eid))
-        recall[eid], gaps[eid], clustered[eid] = _space_metrics(
-            raws[-1], ann_m, modalities, k_values, workspace)
-    fused, _ = forward(model, np.concatenate(raws, axis=1))
-    recall["projection"], gaps["projection"], clustered["projection"] = _space_metrics(
-        fused, anchors, modalities, k_values, workspace)
+    recall, gaps, clustered = {}, {}, {}
+    for space, raw, ann in zip([*engine.expert_order, "projection"], [*raws, fused],
+                               [*anns, anchors]):
+        recall[space], gaps[space], clustered[space] = _space_metrics(
+            raw, ann, modalities, k_values, workspace)
     del workspace
 
     reduction = {eid: gap_reduction(gaps["projection"], gaps[eid])
@@ -335,7 +348,7 @@ def cmd_curate(args) -> int:
     # before the eee_projection query, which fixes a cold cache's record order
     fused_by_id = None
     if args.model:
-        fused = engine.fused_outputs(samples, load_model(args.model))
+        fused = engine.fused_outputs(samples, _load_model(args.model, engine))
         fused_by_id = {s.sample_id: fused[i] for i, s in enumerate(samples)}
     if strategy == "eee_projection":
         blend = curate_topn(engine.embed_query(query), samples, fused, n, query_text=query)

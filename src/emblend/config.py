@@ -12,6 +12,8 @@ from functools import partial
 
 import yaml
 
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml when PyYAML has it
+
 from .curation import STRATEGIES, FilterConfig
 from .errors import ConfigError
 from .experts import SyntheticExpert, SyntheticExpertConfig
@@ -187,7 +189,7 @@ def with_overrides(config: EngineConfig, fields: dict) -> EngineConfig:
 def load_config(path) -> EngineConfig:
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_LOADER)
         except (yaml.YAMLError, ValueError) as exc:
             raise ConfigError(f"{path}: not a YAML file: {exc}") from None
     if doc is None:

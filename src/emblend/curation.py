@@ -6,7 +6,7 @@ selected. Tie-breaking and scan orders are ascending sample id throughout.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -133,7 +133,8 @@ class FilterReport:
     measured: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"sample_id": self.sample_id, "passed": self.passed,
+                "failed_rules": self.failed_rules, "measured": self.measured}
 
 
 def heuristic_filter(text: str, config: FilterConfig, sample_id: str = "") -> FilterReport:
@@ -142,9 +143,8 @@ def heuristic_filter(text: str, config: FilterConfig, sample_id: str = "") -> Fi
     measured = {}
     if not text.strip():
         return FilterReport(sample_id, False, ["empty_text"], {})
-    non_ws = [c for c in text if not c.isspace()]
-    non_alnum = sum(1 for c in non_ws if not c.isalnum())
-    ratio = non_alnum / len(non_ws)
+    non_ws = len(text) - sum(map(str.isspace, text))
+    ratio = (non_ws - sum(map(str.isalnum, text))) / non_ws  # no character is both
     measured["non_alnum_ratio"] = ratio
     if ratio > config.max_non_alnum_ratio:
         failed.append("non_alnum_ratio")
@@ -187,10 +187,12 @@ def kmeans(x, k: int, seed: int, max_iter: int = 50, tol: float = 1e-6):
     for _ in range(max_iter):
         labels = kernels.kmeans_assign(x, centroids)
         new_centroids = centroids.copy()
-        for j in range(k):
-            members = labels == j
-            if members.any():
-                new_centroids[j] = x[members].mean(axis=0)
+        # members of each cluster in ascending row order, as a mask picks them
+        order = np.argsort(labels, kind="stable")
+        bounds = np.searchsorted(labels[order], np.arange(k + 1)).tolist()
+        for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            if a < b:
+                new_centroids[j] = x[order[a:b]].mean(axis=0)
         shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
         centroids = new_centroids
         if shift <= tol:

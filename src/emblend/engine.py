@@ -28,7 +28,8 @@ from .config import EngineConfig, build_expert
 from .experts import EmbedItem, SyntheticExpert
 from .projection import forward
 from .remote import RemoteDescriber
-from .sns import PayloadDescriber, component_item_id, pair_items, side_items, side_vectors
+from .sns import (PayloadDescriber, component_item_id, pair_items, side_ids, side_items,
+                  side_vectors)
 
 SLICE_BATCHES = 8   # expert batches per embed_batch call and store write
 DEFAULT_BATCH = 32  # batch size of experts that do not declare one
@@ -109,9 +110,23 @@ class Engine:
         return self.describer
 
     def side_matrix(self, samples, side: str, expert_id: str) -> np.ndarray:
-        groups = [side_items(s, side) for s in samples]
-        rows = self.handles[expert_id].rows(list(chain.from_iterable(groups)))
-        return side_vectors(rows, [len(group) for group in groups])
+        """Side vectors of the samples through one expert. The sides' cached
+        item ids resolve to store rows in one pass; only sides with a miss
+        build their ``EmbedItem``s, the misses are embedded in first-occurrence
+        order, and the rows are then read by position."""
+        handle = self.handles[expert_id]
+        groups = [side_ids(s, side) for s in samples]
+        counts = np.fromiter(map(len, groups), np.intp, len(groups))
+        ids = list(chain.from_iterable(groups))
+        at = handle.store.find(ids, expert_id)
+        misses = np.flatnonzero(at < 0)
+        if misses.size:
+            starts = np.cumsum(counts) - counts
+            owners = np.searchsorted(starts, misses, side="right") - 1
+            handle.resolve([side_items(samples[k], side)[i - starts[k]]
+                            for k, i in zip(owners.tolist(), misses.tolist())])
+            at = handle.store.find(ids, expert_id)
+        return side_vectors(handle.store.matrix, counts, at)
 
     def anchor_matrix(self, samples) -> np.ndarray:
         return self.side_matrix(samples, "annotation", self.config.anchor_expert)

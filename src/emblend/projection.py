@@ -514,6 +514,13 @@ def load_model(path) -> ProjectionModel:
     try:
         weights = [_decode_block(layer["weight"]) for layer in doc["layers"]]
         biases = [_decode_block(layer["bias"]) for layer in doc["layers"]]
-        return ProjectionModel(weights, biases, int(doc.get("seed", 0)))
+        seed = int(doc.get("seed", 0))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed model layers: {exc!r}") from None
+    if not weights:
+        raise ConfigError(f"{path}: model has no layers")
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if w.ndim != 2 or b.shape != w.shape[:1] or (i and w.shape[1] != len(weights[i - 1])):
+            raise ConfigError(f"{path}: layer {i} (weight {w.shape}, bias {b.shape}) does not "
+                              "chain onto the layer before it")
+    return ProjectionModel(weights, biases, seed)

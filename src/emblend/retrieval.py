@@ -54,7 +54,9 @@ def top_k(index: RetrievalIndex, query, k: int):
 def partner_ranks(queries, partner_ids, index: RetrievalIndex, workspace=None):
     """1-based rank of each query's ground-truth partner under top_k ordering:
     one plus the candidates scoring higher, plus those tied with a smaller id.
-    The query-by-index similarities go through ``kernels.gram``."""
+    The query-by-index similarities go through ``kernels.gram``. Each block
+    of rows takes one ``>`` and one ``==`` count; the ids of tied candidates
+    are compared only in rows where one besides the partner ties."""
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != index.dim:
         raise DimMismatch(f"query dim {queries.shape[1]} != index dim {index.dim}")
@@ -73,9 +75,12 @@ def partner_ranks(queries, partner_ids, index: RetrievalIndex, workspace=None):
         block = slice(start, start + RANK_BLOCK)
         row_sims, col = sims[block], cols[block]
         sp = row_sims[np.arange(col.size), col][:, None]
-        tied_before = (row_sims == sp) & (id_rank < id_rank[col][:, None])
-        ranks[block] = (1 + np.count_nonzero(row_sims > sp, axis=1)
-                        + np.count_nonzero(tied_before, axis=1))
+        ranks[block] = 1 + np.count_nonzero(row_sims > sp, axis=1)
+        tied = np.flatnonzero(np.count_nonzero(row_sims == sp, axis=1) > 1)
+        if tied.size:
+            tied_before = ((row_sims[tied] == sp[tied])
+                           & (id_rank < id_rank[col[tied]][:, None]))
+            ranks[start + tied] += np.count_nonzero(tied_before, axis=1)
     return ranks
 
 

@@ -67,16 +67,26 @@ class PairedSample:
                 "\n".join(c.content for c in self.annotation_components))
 
     @cached_property
+    def raw_ids(self) -> tuple:
+        """Item ids of the raw components: computed once per sample and
+        shared by every caller."""
+        return _component_ids(self.sample_id, "r", self.raw_components)
+
+    @cached_property
+    def annotation_ids(self) -> tuple:
+        """Item ids of the annotation components: computed once per sample
+        and shared by every caller."""
+        return _component_ids(self.sample_id, "a", self.annotation_components)
+
+    @cached_property
     def raw_items(self) -> tuple:
-        """Items of the raw components, in the pair's modality: computed once
-        per sample and shared by every caller."""
-        return _component_items(self.sample_id, "r", self.raw_components, self.raw_modality)
+        """Items of the raw components, in the pair's modality."""
+        return _component_items(self.raw_ids, self.raw_components, self.raw_modality)
 
     @cached_property
     def annotation_items(self) -> tuple:
-        """Items of the annotation components, as text: computed once per
-        sample and shared by every caller."""
-        return _component_items(self.sample_id, "a", self.annotation_components, "text")
+        """Items of the annotation components, as text."""
+        return _component_items(self.annotation_ids, self.annotation_components, "text")
 
     @property
     def raw_bytes(self) -> int:
@@ -239,9 +249,17 @@ def component_item_id(sample_id: str, tag: str, content: str) -> str:
     return f"{sample_id}#{tag}:{digest}"
 
 
-def _component_items(sample_id: str, tag: str, components, modality: str) -> tuple:
-    return tuple(EmbedItem(component_item_id(sample_id, tag, c.content), modality, c.content)
-                 for c in components)
+def _component_ids(sample_id: str, tag: str, components) -> tuple:
+    return tuple(component_item_id(sample_id, tag, c.content) for c in components)
+
+
+def _component_items(ids, components, modality: str) -> tuple:
+    return tuple(EmbedItem(item_id, modality, c.content) for item_id, c in zip(ids, components))
+
+
+def side_ids(pair: PairedSample, side: str) -> tuple:
+    """Item ids of one side's components."""
+    return pair.raw_ids if side == "raw" else pair.annotation_ids
 
 
 def side_items(pair: PairedSample, side: str) -> tuple:
@@ -256,25 +274,29 @@ def side_vector(component_vectors) -> np.ndarray:
 
 
 def _run_means(rows, picks, counts) -> np.ndarray:
-    """The mean of the rows ``picks[k, :counts[k]]`` for each k, stacked.
+    """The float64 mean of the rows ``picks[k, :counts[k]]`` for each k,
+    stacked; float32 rows are upcast exactly.
 
     Each mean sums its rows in pick order, as ``np.mean`` sums them: added
     position by position across means, since ``np.add.reduceat`` does not
     sum in order.
     """
-    sums = rows[picks[:, 0]]
+    sums = np.asarray(rows[picks[:, 0]], dtype=np.float64)
     for j in range(1, picks.shape[1]):
         longer = counts > j
         sums[longer] += rows[picks[longer, j]]
     return sums / counts[:, None]
 
 
-def side_vectors(rows, counts) -> np.ndarray:
+def side_vectors(rows, counts, positions=None) -> np.ndarray:
     """``side_vector`` of each run of ``counts[i]`` consecutive rows, stacked;
-    bit-equal to it on each run."""
+    bit-equal to it on each run. With ``positions``, the runs are those of
+    ``rows[positions]``, read from ``rows`` without gathering them first."""
     counts = np.asarray(counts, dtype=np.intp)
     starts = np.cumsum(counts) - counts
     picks = starts[:, None] + np.arange(counts.max(initial=1))
+    if positions is not None:  # the padding reads a row that no mean uses
+        picks = positions[np.minimum(picks, len(positions) - 1)]
     return normalize_rows(_run_means(rows, picks, counts))
 
 

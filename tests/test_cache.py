@@ -316,11 +316,26 @@ def test_append_after_torn_append_drops_the_torn_tail(tmp_path):
     assert path.stat().st_size == 2 * len(complete) - HEADER.size
 
 
+def index_items(store):
+    """The store's ((item_id, expert_id), row) pairs in row order; each
+    expert's own index lists its ids in row order too."""
+    pairs = []
+    for expert_id, index in store._index.items():
+        assert list(index.values()) == sorted(index.values())
+        pairs += [((item_id, expert_id), row) for item_id, row in index.items()]
+    return sorted(pairs, key=lambda pair: pair[1])
+
+
+def index_keys(store):
+    """The store's (item_id, expert_id) keys in row order."""
+    return [key for key, _ in index_items(store)]
+
+
 def store_state(store, keys):
     """Rows, modalities and row positions of ``keys`` in ``store``."""
     return ([store.rows([sid], eid).tobytes() for sid, eid in keys],
             [store.get(sid, eid).modality for sid, eid in keys],
-            list(store._index.items()))
+            index_items(store))
 
 
 def random_batches(seed, dim=8):
@@ -354,7 +369,7 @@ def test_v1_file_migrates_to_v2(tmp_path):
     migrated = EmbeddingCache(path, dim=8)
     want = {("a", "ex"): (rows[2], "audio"), ("b", "ex"): (rows[5], "image"),
             ("c", "other"): (rows[3], "video"), ("d", "ex"): (rows[4], "text")}
-    assert list(migrated._index.items()) == [(key, row) for row, key in enumerate(want)]
+    assert index_items(migrated) == [(key, row) for row, key in enumerate(want)]
     # one segment per run of one expert's rows, in row order
     assert [r[:3] for r in records(path, 8)] == [(*key, m) for key, (_, m) in want.items()]
     assert len(segment_spans(path.read_bytes())) == 3
@@ -428,13 +443,13 @@ def test_every_cut_of_the_final_segment_reopens_the_store_before_it(tmp_path):
     batches = random_batches(3)
     for batch in batches[:2]:
         cache.put_many("ex", [it for it, _ in batch], np.array([v for _, v in batch]))
-    keys = list(cache._index)
+    keys = index_keys(cache)
     before = store_state(cache, keys)
     prefix = path.read_bytes()
     last = batches[2]
     cache.put_many("ex", [it for it, _ in last], np.array([v for _, v in last]))
     full = path.read_bytes()
-    after = store_state(EmbeddingCache(path, dim=8), list(cache._index))
+    after = store_state(EmbeddingCache(path, dim=8), index_keys(cache))
     assert len(full) > len(prefix)
     z = make_emb("z", seed=9)
     for cut in range(len(prefix), len(full)):
@@ -448,7 +463,7 @@ def test_every_cut_of_the_final_segment_reopens_the_store_before_it(tmp_path):
         assert np.array_equal(EmbeddingCache(path, dim=8).get("z", "ex").values,
                               z.values.astype(np.float32))
     path.write_bytes(full)
-    assert store_state(EmbeddingCache(path, dim=8), list(cache._index)) == after
+    assert store_state(EmbeddingCache(path, dim=8), index_keys(cache)) == after
 
 
 def test_bad_crc_in_the_final_segment_is_a_torn_tail(tmp_path):
@@ -461,7 +476,7 @@ def test_bad_crc_in_the_final_segment_is_a_torn_tail(tmp_path):
     data[-1] ^= 0x10
     path.write_bytes(bytes(data))
     reopened = EmbeddingCache(path, dim=8)
-    assert list(reopened._index) == [("a", "ex")]
+    assert index_keys(reopened) == [("a", "ex")]
     reopened.put(make_emb("c", seed=3))
     assert path.read_bytes()[:len(prefix)] == prefix
     assert [r[0] for r in records(path, 8)] == ["a", "c"]
@@ -515,10 +530,48 @@ def test_first_occurrence_row_and_last_write_hold_across_segments(tmp_path):
             last[it.item_id] = (v, it.modality)
     reopened = EmbeddingCache(path, dim=8)
     for store, cast in ((memory, np.float64), (cache, np.float32), (reopened, np.float32)):
-        assert list(store._index.items()) == [((sid, "ex"), row) for row, sid in enumerate(order)]
+        assert index_items(store) == [((sid, "ex"), row) for row, sid in enumerate(order)]
         assert np.array_equal(store.rows(order, "ex"),
                               np.array([last[sid][0].astype(cast) for sid in order]))
         assert [store.get(sid, "ex").modality for sid in order] == [last[s][1] for s in order]
+
+
+def tuple_keyed_merge(batches):
+    """Oracle: the store's index as one dict from (item_id, expert_id) to row,
+    taking records in order: a new key takes the next row, and a key's last
+    record gives its value and modality."""
+    index, values, modalities = {}, {}, {}
+    for expert_id, items, block in batches:
+        for it, v in zip(items, block):
+            key = (it.item_id, expert_id)
+            index.setdefault(key, len(index))
+            values[key], modalities[key] = v, it.modality
+    return index, values, modalities
+
+
+def test_interleaved_experts_keep_rows_in_first_occurrence_order(tmp_path):
+    """Segments of two experts, alternating and sharing item ids, index each
+    (id, expert) key at its first record's row, as one tuple-keyed dict did."""
+    batches = [(expert_id, [it for it, _ in batch], np.array([v for _, v in batch]))
+               for expert_id, batch in zip(["ex", "other", "other", "ex", "third", "ex"],
+                                           random_batches(13) + random_batches(14))]
+    path = tmp_path / "c.eec"
+    memory, cache = EmbeddingCache(None, dim=8), EmbeddingCache(path, dim=8)
+    for expert_id, items, block in batches:
+        for store in (memory, cache):
+            store.put_many(expert_id, items, block)
+    index, values, modalities = tuple_keyed_merge(batches)
+    assert len({eid for _, eid in index}) == 3 and len(index) < sum(len(b[1]) for b in batches)
+    for store, cast in ((memory, np.float64), (cache, np.float32),
+                        (EmbeddingCache(path, dim=8), np.float32)):
+        assert index_items(store) == list(index.items()) and len(store) == len(index)
+        assert np.array_equal(store.matrix, np.array([values[key].astype(cast) for key in index]))
+        for (item_id, expert_id), row in index.items():
+            assert (item_id, expert_id) in store
+            assert store.get(item_id, expert_id).modality == modalities[item_id, expert_id]
+            assert store.find([item_id, "absent"], expert_id).tolist() == [row, -1]
+        assert ("a", "nobody") not in store and store.find(["a"], "nobody").tolist() == [-1]
+        assert store.get("a", "nobody") is None and store.rows([], "nobody").shape == (0, 8)
 
 
 def test_append_takes_in_segments_another_writer_added(tmp_path):
@@ -529,7 +582,7 @@ def test_append_takes_in_segments_another_writer_added(tmp_path):
     put_embs(second, [make_emb("a", seed=1), make_emb("b", seed=5), make_emb("c", seed=3)])
     assert [r[0] for r in records(path, 8)] == ["a", "b", "b", "c"]
     for store in (second, EmbeddingCache(path, dim=8)):
-        assert list(store._index) == [("a", "ex"), ("b", "ex"), ("c", "ex")]
+        assert index_keys(store) == [("a", "ex"), ("b", "ex"), ("c", "ex")]
         assert np.array_equal(store.rows(["b"], "ex")[0],
                               make_emb("b", seed=5).values.astype(np.float32))
 
@@ -574,6 +627,6 @@ def test_two_writer_processes_leave_a_valid_file(tmp_path):
             order.append(item_id)
         last[item_id] = value
     reopened = EmbeddingCache(path, dim=4)
-    assert list(reopened._index) == [(k, "ex") for k in order]
+    assert index_keys(reopened) == [(k, "ex") for k in order]
     assert [reopened.rows([k], "ex").astype(np.float32).tobytes() for k in order] == \
         [last[k] for k in order]

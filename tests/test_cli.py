@@ -394,6 +394,82 @@ def test_malformed_model_file_is_exit_1(workspace, small_model, tmp_path, capsys
     assert capsys.readouterr().err.startswith(f"error: {model}: ")
 
 
+def _delete_last_layer(doc):
+    del doc["layers"][-1]
+
+
+def _model_of_dims(input_dim, output_dim):
+    from emblend.projection import init_projection, save_model
+
+    def edit(doc, path):
+        save_model(init_projection(input_dim, output_dim, 2, seed=1), path)
+    return edit
+
+
+MISFIT_MODELS = {"deleted layer": _delete_last_layer,
+                 "wrong input dim": _model_of_dims(2 * 32, 32),
+                 "wrong output dim": _model_of_dims(3 * 32, 16)}
+
+
+@pytest.mark.parametrize("command", ["eval", "curate"])
+@pytest.mark.parametrize("misfit", list(MISFIT_MODELS))
+def test_model_that_does_not_fit_the_experts_is_exit_1(workspace, small_model, tmp_path,
+                                                      capsys, command, misfit):
+    """A model whose layers do not chain, or that does not map the three
+    dim-32 experts' fused input (96) to dim 32, fails at load time."""
+    model = tmp_path / "model.json"
+    doc = read_json(small_model)
+    assert [layer["weight"]["shape"] for layer in doc["layers"]] == [[96, 96], [32, 96]]
+    edit = MISFIT_MODELS[misfit]
+    if misfit == "deleted layer":
+        edit(doc)
+        model.write_text(json.dumps(doc))
+    else:
+        edit(doc, model)
+    extra = ["--strategy", "eee_projection", "--n", "10"] if command == "curate" else []
+    code = run([command, "--config", workspace["config"], "--corpus", workspace["corpus"],
+                "--model", str(model), "--out", str(tmp_path / command), *extra])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {model}: ")
+
+
+def test_eval_builds_every_input_before_the_workspace(workspace, small_model, tmp_path,
+                                                      monkeypatch):
+    """The side matrices (anchor first, then each expert's raw and annotation
+    side in config order) and the fused outputs are built before the first
+    product, and the forward pass's caches are gone by then."""
+    from emblend import cli, kernels
+    from emblend.engine import Engine
+    events, caches = [], []
+    side_matrix, forward, gram = Engine.side_matrix, cli.forward, kernels.gram
+
+    def recording_side_matrix(self, samples, side, expert_id):
+        events.append((side, expert_id))
+        return side_matrix(self, samples, side, expert_id)
+
+    def recording_forward(model, x):
+        fused, cache = forward(model, x)
+        events.append("forward")
+        caches.extend(weakref.ref(a) for part in cache for a in
+                      (part if isinstance(part, list) else [part]))
+        return fused, cache
+
+    def recording_gram(a, b, workspace=None):
+        if "gram" not in events:
+            events.append("gram")
+            assert caches and all(ref() is None for ref in caches)
+        return gram(a, b, workspace)
+
+    monkeypatch.setattr(Engine, "side_matrix", recording_side_matrix)
+    monkeypatch.setattr(cli, "forward", recording_forward)
+    monkeypatch.setattr(kernels, "gram", recording_gram)
+    assert run(["eval", "--config", workspace["config"], "--corpus", workspace["corpus"],
+                "--model", small_model, "--out", str(tmp_path / "eval")]) == 0
+    assert events == [("annotation", "text"), ("raw", "e2e"), ("annotation", "e2e"),
+                      ("raw", "fusion"), ("annotation", "fusion"), ("raw", "text"),
+                      "forward", "gram"]
+
+
 def test_remote_failure_is_exit_3(tmp_path, workspace):
     cfg = yaml.safe_load(open(workspace["config"]))
     cfg["experts"][0] = {"expert_id": "e2e", "kind": "remote", "dim": 32,

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -304,3 +305,108 @@ def test_to_dict_equals_the_hand_written_dict(source, tmp_path):
     config.remote.api_key = "secret"
     # same keys in the same order, so the manifests' bytes do not move
     assert json.dumps(config.to_dict()) == json.dumps(hand_written_to_dict(config))
+
+
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+
+def test_load_config_uses_libyaml_when_pyyaml_has_it():
+    from emblend import config
+    assert config._LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("source", ["default", "gap-collapse", "synth"])
+def test_both_yaml_loaders_give_equal_configs(source, tmp_path, monkeypatch):
+    from emblend import config
+    path = PRESETS / f"{source}.yaml"
+    if source == "synth":
+        assert run(["synth", "--out", str(tmp_path), "--pools", "2", "--samples-per-pool", "4",
+                    "--seed", "3"]) == 0
+        path = tmp_path / "config.yaml"
+    text = path.read_text(encoding="utf-8")
+    docs, loaded = [], []
+    for loader in LOADERS:
+        docs.append(json.dumps(yaml.load(text, Loader=loader)))  # types and key order too
+        monkeypatch.setattr(config, "_LOADER", loader)
+        loaded.append(json.dumps(load_config(path).to_dict()))
+    assert len(set(docs)) == 1 and len(set(loaded)) == 1
+
+
+@pytest.mark.parametrize("text", ["experts: [\n", "a: b: c\n", "- [1, 2\n", "key: 'open\n",
+                                  "\t- tab indent\n"])
+def test_both_yaml_loaders_reject_malformed_yaml_naming_the_file(text, tmp_path, monkeypatch,
+                                                                 capsys):
+    from emblend import config
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    for loader in LOADERS:
+        monkeypatch.setattr(config, "_LOADER", loader)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: not a YAML file"):
+            load_config(path)
+        assert run(["embed", "--config", str(path), "--corpus", "x.jsonl",
+                    "--out", str(tmp_path / "emb")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: not a YAML file")
+
+
+def item_gather_side_matrix(engine, samples, side, expert_id):
+    """Oracle: ``Engine.side_matrix`` as it was before rows were read by
+    position: every side's items resolved through the handle, gathered as
+    float64 rows, then ``side_vectors``."""
+    groups = [side_items(s, side) for s in samples]
+    rows = engine.handles[expert_id].rows([it for group in groups for it in group])
+    return side_vectors(rows, [len(group) for group in groups])
+
+
+@pytest.mark.parametrize("store", ["memory", "cold file", "half-warm file"])
+def test_side_matrix_equals_the_item_gather(setup, tmp_path, monkeypatch, store):
+    """Same bits, the same items sent to each expert in the same batches, and
+    the same cache records in the same order."""
+    config, samples = setup
+    original = SyntheticExpert.embed_batch
+    results = []
+    for name, build in (("positions", Engine.side_matrix), ("items", item_gather_side_matrix)):
+        cache_dir = None if store == "memory" else tmp_path / name
+        cfg = config_from_dict(dict(config.to_dict(), cache_dir=cache_dir and str(cache_dir)))
+        if store == "half-warm file":
+            Engine(cfg).populate_caches(samples[::3])
+        engine = Engine(cfg)
+        calls = []
+        monkeypatch.setattr(SyntheticExpert, "embed_batch", lambda self, items: calls.append(
+            (self.expert_id, list(items))) or original(self, items))
+        matrices = [build(engine, samples, side, eid)
+                    for eid in engine.expert_order for side in ("annotation", "raw")]
+        monkeypatch.setattr(SyntheticExpert, "embed_batch", original)
+        files = [records(cache_dir / f"{eid}.eec", cfg.dim) for eid in engine.expert_order
+                 if cache_dir]
+        results.append((matrices, calls, files))
+    (got, got_calls, got_files), (want, want_calls, want_files) = results
+    assert len(got) == len(want) == 6
+    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+    assert got_calls == want_calls and len(want_calls) >= 6
+    assert got_files == want_files
+
+
+def test_side_matrix_builds_no_items_on_a_warm_store(setup, tmp_path):
+    config, samples = setup
+    config = config_from_dict(dict(config.to_dict(), cache_dir=str(tmp_path / "c")))
+    Engine(config).populate_caches(samples)
+    fresh = generate_corpus(SynthSpec(seed=2, pools=2, samples_per_pool=10, clusters=3,
+                                      dim=16, semantic_dim=8, modalities=("image", "text")))
+    engine = Engine(config)
+    for eid in engine.expert_order:
+        for side in ("raw", "annotation"):
+            assert np.array_equal(engine.side_matrix(fresh, side, eid),
+                                  item_gather_side_matrix(engine, samples, side, eid))
+    assert not any("raw_items" in vars(s) or "annotation_items" in vars(s) for s in fresh)
+    assert all("raw_ids" in vars(s) and "annotation_ids" in vars(s) for s in fresh)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_side_vectors_by_position_equal_the_gathered_rows(dtype):
+    rng = np.random.default_rng(8)
+    counts = [3, 1, 5, 2, 2]
+    rows = rng.normal(size=(9, 7)).astype(dtype)
+    positions = rng.integers(0, 9, size=sum(counts))  # repeats and skips rows
+    want = side_vectors(rows[positions].astype(np.float64), counts)
+    got = side_vectors(rows, counts, positions)
+    assert got.dtype == np.float64 and np.array_equal(got, want)

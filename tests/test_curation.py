@@ -1,14 +1,17 @@
+import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from emblend.curation import (Blend, FilterConfig, blend_stats, curate_topn,
+from emblend.curation import (Blend, FilterConfig, FilterReport, blend_stats, curate_topn,
                               heuristic_filter, kmeans, pca_2d,
                               sample_stratified, sample_uniform, semantic_dedup,
                               stratified_quotas, traditional_pipeline)
 from emblend.errors import (EmptyPool, KTooLarge, NTooLarge, PoolTooSmall,
                             UnknownId)
+from emblend.kernels import kmeans_assign
 from emblend.sns import Component, PairedSample
 
 rng = np.random.default_rng(17)
@@ -29,6 +32,81 @@ def unit_rows(n, d, gen=None):
     gen = gen or rng
     x = gen.normal(size=(n, d))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+# Unicode whitespace (NBSP, ideographic space, line/paragraph separators,
+# the file/group/record separators \x1c-\x1e) and alphanumerics beyond ASCII
+# (accented letters, CJK, Devanagari digits, superscripts, fractions, Roman
+# numerals), combining marks and emoji, which are neither.
+UNICODE_TEXTS = [
+    "plain ascii words 123",
+    "caf\u00e9 na\u00efve \u00c5ngstr\u00f6m",
+    "\u00a0nbsp\u00a0and\u3000ideographic\u2028line\u2029para\x1c\x1d\x1e\x85",
+    "\u6f22\u5b57\u304b\u306a \u0967\u0968\u0969 \u00b2\u00b3 \u00bd\u2153 \u2160\u2161",
+    "e\u0301 combining \u0300\u0301 marks",
+    "emoji \U0001f600\U0001f680 !!! ??? ...",
+    "\t\n\x0b\x0c\r mixed \u2009thin\u200bzero-width",
+    "\u00a0\u00a0x",
+]
+
+
+def heuristic_filter_oracle(text, config, sample_id=""):
+    """``heuristic_filter`` as first written: one pass per character over the
+    non-whitespace characters."""
+    failed, measured = [], {}
+    if not text.strip():
+        return FilterReport(sample_id, False, ["empty_text"], {})
+    non_ws = [c for c in text if not c.isspace()]
+    non_alnum = sum(1 for c in non_ws if not c.isalnum())
+    ratio = non_alnum / len(non_ws)
+    measured["non_alnum_ratio"] = ratio
+    if ratio > config.max_non_alnum_ratio:
+        failed.append("non_alnum_ratio")
+    lines = text.split("\n")
+    repeated = 1.0 - len(set(lines)) / len(lines)
+    measured["repeated_line_fraction"] = repeated
+    if repeated > config.max_repeated_line_fraction:
+        failed.append("repeated_line_fraction")
+    lowered = text.lower()
+    hits = [b for b in config.boilerplate if b.lower() in lowered]
+    measured["boilerplate_hits"] = hits
+    if hits:
+        failed.append("boilerplate")
+    return FilterReport(sample_id, not failed, failed, measured)
+
+
+def kmeans_oracle(x, k, seed, max_iter=50, tol=1e-6):
+    """``kmeans`` as first written: one boolean mask per cluster per iteration."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    n = x.shape[0]
+    gen = np.random.Generator(np.random.PCG64(seed))
+    order = gen.permutation(n)
+    chosen, seen = [], set()
+    for i in order:
+        key = x[i].tobytes()
+        if key not in seen:
+            seen.add(key)
+            chosen.append(i)
+        if len(chosen) == k:
+            break
+    for i in order:
+        if len(chosen) == k:
+            break
+        if i not in chosen:
+            chosen.append(i)
+    centroids = x[np.asarray(chosen[:k])].copy()
+    for _ in range(max_iter):
+        labels = kmeans_assign(x, centroids)
+        new_centroids = centroids.copy()
+        for j in range(k):
+            members = labels == j
+            if members.any():
+                new_centroids[j] = x[members].mean(axis=0)
+        shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
+        centroids = new_centroids
+        if shift <= tol:
+            break
+    return kmeans_assign(x, centroids), centroids
 
 
 class TestCurateTopN:
@@ -175,6 +253,20 @@ class TestHeuristicFilter:
         want = {"sample_id": report.sample_id, "passed": report.passed,
                 "failed_rules": list(report.failed_rules), "measured": dict(report.measured)}
         assert json.dumps(report.to_dict()) == json.dumps(want)
+        assert json.dumps(report.to_dict()) == json.dumps(dataclasses.asdict(report))
+
+    @pytest.mark.parametrize("text", UNICODE_TEXTS)
+    def test_ratio_equals_the_per_character_count(self, text):
+        config = FilterConfig()
+        report = heuristic_filter(text, config, "s1")
+        want = heuristic_filter_oracle(text, config, "s1")
+        assert json.dumps(report.to_dict()) == json.dumps(dataclasses.asdict(want))
+        assert report.measured.get("non_alnum_ratio") == want.measured.get("non_alnum_ratio")
+
+    def test_no_character_is_both_whitespace_and_alphanumeric(self):
+        # the ratio counts whitespace and alphanumerics over the whole text
+        assert not [c for c in map(chr, range(sys.maxunicode + 1))
+                    if c.isspace() and c.isalnum()]
 
 
 class TestKMeans:
@@ -190,6 +282,22 @@ class TestKMeans:
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
             kmeans(unit_rows(3, 2), 4, seed=0)
+
+    @pytest.mark.parametrize("case", ["spread", "duplicates", "empty cluster", "k = n"])
+    def test_equals_the_mask_per_cluster_loop(self, case):
+        gen = np.random.default_rng(23)
+        x, k = unit_rows(300, 8, gen), 17
+        if case == "duplicates":
+            x = np.repeat(unit_rows(12, 8, gen), 25, axis=0)
+        elif case == "empty cluster":  # 3 distinct points, 5 centroids: 2 repeat one
+            x, k = np.repeat(unit_rows(3, 4, gen), 4, axis=0), 5
+        elif case == "k = n":
+            x, k = unit_rows(9, 4, gen), 9
+        for seed in range(3):
+            labels, centroids = kmeans(x, k, seed)
+            want_labels, want_centroids = kmeans_oracle(x, k, seed)
+            assert np.array_equal(labels, want_labels)
+            assert np.array_equal(centroids, want_centroids)
 
     def test_deterministic(self):
         x = unit_rows(40, 5)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -370,6 +371,25 @@ class TestModelIO:
         path = tmp_path / "x.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ConfigError):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", ["layers out of order", "bias of another layer",
+                                      "no layers", "vector weight"])
+    def test_rejects_layers_that_do_not_chain(self, tmp_path, edit):
+        path = tmp_path / "m.json"
+        save_model(init_projection(12, 4, 3, hidden_dim=6, seed=13), path)
+        doc = json.loads(path.read_text())
+        layers = doc["layers"]  # weights 6x12, 6x6, 4x6
+        if edit == "layers out of order":
+            layers[1], layers[2] = layers[2], layers[1]
+        elif edit == "bias of another layer":
+            layers[1]["bias"] = layers[2]["bias"]
+        elif edit == "no layers":
+            layers.clear()
+        else:
+            layers[0]["weight"]["shape"] = [72]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "):
             load_model(path)
 
     def test_save_is_byte_stable(self, tmp_path):

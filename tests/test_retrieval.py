@@ -24,6 +24,25 @@ def sort_oracle(ids, matrix, query, k):
     return [(ids[i], float(sims[i])) for i in order[:k]]
 
 
+def blockwise_partner_ranks(queries, partner_ids, index):
+    """Oracle: the rank pass as first vectorized, with the id comparison of
+    tied candidates in every row of every block."""
+    pos = {sid: i for i, sid in enumerate(index.ids)}
+    cols = np.array([pos[pid] for pid in partner_ids], dtype=np.intp)
+    id_rank = np.empty(len(index), dtype=np.intp)
+    id_rank[np.argsort(np.asarray(index.ids))] = np.arange(len(index))
+    sims = queries @ index.matrix.T
+    ranks = np.empty(cols.size, dtype=np.int64)
+    for start in range(0, cols.size, RANK_BLOCK):
+        block = slice(start, start + RANK_BLOCK)
+        row_sims, col = sims[block], cols[block]
+        sp = row_sims[np.arange(col.size), col][:, None]
+        tied_before = (row_sims == sp) & (id_rank < id_rank[col][:, None])
+        ranks[block] = (1 + np.count_nonzero(row_sims > sp, axis=1)
+                        + np.count_nonzero(tied_before, axis=1))
+    return ranks
+
+
 def loop_partner_ranks(queries, partner_ids, index):
     """Oracle: one query at a time, ties broken by comparing id strings."""
     pos = {sid: i for i, sid in enumerate(index.ids)}
@@ -131,6 +150,32 @@ class TestRecall:
         tied = sum(int(np.count_nonzero(sims[q] == sims[q, ids.index(p)])) > 1
                    for q, p in enumerate(partners))
         assert tied > n // 4 and (want > 1).any()
+
+    @pytest.mark.parametrize("n", [RANK_BLOCK, 2 * RANK_BLOCK + 9])
+    def test_partner_ranks_match_both_oracles_with_ties_in_and_across_blocks(self, n):
+        """Sign vectors tie exactly within every block of query rows; a
+        quarter of the index is one row, so a query tied there ties with many
+        candidates; partners in the last quarter, continuous rows, tie with none."""
+        gen = np.random.default_rng(n + 7)
+        mat = np.sign(gen.normal(size=(n, 8)))
+        mat[: n // 4] = mat[0]
+        mat[n - n // 4:] = unit_rows(n // 4, 8, gen)
+        queries = np.sign(mat + 1.2 * gen.normal(size=mat.shape))
+        queries[0] = mat[0]
+        ids = [f"s{v:05d}" for v in gen.permutation(10 * n)[:n]]
+        partners = [ids[i] for i in gen.permutation(n)]
+        partners[0] = ids[n // 8]  # one of the rows equal to row 0
+        index = RetrievalIndex(ids, mat)
+        got = partner_ranks(queries, partners, index)
+        for oracle in (loop_partner_ranks, blockwise_partner_ranks):
+            want = oracle(queries, partners, index)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        sims = queries @ mat.T
+        ties = np.array([np.count_nonzero(sims[q] == sims[q, ids.index(p)]) - 1
+                         for q, p in enumerate(partners)])
+        assert ties[0] >= n // 4 - 1 and (ties == 0).any() and (ties > 0).sum() > n // 4
+        for block in range(0, n, RANK_BLOCK):
+            assert (ties[block:block + RANK_BLOCK] > 0).any()
 
     @pytest.mark.parametrize("n", [7, RANK_BLOCK + 37, 300])
     def test_partner_ranks_with_workspace_equal_ranks_without(self, n):

@@ -13,7 +13,8 @@ from emblend.geometry import MODALITIES, cosine_sim, normalize
 from emblend.sns import (Component, NucleusRecord, PairedSample, PayloadDescriber,
                          SnsConfig, TableDescriber, apply_sns, calibrate_taus,
                          component_item_id, extract, info_density, mi_gate, pair_items,
-                         run_sns, segment_text, side_items, side_vector)
+                         run_sns, segment_text, side_ids, side_items,
+                         side_vector)
 
 
 class TestSegmentText:
@@ -677,6 +678,8 @@ def test_side_items_equal_the_per_call_builder():
             want = tuple(per_call_side_items(pair, side))
             assert side_items(pair, side) == want
             assert side_items(pair, side) is side_items(pair, side)  # computed once
+            assert side_ids(pair, side) == tuple(it.item_id for it in want)
+            assert side_ids(pair, side) is side_ids(pair, side)
         assert pair_items(pair) == tuple(per_call_side_items(pair, "raw")
                                          + per_call_side_items(pair, "annotation"))
     # a variant's items are its own, and keep the ids of the components it kept
