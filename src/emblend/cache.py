@@ -17,22 +17,16 @@ process's append in flight. A bad body CRC in any other segment, a head that
 fails its CRC, an unknown modality byte or a non-UTF-8 id raises
 ``CacheCorrupt``. An append holds ``LOCK_EX``: it first takes in the
 complete segments other processes appended since, then writes its segment
-over any torn tail. A version 1 file (a header count, then records of id,
-expert id, modality byte and values) is read once and rewritten as version
-2: a temporary file in the same directory, fsynced, then ``os.replace``d
-under ``LOCK_EX``. Where the process may not write the file or its
-directory, it is read as it stands and ``put_many`` raises PermissionError
-rather than append to it. Without a path the store keeps the experts' float64
-values unrounded and writes nothing.
+over any torn tail. A version 1 file raises ``CacheCorrupt``; convert it
+with ``tools/cache_v1_to_v2.py``. Without a path the store keeps the
+experts' float64 values unrounded and writes nothing.
 """
 from __future__ import annotations
 
 import contextlib
-import errno
 import fcntl
 import os
 import struct
-import tempfile
 import threading
 import zlib
 from itertools import compress, groupby, repeat
@@ -49,13 +43,11 @@ VERSION = 2
 _HEADER = struct.Struct("<4sII")
 _HEAD = struct.Struct("<IQI")  # segment: count, body length, body CRC32
 _CRC = struct.Struct("<I")  # CRC32 of the segment's _HEAD fields
-_V1_HEADER = struct.Struct("<4sIIQ")  # version 1: magic, version, dim, record count
 _LEN = struct.Struct("<H")
 _F32 = np.dtype("<f4")
 _ID_LEN = np.dtype("<u4")
 
 _MODALITY_BYTE = {m: i for i, m in enumerate(MODALITIES)}
-_READ_ONLY = (errno.EACCES, errno.EPERM, errno.EROFS)  # why a v1 rewrite may be refused
 
 
 class EmbeddingCache:
@@ -80,52 +72,25 @@ class EmbeddingCache:
     @contextlib.contextmanager
     def _locked(self, mode):
         """The cache file under ``fcntl.flock(mode)``: read-only for LOCK_SH,
-        for update (created if absent) for LOCK_EX. Reopened until the lock
-        is on the file the path names, since a v1 rewrite replaces it."""
+        for update (created if absent) for LOCK_EX."""
         flags = os.O_RDONLY if mode == fcntl.LOCK_SH else os.O_RDWR | os.O_CREAT
-        while True:
-            fh = open(os.open(self.path, flags, 0o666), "rb" if flags == os.O_RDONLY else "r+b")
-            try:
-                fcntl.flock(fh, mode)
-                held, named = os.fstat(fh.fileno()), os.stat(self.path)
-                if (held.st_dev, held.st_ino) == (named.st_dev, named.st_ino):
-                    yield fh
-                    return
-            finally:
-                fh.close()
+        with open(os.open(self.path, flags, 0o666), "rb" if flags == os.O_RDONLY else "r+b") as fh:
+            fcntl.flock(fh, mode)
+            yield fh
 
     def _load(self):
         shared = os.path.exists(self.path) and os.path.getsize(self.path) > 0
-        v1 = False  # a version 1 file was read under LOCK_SH
         while True:
-            try:
-                with self._locked(fcntl.LOCK_SH if shared else fcntl.LOCK_EX) as fh:
-                    data = fh.read()
-                    version = self._version(data)
-                    if version == VERSION:
-                        runs, self._end = self._walk(memoryview(data)[_HEADER.size:],
-                                                     _HEADER.size)
-                        for run in runs:
-                            self._merge(*run)
-                        return
-                    if version == 1 and (v1 or not shared):
-                        for run in self._read_v1(data):
-                            self._merge(*run)
-                        self._end = None  # no appends to a version 1 file
-                        if not shared:
-                            self._rewrite(fh)
-                        return
-                    if not shared:  # creating the file needs LOCK_EX
-                        fh.write(_HEADER.pack(MAGIC, VERSION, self.dim))
-                        return
-                    v1 = version == 1
-            except OSError as exc:
-                if exc.errno not in _READ_ONLY or not v1 or shared:
-                    raise
-                if self._end is None:  # read under LOCK_EX; only the rewrite was refused
+            with self._locked(fcntl.LOCK_SH if shared else fcntl.LOCK_EX) as fh:
+                data = fh.read()
+                if self._version(data) == VERSION:
+                    runs, self._end = self._walk(memoryview(data)[_HEADER.size:], _HEADER.size)
+                    for run in runs:
+                        self._merge(*run)
                     return
-                shared = True  # read it under LOCK_SH as it stands
-                continue
+                if not shared:  # creating the file needs LOCK_EX
+                    fh.write(_HEADER.pack(MAGIC, VERSION, self.dim))
+                    return
             shared = False
 
     def _version(self, data):
@@ -137,7 +102,10 @@ class EmbeddingCache:
         magic, version, dim = _HEADER.unpack_from(data)
         if magic != MAGIC:
             raise CacheCorrupt(f"{self.path}: bad magic {magic!r}")
-        if version not in (1, VERSION):
+        if version == 1:
+            raise CacheCorrupt(f"{self.path}: version 1 cache file; "
+                               "convert it with tools/cache_v1_to_v2.py")
+        if version != VERSION:
             raise CacheCorrupt(f"{self.path}: unsupported version {version}")
         if dim != self.dim:
             raise CacheCorrupt(f"{self.path}: cache dim {dim} != expected {self.dim}")
@@ -196,70 +164,6 @@ class EmbeddingCache:
             raise CacheCorrupt(f"{self.path}: unknown modality byte {codes.max()}")
         values = np.frombuffer(body, _F32, count * self.dim, values_at)
         return expert_id, lengths, text, codes, values.reshape(count, self.dim)
-
-    def _read_v1(self, data):
-        """The records of a version 1 file's counted records, in file order,
-        as one (expert_id, ids, codes, values) per run of one expert."""
-        if len(data) < _V1_HEADER.size:
-            raise CacheCorrupt(f"{self.path}: truncated header")
-        count = _V1_HEADER.unpack_from(data)[3]
-        vec_bytes = 4 * self.dim
-        end = len(data)
-        pos = _V1_HEADER.size
-        ids, eids, codes, offsets = [], [], [], []
-        for _ in range(count):
-            if pos + _LEN.size > end:
-                raise CacheCorrupt(f"{self.path}: truncated record")
-            (id_len,) = _LEN.unpack_from(data, pos)
-            id_end = pos + _LEN.size + id_len
-            if id_end + _LEN.size > end:
-                raise CacheCorrupt(f"{self.path}: truncated record")
-            (eid_len,) = _LEN.unpack_from(data, id_end)
-            eid_end = id_end + _LEN.size + eid_len
-            if eid_end + 1 + vec_bytes > end:
-                raise CacheCorrupt(f"{self.path}: truncated record")
-            if data[eid_end] >= len(MODALITIES):
-                raise CacheCorrupt(f"{self.path}: unknown modality byte {data[eid_end]}")
-            try:
-                ids.append(data[pos + _LEN.size:id_end].decode("utf-8"))
-                eids.append(data[id_end + _LEN.size:eid_end].decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise CacheCorrupt(f"{self.path}: record at offset {pos} has a non-UTF-8 id") \
-                    from exc
-            codes.append(data[eid_end])
-            offsets.append(eid_end + 1)
-            pos = eid_end + 1 + vec_bytes
-        block = b"".join(data[off:off + vec_bytes] for off in offsets)
-        codes = np.array(codes, np.uint8)
-        values = np.frombuffer(block, _F32).reshape(count, self.dim)
-        starts = [i for i in range(count) if i == 0 or eids[i] != eids[i - 1]]
-        return [(eids[a], ids[a:b], codes[a:b], values[a:b])
-                for a, b in zip(starts, [*starts[1:], count])]
-
-    def _rewrite(self, fh):
-        """Replace the file ``fh`` holds under LOCK_EX with a version 2 file of
-        the stored rows: one segment per run of rows of one expert."""
-        ids, owners = [None] * self._size, [None] * self._size
-        for expert_id, index in self._index.items():
-            for item_id, row in index.items():
-                ids[row], owners[row] = item_id, expert_id
-        runs = [i for i in range(self._size) if i == 0 or owners[i] != owners[i - 1]]
-        segments = [_segment(owners[a], ids[a:b], self._codes[a:b], self._matrix[a:b])
-                    for a, b in zip(runs, [*runs[1:], self._size])]
-        data = b"".join([_HEADER.pack(MAGIC, VERSION, self.dim), *segments])
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(self.path) or ".", suffix=".tmp")
-        try:
-            with open(fd, "wb") as out:
-                os.fchmod(out.fileno(), os.fstat(fh.fileno()).st_mode & 0o777)
-                out.write(data)
-                out.flush()
-                os.fsync(out.fileno())
-            os.replace(tmp, self.path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-        self._end = len(data)
 
     def _merge(self, expert_id, ids, codes, values):
         """Take in one expert's records in order: an id new to the store takes
@@ -375,10 +279,6 @@ class EmbeddingCache:
             if self.path is None:
                 self._merge(expert_id, *self._changed(expert_id, ids, codes, block))
                 return
-            if self._end is None:
-                raise PermissionError(
-                    errno.EACCES, "version 1 cache file could not be rewritten as version 2, "
-                    "so it takes no new records", self.path)
             with self._locked(fcntl.LOCK_EX) as fh:
                 if os.fstat(fh.fileno()).st_size < self._end:
                     raise CacheCorrupt(f"{self.path}: file ends before offset {self._end}")

@@ -43,7 +43,7 @@ class GatingExpertFailure(EmblendError):
 
 class CacheCorrupt(EmblendError):
     """Embedding cache file has a bad header, a record that cannot be read,
-    or a failed CRC before its final segment."""
+    a failed CRC before its final segment, or a version 1 header."""
 
 
 class BatchTooSmall(EmblendError):

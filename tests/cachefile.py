@@ -1,7 +1,7 @@
 """Test-local writer and reader of the cache file formats, written from the
-layouts in ``emblend.cache``'s docstring and independent of its code: a
-version 1 writer (the old append format, now only ever migrated) and a
-version 2 record walker."""
+layouts in the docstrings of ``emblend.cache`` and ``tools/cache_v1_to_v2.py``
+and independent of their code: a version 1 writer (the old append format,
+read by the conversion tool) and a version 2 record walker."""
 import struct
 import zlib
 

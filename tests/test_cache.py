@@ -1,5 +1,3 @@
-import errno
-import fcntl
 import os
 import pathlib
 import re
@@ -12,7 +10,6 @@ import numpy as np
 import pytest
 
 from cachefile import HEADER, records, reseal, segment_spans, v1_bytes
-from emblend import cache as cache_module
 from emblend.cache import MAGIC, EmbeddingCache
 from emblend.errors import CacheCorrupt
 from emblend.experts import EmbedItem
@@ -82,17 +79,27 @@ def test_bad_version_rejected(tmp_path):
         EmbeddingCache(path, dim=8)
 
 
-def v1_record(emb):
-    return emb.sample_id, emb.expert_id, emb.modality, emb.values
-
-
-def test_truncated_record_rejected(tmp_path):
-    # a version 1 file whose counted record is cut short
+def test_every_cut_of_the_header_is_corrupt(tmp_path):
     path = tmp_path / "c.eec"
-    data = v1_bytes(8, [v1_record(make_emb("s1"))])
-    path.write_bytes(data[:-5])
-    with pytest.raises(CacheCorrupt):
+    EmbeddingCache(path, dim=8)
+    header = path.read_bytes()
+    assert len(header) == HEADER.size
+    for cut in range(1, HEADER.size):
+        path.write_bytes(header[:cut])
+        with pytest.raises(CacheCorrupt, match="truncated header"):
+            EmbeddingCache(path, dim=8)
+        assert path.read_bytes() == header[:cut]
+
+
+def test_v1_file_is_rejected_and_left_as_it_is(tmp_path):
+    path = tmp_path / "c.eec"
+    data = v1_bytes(8, [("s1", "ex", "text", make_emb("s1").values)])
+    path.write_bytes(data)
+    with pytest.raises(CacheCorrupt, match=f"^{re.escape(str(path))}: version 1 cache file; "
+                                           "convert it with tools/cache_v1_to_v2.py$"):
         EmbeddingCache(path, dim=8)
+    assert path.read_bytes() == data
+    assert [p.name for p in tmp_path.iterdir()] == ["c.eec"]
 
 
 def test_dim_mismatch_rejected(tmp_path):
@@ -233,36 +240,6 @@ def test_pathless_store_writes_no_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_every_truncation_is_corrupt(tmp_path):
-    # a version 1 file counts its records in the header, so every cut is
-    # corrupt; a version 2 file drops a torn final segment instead (below)
-    path = tmp_path / "c.eec"
-    data = v1_bytes(8, [v1_record(make_emb("s1")), v1_record(make_emb("sample-two", seed=1))])
-    for cut in range(1, len(data)):
-        path.write_bytes(data[:cut])
-        with pytest.raises(CacheCorrupt):
-            EmbeddingCache(path, dim=8)
-
-
-def test_unknown_modality_byte_rejected(tmp_path):
-    path = tmp_path / "c.eec"
-    data = bytearray(v1_bytes(8, [v1_record(make_emb("s1"))]))
-    data[20 + 2 + 2 + 2 + 2] = 250  # header, id_len, "s1", eid_len, "ex"
-    path.write_bytes(bytes(data))
-    with pytest.raises(CacheCorrupt, match="modality byte 250"):
-        EmbeddingCache(path, dim=8)
-
-
-def test_unknown_modality_error_names_the_file(tmp_path):
-    path = tmp_path / "c.eec"
-    data = bytearray(v1_bytes(8, [v1_record(make_emb("s1")), v1_record(make_emb("s2", seed=1))]))
-    record = 2 + 2 + 2 + 2 + 1 + 4 * 8  # id_len, "s1", eid_len, "ex", modality, values
-    data[20 + record + 8] = 7  # the second record's modality byte
-    path.write_bytes(bytes(data))
-    with pytest.raises(CacheCorrupt, match=f"^{re.escape(str(path))}: unknown modality byte 7$"):
-        EmbeddingCache(path, dim=8)
-
-
 def test_put_many_equals_sequential_puts(store_path, tmp_path):
     """Batches with repeated keys, equal and changed values, a -0.0 against a
     stored 0.0 and NaN values store and write what one ``put`` per item does."""
@@ -350,91 +327,6 @@ def random_batches(seed, dim=8):
         batches.append([(EmbedItem(names[p], modalities[(n + k) % 4], ""),
                          normalize(rng.normal(size=dim))) for k, p in enumerate(picks)])
     return batches
-
-
-def test_v1_file_migrates_to_v2(tmp_path):
-    """A version 1 file is read by the record walk and rewritten once as
-    version 2: same rows (first occurrence), values (last write) and
-    modalities; records past the header count are dropped."""
-    rng = np.random.default_rng(21)
-    rows = rng.normal(size=(7, 8))
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    written = [("a", "ex", "text", rows[0]), ("b", "ex", "image", rows[1]),
-               ("a", "ex", "audio", rows[2]), ("c", "other", "video", rows[3]),
-               ("d", "ex", "text", rows[4]), ("b", "ex", "image", rows[5])]
-    path = tmp_path / "c.eec"
-    path.write_bytes(v1_bytes(8, written + [("torn", "ex", "text", rows[6])], count=6)[:-3])
-    mode = 0o640
-    path.chmod(mode)
-    migrated = EmbeddingCache(path, dim=8)
-    want = {("a", "ex"): (rows[2], "audio"), ("b", "ex"): (rows[5], "image"),
-            ("c", "other"): (rows[3], "video"), ("d", "ex"): (rows[4], "text")}
-    assert index_items(migrated) == [(key, row) for row, key in enumerate(want)]
-    # one segment per run of one expert's rows, in row order
-    assert [r[:3] for r in records(path, 8)] == [(*key, m) for key, (_, m) in want.items()]
-    assert len(segment_spans(path.read_bytes())) == 3
-    assert path.stat().st_mode & 0o777 == mode
-    assert [p.name for p in tmp_path.iterdir()] == ["c.eec"]
-    for store in (migrated, EmbeddingCache(path, dim=8)):
-        assert len(store) == 4 and ("torn", "ex") not in store
-        for (sid, eid), (values, modality) in want.items():
-            assert np.array_equal(store.rows([sid], eid)[0],
-                                  values.astype(np.float32).astype(np.float64))
-            assert store.get(sid, eid).modality == modality
-
-
-def refuse_lock_ex(monkeypatch):
-    """The cache file's LOCK_EX open is refused, as on a read-only file."""
-    locked = EmbeddingCache._locked
-
-    def refusing(self, mode):
-        if mode == fcntl.LOCK_EX:
-            raise PermissionError(errno.EACCES, "Permission denied", self.path)
-        return locked(self, mode)
-    monkeypatch.setattr(EmbeddingCache, "_locked", refusing)
-
-
-def refuse_temp_file(monkeypatch):
-    """The temporary file beside the cache is refused, as in a read-only directory."""
-    def refusing(*args, **kwargs):
-        raise PermissionError(errno.EACCES, "Permission denied", kwargs.get("dir"))
-    monkeypatch.setattr(cache_module.tempfile, "mkstemp", refusing)
-
-
-@pytest.mark.parametrize("refuse", (refuse_lock_ex, refuse_temp_file))
-def test_v1_file_that_cannot_be_rewritten_is_read_as_it_stands(tmp_path, monkeypatch, refuse):
-    """A version 1 file the process may not rewrite loads as version 1 and
-    stays so: a write to it raises PermissionError naming the file and
-    leaves its bytes as they were, while a read-only use of it works."""
-    embs = [make_emb("s1"), make_emb("s2", seed=1)]
-    path = tmp_path / "c.eec"
-    data = v1_bytes(8, [v1_record(e) for e in embs])
-    path.write_bytes(data)
-    refuse(monkeypatch)
-    store = EmbeddingCache(path, dim=8)
-    assert len(store) == 2
-    for e in embs:
-        assert np.array_equal(store.rows([e.sample_id], "ex")[0], stored(e.values, path))
-    assert store.missing([EmbedItem("s1", "text", ""), EmbedItem("s3", "text", "")],
-                         "ex") == [EmbedItem("s3", "text", "")]
-    with pytest.raises(PermissionError, match=re.escape(str(path))):
-        put_embs(store, [make_emb("s3", seed=2)])
-    assert path.read_bytes() == data
-    assert [p.name for p in tmp_path.iterdir()] == ["c.eec"]
-    monkeypatch.undo()  # once it may be rewritten, the next open migrates it
-    assert len(EmbeddingCache(path, dim=8)) == 2
-    assert [r[0] for r in records(path, 8)] == ["s1", "s2"]
-
-
-def test_v1_non_utf8_id_is_corrupt(tmp_path):
-    path = tmp_path / "c.eec"
-    data = bytearray(v1_bytes(8, [v1_record(make_emb("s1")), v1_record(make_emb("s2", seed=1))]))
-    record = 2 + 2 + 2 + 2 + 1 + 4 * 8
-    data[20 + record + 2] = 0xFF  # the first byte of the second record's id
-    path.write_bytes(bytes(data))
-    with pytest.raises(CacheCorrupt, match="non-UTF-8 id"):
-        EmbeddingCache(path, dim=8)
-    assert path.read_bytes() == bytes(data)  # a failed migration leaves the file as it was
 
 
 def test_every_cut_of_the_final_segment_reopens_the_store_before_it(tmp_path):

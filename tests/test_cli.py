@@ -518,3 +518,24 @@ def test_sns_jobs_2_gating_cache_bytes_repeat(workspace, tmp_path):
         gating[name] = (tmp_path / "cache" / f"{cfg['gating_expert']}.eec").read_bytes()
     assert len(gating["a"]) > (tmp_path / "warm" / f"{cfg['gating_expert']}.eec").stat().st_size
     assert gating["a"] == gating["b"] == gating["c"]
+
+
+def test_version_1_cache_file_is_exit_2(workspace, tmp_path, capsys):
+    from cachefile import v1_bytes
+    doc = yaml.safe_load(open(workspace["config"]))
+    doc["cache_dir"] = str(tmp_path / "cache")
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    expert = doc["experts"][0]
+    path = tmp_path / "cache" / f"{expert['expert_id']}.eec"
+    path.parent.mkdir()
+    data = v1_bytes(expert["dim"], [("s1", expert["expert_id"], "text", np.ones(expert["dim"]))])
+    path.write_bytes(data)
+    code = run(["embed", "--config", str(config), "--corpus", workspace["corpus"],
+                "--out", str(tmp_path / "emb")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime failure: {path}: version 1 cache file; "
+                          "convert it with tools/cache_v1_to_v2.py")
+    assert "Traceback" not in err
+    assert path.read_bytes() == data
