@@ -256,19 +256,23 @@ def cmd_eval(args) -> int:
         anns.append(anchors if eid == config.anchor_expert
                     else engine.side_matrix(samples, "annotation", eid))
     fused = forward(model, np.concatenate(raws, axis=1))[0]
+    # the stores and the corpus are freed before the workspace is written
+    expert_order, n = engine.expert_order, len(samples)
+    sample_ids = [s.sample_id for s in samples] if args.export_embeddings else None
+    del engine, samples
     # one buffer for the largest product: the n x n recall similarities or
     # the Gram matrix of the cloud's largest modality group
-    side = max(len(samples), *Counter(cloud_tags).values())
+    side = max(n, *Counter(cloud_tags).values())
     workspace = np.empty(side * side)
     recall, gaps, clustered = {}, {}, {}
-    for space, raw, ann in zip([*engine.expert_order, "projection"], [*raws, fused],
+    for space, raw, ann in zip([*expert_order, "projection"], [*raws, fused],
                                [*anns, anchors]):
         recall[space], gaps[space], clustered[space] = _space_metrics(
             raw, ann, modalities, k_values, workspace)
     del workspace
 
     reduction = {eid: gap_reduction(gaps["projection"], gaps[eid])
-                 for eid in engine.expert_order}
+                 for eid in expert_order}
     gap_docs = {space: g.to_dict() for space, g in gaps.items()}
     doc = {
         "note": DESK_SCALE_NOTE,
@@ -287,7 +291,7 @@ def cmd_eval(args) -> int:
 
     mods = sorted(set(modalities))
     gap_rows = []
-    for space in list(engine.expert_order) + ["projection"]:
+    for space in [*expert_order, "projection"]:
         row = [space] + [f"{gaps[space].gaps.get(m, float('nan')):.4f}" for m in mods]
         if space == "projection":
             row += ["-"] * len(mods)
@@ -312,9 +316,9 @@ def cmd_eval(args) -> int:
     if args.export_embeddings:
         rows = []
         for space, matrix in (("projection", fused), ("anchor", anchors)):
-            for i, s in enumerate(samples):
-                rows.append({"space": space, "sample_id": s.sample_id,
-                             "modality": "text" if space == "anchor" else s.raw_modality,
+            for i, (sample_id, modality) in enumerate(zip(sample_ids, modalities)):
+                rows.append({"space": space, "sample_id": sample_id,
+                             "modality": "text" if space == "anchor" else modality,
                              "vector": [round(float(v), 7) for v in matrix[i]]})
         write_jsonl(os.path.join(out, "embeddings.jsonl"), rows)
     write_manifest(out, args, config)

@@ -14,10 +14,14 @@ one write. Side matrices are then gathered from the store. The store is
 backed by the expert's cache file, or kept in memory when no cache
 directory is set; it is the only copy of an embedding a handle keeps, and
 every vector a stage uses is a row read from it, at storage precision.
+A handle opens its store on first use, so a subcommand loads only the
+stores of the experts it reads: ``sns`` the gating expert's, ``curate``
+without ``--model`` under a sampling strategy none.
 """
 from __future__ import annotations
 
 import os
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 
@@ -36,11 +40,17 @@ DEFAULT_BATCH = 32  # batch size of experts that do not declare one
 
 
 class ExpertHandle:
-    """Store-through wrapper around one expert backend."""
+    """Store-through wrapper around one expert backend; ``path`` is its cache
+    file, or None for a store kept in memory."""
 
-    def __init__(self, expert, store):
+    def __init__(self, expert, path):
         self.expert = expert
-        self.store = store
+        self.path = path
+
+    @cached_property
+    def store(self) -> EmbeddingCache:
+        """The expert's store, opened on first use."""
+        return EmbeddingCache(self.path, self.expert.dim)
 
     @property
     def expert_id(self) -> str:
@@ -82,7 +92,7 @@ class Engine:
             if config.cache_dir:
                 os.makedirs(config.cache_dir, exist_ok=True)
                 path = os.path.join(config.cache_dir, f"{expert.expert_id}.eec")
-            self.handles[expert.expert_id] = ExpertHandle(expert, EmbeddingCache(path, expert.dim))
+            self.handles[expert.expert_id] = ExpertHandle(expert, path)
             self.expert_order.append(expert.expert_id)
         self.gating = self.handles[config.gating_expert]
         self.anchor = self.handles[config.anchor_expert]

@@ -118,7 +118,11 @@ def kmeans_assign(x, centroids):
     centroids = np.ascontiguousarray(centroids, dtype=np.float64)
     sq_x = np.einsum("ij,ij->i", x, x)
     sq_c = np.einsum("ij,ij->i", centroids, centroids)
-    d2 = sq_x[:, None] - 2.0 * (x @ centroids.T) + sq_c[None, :]
+    # sq_x - 2 (x c^T) + sq_c, in that order for the same bits, in one buffer
+    d2 = x @ centroids.T
+    d2 *= 2.0
+    np.subtract(sq_x[:, None], d2, out=d2)
+    d2 += sq_c
     return np.argmin(d2, axis=1).astype(np.int64)
 
 

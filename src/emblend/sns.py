@@ -28,7 +28,7 @@ DIRECTIONS = ("off", "forward", "backward", "bidirectional")
 SENTENCE_TERMINATORS = frozenset(".!?")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Component:
     """One segmentable unit of a sample side; byte size is of the content."""
 
@@ -498,6 +498,18 @@ def _stored_rows(gating, groups, failure):
     return rows, errors
 
 
+def _pair_rows(gating, pairs):
+    """``_stored_rows`` of every pair's components, raw then annotation, with
+    ``GatingExpertFailure``. A store that holds every component is read by id,
+    with no item built; otherwise every pair's items go to ``_stored_rows``,
+    which embeds the misses in the same order."""
+    at = gating.store.find([i for p in pairs for i in p.raw_ids + p.annotation_ids],
+                           gating.expert_id)
+    if (at < 0).any():
+        return _stored_rows(gating, [pair_items(p) for p in pairs], GatingExpertFailure)
+    return gating.store.matrix[at].astype(np.float64, copy=False), {}
+
+
 def _describe_all(trims: dict, describe_fn, jobs: int) -> dict:
     """The description, or the EmblendError raised for it, of every pair.
 
@@ -536,7 +548,8 @@ def run_sns(pairs, config: SnsConfig, gating, describe_fn=None, jobs: int = 1) -
 
     ``gating`` is an engine ``ExpertHandle``; every vector is a row read from
     its store. Each phase works on the row matrices of all pairs still in
-    play: one batched embed of all components; the sides of every pair with
+    play: one lookup of every component by id, and one batched embed of the
+    components when any is missing; the sides of every pair with
     one ``side_vectors`` pass and forward extraction, with the component sims
     as row dots (``cosine_rows``); one describe of every non-text pair; one
     batched embed of the descriptions, stored in pair order; backward
@@ -559,7 +572,7 @@ def run_sns(pairs, config: SnsConfig, gating, describe_fn=None, jobs: int = 1) -
                 kept[i] = outcome
         return kept
 
-    rows, errors = _stored_rows(gating, [pair_items(p) for p in pairs], GatingExpertFailure)
+    rows, errors = _pair_rows(gating, pairs)
     live = survivors({i: errors.get(i, pair) for i, pair in enumerate(pairs)})
     trims = survivors(_forward(live, rows, config))
     if config.direction in ("backward", "bidirectional"):
@@ -585,7 +598,7 @@ def calibrate_taus(samples, gating, low_pct: float = 10.0, high_pct: float = 90.
     normalize raises its error.
     """
     samples = list(samples)
-    rows, errors = _stored_rows(gating, [pair_items(p) for p in samples], GatingExpertFailure)
+    rows, errors = _pair_rows(gating, samples)
     live = [k for k in range(len(samples)) if k not in errors]
     fwd_sims = {m: [] for m in MODALITIES}
     bwd_sims = {m: [] for m in MODALITIES}

@@ -437,11 +437,18 @@ def test_eval_builds_every_input_before_the_workspace(workspace, small_model, tm
                                                       monkeypatch):
     """The side matrices (anchor first, then each expert's raw and annotation
     side in config order) and the fused outputs are built before the first
-    product, and the forward pass's caches are gone by then."""
+    product, and the forward pass's caches and the engine's stores are gone
+    by then."""
     from emblend import cli, kernels
+    from emblend.cache import EmbeddingCache
     from emblend.engine import Engine
-    events, caches = [], []
+    events, caches, stores = [], [], []
     side_matrix, forward, gram = Engine.side_matrix, cli.forward, kernels.gram
+    open_store = EmbeddingCache.__init__
+
+    def recording_open(self, path, dim):
+        stores.append(weakref.ref(self))
+        open_store(self, path, dim)
 
     def recording_side_matrix(self, samples, side, expert_id):
         events.append((side, expert_id))
@@ -458,8 +465,10 @@ def test_eval_builds_every_input_before_the_workspace(workspace, small_model, tm
         if "gram" not in events:
             events.append("gram")
             assert caches and all(ref() is None for ref in caches)
+            assert len(stores) == 3 and all(ref() is None for ref in stores)
         return gram(a, b, workspace)
 
+    monkeypatch.setattr(EmbeddingCache, "__init__", recording_open)
     monkeypatch.setattr(Engine, "side_matrix", recording_side_matrix)
     monkeypatch.setattr(cli, "forward", recording_forward)
     monkeypatch.setattr(kernels, "gram", recording_gram)
@@ -538,4 +547,63 @@ def test_version_1_cache_file_is_exit_2(workspace, tmp_path, capsys):
     assert err.startswith(f"runtime failure: {path}: version 1 cache file; "
                           "convert it with tools/cache_v1_to_v2.py")
     assert "Traceback" not in err
+    assert path.read_bytes() == data
+
+
+def _cached_config(workspace, tmp_path):
+    """The workspace config with its cache under ``tmp_path``; the doc too."""
+    doc = yaml.safe_load(open(workspace["config"]))
+    doc["cache_dir"] = str(tmp_path / "cache")
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    return str(config), doc
+
+
+def test_each_subcommand_opens_only_the_stores_it_reads(workspace, small_model, tmp_path,
+                                                        monkeypatch):
+    from emblend.cache import EmbeddingCache
+    config, doc = _cached_config(workspace, tmp_path)
+    opened = []
+    open_store = EmbeddingCache.__init__
+
+    def recording_open(self, path, dim):
+        opened.append(os.path.basename(path))
+        open_store(self, path, dim)
+
+    monkeypatch.setattr(EmbeddingCache, "__init__", recording_open)
+    every = sorted(f"{e['expert_id']}.eec" for e in doc["experts"])
+    base = ["--config", config, "--corpus", workspace["corpus"]]
+    runs = [
+        (["embed"], every),
+        (["sns"], [f"{doc['gating_expert']}.eec"]),
+        (["train", "--steps", "2"], every),
+        (["eval", "--model", small_model], every),
+        (["curate", "--strategy", "uniform", "--n", "10"], []),
+        (["curate", "--strategy", "stratified", "--n", "10"], []),
+        (["curate", "--strategy", "traditional", "--n", "10"], [f"{doc['anchor_expert']}.eec"]),
+        (["curate", "--strategy", "uniform", "--n", "10", "--model", small_model], every),
+    ]
+    for k, (command, stores) in enumerate(runs):
+        opened.clear()
+        assert run(command + base + ["--out", str(tmp_path / f"run{k}")]) == 0
+        assert sorted(opened) == stores, command
+
+
+def test_damaged_store_of_an_expert_a_command_does_not_read(workspace, tmp_path, capsys):
+    """A version 1 file of a non-gating expert leaves ``sns`` alone, and is left
+    as it is; ``embed``, which reads every expert, still exits 2."""
+    from cachefile import v1_bytes
+    config, doc = _cached_config(workspace, tmp_path)
+    expert = next(e for e in doc["experts"] if e["expert_id"] != doc["gating_expert"])
+    path = tmp_path / "cache" / f"{expert['expert_id']}.eec"
+    path.parent.mkdir()
+    data = v1_bytes(expert["dim"], [("s1", expert["expert_id"], "text", np.ones(expert["dim"]))])
+    path.write_bytes(data)
+    base = ["--config", config, "--corpus", workspace["corpus"]]
+    assert run(["sns"] + base + ["--out", str(tmp_path / "sns")]) == 0
+    assert path.read_bytes() == data
+    assert (tmp_path / "cache" / f"{doc['gating_expert']}.eec").stat().st_size > 0
+    capsys.readouterr()
+    assert run(["embed"] + base + ["--out", str(tmp_path / "emb")]) == 2
+    assert f"{path}: version 1 cache file" in capsys.readouterr().err
     assert path.read_bytes() == data

@@ -220,6 +220,54 @@ def test_kmeans_assign_tie_breaks_to_first():
     assert kernels.kmeans_assign(x, centroids)[0] == 0
 
 
+def kmeans_assign_oracle(x, centroids):
+    """``kernels.kmeans_assign`` as one expression, before it worked in place."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    centroids = np.ascontiguousarray(centroids, dtype=np.float64)
+    sq_x = np.einsum("ij,ij->i", x, x)
+    sq_c = np.einsum("ij,ij->i", centroids, centroids)
+    d2 = sq_x[:, None] - 2.0 * (x @ centroids.T) + sq_c[None, :]
+    return np.argmin(d2, axis=1).astype(np.int64)
+
+
+@pytest.mark.parametrize("n,d,k", [(1, 3, 1), (50, 4, 3), (333, 8, 10), (2000, 32, 100)])
+def test_kmeans_assign_equals_the_one_expression(n, d, k):
+    """Same labels as the expression, also on tied rows: duplicate centroids,
+    rows equidistant from a centroid and its mirror image, rows that are
+    centroids, and rows near two centroids that differ in the last bits."""
+    x = rng.normal(size=(n, d))
+    centroids = rng.normal(size=(k, d))
+    if k > 2:
+        centroids[0] *= 0.01  # the nearest centroid to the origin
+        centroids[2] = centroids[0]  # duplicate centroids
+        centroids[1] = -centroids[0]  # x orthogonal to c is equidistant from c and -c
+        x[::3] -= np.outer(x[::3] @ centroids[0] / (centroids[0] @ centroids[0]),
+                           centroids[0])
+        x[1::7] = centroids[rng.integers(0, k, size=len(x[1::7]))]
+        x[0] = 0.0  # exactly as far from centroids 0, 1 and 2
+    if k > 4:  # two centroids 1e-14 apart: rounding decides between them
+        centroids[4] = centroids[3] + 1e-14 * rng.normal(size=d)
+        x[2::5] = centroids[3] + 1e-3 * rng.normal(size=(len(x[2::5]), d))
+    for a in (x, x.astype(np.float32), np.round(x, 1)):
+        got = kernels.kmeans_assign(a, centroids)
+        assert got.dtype == np.int64 and np.array_equal(got, kmeans_assign_oracle(a, centroids))
+    if k > 2:
+        labels = kernels.kmeans_assign(x, centroids)
+        assert labels[0] == 0 and not (labels == 2).any()  # the first of a tie wins
+
+
+def test_kmeans_assign_allocates_one_distance_matrix():
+    x, centroids = rng.normal(size=(2000, 32)), rng.normal(size=(100, 32))
+    kernels.kmeans_assign(x, centroids)
+    tracemalloc.start()
+    try:
+        kernels.kmeans_assign(x, centroids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2000 * 100 * 8
+
+
 @pytest.mark.parametrize("n,d", [(40, 6), (150, 12)])
 def test_dedup_scan_paths_agree(n, d):
     """The kernel path and the plain-Python greedy oracle path agree."""

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from emblend.cache import EmbeddingCache
+from cachefile import records
+from emblend import sns as sns_module
 from emblend.engine import ExpertHandle
 from emblend.errors import (DescriberFailure, EmblendError, GatingExpertFailure,
                             ZeroSize, ZeroVector)
@@ -87,7 +88,7 @@ class TestExtraction:
 def _handle(expert):
     """``expert`` behind an engine handle whose pathless store keeps its
     float64 values unrounded."""
-    return ExpertHandle(expert, EmbeddingCache(None, expert.dim))
+    return ExpertHandle(expert, None)
 
 
 def gating_expert(dim=16, semantic_dim=8, noise=0.0, gap=0.0, seed=5):
@@ -688,3 +689,93 @@ def test_side_items_equal_the_per_call_builder():
             kept = {it.item_id for it in variant.raw_items + variant.annotation_items}
             assert kept <= {it.item_id for it in pair.raw_items + pair.annotation_items}
             assert variant.raw_items is not pair.raw_items
+
+
+# -- the rows SNS read before a warm store was read by id ----------------------
+#
+# Kept as an oracle: every pair's items built and sent through ``_stored_rows``,
+# which resolves the misses and reads the rows item by item.
+
+def item_pair_rows(gating, pairs):
+    return sns_module._stored_rows(gating, [pair_items(p) for p in pairs],
+                                   GatingExpertFailure)
+
+
+def _errors(errors):
+    return {k: (type(exc), str(exc)) for k, exc in errors.items()}
+
+
+def _text_audio_gate():
+    cfg = SyntheticExpertConfig(expert_id="gate", seed=5, dim=16, semantic_dim=8,
+                                noise_sigma=0.01)
+    return SyntheticExpert(cfg, modalities=("text", "audio"))
+
+
+# store case -> (pairs, gating expert, pairs whose components are stored first,
+# in that order)
+ID_PATH_CASES = {
+    "warm": (_mixed_pairs, lambda: gating_expert(noise=0.01).expert, lambda pairs: pairs[::-1]),
+    "cold": (_parity_pairs, lambda: gating_expert(noise=0.01).expert, lambda pairs: []),
+    "half-warm": (_parity_pairs, lambda: gating_expert(noise=0.01).expert,
+                  lambda pairs: pairs[::2]),
+    "failing expert": (_mixed_pairs, _text_audio_gate,
+                       lambda pairs: [p for p in pairs if p.raw_modality != "image"]),
+}
+
+
+def _prepared_handle(case, path):
+    """A handle on a cache file at ``path`` that holds the case's stored pairs,
+    and fresh copies of the case's pairs, whose items are not built yet."""
+    make_pairs, make_expert, stored = ID_PATH_CASES[case]
+    handle = ExpertHandle(make_expert(), path)
+    warm = stored(make_pairs())
+    if warm:
+        handle.resolve([it for p in warm for it in pair_items(p)])
+    return handle, make_pairs()
+
+
+@pytest.mark.parametrize("case", list(ID_PATH_CASES))
+def test_pair_rows_equal_the_item_path(case, tmp_path, monkeypatch):
+    """``run_sns`` and ``calibrate_taus`` give the item path's rows, errors,
+    emitted pairs and records, and leave the same cache file: records, order
+    and bytes."""
+    cfg = SnsConfig(direction="bidirectional", tau_alpha=0.5, tau_beta=0.5, rho=0.9)
+    got, files = {}, {}
+    for name, pair_rows in (("id", sns_module._pair_rows), ("items", item_pair_rows)):
+        monkeypatch.setattr(sns_module, "_pair_rows", pair_rows)
+        path = tmp_path / name / "gate.eec"
+        path.parent.mkdir()
+        handle, pairs = _prepared_handle(case, path)
+        rows, errors = pair_rows(handle, pairs)
+        try:
+            taus = calibrate_taus(pairs, handle)
+        except EmblendError as exc:
+            taus = (type(exc), str(exc))
+        got[name] = (rows, _errors(errors), taus,
+                     run_sns(pairs, cfg, handle, PayloadDescriber(8)))
+        files[name] = (records(path, 16), path.read_bytes())
+    (rows, errors, taus, results), (want_rows, want_errors, want_taus, want) = got.values()
+    assert rows.dtype == np.float64 and np.array_equal(rows, want_rows)
+    assert errors == want_errors and taus == want_taus
+    assert [out for out, _ in results] == [out for out, _ in want]
+    assert [rec for _, rec in results] == [rec for _, rec in want]
+    assert files["id"] == files["items"]
+    if case == "failing expert":
+        assert set(errors) == {i for i, p in enumerate(_mixed_pairs())
+                               if p.raw_modality == "image"}
+    elif case != "warm":
+        assert len(records(tmp_path / "id" / "gate.eec", 16)) > 0
+
+
+def test_warm_store_rows_build_no_items_and_embed_nothing(tmp_path):
+    handle, pairs = _prepared_handle("warm", tmp_path / "gate.eec")
+    calls = []
+    embed_batch = handle.expert.embed_batch
+    handle.expert.embed_batch = lambda items: calls.append(items) or embed_batch(items)
+    rows, errors = sns_module._pair_rows(handle, pairs)
+    assert errors == {} and len(rows) == sum(len(pair_items(p)) for p in _mixed_pairs())
+    calibrate_taus(pairs, handle)
+    cfg = SnsConfig(direction="forward", tau_alpha=0.5, tau_beta=0.5, rho=0.9)
+    run_sns(pairs, cfg, handle)
+    assert calls == []
+    assert not any("raw_items" in vars(p) or "annotation_items" in vars(p) for p in pairs)
