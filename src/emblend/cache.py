@@ -30,7 +30,7 @@ import struct
 import threading
 import zlib
 from itertools import compress, groupby, repeat
-from operator import attrgetter, itemgetter, not_
+from operator import itemgetter
 
 import numpy as np
 
@@ -248,17 +248,6 @@ class EmbeddingCache:
         """The stored rows at storage precision, by row: a view, which a later
         write may change in place or, when the store grows, leave behind."""
         return self._matrix[:self._size]
-
-    def missing(self, items, expert_id: str) -> list:
-        """The items whose key the store lacks, the first of each id, in order."""
-        index = self._index.get(expert_id, {})
-        absent, seen = [], set()
-        for it in compress(items, map(not_, map(index.__contains__,
-                                                map(attrgetter("item_id"), items)))):
-            if it.item_id not in seen:
-                seen.add(it.item_id)
-                absent.append(it)
-        return absent
 
     def put(self, embedding: Embedding) -> None:
         self.put_many(embedding.expert_id,

@@ -6,34 +6,36 @@ Raw sides of each sample pass through all experts and concatenate in config
 order into the projection input; annotation sides embed once through the
 anchor expert.
 
-Embedding is batch-first. Each stage lists the (item, expert) keys it needs,
-and the expert's handle embeds the ones its store lacks with
-``expert.embed_batch``: first occurrence order, in slices of
-``SLICE_BATCHES`` expert batches; each slice's matrix goes to the store in
-one write. Side matrices are then gathered from the store. The store is
-backed by the expert's cache file, or kept in memory when no cache
-directory is set; it is the only copy of an embedding a handle keeps, and
-every vector a stage uses is a row read from it, at storage precision.
-A handle opens its store on first use, so a subcommand loads only the
-stores of the experts it reads: ``sns`` the gating expert's, ``curate``
-without ``--model`` under a sampling strategy none.
+Embedding is batch-first, and a stage reads every stored row through one
+method, ``ExpertHandle.positions``: given groups of item ids and a builder
+for a group's items, it looks the ids up in the store, embeds the ones it
+lacks with ``expert.embed_batch`` (first occurrence order, ``SLICE_BATCHES``
+expert batches per store write) and returns each id's row in
+``store.matrix``. Warm, cold and half-warm stores take this one path; a warm
+one builds no item. The store is backed by the expert's cache file, or kept
+in memory when no cache directory is set; it is the only copy of an
+embedding a handle keeps, and every vector a stage uses is a row read from
+it, at storage precision. A handle opens its store on first use, so a
+subcommand loads only the stores of the experts it reads: ``sns`` the gating
+expert's, ``curate`` without ``--model`` under a sampling strategy none.
 """
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from functools import cached_property
-from itertools import chain
-from operator import attrgetter
+from itertools import accumulate, chain, pairwise
 
 import numpy as np
 
 from .cache import EmbeddingCache
 from .config import EngineConfig, build_expert
+from .errors import EmblendError
 from .experts import EmbedItem, SyntheticExpert
 from .projection import forward
 from .remote import RemoteDescriber
-from .sns import (PayloadDescriber, component_item_id, pair_items, side_ids, side_items,
-                  side_vectors)
+from .sns import (PayloadDescriber, component_item_id, pair_ids, pair_items, side_ids,
+                  side_items, side_vectors)
 
 SLICE_BATCHES = 8   # expert batches per embed_batch call and store write
 DEFAULT_BATCH = 32  # batch size of experts that do not declare one
@@ -56,29 +58,60 @@ class ExpertHandle:
     def expert_id(self) -> str:
         return self.expert.expert_id
 
-    @property
-    def dim(self) -> int:
-        return self.expert.dim
-
     def embed(self, item: EmbedItem) -> np.ndarray:
         """The item's stored float64 row, embedding it first on a miss."""
-        return self.rows([item])[0]
+        at, _ = self.positions([(item.item_id,)], lambda k: (item,))
+        return self.store.matrix[at[0]].astype(np.float64)
 
-    def resolve(self, items) -> None:
-        """Embed and store every item whose key the store lacks.
+    def positions(self, groups, items, failure=None):
+        """The row in ``store.matrix`` of every id in ``groups`` (sequences
+        of item ids), in order, after embedding the ids the store lacks, and
+        the errors of the groups that fail.
 
-        Slices written before a failing one stay stored.
+        ``items(k)`` builds the items of ``groups[k]``, called for a missing
+        id only. Slices written before a failing one stay stored. With
+        ``failure``, a failed embed is retried group by group, and a group
+        that still fails gets ``failure(str(exc))`` in the errors, by
+        position, and rows -1; without it the error propagates.
         """
-        missing = self.store.missing(items, self.expert_id)
+        ids = list(chain.from_iterable(groups))
+        at = self.store.find(ids, self.expert_id)
+        errors = {}
+        if (at >= 0).all():
+            return at, errors
+        starts = list(accumulate(map(len, groups), initial=0))
+
+        def item_at(i):
+            k = bisect_right(starts, i) - 1
+            return items(k)[i - starts[k]]
+        try:
+            self._put_missing(ids, at, item_at)
+        except EmblendError:
+            if failure is None:
+                raise
+            for k, (lo, hi) in enumerate(pairwise(starts)):
+                try:
+                    self._put_missing(ids[lo:hi], self.store.find(ids[lo:hi], self.expert_id),
+                                      lambda i, lo=lo: item_at(lo + i))
+                except EmblendError as exc:
+                    errors[k] = failure(str(exc))
+        at = self.store.find(ids, self.expert_id)
+        for k in errors:
+            at[starts[k]:starts[k + 1]] = -1
+        return at, errors
+
+    def _put_missing(self, ids, at, item_at) -> None:
+        """Embed and store the first of each id whose row ``at`` lacks, in
+        order, ``SLICE_BATCHES`` expert batches per store write; ``item_at(i)``
+        builds the item of ``ids[i]``."""
+        first = {}
+        for i in np.flatnonzero(at < 0).tolist():
+            first.setdefault(ids[i], i)
+        missing = [item_at(i) for i in first.values()]
         step = SLICE_BATCHES * getattr(self.expert, "batch_size", DEFAULT_BATCH)
         for start in range(0, len(missing), step):
             chunk = missing[start:start + step]
             self.store.put_many(self.expert_id, chunk, self.expert.embed_batch(chunk))
-
-    def rows(self, items) -> np.ndarray:
-        """Stored float64 values of the items, one row each, embedding misses first."""
-        self.resolve(items)
-        return self.store.rows(map(attrgetter("item_id"), items), self.expert_id)
 
 
 class Engine:
@@ -120,23 +153,12 @@ class Engine:
         return self.describer
 
     def side_matrix(self, samples, side: str, expert_id: str) -> np.ndarray:
-        """Side vectors of the samples through one expert. The sides' cached
-        item ids resolve to store rows in one pass; only sides with a miss
-        build their ``EmbedItem``s, the misses are embedded in first-occurrence
-        order, and the rows are then read by position."""
+        """Side vectors of the samples through one expert, averaged from the
+        store rows of the sides' cached item ids by position."""
         handle = self.handles[expert_id]
         groups = [side_ids(s, side) for s in samples]
-        counts = np.fromiter(map(len, groups), np.intp, len(groups))
-        ids = list(chain.from_iterable(groups))
-        at = handle.store.find(ids, expert_id)
-        misses = np.flatnonzero(at < 0)
-        if misses.size:
-            starts = np.cumsum(counts) - counts
-            owners = np.searchsorted(starts, misses, side="right") - 1
-            handle.resolve([side_items(samples[k], side)[i - starts[k]]
-                            for k, i in zip(owners.tolist(), misses.tolist())])
-            at = handle.store.find(ids, expert_id)
-        return side_vectors(handle.store.matrix, counts, at)
+        at, _ = handle.positions(groups, lambda k: side_items(samples[k], side))
+        return side_vectors(handle.store.matrix, list(map(len, groups)), at)
 
     def anchor_matrix(self, samples) -> np.ndarray:
         return self.side_matrix(samples, "annotation", self.config.anchor_expert)
@@ -165,7 +187,7 @@ class Engine:
         Each sample contributes its raw components, then its annotation
         components; a store write follows that order.
         """
-        items = [it for s in samples for it in pair_items(s)]
+        groups = [pair_ids(s) for s in samples]
         for eid in self.expert_order:
-            self.handles[eid].resolve(items)
-        return {eid: len(items) for eid in self.expert_order}
+            self.handles[eid].positions(groups, lambda k: pair_items(samples[k]))
+        return {eid: sum(map(len, groups)) for eid in self.expert_order}

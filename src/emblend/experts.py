@@ -181,7 +181,8 @@ class _NoiseStream:
 
 def _generate_rows(config: SyntheticExpertConfig, vecs: np.ndarray, modalities, item_ids,
                    noise: _NoiseStream) -> np.ndarray:
-    """``synthetic_generate`` of each row of ``vecs`` (padded payloads), in place."""
+    """normalize(row + gap * offset[modality] + noise keyed by (seed, item_id))
+    of each row of ``vecs`` (padded payloads), in place."""
     if config.gap_magnitude > 0:
         offsets = np.array([config.modality_offsets[m] for m in modalities]).reshape(vecs.shape)
         vecs += config.gap_magnitude * offsets
@@ -189,18 +190,6 @@ def _generate_rows(config: SyntheticExpertConfig, vecs: np.ndarray, modalities, 
         # Generator.normal(0, sigma) returns loc + scale * z; the 0.0 + keeps its bits
         vecs += 0.0 + config.noise_sigma * noise.draws(config.seed, item_ids, config.dim)
     return normalize_rows(vecs)
-
-
-def synthetic_generate(config: SyntheticExpertConfig, semantic_payload, modality: str,
-                       item_id: str = "") -> np.ndarray:
-    """normalize(pad(payload) + gap * offset[modality] + noise keyed by (seed, item_id))."""
-    payload = np.asarray(semantic_payload, dtype=np.float64)
-    if payload.shape != (config.semantic_dim,):
-        raise DimMismatch(
-            f"payload has {payload.shape} entries, expected ({config.semantic_dim},)")
-    vecs = np.zeros((1, config.dim))
-    vecs[0, : config.semantic_dim] = payload
-    return _generate_rows(config, vecs, [modality], [item_id], _NoiseStream())[0]
 
 
 class SyntheticExpert:

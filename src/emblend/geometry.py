@@ -102,19 +102,6 @@ def centroid(vectors) -> np.ndarray:
     return arr.mean(axis=0)
 
 
-def spread(vectors, center) -> float:
-    """Mean Euclidean distance of the vectors from ``center``."""
-    arr = np.asarray(vectors, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1) if arr.size else arr.reshape(0, 0)
-    if arr.shape[0] == 0:
-        raise EmptySet("spread of empty set")
-    center = np.asarray(center, dtype=np.float64)
-    if center.shape[0] != arr.shape[1]:
-        raise DimMismatch(f"spread: center dim {center.shape[0]} vs vectors dim {arr.shape[1]}")
-    return float(np.linalg.norm(arr - center, axis=1).mean())
-
-
 @dataclass(frozen=True)
 class Embedding:
     """A unit-norm vector tagged with its origin.

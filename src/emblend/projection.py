@@ -144,12 +144,6 @@ def forward(model: ProjectionModel, x):
     return fused, (activations, pre_acts, norms)
 
 
-def project(model: ProjectionModel, concat_vector):
-    """Fused unit vector for one concatenated expert embedding."""
-    fused, _ = forward(model, np.asarray(concat_vector, dtype=np.float64).reshape(1, -1))
-    return fused[0]
-
-
 # ---------------------------------------------------------------------------
 # loss terms
 # ---------------------------------------------------------------------------

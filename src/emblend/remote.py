@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DescriberFailure, RemoteFailure, UnsupportedModality
 from .experts import EmbedItem
-from .geometry import MODALITIES, Embedding, normalize_rows
+from .geometry import MODALITIES, normalize_rows
 
 _NUMBERS = frozenset((int, float))  # the types json decodes a number to
 
@@ -104,9 +104,6 @@ class RemoteExpert(EndpointClient):
     def _is_vector(self, vec) -> bool:
         return isinstance(vec, list) and len(vec) == self.dim and set(map(type, vec)) <= _NUMBERS
 
-    def embed(self, item: EmbedItem) -> Embedding:
-        return Embedding(self.embed_batch([item])[0], self.expert_id, item.modality, item.item_id)
-
     def embed_batch(self, items) -> np.ndarray:
         """The items' normalized vectors, one float64 row each."""
         items = list(items)
@@ -127,19 +124,14 @@ class RemoteDescriber(EndpointClient):
                  timeout: float = 60.0, batch_size: int = 32, max_in_flight: int = 4):
         super().__init__(endpoint, model, api_key, batch_size, max_in_flight, timeout)
 
-    def _describe(self, items) -> list:
-        return self._values(items, "descriptions", "text", lambda text: isinstance(text, str),
-                            task="describe")
-
-    def describe(self, item_id: str, modality: str, content: str) -> str:
-        return self._describe([EmbedItem(item_id, modality, content)])[0]
-
     def describe_batch(self, requests) -> list:
         """Descriptions of (pair, components) requests, in request order; a
         pair is sent as its raw modality and its components joined by newlines."""
-        return self._describe([
-            EmbedItem(pair.sample_id, pair.raw_modality, "\n".join(c.content for c in components))
-            for pair, components in requests])
+        items = [EmbedItem(pair.sample_id, pair.raw_modality,
+                           "\n".join(c.content for c in components))
+                 for pair, components in requests]
+        return self._values(items, "descriptions", "text", lambda text: isinstance(text, str),
+                            task="describe")
 
     def __call__(self, pair, components) -> str:
         return self.describe_batch([(pair, components)])[0]

@@ -203,19 +203,6 @@ def extract(sims, tau: float):
     return kept or list(range(len(sims)))
 
 
-class TableDescriber:
-    """Fixture describer: looks descriptions up by sample id."""
-
-    def __init__(self, table: dict):
-        self.table = dict(table)
-
-    def __call__(self, pair: PairedSample, components) -> str:
-        try:
-            return self.table[pair.sample_id]
-        except KeyError:
-            raise DescriberFailure(f"no description for sample {pair.sample_id!r}")
-
-
 class PayloadDescriber:
     """Synthetic-corpus describer: emits the mean component payload as text.
 
@@ -445,8 +432,11 @@ def _emit(trim: _Trim, config):
     accepted = bool(fwd_accepted) or bool(bwd_accepted)
     emitted = pair
     if config.reinject and accepted:
+        ann = tuple(trim.cur_ann)
+        text = (pair.annotation_text if ann == pair.annotation_components
+                else "\n".join(c.content for c in ann))  # what its record reads back as
         emitted = replace(pair, raw_components=tuple(trim.cur_raw),
-                          annotation_components=tuple(trim.cur_ann))
+                          annotation_components=ann, annotation_text=text)
     # sim of the emitted pair when accepted, else of the last rejected candidate
     if bwd_accepted:
         sim_variant = sim_bwd
@@ -472,42 +462,24 @@ def apply_sns(pair: PairedSample, config: SnsConfig, gating, describe_fn=None):
     return run_sns([pair], config, gating, describe_fn)[0]
 
 
+def pair_ids(pair: PairedSample) -> tuple:
+    """Raw, then annotation component item ids of one pair."""
+    return pair.raw_ids + pair.annotation_ids
+
+
 def pair_items(pair: PairedSample) -> tuple:
     """Raw, then annotation component items of one pair."""
     return pair.raw_items + pair.annotation_items
 
 
-def _stored_rows(gating, groups, failure):
-    """The stored rows of every group that can be embedded, one group after
-    another, and the ``failure`` raised for each other group, by position.
-
-    One batched ``resolve`` embeds every group's missing items; when it
-    fails, what it left missing is embedded group by group, so a group fails
-    alone.
-    """
-    errors = {}
-    try:
-        gating.resolve([it for group in groups for it in group])
-    except EmblendError:
-        for k, group in enumerate(groups):
-            try:
-                gating.resolve(group)
-            except EmblendError as exc:
-                errors[k] = failure(str(exc))
-    rows = gating.rows([it for k, group in enumerate(groups) if k not in errors for it in group])
-    return rows, errors
-
-
 def _pair_rows(gating, pairs):
-    """``_stored_rows`` of every pair's components, raw then annotation, with
-    ``GatingExpertFailure``. A store that holds every component is read by id,
-    with no item built; otherwise every pair's items go to ``_stored_rows``,
-    which embeds the misses in the same order."""
-    at = gating.store.find([i for p in pairs for i in p.raw_ids + p.annotation_ids],
-                           gating.expert_id)
-    if (at < 0).any():
-        return _stored_rows(gating, [pair_items(p) for p in pairs], GatingExpertFailure)
-    return gating.store.matrix[at].astype(np.float64, copy=False), {}
+    """The stored rows of every pair's components, raw then annotation, one
+    pair after another, at storage precision; the rows of a pair whose
+    components cannot be embedded are left out, and its
+    ``GatingExpertFailure`` is given by position."""
+    at, errors = gating.positions([pair_ids(p) for p in pairs], lambda k: pair_items(pairs[k]),
+                                  GatingExpertFailure)
+    return gating.store.matrix[at[at >= 0]], errors
 
 
 def _describe_all(trims: dict, describe_fn, jobs: int) -> dict:
@@ -578,9 +550,13 @@ def run_sns(pairs, config: SnsConfig, gating, describe_fn=None, jobs: int = 1) -
     if config.direction in ("backward", "bidirectional"):
         descriptions = _describe_all(trims, describe_fn, jobs)
         described = survivors({i: descriptions[i] for i in trims})
-        items = [[EmbedItem(component_item_id(pairs[i].sample_id, "d", d), "text", d)]
-                 for i, d in described.items()]
-        descs, errors = _stored_rows(gating, items, DescriberFailure)
+        texts = list(described.values())
+        ids = [component_item_id(pairs[i].sample_id, "d", d) for i, d in described.items()]
+        at, errors = gating.positions([(i,) for i in ids],
+                                      lambda k: (EmbedItem(ids[k], "text", texts[k]),),
+                                      DescriberFailure)
+        # float64, so that the sims with the component rows compute in float64
+        descs = gating.store.matrix[at[at >= 0]].astype(np.float64)
         embedded = survivors({i: errors.get(k, trims[i]) for k, i in enumerate(described)})
         trims = survivors(_backward(embedded, rows, descs, config))
     for i, trim in trims.items():

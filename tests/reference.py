@@ -1,0 +1,148 @@
+"""References the tests compare emblend against: single-item paths that
+left ``src/``, and the routes stored rows were read along before
+``ExpertHandle.positions`` became the one read path.
+
+Each is written one item, one group or one sample at a time, as it was in
+``src/``; only the tests import this module.
+"""
+from operator import attrgetter
+
+import numpy as np
+
+from emblend.engine import DEFAULT_BATCH, SLICE_BATCHES
+from emblend.errors import DescriberFailure, DimMismatch, EmblendError, EmptySet, \
+    GatingExpertFailure
+from emblend.experts import _generate_rows, _NoiseStream
+from emblend.sns import pair_items, side_items, side_vectors
+
+# -- single-item paths ---------------------------------------------------------
+
+
+def synthetic_generate(config, semantic_payload, modality: str, item_id: str = "") -> np.ndarray:
+    """normalize(pad(payload) + gap * offset[modality] + noise keyed by (seed, item_id))."""
+    payload = np.asarray(semantic_payload, dtype=np.float64)
+    if payload.shape != (config.semantic_dim,):
+        raise DimMismatch(
+            f"payload has {payload.shape} entries, expected ({config.semantic_dim},)")
+    vecs = np.zeros((1, config.dim))
+    vecs[0, : config.semantic_dim] = payload
+    return _generate_rows(config, vecs, [modality], [item_id], _NoiseStream())[0]
+
+
+def spread(vectors, center) -> float:
+    """Mean Euclidean distance of the vectors from ``center``."""
+    arr = np.asarray(vectors, dtype=np.float64)
+    if arr.ndim == 1:
+        arr = arr.reshape(1, -1) if arr.size else arr.reshape(0, 0)
+    if arr.shape[0] == 0:
+        raise EmptySet("spread of empty set")
+    center = np.asarray(center, dtype=np.float64)
+    if center.shape[0] != arr.shape[1]:
+        raise DimMismatch(f"spread: center dim {center.shape[0]} vs vectors dim {arr.shape[1]}")
+    return float(np.linalg.norm(arr - center, axis=1).mean())
+
+
+class TableDescriber:
+    """Fixture describer: looks descriptions up by sample id."""
+
+    def __init__(self, table: dict):
+        self.table = dict(table)
+
+    def __call__(self, pair, components) -> str:
+        try:
+            return self.table[pair.sample_id]
+        except KeyError:
+            raise DescriberFailure(f"no description for sample {pair.sample_id!r}")
+
+
+# -- the read routes before ExpertHandle.positions -----------------------------
+
+
+def missing(store, items, expert_id: str) -> list:
+    """The items whose key the store lacks, the first of each id, in order."""
+    absent = {}
+    for it in items:
+        if (it.item_id, expert_id) not in store:
+            absent.setdefault(it.item_id, it)
+    return list(absent.values())
+
+
+def resolve(handle, items) -> None:
+    """Embed and store every item whose key the handle's store lacks.
+
+    Slices written before a failing one stay stored.
+    """
+    absent = missing(handle.store, items, handle.expert_id)
+    step = SLICE_BATCHES * getattr(handle.expert, "batch_size", DEFAULT_BATCH)
+    for start in range(0, len(absent), step):
+        chunk = absent[start:start + step]
+        handle.store.put_many(handle.expert_id, chunk, handle.expert.embed_batch(chunk))
+
+
+def rows(handle, items) -> np.ndarray:
+    """Stored float64 values of the items, one row each, embedding misses first."""
+    resolve(handle, items)
+    return handle.store.rows(map(attrgetter("item_id"), items), handle.expert_id)
+
+
+def stored_rows(gating, groups, failure):
+    """The stored float64 rows of every group of items that can be embedded,
+    one group after another, and the ``failure`` raised for each other
+    group, by position.
+
+    One batched ``resolve`` embeds every group's missing items; when it
+    fails, what it left missing is embedded group by group, so a group fails
+    alone.
+    """
+    errors = {}
+    try:
+        resolve(gating, [it for group in groups for it in group])
+    except EmblendError:
+        for k, group in enumerate(groups):
+            try:
+                resolve(gating, group)
+            except EmblendError as exc:
+                errors[k] = failure(str(exc))
+    out = rows(gating, [it for k, group in enumerate(groups) if k not in errors for it in group])
+    return out, errors
+
+
+def item_pair_rows(gating, pairs):
+    """SNS's component rows with every pair's items built and sent through
+    ``stored_rows``."""
+    return stored_rows(gating, [pair_items(p) for p in pairs], GatingExpertFailure)
+
+
+def item_positions(handle, groups, items, failure=None):
+    """``ExpertHandle.positions`` along the old routes: every group's items
+    built and sent through ``resolve``, or ``stored_rows`` with ``failure``;
+    the rows are then looked up by id, -1 for a failed group."""
+    built = [items(k) for k in range(len(groups))]
+    errors = {}
+    if failure is None:
+        resolve(handle, [it for group in built for it in group])
+    else:
+        _, errors = stored_rows(handle, built, failure)
+    at = handle.store.find([i for group in groups for i in group], handle.expert_id)
+    starts = np.cumsum([0, *map(len, groups)])
+    for k in errors:
+        at[starts[k]:starts[k + 1]] = -1
+    return at, errors
+
+
+def item_gather_side_matrix(engine, samples, side, expert_id):
+    """``Engine.side_matrix`` as it was before rows were read by position:
+    every side's items resolved through the handle, gathered as float64
+    rows, then ``side_vectors``."""
+    groups = [side_items(s, side) for s in samples]
+    gathered = rows(engine.handles[expert_id], [it for group in groups for it in group])
+    return side_vectors(gathered, [len(group) for group in groups])
+
+
+def item_populate_caches(engine, samples) -> dict:
+    """``Engine.populate_caches`` with every component's item built and
+    resolved through each expert's handle."""
+    items = [it for s in samples for it in pair_items(s)]
+    for eid in engine.expert_order:
+        resolve(engine.handles[eid], items)
+    return {eid: len(items) for eid in engine.expert_order}

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from cachefile import records
+from reference import item_gather_side_matrix, item_populate_caches
 from emblend.cache import EmbeddingCache
 from emblend.cli import run
 from emblend.config import (build_expert, config_from_dict, load_config,
@@ -348,23 +349,19 @@ def test_both_yaml_loaders_reject_malformed_yaml_naming_the_file(text, tmp_path,
         assert capsys.readouterr().err.startswith(f"error: {path}: not a YAML file")
 
 
-def item_gather_side_matrix(engine, samples, side, expert_id):
-    """Oracle: ``Engine.side_matrix`` as it was before rows were read by
-    position: every side's items resolved through the handle, gathered as
-    float64 rows, then ``side_vectors``."""
-    groups = [side_items(s, side) for s in samples]
-    rows = engine.handles[expert_id].rows([it for group in groups for it in group])
-    return side_vectors(rows, [len(group) for group in groups])
-
-
 @pytest.mark.parametrize("store", ["memory", "cold file", "half-warm file"])
 def test_side_matrix_equals_the_item_gather(setup, tmp_path, monkeypatch, store):
     """Same bits, the same items sent to each expert in the same batches, and
-    the same cache records in the same order."""
+    the same cache records in the same order and the same file bytes; then
+    ``populate_caches`` of a corpus the store lacks, against the items it
+    resolved before, likewise."""
     config, samples = setup
+    fresh = generate_corpus(SynthSpec(seed=4, pools=2, samples_per_pool=10, clusters=3,
+                                      dim=16, semantic_dim=8, modalities=("image", "text")))
     original = SyntheticExpert.embed_batch
     results = []
-    for name, build in (("positions", Engine.side_matrix), ("items", item_gather_side_matrix)):
+    for name, build, populate in (("positions", Engine.side_matrix, Engine.populate_caches),
+                                  ("items", item_gather_side_matrix, item_populate_caches)):
         cache_dir = None if store == "memory" else tmp_path / name
         cfg = config_from_dict(dict(config.to_dict(), cache_dir=cache_dir and str(cache_dir)))
         if store == "half-warm file":
@@ -375,13 +372,15 @@ def test_side_matrix_equals_the_item_gather(setup, tmp_path, monkeypatch, store)
             (self.expert_id, list(items))) or original(self, items))
         matrices = [build(engine, samples, side, eid)
                     for eid in engine.expert_order for side in ("annotation", "raw")]
+        populated = populate(engine, fresh)
         monkeypatch.setattr(SyntheticExpert, "embed_batch", original)
-        files = [records(cache_dir / f"{eid}.eec", cfg.dim) for eid in engine.expert_order
-                 if cache_dir]
-        results.append((matrices, calls, files))
-    (got, got_calls, got_files), (want, want_calls, want_files) = results
+        paths = [cache_dir / f"{eid}.eec" for eid in engine.expert_order if cache_dir]
+        files = [(records(path, cfg.dim), path.read_bytes()) for path in paths]
+        results.append((matrices, populated, calls, files))
+    (got, got_counts, got_calls, got_files), (want, want_counts, want_calls, want_files) = results
     assert len(got) == len(want) == 6
     assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+    assert got_counts == want_counts
     assert got_calls == want_calls and len(want_calls) >= 6
     assert got_files == want_files
 

@@ -12,9 +12,10 @@ from emblend.errors import (DimMismatch, EmblendError, NonFiniteVector, ParseErr
                             UnsupportedModality, ZeroVector)
 from emblend.experts import (EmbedItem, SyntheticExpert, SyntheticExpertConfig,
                              decode_payload, encode_payload, hash_payload,
-                             orthogonal_offsets, synthetic_generate)
+                             orthogonal_offsets)
 from emblend.geometry import MODALITIES, normalize
 from emblend.retrieval import clustering_diagnostic
+from reference import synthetic_generate
 
 
 def make_config(**kw):

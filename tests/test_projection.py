@@ -7,11 +7,13 @@ import pytest
 
 from emblend import projection
 from emblend.errors import BatchTooSmall, ConfigError, DimMismatch, NonFiniteLoss
+from emblend.geometry import centroid
 from emblend.projection import (LossWeights, TrainConfig,
                                 backward, batch_losses, forward,
                                 init_projection, load_model, loss_cluster,
-                                loss_scale, loss_task, project, save_model,
+                                loss_scale, loss_task, save_model,
                                 train)
+from reference import spread
 
 rng = np.random.default_rng(7)
 
@@ -35,27 +37,29 @@ def brute_force_infonce(fused, anchors, tau):
 
 
 class TestProject:
+    """``forward`` of one input vector: its fused output is row 0."""
+
     def test_shape_contract(self):
         model = init_projection(24, 8, 2, seed=1)
-        out = project(model, rng.normal(size=24))
+        out = forward(model, rng.normal(size=24))[0][0]
         assert out.shape == (8,)
         assert np.linalg.norm(out) == pytest.approx(1.0)
 
     def test_deterministic(self):
         model = init_projection(16, 4, 3, seed=2)
         x = rng.normal(size=16)
-        assert np.array_equal(project(model, x), project(model, x))
+        assert np.array_equal(forward(model, x)[0][0], forward(model, x)[0][0])
 
     def test_single_layer_is_normalized_linear_map(self):
         model = init_projection(8, 4, 1, seed=3)
         x = rng.normal(size=8)
         raw = model.weights[0] @ x + model.biases[0]
-        assert np.allclose(project(model, x), raw / np.linalg.norm(raw))
+        assert np.allclose(forward(model, x)[0][0], raw / np.linalg.norm(raw))
 
     def test_dim_mismatch(self):
         model = init_projection(8, 4, 1, seed=3)
         with pytest.raises(DimMismatch):
-            project(model, np.ones(9))
+            forward(model, np.ones(9))
 
 
 class TestLossTask:
@@ -116,6 +120,13 @@ class TestLossScale:
 
     def test_single_group_is_zero(self):
         assert loss_scale({"a": unit_rows(9, 4)}) == pytest.approx(0.0, abs=1e-12)
+
+    def test_sum_of_spread_differences(self):
+        groups = {"a": unit_rows(5, 4), "b": unit_rows(7, 4), "c": unit_rows(3, 4)}
+        points = np.concatenate(list(groups.values()))
+        overall = spread(points, centroid(points))
+        want = sum(abs(spread(g, centroid(g)) - overall) for g in groups.values())
+        assert loss_scale(groups) == pytest.approx(want, abs=1e-12)
 
 
 class TestLossTotal:

@@ -126,6 +126,12 @@ def make_expert(endpoint, batch_size=32, max_in_flight=4, api_key=None):
                         api_key=api_key, batch_size=batch_size, max_in_flight=max_in_flight)
 
 
+def describe(describer, sample_id, content):
+    """The describer's text for a video pair of one raw component."""
+    pair = PairedSample(sample_id, "p", "video", [Component(content)], [Component("x.")])
+    return describer(pair, pair.raw_components)
+
+
 def assert_rows_are_stub_vectors(rows, items):
     """Row i is the stub's vector for item i, normalized bit for bit as one
     ``Embedding(normalize(vector))``."""
@@ -142,14 +148,12 @@ def test_batch_cardinality_and_dim(stub_server):
     assert isinstance(rows, np.ndarray)
     assert rows.shape == (2, StubHandler.dim) and rows.dtype == np.float64
     assert_rows_are_stub_vectors(rows, items)
-    emb = expert.embed(items[1])
-    assert (emb.sample_id, emb.expert_id, emb.modality) == ("b", "remote-x", "image")
-    assert emb.values.tobytes() == rows[1].tobytes()
+    assert expert.embed_batch(items[1:]).tobytes() == rows[1].tobytes()
 
 
 def test_request_wire_format(stub_server):
     expert = make_expert(stub_server)
-    expert.embed(EmbedItem("a", "audio", "clip"))
+    expert.embed_batch([EmbedItem("a", "audio", "clip")])
     req = StubHandler.seen[-1]
     assert req["model"] == "stub-model"
     assert req["inputs"] == [{"id": "a", "modality": "audio", "content": "clip"}]
@@ -158,7 +162,7 @@ def test_request_wire_format(stub_server):
 def test_http_error_raises(stub_server):
     StubHandler.behavior = "http_error"
     with pytest.raises(RemoteFailure):
-        make_expert(stub_server).embed(EmbedItem("a", "text", "x"))
+        make_expert(stub_server).embed_batch([EmbedItem("a", "text", "x")])
 
 
 def test_missing_id_raises(stub_server):
@@ -171,14 +175,14 @@ def test_missing_id_raises(stub_server):
 def test_wrong_dim_raises(stub_server):
     StubHandler.behavior = "wrong_dim"
     with pytest.raises(RemoteFailure):
-        make_expert(stub_server).embed(EmbedItem("a", "text", "x"))
+        make_expert(stub_server).embed_batch([EmbedItem("a", "text", "x")])
 
 
 def test_unreachable_endpoint_raises():
     expert = make_expert("http://127.0.0.1:1/embed")
     expert.timeout = 0.2
     with pytest.raises(RemoteFailure):
-        expert.embed(EmbedItem("a", "text", "x"))
+        expert.embed_batch([EmbedItem("a", "text", "x")])
 
 
 # -- the client's failure messages and headers --------------------------------
@@ -187,7 +191,7 @@ def clients(endpoint):
     """A call to each remote client at ``endpoint`` and the failure it raises."""
     return [(lambda: make_expert(endpoint).embed_batch([EmbedItem("a", "text", "x")]),
              RemoteFailure),
-            (lambda: RemoteDescriber(endpoint, model="cap").describe("s", "video", "x"),
+            (lambda: describe(RemoteDescriber(endpoint, model="cap"), "s", "x"),
              DescriberFailure)]
 
 
@@ -226,7 +230,7 @@ def test_endpoint_without_scheme_is_a_failed_request():
 
 def test_auth_and_content_type_headers_reach_the_server(stub_server):
     make_expert(stub_server, api_key="key-1").embed_batch([EmbedItem("a", "text", "x")])
-    RemoteDescriber(stub_server, model="cap", api_key="key-2").describe("s", "video", "x")
+    describe(RemoteDescriber(stub_server, model="cap", api_key="key-2"), "s", "x")
     make_expert(stub_server).embed_batch([EmbedItem("b", "text", "y")])
     auth = [h.get("Authorization") for h in StubHandler.seen_headers]
     assert auth == ["Bearer key-1", "Bearer key-2", None]
@@ -244,16 +248,17 @@ def test_in_flight_bound_respected(stub_server):
 
 def test_describer_roundtrip(stub_server):
     describer = RemoteDescriber(stub_server, model="cap")
-    text = describer.describe("s7", "video", "frames...")
+    text = describe(describer, "s7", "frames...")
     assert text == "description of s7"
     req = StubHandler.seen[-1]
     assert req["task"] == "describe"
+    assert req["inputs"] == [{"id": "s7", "modality": "video", "content": "frames..."}]
 
 
 def test_describer_failure_on_http_error(stub_server):
     StubHandler.behavior = "http_error"
     with pytest.raises(DescriberFailure):
-        RemoteDescriber(stub_server, model="cap").describe("s", "video", "x")
+        describe(RemoteDescriber(stub_server, model="cap"), "s", "x")
 
 
 def test_describe_batch_chunks_in_order(stub_server):

@@ -1,18 +1,22 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from cachefile import records
+from reference import (TableDescriber, item_pair_rows, item_positions, resolve, rows,
+                       stored_rows)
 from emblend import sns as sns_module
+from emblend.dataio import sample_from_record, sample_to_record
 from emblend.engine import ExpertHandle
 from emblend.errors import (DescriberFailure, EmblendError, GatingExpertFailure,
-                            ZeroSize, ZeroVector)
+                            UnsupportedModality, ZeroSize, ZeroVector)
 from emblend.experts import (EmbedItem, SyntheticExpert, SyntheticExpertConfig,
                              encode_payload)
 from emblend.geometry import MODALITIES, cosine_sim, normalize
 from emblend.sns import (Component, NucleusRecord, PairedSample, PayloadDescriber,
-                         SnsConfig, TableDescriber, apply_sns, calibrate_taus,
+                         SnsConfig, apply_sns, calibrate_taus,
                          component_item_id, extract, info_density, mi_gate, pair_items,
                          run_sns, segment_text, side_ids, side_items,
                          side_vector)
@@ -298,6 +302,16 @@ def _embed_each(expert, items, failure):
         raise failure(str(exc)) from exc
 
 
+def emitted_pair(pair, raw, ann):
+    """The pair with the kept components. A trimmed annotation carries the
+    text its corpus record reads back as; an untrimmed one keeps the pair's."""
+    emitted = replace(pair, raw_components=tuple(raw), annotation_components=tuple(ann))
+    if len(ann) < len(pair.annotation_components):
+        emitted = replace(emitted, annotation_text=sample_from_record(
+            sample_to_record(emitted)).annotation_text)
+    return emitted
+
+
 def reference_sns(pair, config, expert, describe_fn=None):
     size = (pair.raw_bytes, pair.annotation_bytes)
 
@@ -352,8 +366,7 @@ def reference_sns(pair, config, expert, describe_fn=None):
     accepted = bool(fwd_accepted) or bool(bwd_accepted)
     emitted = pair
     if config.reinject and accepted:
-        emitted = replace(pair, raw_components=tuple(cur_raw),
-                          annotation_components=tuple(cur_ann))
+        emitted = emitted_pair(pair, cur_raw, cur_ann)
     if bwd_accepted:
         sim_variant = sim_bwd
     elif fwd_accepted:
@@ -422,7 +435,7 @@ def test_run_sns_gating_modality_errors_stay_per_pair():
 
 
 def test_calibrate_taus_through_a_handle_embeds_in_batches():
-    """A handle gets every component in one batched resolve and no single-item
+    """A handle gets every component in one batched embed and no single-item
     expert call; the taus equal those from the bare expert."""
     pairs = _mixed_pairs()
     expected = reference_taus(pairs, gating_expert(noise=0.01).expert)
@@ -460,6 +473,27 @@ def test_non_finite_component_fails_its_pair_only():
     assert errors[:3] + errors[4:] == [None] * (len(pairs) - 1)
 
 
+def test_trimmed_pairs_carry_the_annotation_text_their_record_reads_back_as():
+    """Pairs whose annotation text is a sentence string, not the components
+    joined by newlines: a trimmed annotation's text is the round trip's, an
+    untrimmed one keeps the input's."""
+    pairs = [replace(p, annotation_text=" ".join(c.content for c in p.annotation_components))
+             for p in _mixed_pairs()]
+    cfg = SnsConfig(direction="bidirectional", tau_alpha=0.5, tau_beta=0.5, rho=0.9)
+    trimmed = kept = 0
+    for pair, (out, _) in zip(pairs, run_sns(pairs, cfg, gating_expert(noise=0.01),
+                                             PayloadDescriber(8))):
+        if out.annotation_components != pair.annotation_components:
+            trimmed += 1
+            assert out.annotation_text == sample_from_record(
+                sample_to_record(out)).annotation_text
+            assert out.annotation_text != pair.annotation_text
+        else:
+            kept += len(pair.annotation_components) > 1
+            assert out.annotation_text == pair.annotation_text
+    assert trimmed > 0 and kept > 0
+
+
 # -- the per-pair phases SNS had before it worked on row matrices --------------
 #
 # Kept as an oracle: each pair's rows are read on their own, every side is a
@@ -467,13 +501,13 @@ def test_non_finite_component_fails_its_pair_only():
 
 def _oracle_rows(gating, groups, failure):
     try:
-        gating.resolve([it for group in groups for it in group])
+        resolve(gating, [it for group in groups for it in group])
     except EmblendError:
         pass
     out = []
     for group in groups:
         try:
-            out.append(gating.rows(group))
+            out.append(rows(gating, group))
         except EmblendError as exc:
             out.append(failure(str(exc)))
     return out
@@ -512,8 +546,7 @@ def _oracle_backward(pair, trim, config, desc_rows):
     accepted = bool(fwd_accepted) or bool(bwd_accepted)
     emitted = pair
     if config.reinject and accepted:
-        emitted = replace(pair, raw_components=tuple(trim["cur_raw"]),
-                          annotation_components=tuple(cur_ann))
+        emitted = emitted_pair(pair, trim["cur_raw"], cur_ann)
     if bwd_accepted:
         sim_variant = sim_bwd
     elif fwd_accepted:
@@ -691,15 +724,11 @@ def test_side_items_equal_the_per_call_builder():
             assert variant.raw_items is not pair.raw_items
 
 
-# -- the rows SNS read before a warm store was read by id ----------------------
+# -- the rows SNS read before every read went through ExpertHandle.positions --
 #
-# Kept as an oracle: every pair's items built and sent through ``_stored_rows``,
-# which resolves the misses and reads the rows item by item.
-
-def item_pair_rows(gating, pairs):
-    return sns_module._stored_rows(gating, [pair_items(p) for p in pairs],
-                                   GatingExpertFailure)
-
+# Oracles from ``reference``: every pair's items built and sent through
+# ``stored_rows``, which resolves the misses and reads the rows item by item,
+# and descriptions through ``item_positions``.
 
 def _errors(errors):
     return {k: (type(exc), str(exc)) for k, exc in errors.items()}
@@ -730,15 +759,29 @@ def _prepared_handle(case, path):
     handle = ExpertHandle(make_expert(), path)
     warm = stored(make_pairs())
     if warm:
-        handle.resolve([it for p in warm for it in pair_items(p)])
+        resolve(handle, [it for p in warm for it in pair_items(p)])
     return handle, make_pairs()
+
+
+class _DescriptionFailingDescriber(PayloadDescriber):
+    """The payload describer, except that it refuses one audio pair and gives
+    two others a 5-entry payload, which the gating expert cannot embed."""
+
+    def __call__(self, pair, components):
+        if pair.sample_id == "s3":
+            raise DescriberFailure("describer refused s3")
+        if pair.sample_id in ("s1", "s7"):
+            return encode_payload(np.ones(5))
+        return super().__call__(pair, components)
 
 
 @pytest.mark.parametrize("case", list(ID_PATH_CASES))
 def test_pair_rows_equal_the_item_path(case, tmp_path, monkeypatch):
     """``run_sns`` and ``calibrate_taus`` give the item path's rows, errors,
     emitted pairs and records, and leave the same cache file: records, order
-    and bytes."""
+    and bytes. The item path reads descriptions through ``item_positions``;
+    a describer that fails for some pairs, first, sends a failing batch of
+    descriptions and ``DescriberFailure`` through both paths."""
     cfg = SnsConfig(direction="bidirectional", tau_alpha=0.5, tau_beta=0.5, rho=0.9)
     got, files = {}, {}
     for name, pair_rows in (("id", sns_module._pair_rows), ("items", item_pair_rows)):
@@ -746,25 +789,65 @@ def test_pair_rows_equal_the_item_path(case, tmp_path, monkeypatch):
         path = tmp_path / name / "gate.eec"
         path.parent.mkdir()
         handle, pairs = _prepared_handle(case, path)
+        if name == "items":
+            handle.positions = partial(item_positions, handle)
         rows, errors = pair_rows(handle, pairs)
         try:
             taus = calibrate_taus(pairs, handle)
         except EmblendError as exc:
             taus = (type(exc), str(exc))
         got[name] = (rows, _errors(errors), taus,
+                     run_sns(pairs, cfg, handle, _DescriptionFailingDescriber(8)),
                      run_sns(pairs, cfg, handle, PayloadDescriber(8)))
         files[name] = (records(path, 16), path.read_bytes())
-    (rows, errors, taus, results), (want_rows, want_errors, want_taus, want) = got.values()
-    assert rows.dtype == np.float64 and np.array_equal(rows, want_rows)
+    (rows, errors, taus, failing, results), (want_rows, want_errors, want_taus, want_failing,
+                                             want) = got.values()
+    assert np.array_equal(rows, want_rows)
     assert errors == want_errors and taus == want_taus
     assert [out for out, _ in results] == [out for out, _ in want]
     assert [rec for _, rec in results] == [rec for _, rec in want]
+    assert [out for out, _ in failing] == [out for out, _ in want_failing]
+    assert [rec for _, rec in failing] == [rec for _, rec in want_failing]
     assert files["id"] == files["items"]
+    failed = {rec.sample_id: rec.error for _, rec in failing}
+    assert failed["s3"] == "describer refused s3"
+    assert all("@vec payload has 5 entries" in failed[sid] for sid in ("s1", "s7"))
+    assert {sid for sid, error in failed.items() if error} == \
+        {rec.sample_id for _, rec in results if rec.error} | {"s1", "s3", "s7"}
     if case == "failing expert":
         assert set(errors) == {i for i, p in enumerate(_mixed_pairs())
                                if p.raw_modality == "image"}
     elif case != "warm":
         assert len(records(tmp_path / "id" / "gate.eec", 16)) > 0
+
+
+def test_a_group_that_fails_in_a_batch_reads_minus_one(tmp_path):
+    """Slices of 8 items (batch size 1); the group of 8 texts and an image
+    fails after the first batched embed has stored some of its texts. The
+    other groups are stored, the failed group's rows read -1, and rows,
+    errors and file bytes equal ``stored_rows``'. Without a failure type
+    the error propagates."""
+    texts = [EmbedItem(f"t{j}", "text", f"word{j} here") for j in range(11)]
+    groups = [texts[:3], texts[3:] + [EmbedItem("img", "image", "a picture")],
+              [EmbedItem("a0", "audio", "rain"), EmbedItem("a1", "audio", "wind")]]
+    handles = {}
+    for name in ("positions", "stored_rows"):
+        expert = _text_audio_gate()
+        expert.batch_size = 1
+        handles[name] = ExpertHandle(expert, tmp_path / f"{name}.eec")
+    handle = handles["positions"]
+    at, errors = handle.positions([[it.item_id for it in g] for g in groups],
+                                  lambda k: groups[k], GatingExpertFailure)
+    want_rows, want_errors = stored_rows(handles["stored_rows"], groups, GatingExpertFailure)
+    assert _errors(errors) == _errors(want_errors)
+    assert list(errors) == [1] and "does not support 'image'" in str(errors[1])
+    assert at[:3].tolist() == [0, 1, 2] and (at[3:12] == -1).all() and (at[12:] >= 0).all()
+    assert ("t3", "gate") in handle.store and ("img", "gate") not in handle.store
+    assert np.array_equal(handle.store.matrix[at[at >= 0]], want_rows)
+    assert (tmp_path / "positions.eec").read_bytes() == (tmp_path / "stored_rows.eec").read_bytes()
+    with pytest.raises(UnsupportedModality):
+        ExpertHandle(_text_audio_gate(), None).positions(
+            [[it.item_id for it in g] for g in groups], lambda k: groups[k])
 
 
 def test_warm_store_rows_build_no_items_and_embed_nothing(tmp_path):
