@@ -1,4 +1,9 @@
-"""Dataset ingestion and artifact file writers.
+"""The paired corpus, its records, and artifact file writers.
+
+A ``PairedSample`` is one raw side and its annotation, each a tuple of
+``Component``s; every component is an item with a content-keyed id
+(``component_item_id``), so trimming never shifts an identity. Every stage
+(embedding, SNS, training, curation) reads the corpus through these types.
 
 Corpus records are JSONL: {sample_id, pool_id, modality, raw | components,
 annotation, media_ref?}. ``raw`` may be a plain string (text is sentence-
@@ -9,11 +14,154 @@ All writers produce byte-stable output for identical inputs.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvariantViolation, ParseError
-from .sns import Component, PairedSample, segment_text
+from .experts import EmbedItem
+from .geometry import MODALITIES
+
+SENTENCE_TERMINATORS = frozenset(".!?")
+
+
+@dataclass(frozen=True, slots=True)
+class Component:
+    """One segmentable unit of a sample side; byte size is of the content."""
+
+    content: str
+    byte_size: int = 0
+
+    def __post_init__(self):
+        if self.byte_size == 0:
+            object.__setattr__(self, "byte_size", len(self.content.encode("utf-8")))
+
+
+@dataclass(frozen=True)
+class PairedSample:
+    """A raw side and its annotation. An empty ``annotation_text`` reads as
+    the annotation components joined by newlines."""
+
+    sample_id: str
+    pool_id: str
+    raw_modality: str
+    raw_components: tuple
+    annotation_components: tuple
+    presegmented: bool = False
+    annotation_text: str = ""
+    media_ref: str | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "raw_components", tuple(self.raw_components))
+        object.__setattr__(self, "annotation_components", tuple(self.annotation_components))
+        if self.raw_modality not in MODALITIES:
+            raise InvariantViolation(f"unknown modality {self.raw_modality!r}", self.sample_id)
+        if not self.raw_components or not self.annotation_components:
+            raise InvariantViolation("both sides need at least one component", self.sample_id)
+        for comp in self.raw_components + self.annotation_components:
+            if comp.byte_size <= 0:
+                raise InvariantViolation("component byte size must be > 0", self.sample_id)
+        if not self.annotation_text:
+            object.__setattr__(
+                self, "annotation_text",
+                "\n".join(c.content for c in self.annotation_components))
+
+    @cached_property
+    def raw_ids(self) -> tuple:
+        """Item ids of the raw components: computed once per sample and
+        shared by every caller."""
+        return _component_ids(self.sample_id, "r", self.raw_components)
+
+    @cached_property
+    def annotation_ids(self) -> tuple:
+        """Item ids of the annotation components: computed once per sample
+        and shared by every caller."""
+        return _component_ids(self.sample_id, "a", self.annotation_components)
+
+    @cached_property
+    def raw_items(self) -> tuple:
+        """Items of the raw components, in the pair's modality."""
+        return _component_items(self.raw_ids, self.raw_components, self.raw_modality)
+
+    @cached_property
+    def annotation_items(self) -> tuple:
+        """Items of the annotation components, as text."""
+        return _component_items(self.annotation_ids, self.annotation_components, "text")
+
+    @property
+    def raw_bytes(self) -> int:
+        return sum(c.byte_size for c in self.raw_components)
+
+    @property
+    def annotation_bytes(self) -> int:
+        return sum(c.byte_size for c in self.annotation_components)
+
+
+def segment_text(text: str) -> list:
+    """Split text into sentences at ., ! or ? followed by whitespace or end.
+
+    Components keep their original bytes (terminator included); the
+    whitespace between sentences is treated as separator.
+    """
+    components = []
+    n = len(text)
+    i = 0
+    while i < n and text[i].isspace():
+        i += 1
+    start = i
+    while i < n:
+        if text[i] in SENTENCE_TERMINATORS and (i + 1 == n or text[i + 1].isspace()):
+            piece = text[start:i + 1]
+            if piece.strip():
+                components.append(piece)
+            i += 1
+            while i < n and text[i].isspace():
+                i += 1
+            start = i
+        else:
+            i += 1
+    if start < n:
+        tail = text[start:].rstrip()
+        if tail:
+            components.append(tail)
+    return components
+
+
+def component_item_id(sample_id: str, tag: str, content: str) -> str:
+    """Stable sub-item id: keyed by content so trimming never shifts identities."""
+    digest = hashlib.blake2b(content.encode("utf-8"), digest_size=6).hexdigest()
+    return f"{sample_id}#{tag}:{digest}"
+
+
+def _component_ids(sample_id: str, tag: str, components) -> tuple:
+    return tuple(component_item_id(sample_id, tag, c.content) for c in components)
+
+
+def _component_items(ids, components, modality: str) -> tuple:
+    return tuple(EmbedItem(item_id, modality, c.content) for item_id, c in zip(ids, components))
+
+
+def side_ids(pair: PairedSample, side: str) -> tuple:
+    """Item ids of one side's components."""
+    return pair.raw_ids if side == "raw" else pair.annotation_ids
+
+
+def side_items(pair: PairedSample, side: str) -> tuple:
+    """Items of one side's components: raw keeps the pair's modality, the
+    annotation side is text."""
+    return pair.raw_items if side == "raw" else pair.annotation_items
+
+
+def pair_ids(pair: PairedSample) -> tuple:
+    """Raw, then annotation component item ids of one pair."""
+    return pair.raw_ids + pair.annotation_ids
+
+
+def pair_items(pair: PairedSample) -> tuple:
+    """Raw, then annotation component items of one pair."""
+    return pair.raw_items + pair.annotation_items
 
 
 def _components_from(value, segment: bool):
@@ -39,7 +187,6 @@ def sample_from_record(rec: dict) -> PairedSample:
     raw_components, presegmented = _components_from(raw_value, segment=(modality == "text"))
     presegmented = presegmented or "components" in rec
     ann_components, _ = _components_from(ann_value, segment=True)
-    ann_text = "\n".join(str(v) for v in ann_value) if isinstance(ann_value, list) else str(ann_value)
     return PairedSample(
         sample_id=str(sample_id),
         pool_id=str(rec.get("pool_id", "default")),
@@ -47,7 +194,7 @@ def sample_from_record(rec: dict) -> PairedSample:
         raw_components=raw_components,
         annotation_components=ann_components,
         presegmented=presegmented,
-        annotation_text=ann_text,
+        annotation_text="" if isinstance(ann_value, list) else str(ann_value),
         media_ref=rec.get("media_ref"),
     )
 

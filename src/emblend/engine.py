@@ -4,15 +4,16 @@ A sample side embeds as the normalized mean of its component embeddings,
 for every expert, which keeps gating, fusion inputs and anchors consistent.
 Raw sides of each sample pass through all experts and concatenate in config
 order into the projection input; annotation sides embed once through the
-anchor expert.
+anchor expert. Components, their items and ids are the corpus's (``dataio``).
 
 Embedding is batch-first, and a stage reads every stored row through one
 method, ``ExpertHandle.positions``: given groups of item ids and a builder
 for a group's items, it looks the ids up in the store, embeds the ones it
 lacks with ``expert.embed_batch`` (first occurrence order, ``SLICE_BATCHES``
 expert batches per store write) and returns each id's row in
-``store.matrix``. Warm, cold and half-warm stores take this one path; a warm
-one builds no item. The store is backed by the expert's cache file, or kept
+``store.matrix``. Warm, cold and half-warm stores take this one path; it
+builds the items of each group with a missing id once, so a warm store
+builds none. The store is backed by the expert's cache file, or kept
 in memory when no cache directory is set; it is the only copy of an
 embedding a handle keeps, and every vector a stage uses is a row read from
 it, at storage precision. A handle opens its store on first use, so a
@@ -22,7 +23,6 @@ expert's, ``curate`` without ``--model`` under a sampling strategy none.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
 from functools import cached_property
 from itertools import accumulate, chain, pairwise
 
@@ -30,12 +30,12 @@ import numpy as np
 
 from .cache import EmbeddingCache
 from .config import EngineConfig, build_expert
+from .dataio import component_item_id, pair_ids, pair_items, side_ids, side_items
 from .errors import EmblendError
-from .experts import EmbedItem, SyntheticExpert
+from .experts import EmbedItem, PayloadDescriber, SyntheticExpert
 from .projection import forward
 from .remote import RemoteDescriber
-from .sns import (PayloadDescriber, component_item_id, pair_ids, pair_items, side_ids,
-                  side_items, side_vectors)
+from .sns import side_vectors
 
 SLICE_BATCHES = 8   # expert batches per embed_batch call and store write
 DEFAULT_BATCH = 32  # batch size of experts that do not declare one
@@ -68,11 +68,11 @@ class ExpertHandle:
         of item ids), in order, after embedding the ids the store lacks, and
         the errors of the groups that fail.
 
-        ``items(k)`` builds the items of ``groups[k]``, called for a missing
-        id only. Slices written before a failing one stay stored. With
-        ``failure``, a failed embed is retried group by group, and a group
-        that still fails gets ``failure(str(exc))`` in the errors, by
-        position, and rows -1; without it the error propagates.
+        ``items(k)`` builds the items of ``groups[k]``: only for a group with
+        a missing id, once per pass. Slices written before a failing one stay
+        stored. With ``failure``, a failed embed is retried group by group,
+        and a group that still fails gets ``failure(str(exc))`` in the
+        errors, by position, and rows -1; without it the error propagates.
         """
         ids = list(chain.from_iterable(groups))
         at = self.store.find(ids, self.expert_id)
@@ -80,19 +80,15 @@ class ExpertHandle:
         if (at >= 0).all():
             return at, errors
         starts = list(accumulate(map(len, groups), initial=0))
-
-        def item_at(i):
-            k = bisect_right(starts, i) - 1
-            return items(k)[i - starts[k]]
         try:
-            self._put_missing(ids, at, item_at)
+            self._put_missing(at, starts, items)
         except EmblendError:
             if failure is None:
                 raise
             for k, (lo, hi) in enumerate(pairwise(starts)):
                 try:
-                    self._put_missing(ids[lo:hi], self.store.find(ids[lo:hi], self.expert_id),
-                                      lambda i, lo=lo: item_at(lo + i))
+                    self._put_missing(self.store.find(ids[lo:hi], self.expert_id), (0, hi - lo),
+                                      lambda _, k=k: items(k))
                 except EmblendError as exc:
                     errors[k] = failure(str(exc))
         at = self.store.find(ids, self.expert_id)
@@ -100,14 +96,18 @@ class ExpertHandle:
             at[starts[k]:starts[k + 1]] = -1
         return at, errors
 
-    def _put_missing(self, ids, at, item_at) -> None:
-        """Embed and store the first of each id whose row ``at`` lacks, in
-        order, ``SLICE_BATCHES`` expert batches per store write; ``item_at(i)``
-        builds the item of ``ids[i]``."""
-        first = {}
-        for i in np.flatnonzero(at < 0).tolist():
-            first.setdefault(ids[i], i)
-        missing = [item_at(i) for i in first.values()]
+    def _put_missing(self, at, starts, items) -> None:
+        """Embed and store the first item of each id whose row ``at`` lacks,
+        in order, ``SLICE_BATCHES`` expert batches per store write. The ids
+        lie in groups that start at ``starts``, walked in order: ``items(k)``
+        builds group k's items, once for each group with a miss."""
+        absent, first = (at < 0).tolist(), {}
+        for k, (lo, hi) in enumerate(pairwise(starts)):
+            if any(absent[lo:hi]):
+                for item, miss in zip(items(k), absent[lo:hi]):
+                    if miss:
+                        first.setdefault(item.item_id, item)
+        missing = list(first.values())
         step = SLICE_BATCHES * getattr(self.expert, "batch_size", DEFAULT_BATCH)
         for start in range(0, len(missing), step):
             chunk = missing[start:start + step]

@@ -18,6 +18,9 @@ checks each modality and takes each payload's bytes or text; the explicit
 payloads, the hashed texts, the offsets, the noise and both normalizations
 then run on the batch's matrix. Every row is bit-equal to embedding its item
 alone, and a batch fails with its first failing item's error.
+
+``PayloadDescriber`` is the synthetic expert's describer for SNS: it reads
+the same content conventions and describes components as their mean payload.
 """
 from __future__ import annotations
 
@@ -30,8 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, EmblendError, ParseError, UnsupportedModality
-from .geometry import MODALITIES, Embedding, normalize_rows, row_norms
+from .errors import (DescriberFailure, DimMismatch, EmblendError, ParseError,
+                     UnsupportedModality)
+from .geometry import MODALITIES, Embedding, normalize, normalize_rows, row_norms
 
 VEC_PREFIX = "@vec:"
 
@@ -249,3 +253,30 @@ class SyntheticExpert:
         # a second normalization: stored embeddings are normalize(normalize(raw)),
         # and the cache and artifact bytes depend on it
         return normalize_rows(vecs)
+
+
+class PayloadDescriber:
+    """Synthetic-corpus describer: emits the mean component payload as text.
+
+    Works on the same content conventions as the synthetic expert, so the
+    description embeds where the raw side does.
+    """
+
+    def __init__(self, semantic_dim: int):
+        self.semantic_dim = semantic_dim
+
+    def __call__(self, pair, components) -> str:
+        payloads = []
+        for comp in components:
+            vec = decode_payload(comp.content)
+            if vec is None:
+                vec = hash_payload(comp.content, self.semantic_dim)
+            elif vec.shape[0] != self.semantic_dim:
+                raise DescriberFailure(
+                    f"component payload dim {vec.shape[0]} != {self.semantic_dim}")
+            payloads.append(vec)
+        try:
+            mean = normalize(np.mean(payloads, axis=0))
+        except EmblendError as exc:
+            raise DescriberFailure(f"degenerate payload mean: {exc}") from exc
+        return encode_payload(mean)

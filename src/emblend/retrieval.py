@@ -20,7 +20,6 @@ class RetrievalIndex:
 
     ids: list
     matrix: np.ndarray
-    side: str = "raw_fused"  # or "annotation_anchor"
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -93,8 +92,8 @@ def recall_at_k(queries, partner_ids, index: RetrievalIndex, k_values, workspace
 def bidirectional_recall(raw, anchors, ids, k_values, workspace=None) -> dict:
     """Recall@K both ways over paired rows: raw queries against the anchor
     index ("R2A") and anchor queries against the raw index ("A2R")."""
-    ann_index = RetrievalIndex(ids, anchors, side="annotation_anchor")
-    raw_index = RetrievalIndex(ids, raw, side="raw_fused")
+    ann_index = RetrievalIndex(ids, anchors)
+    raw_index = RetrievalIndex(ids, raw)
     return {"R2A": recall_at_k(raw, ids, ann_index, k_values, workspace),
             "A2R": recall_at_k(anchors, ids, raw_index, k_values, workspace)}
 

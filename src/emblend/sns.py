@@ -7,94 +7,25 @@ raw side. A trimmed variant replaces the original only when its gate
 similarity reaches ``rho`` times the original pair's similarity, so every
 emitted pair is either byte-identical to its input or at least as aligned
 as the gate demands.
+
+This module holds only the algorithm: the pairs it trims and their item ids
+are ``dataio``'s, and the synthetic describer is ``experts.PayloadDescriber``.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import (DescriberFailure, EmblendError, GatingExpertFailure,
-                     InvariantViolation, ZeroSize)
-from .experts import EmbedItem, decode_payload, encode_payload, hash_payload
+# re-exported: perfbench/stub.py imports Component and PayloadDescriber from here
+from .dataio import Component, PairedSample, component_item_id, pair_ids, pair_items  # noqa: F401
+from .errors import DescriberFailure, EmblendError, GatingExpertFailure, ZeroSize
+from .experts import EmbedItem, PayloadDescriber  # noqa: F401
 from .geometry import (MODALITIES, cosine_rows, normalizable, normalize, normalize_rows,
                        row_norms)
 
 DIRECTIONS = ("off", "forward", "backward", "bidirectional")
-
-SENTENCE_TERMINATORS = frozenset(".!?")
-
-
-@dataclass(frozen=True, slots=True)
-class Component:
-    """One segmentable unit of a sample side; byte size is of the content."""
-
-    content: str
-    byte_size: int = 0
-
-    def __post_init__(self):
-        if self.byte_size == 0:
-            object.__setattr__(self, "byte_size", len(self.content.encode("utf-8")))
-
-
-@dataclass(frozen=True)
-class PairedSample:
-    sample_id: str
-    pool_id: str
-    raw_modality: str
-    raw_components: tuple
-    annotation_components: tuple
-    presegmented: bool = False
-    annotation_text: str = ""
-    media_ref: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "raw_components", tuple(self.raw_components))
-        object.__setattr__(self, "annotation_components", tuple(self.annotation_components))
-        if self.raw_modality not in MODALITIES:
-            raise InvariantViolation(f"unknown modality {self.raw_modality!r}", self.sample_id)
-        if not self.raw_components or not self.annotation_components:
-            raise InvariantViolation("both sides need at least one component", self.sample_id)
-        for comp in self.raw_components + self.annotation_components:
-            if comp.byte_size <= 0:
-                raise InvariantViolation("component byte size must be > 0", self.sample_id)
-        if not self.annotation_text:
-            object.__setattr__(
-                self, "annotation_text",
-                "\n".join(c.content for c in self.annotation_components))
-
-    @cached_property
-    def raw_ids(self) -> tuple:
-        """Item ids of the raw components: computed once per sample and
-        shared by every caller."""
-        return _component_ids(self.sample_id, "r", self.raw_components)
-
-    @cached_property
-    def annotation_ids(self) -> tuple:
-        """Item ids of the annotation components: computed once per sample
-        and shared by every caller."""
-        return _component_ids(self.sample_id, "a", self.annotation_components)
-
-    @cached_property
-    def raw_items(self) -> tuple:
-        """Items of the raw components, in the pair's modality."""
-        return _component_items(self.raw_ids, self.raw_components, self.raw_modality)
-
-    @cached_property
-    def annotation_items(self) -> tuple:
-        """Items of the annotation components, as text."""
-        return _component_items(self.annotation_ids, self.annotation_components, "text")
-
-    @property
-    def raw_bytes(self) -> int:
-        return sum(c.byte_size for c in self.raw_components)
-
-    @property
-    def annotation_bytes(self) -> int:
-        return sum(c.byte_size for c in self.annotation_components)
 
 
 @dataclass
@@ -151,36 +82,6 @@ class NucleusRecord:
         }
 
 
-def segment_text(text: str) -> list:
-    """Split text into sentences at ., ! or ? followed by whitespace or end.
-
-    Components keep their original bytes (terminator included); the
-    whitespace between sentences is treated as separator.
-    """
-    components = []
-    n = len(text)
-    i = 0
-    while i < n and text[i].isspace():
-        i += 1
-    start = i
-    while i < n:
-        if text[i] in SENTENCE_TERMINATORS and (i + 1 == n or text[i + 1].isspace()):
-            piece = text[start:i + 1]
-            if piece.strip():
-                components.append(piece)
-            i += 1
-            while i < n and text[i].isspace():
-                i += 1
-            start = i
-        else:
-            i += 1
-    if start < n:
-        tail = text[start:].rstrip()
-        if tail:
-            components.append(tail)
-    return components
-
-
 def mi_gate(sim_variant: float, sim_original: float, rho: float) -> bool:
     """Accept a variant iff sim_variant >= rho * sim_original."""
     return sim_variant >= rho * sim_original
@@ -201,58 +102,6 @@ def extract(sims, tau: float):
     """
     kept = [i for i, s in enumerate(sims) if s > tau]
     return kept or list(range(len(sims)))
-
-
-class PayloadDescriber:
-    """Synthetic-corpus describer: emits the mean component payload as text.
-
-    Works on the same content conventions as the synthetic expert, so the
-    description embeds where the raw side does.
-    """
-
-    def __init__(self, semantic_dim: int):
-        self.semantic_dim = semantic_dim
-
-    def __call__(self, pair: PairedSample, components) -> str:
-        payloads = []
-        for comp in components:
-            vec = decode_payload(comp.content)
-            if vec is None:
-                vec = hash_payload(comp.content, self.semantic_dim)
-            elif vec.shape[0] != self.semantic_dim:
-                raise DescriberFailure(
-                    f"component payload dim {vec.shape[0]} != {self.semantic_dim}")
-            payloads.append(vec)
-        try:
-            mean = normalize(np.mean(payloads, axis=0))
-        except EmblendError as exc:
-            raise DescriberFailure(f"degenerate payload mean: {exc}") from exc
-        return encode_payload(mean)
-
-
-def component_item_id(sample_id: str, tag: str, content: str) -> str:
-    """Stable sub-item id: keyed by content so trimming never shifts identities."""
-    digest = hashlib.blake2b(content.encode("utf-8"), digest_size=6).hexdigest()
-    return f"{sample_id}#{tag}:{digest}"
-
-
-def _component_ids(sample_id: str, tag: str, components) -> tuple:
-    return tuple(component_item_id(sample_id, tag, c.content) for c in components)
-
-
-def _component_items(ids, components, modality: str) -> tuple:
-    return tuple(EmbedItem(item_id, modality, c.content) for item_id, c in zip(ids, components))
-
-
-def side_ids(pair: PairedSample, side: str) -> tuple:
-    """Item ids of one side's components."""
-    return pair.raw_ids if side == "raw" else pair.annotation_ids
-
-
-def side_items(pair: PairedSample, side: str) -> tuple:
-    """Items of one side's components: raw keeps the pair's modality, the
-    annotation side is text."""
-    return pair.raw_items if side == "raw" else pair.annotation_items
 
 
 def side_vector(component_vectors) -> np.ndarray:
@@ -433,8 +282,7 @@ def _emit(trim: _Trim, config):
     emitted = pair
     if config.reinject and accepted:
         ann = tuple(trim.cur_ann)
-        text = (pair.annotation_text if ann == pair.annotation_components
-                else "\n".join(c.content for c in ann))  # what its record reads back as
+        text = pair.annotation_text if ann == pair.annotation_components else ""
         emitted = replace(pair, raw_components=tuple(trim.cur_raw),
                           annotation_components=ann, annotation_text=text)
     # sim of the emitted pair when accepted, else of the last rejected candidate
@@ -460,16 +308,6 @@ def apply_sns(pair: PairedSample, config: SnsConfig, gating, describe_fn=None):
     pair: it passes through unchanged with accepted=False and an error note.
     """
     return run_sns([pair], config, gating, describe_fn)[0]
-
-
-def pair_ids(pair: PairedSample) -> tuple:
-    """Raw, then annotation component item ids of one pair."""
-    return pair.raw_ids + pair.annotation_ids
-
-
-def pair_items(pair: PairedSample) -> tuple:
-    """Raw, then annotation component items of one pair."""
-    return pair.raw_items + pair.annotation_items
 
 
 def _pair_rows(gating, pairs):

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import Component, PairedSample
 from .experts import SyntheticExpertConfig, encode_payload
 from .geometry import MODALITIES, normalize
-from .sns import Component, PairedSample
 
 
 @dataclass

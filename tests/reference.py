@@ -1,19 +1,24 @@
 """References the tests compare emblend against: single-item paths that
-left ``src/``, and the routes stored rows were read along before
-``ExpertHandle.positions`` became the one read path.
+left ``src/``, the routes stored rows were read along before
+``ExpertHandle.positions`` became the one read path, and SNS one pair at a
+time.
 
 Each is written one item, one group or one sample at a time, as it was in
 ``src/``; only the tests import this module.
 """
+from dataclasses import replace
 from operator import attrgetter
 
 import numpy as np
 
+from emblend.dataio import (component_item_id, pair_items, sample_from_record,
+                            sample_to_record, side_items)
 from emblend.engine import DEFAULT_BATCH, SLICE_BATCHES
 from emblend.errors import DescriberFailure, DimMismatch, EmblendError, EmptySet, \
     GatingExpertFailure
-from emblend.experts import _generate_rows, _NoiseStream
-from emblend.sns import pair_items, side_items, side_vectors
+from emblend.experts import EmbedItem, _generate_rows, _NoiseStream
+from emblend.geometry import cosine_sim
+from emblend.sns import NucleusRecord, extract, mi_gate, side_vector, side_vectors
 
 # -- single-item paths ---------------------------------------------------------
 
@@ -146,3 +151,103 @@ def item_populate_caches(engine, samples) -> dict:
     for eid in engine.expert_order:
         resolve(engine.handles[eid], items)
     return {eid: len(items) for eid in engine.expert_order}
+
+
+# -- SNS one pair at a time ------------------------------------------------------
+
+
+def embedded_each(expert):
+    """A row source for ``reference_sns``: each item embedded on its own by a
+    bare expert."""
+    return lambda items: np.array([expert.embed(it).values for it in items])
+
+
+def emitted_pair(pair, raw, ann):
+    """The pair with the kept components. A trimmed annotation carries the
+    text its corpus record reads back as; an untrimmed one keeps the pair's."""
+    emitted = replace(pair, raw_components=tuple(raw), annotation_components=tuple(ann))
+    if len(ann) < len(pair.annotation_components):
+        emitted = replace(emitted, annotation_text=sample_from_record(
+            sample_to_record(emitted)).annotation_text)
+    return emitted
+
+
+def reference_sns(pair, config, read, describe_fn=None):
+    """SNS of one pair: every side a ``side_vector`` and every similarity a
+    ``cosine_sim``, one component at a time. Returns (emitted_pair,
+    NucleusRecord).
+
+    ``read(items)`` returns the items' rows, one each, or raises the
+    EmblendError that fails them: for the pair's components it fails the pair
+    as ``GatingExpertFailure``, for its description as ``DescriberFailure``.
+    Tests pass a bare expert's rows (``embedded_each``) or a handle's stored
+    rows (``partial(rows, handle)``).
+    """
+    size = (pair.raw_bytes, pair.annotation_bytes)
+
+    def passthrough(error=None):
+        return pair, NucleusRecord(pair.sample_id, config.direction, False, None, None,
+                                   size, size, error=error)
+
+    def rows_of(items, failure):
+        try:
+            return np.asarray(read(items))
+        except EmblendError as exc:
+            raise failure(str(exc)) from exc
+
+    if config.direction == "off":
+        return passthrough()
+    try:
+        raw_rows, ann_rows = np.split(rows_of(pair_items(pair), GatingExpertFailure),
+                                      [len(pair.raw_components)])
+        raw_side, ann_side = side_vector(raw_rows), side_vector(ann_rows)
+        sim_original = cosine_sim(raw_side, ann_side)
+        cur_raw, cur_raw_side = list(pair.raw_components), raw_side
+        describe_base = list(pair.raw_components)
+        sim_fwd = fwd_accepted = None
+        if config.direction in ("forward", "bidirectional"):
+            kept = extract([cosine_sim(v, ann_side) for v in raw_rows],
+                           config.tau_alpha[pair.raw_modality])
+            nucleus_raw = [pair.raw_components[i] for i in kept]
+            nucleus_raw_side = side_vector(raw_rows[kept])
+            describe_base = nucleus_raw
+            sim_fwd = cosine_sim(nucleus_raw_side, ann_side)
+            fwd_accepted = mi_gate(sim_fwd, sim_original, config.rho)
+            if fwd_accepted and config.reinject:
+                cur_raw, cur_raw_side = nucleus_raw, nucleus_raw_side
+        cur_ann = list(pair.annotation_components)
+        sim_bwd = bwd_accepted = None
+        if config.direction in ("backward", "bidirectional"):
+            if pair.raw_modality == "text":
+                description = " ".join(c.content for c in describe_base)
+            elif describe_fn is None:
+                raise DescriberFailure(f"modality {pair.raw_modality!r} needs a describer "
+                                       "for backward extraction")
+            else:
+                description = describe_fn(pair, describe_base)
+            item = EmbedItem(component_item_id(pair.sample_id, "d", description), "text",
+                             description)
+            [desc_row] = rows_of([item], DescriberFailure)
+            kept = extract([cosine_sim(desc_row, v) for v in ann_rows],
+                           config.tau_beta[pair.raw_modality])
+            sim_bwd = cosine_sim(cur_raw_side, side_vector(ann_rows[kept]))
+            bwd_accepted = mi_gate(sim_bwd, sim_original, config.rho)
+            if bwd_accepted and config.reinject:
+                cur_ann = [pair.annotation_components[j] for j in kept]
+    except EmblendError as exc:
+        return passthrough(str(exc))
+
+    accepted = bool(fwd_accepted) or bool(bwd_accepted)
+    emitted = pair
+    if config.reinject and accepted:
+        emitted = emitted_pair(pair, cur_raw, cur_ann)
+    if bwd_accepted:
+        sim_variant = sim_bwd
+    elif fwd_accepted:
+        sim_variant = sim_fwd
+    else:
+        sim_variant = sim_bwd if sim_bwd is not None else sim_fwd
+    return emitted, NucleusRecord(
+        pair.sample_id, config.direction, accepted, sim_original, sim_variant, size,
+        (emitted.raw_bytes, emitted.annotation_bytes), sim_forward=sim_fwd,
+        sim_backward=sim_bwd, forward_accepted=fwd_accepted, backward_accepted=bwd_accepted)

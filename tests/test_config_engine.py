@@ -14,11 +14,12 @@ from emblend.cache import EmbeddingCache
 from emblend.cli import run
 from emblend.config import (build_expert, config_from_dict, load_config,
                             save_config, with_overrides)
+from emblend.dataio import side_items
 from emblend.engine import Engine
 from emblend.errors import ConfigError
-from emblend.experts import SyntheticExpert
+from emblend.experts import PayloadDescriber, SyntheticExpert
 from emblend.remote import RemoteDescriber, RemoteExpert
-from emblend.sns import PayloadDescriber, side_items, side_vector, side_vectors
+from emblend.sns import side_vector, side_vectors
 from emblend.synth import SynthSpec, expert_configs, generate_corpus
 
 

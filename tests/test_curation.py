@@ -9,10 +9,10 @@ from emblend.curation import (Blend, FilterConfig, FilterReport, blend_stats, cu
                               heuristic_filter, kmeans, pca_2d,
                               sample_stratified, sample_uniform, semantic_dedup,
                               stratified_quotas, traditional_pipeline)
+from emblend.dataio import Component, PairedSample
 from emblend.errors import (EmptyPool, KTooLarge, NTooLarge, PoolTooSmall,
                             UnknownId)
 from emblend.kernels import kmeans_assign
-from emblend.sns import Component, PairedSample
 
 rng = np.random.default_rng(17)
 

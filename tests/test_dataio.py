@@ -82,8 +82,31 @@ def test_presegmented_video_roundtrip(tmp_path):
     assert again[0].media_ref == "/data/v.mp4"
 
 
+def test_annotation_text_of_a_string_and_of_a_sentence_list(tmp_path):
+    """A string annotation keeps its own text, spacing included; a sentence
+    list reads as its sentences joined by newlines. A written corpus stores
+    the sentences, so after write_corpus -> ingest both keep their sentences
+    and read as them joined by newlines, which a second round trip keeps."""
+    path = tmp_path / "c.jsonl"
+    write_lines(path, [
+        {"sample_id": "s", "modality": "text", "raw": "r.",
+         "annotation": "A cat.  A dog!\tWhy?"},
+        {"sample_id": "l", "modality": "image", "raw": "x", "annotation": ["A cat.", "A dog!"]},
+    ])
+    string, listed = ingest(path)
+    assert string.annotation_text == "A cat.  A dog!\tWhy?"
+    assert [c.content for c in string.annotation_components] == ["A cat.", "A dog!", "Why?"]
+    assert listed.annotation_text == "A cat.\nA dog!"
+    for round_trip in ("once.jsonl", "twice.jsonl"):
+        write_corpus(tmp_path / round_trip, [string, listed])
+        string, listed = again = ingest(tmp_path / round_trip)
+        assert [s.annotation_text for s in again] == ["A cat.\nA dog!\nWhy?", "A cat.\nA dog!"]
+        assert [[c.content for c in s.annotation_components] for s in again] == \
+            [["A cat.", "A dog!", "Why?"], ["A cat.", "A dog!"]]
+
+
 def test_record_export_shape():
-    from emblend.sns import Component, PairedSample
+    from emblend.dataio import Component, PairedSample
     sample = PairedSample("s", "p", "text", [Component("only sentence.")],
                           [Component("ann.")])
     rec = sample_to_record(sample)

@@ -13,13 +13,12 @@ import yaml
 from cachefile import records
 from emblend.cache import EmbeddingCache
 from emblend.cli import run
-from emblend.dataio import ingest
+from emblend.dataio import Component, PairedSample, ingest, side_items
 from emblend.engine import SLICE_BATCHES
 from emblend.errors import DescriberFailure, RemoteFailure
 from emblend.experts import EmbedItem
 from emblend.geometry import Embedding, normalize
 from emblend.remote import RemoteDescriber, RemoteExpert
-from emblend.sns import Component, PairedSample, side_items
 
 
 class StubHandler(BaseHTTPRequestHandler):

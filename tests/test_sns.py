@@ -5,21 +5,20 @@ import numpy as np
 import pytest
 
 from cachefile import records
-from reference import (TableDescriber, item_pair_rows, item_positions, resolve, rows,
-                       stored_rows)
+from reference import (TableDescriber, embedded_each, item_pair_rows, item_positions,
+                       reference_sns, resolve, rows, stored_rows)
 from emblend import sns as sns_module
-from emblend.dataio import sample_from_record, sample_to_record
+from emblend.dataio import (Component, PairedSample, component_item_id, pair_ids,
+                            pair_items, sample_from_record, sample_to_record, segment_text,
+                            side_ids, side_items)
 from emblend.engine import ExpertHandle
 from emblend.errors import (DescriberFailure, EmblendError, GatingExpertFailure,
                             UnsupportedModality, ZeroSize, ZeroVector)
-from emblend.experts import (EmbedItem, SyntheticExpert, SyntheticExpertConfig,
-                             encode_payload)
+from emblend.experts import (EmbedItem, PayloadDescriber, SyntheticExpert,
+                             SyntheticExpertConfig, encode_payload)
 from emblend.geometry import MODALITIES, cosine_sim, normalize
-from emblend.sns import (Component, NucleusRecord, PairedSample, PayloadDescriber,
-                         SnsConfig, apply_sns, calibrate_taus,
-                         component_item_id, extract, info_density, mi_gate, pair_items,
-                         run_sns, segment_text, side_ids, side_items,
-                         side_vector)
+from emblend.sns import (NucleusRecord, SnsConfig, apply_sns, calibrate_taus, extract,
+                         info_density, mi_gate, run_sns, side_vector)
 
 
 class TestSegmentText:
@@ -289,102 +288,19 @@ def _mixed_pairs():
     return pairs
 
 
-# -- a per-item reference -----------------------------------------------------
+# -- the per-pair references ---------------------------------------------------
 #
-# SNS as one pair at a time over a bare expert: every component, and the
-# description, embedded on its own with ``expert.embed``, sides built with
-# ``side_vector``. Written out independently of ``sns``'s row-reading helpers.
-
-def _embed_each(expert, items, failure):
-    try:
-        return [expert.embed(it).values for it in items]
-    except EmblendError as exc:
-        raise failure(str(exc)) from exc
-
-
-def emitted_pair(pair, raw, ann):
-    """The pair with the kept components. A trimmed annotation carries the
-    text its corpus record reads back as; an untrimmed one keeps the pair's."""
-    emitted = replace(pair, raw_components=tuple(raw), annotation_components=tuple(ann))
-    if len(ann) < len(pair.annotation_components):
-        emitted = replace(emitted, annotation_text=sample_from_record(
-            sample_to_record(emitted)).annotation_text)
-    return emitted
-
-
-def reference_sns(pair, config, expert, describe_fn=None):
-    size = (pair.raw_bytes, pair.annotation_bytes)
-
-    def passthrough(error=None):
-        return pair, NucleusRecord(pair.sample_id, config.direction, False, None, None,
-                                   size, size, error=error)
-
-    if config.direction == "off":
-        return passthrough()
-    try:
-        raw_vecs = _embed_each(expert, side_items(pair, "raw"), GatingExpertFailure)
-        ann_vecs = _embed_each(expert, side_items(pair, "annotation"), GatingExpertFailure)
-        ann_side = side_vector(ann_vecs)
-        sim_original = cosine_sim(side_vector(raw_vecs), ann_side)
-        cur_raw, cur_raw_vecs = list(pair.raw_components), raw_vecs
-        describe_base = list(pair.raw_components)
-        sim_fwd = fwd_accepted = None
-        if config.direction in ("forward", "bidirectional"):
-            kept = extract([cosine_sim(v, ann_side) for v in raw_vecs],
-                           config.tau_alpha[pair.raw_modality])
-            nucleus_raw = [pair.raw_components[i] for i in kept]
-            nucleus_raw_vecs = [raw_vecs[i] for i in kept]
-            describe_base = nucleus_raw
-            sim_fwd = cosine_sim(side_vector(nucleus_raw_vecs), ann_side)
-            fwd_accepted = mi_gate(sim_fwd, sim_original, config.rho)
-            if fwd_accepted and config.reinject:
-                cur_raw, cur_raw_vecs = nucleus_raw, nucleus_raw_vecs
-        cur_ann = list(pair.annotation_components)
-        sim_bwd = bwd_accepted = None
-        if config.direction in ("backward", "bidirectional"):
-            if pair.raw_modality == "text":
-                description = " ".join(c.content for c in describe_base)
-            elif describe_fn is None:
-                raise DescriberFailure(f"modality {pair.raw_modality!r} needs a describer "
-                                       "for backward extraction")
-            else:
-                description = describe_fn(pair, describe_base)
-            item = EmbedItem(component_item_id(pair.sample_id, "d", description), "text",
-                             description)
-            [desc_vec] = _embed_each(expert, [item], DescriberFailure)
-            kept = extract([cosine_sim(desc_vec, v) for v in ann_vecs],
-                           config.tau_beta[pair.raw_modality])
-            nucleus_ann = [pair.annotation_components[j] for j in kept]
-            sim_bwd = cosine_sim(side_vector(cur_raw_vecs),
-                                 side_vector([ann_vecs[j] for j in kept]))
-            bwd_accepted = mi_gate(sim_bwd, sim_original, config.rho)
-            if bwd_accepted and config.reinject:
-                cur_ann = nucleus_ann
-    except EmblendError as exc:
-        return passthrough(str(exc))
-
-    accepted = bool(fwd_accepted) or bool(bwd_accepted)
-    emitted = pair
-    if config.reinject and accepted:
-        emitted = emitted_pair(pair, cur_raw, cur_ann)
-    if bwd_accepted:
-        sim_variant = sim_bwd
-    elif fwd_accepted:
-        sim_variant = sim_fwd
-    else:
-        sim_variant = sim_bwd if sim_bwd is not None else sim_fwd
-    return emitted, NucleusRecord(
-        pair.sample_id, config.direction, accepted, sim_original, sim_variant, size,
-        (emitted.raw_bytes, emitted.annotation_bytes), sim_forward=sim_fwd,
-        sim_backward=sim_bwd, forward_accepted=fwd_accepted, backward_accepted=bwd_accepted)
-
+# ``reference.reference_sns``: SNS one pair at a time, every side a
+# ``side_vector`` and every similarity a ``cosine_sim``, over rows read from a
+# bare expert (``embedded_each``) or from a handle's store (``rows``).
 
 def reference_taus(pairs, expert, low_pct=10.0, high_pct=90.0):
     fwd_sims = {m: [] for m in MODALITIES}
     bwd_sims = {m: [] for m in MODALITIES}
+    read = embedded_each(expert)
     for pair in pairs:
-        raw_vecs = _embed_each(expert, side_items(pair, "raw"), GatingExpertFailure)
-        ann_vecs = _embed_each(expert, side_items(pair, "annotation"), GatingExpertFailure)
+        raw_vecs = read(side_items(pair, "raw"))
+        ann_vecs = read(side_items(pair, "annotation"))
         ann_side, raw_side = side_vector(ann_vecs), side_vector(raw_vecs)
         fwd_sims[pair.raw_modality].extend(cosine_sim(v, ann_side) for v in raw_vecs)
         bwd_sims[pair.raw_modality].extend(cosine_sim(raw_side, v) for v in ann_vecs)
@@ -410,7 +326,7 @@ def test_run_sns_matches_apply_sns(direction, describer):
     pairs = _mixed_pairs()
     cfg = SnsConfig(direction=direction, tau_alpha=0.5, tau_beta=0.5, rho=0.9)
     describe = PayloadDescriber(8) if describer else None
-    expected = [reference_sns(p, cfg, gating_expert(noise=0.01).expert, describe)
+    expected = [reference_sns(p, cfg, embedded_each(gating_expert(noise=0.01).expert), describe)
                 for p in pairs]
     got = run_sns(pairs, cfg, gating_expert(noise=0.01), describe, jobs=2)
     assert_matches_reference(got, expected)
@@ -428,7 +344,8 @@ def test_run_sns_gating_modality_errors_stay_per_pair():
     sns_cfg = SnsConfig(direction="bidirectional", tau_alpha=0.5, tau_beta=0.5, rho=0.9)
     got = run_sns(pairs, sns_cfg, _handle(text_audio), PayloadDescriber(8))
     assert_matches_reference(
-        got, [reference_sns(p, sns_cfg, text_audio, PayloadDescriber(8)) for p in pairs])
+        got, [reference_sns(p, sns_cfg, embedded_each(text_audio), PayloadDescriber(8))
+              for p in pairs])
     errors = {p.raw_modality: rec.error for p, (_, rec) in zip(pairs, got)}
     assert "does not support 'image'" in errors["image"]
     assert errors["audio"] is None and errors["text"] is None
@@ -466,8 +383,8 @@ def test_non_finite_component_fails_its_pair_only():
     cfg = SnsConfig(direction="bidirectional", tau_alpha=0.5, tau_beta=0.5, rho=0.9)
     got = run_sns(pairs, cfg, gating_expert(noise=0.01), PayloadDescriber(8))
     assert_matches_reference(
-        got, [reference_sns(p, cfg, gating_expert(noise=0.01).expert, PayloadDescriber(8))
-              for p in pairs])
+        got, [reference_sns(p, cfg, embedded_each(gating_expert(noise=0.01).expert),
+                            PayloadDescriber(8)) for p in pairs])
     errors = [rec.error for _, rec in got]
     assert "norm nan" in errors[3] and got[3][0] is pairs[3]
     assert errors[:3] + errors[4:] == [None] * (len(pairs) - 1)
@@ -492,117 +409,6 @@ def test_trimmed_pairs_carry_the_annotation_text_their_record_reads_back_as():
             kept += len(pair.annotation_components) > 1
             assert out.annotation_text == pair.annotation_text
     assert trimmed > 0 and kept > 0
-
-
-# -- the per-pair phases SNS had before it worked on row matrices --------------
-#
-# Kept as an oracle: each pair's rows are read on their own, every side is a
-# ``side_vector`` and every similarity a ``cosine_sim``, one component at a time.
-
-def _oracle_rows(gating, groups, failure):
-    try:
-        resolve(gating, [it for group in groups for it in group])
-    except EmblendError:
-        pass
-    out = []
-    for group in groups:
-        try:
-            out.append(rows(gating, group))
-        except EmblendError as exc:
-            out.append(failure(str(exc)))
-    return out
-
-
-def _oracle_forward(pair, config, rows):
-    raw_rows, ann_rows = np.split(rows, [len(pair.raw_components)])
-    raw_side, ann_side = side_vector(raw_rows), side_vector(ann_rows)
-    trim = {"ann_rows": ann_rows, "sim_original": cosine_sim(raw_side, ann_side),
-            "cur_raw": list(pair.raw_components), "cur_raw_side": raw_side,
-            "describe_base": list(pair.raw_components), "sim_fwd": None, "fwd_accepted": None}
-    if config.direction in ("forward", "bidirectional"):
-        kept = extract([cosine_sim(v, ann_side) for v in raw_rows],
-                       config.tau_alpha[pair.raw_modality])
-        nucleus_raw = [pair.raw_components[i] for i in kept]
-        nucleus_raw_side = side_vector(raw_rows[kept])
-        trim["describe_base"] = nucleus_raw
-        trim["sim_fwd"] = cosine_sim(nucleus_raw_side, ann_side)
-        trim["fwd_accepted"] = mi_gate(trim["sim_fwd"], trim["sim_original"], config.rho)
-        if trim["fwd_accepted"] and config.reinject:
-            trim["cur_raw"], trim["cur_raw_side"] = nucleus_raw, nucleus_raw_side
-    return trim
-
-
-def _oracle_backward(pair, trim, config, desc_rows):
-    cur_ann = list(pair.annotation_components)
-    sim_bwd = bwd_accepted = None
-    if config.direction in ("backward", "bidirectional"):
-        kept = extract([cosine_sim(desc_rows[0], v) for v in trim["ann_rows"]],
-                       config.tau_beta[pair.raw_modality])
-        sim_bwd = cosine_sim(trim["cur_raw_side"], side_vector(trim["ann_rows"][kept]))
-        bwd_accepted = mi_gate(sim_bwd, trim["sim_original"], config.rho)
-        if bwd_accepted and config.reinject:
-            cur_ann = [pair.annotation_components[j] for j in kept]
-    sim_fwd, fwd_accepted = trim["sim_fwd"], trim["fwd_accepted"]
-    accepted = bool(fwd_accepted) or bool(bwd_accepted)
-    emitted = pair
-    if config.reinject and accepted:
-        emitted = emitted_pair(pair, trim["cur_raw"], cur_ann)
-    if bwd_accepted:
-        sim_variant = sim_bwd
-    elif fwd_accepted:
-        sim_variant = sim_fwd
-    else:
-        sim_variant = sim_bwd if sim_bwd is not None else sim_fwd
-    return emitted, NucleusRecord(
-        pair.sample_id, config.direction, accepted, trim["sim_original"], sim_variant,
-        (pair.raw_bytes, pair.annotation_bytes), (emitted.raw_bytes, emitted.annotation_bytes),
-        sim_forward=sim_fwd, sim_backward=sim_bwd, forward_accepted=fwd_accepted,
-        backward_accepted=bwd_accepted)
-
-
-def oracle_run_sns(pairs, config, gating, describe_fn):
-    def passthrough(pair, error=None):
-        size = (pair.raw_bytes, pair.annotation_bytes)
-        return pair, NucleusRecord(pair.sample_id, config.direction, False, None, None,
-                                   size, size, error=error)
-
-    if config.direction == "off":
-        return [passthrough(p) for p in pairs]
-    results, trims = [None] * len(pairs), {}
-    for i, (pair, rows) in enumerate(zip(pairs, _oracle_rows(
-            gating, [pair_items(p) for p in pairs], GatingExpertFailure))):
-        try:
-            if isinstance(rows, EmblendError):
-                raise rows
-            trims[i] = _oracle_forward(pair, config, rows)
-        except EmblendError as exc:
-            results[i] = passthrough(pair, str(exc))
-    desc_rows = {}
-    if config.direction in ("backward", "bidirectional"):
-        described = {}
-        for i, trim in trims.items():
-            pair = pairs[i]
-            try:
-                if pair.raw_modality == "text":
-                    described[i] = " ".join(c.content for c in trim["describe_base"])
-                elif describe_fn is None:
-                    raise DescriberFailure("no describer")
-                else:
-                    described[i] = describe_fn(pair, trim["describe_base"])
-            except EmblendError as exc:
-                desc_rows[i] = exc
-        items = [[EmbedItem(component_item_id(pairs[i].sample_id, "d", d), "text", d)]
-                 for i, d in described.items()]
-        desc_rows.update(zip(described, _oracle_rows(gating, items, DescriberFailure)))
-    for i, trim in trims.items():
-        try:
-            rows = desc_rows.get(i)
-            if isinstance(rows, EmblendError):
-                raise rows
-            results[i] = _oracle_backward(pairs[i], trim, config, rows)
-        except EmblendError as exc:
-            results[i] = passthrough(pairs[i], str(exc))
-    return results
 
 
 class _PartlyFailingDescriber(PayloadDescriber):
@@ -656,7 +462,8 @@ def test_run_sns_equals_per_pair_oracle(direction, reinject, rho):
                     reinject=reinject)
     for noise in (0.0, 0.01):
         got = run_sns(pairs, cfg, gating_expert(noise=noise), _PartlyFailingDescriber(8))
-        want = oracle_run_sns(pairs, cfg, gating_expert(noise=noise), _PartlyFailingDescriber(8))
+        read = partial(rows, gating_expert(noise=noise))
+        want = [reference_sns(p, cfg, read, _PartlyFailingDescriber(8)) for p in pairs]
         assert [out for out, _ in got] == [out for out, _ in want]
         for (_, g), (_, w) in zip(got, want):
             assert g == w
@@ -848,6 +655,36 @@ def test_a_group_that_fails_in_a_batch_reads_minus_one(tmp_path):
     with pytest.raises(UnsupportedModality):
         ExpertHandle(_text_audio_gate(), None).positions(
             [[it.item_id for it in g] for g in groups], lambda k: groups[k])
+
+
+def test_positions_builds_the_items_of_a_group_with_a_miss_once(tmp_path):
+    """``items(k)`` runs once for each group with a missing id, in group
+    order, and never for a group the store holds; rows and file bytes equal
+    ``item_positions``'. A failed batch is retried group by group, which
+    builds each group's items once more."""
+    pairs = _mixed_pairs()
+    groups = [pair_ids(p) for p in pairs]
+    calls = []
+
+    def items(k):
+        calls.append(k)
+        return pair_items(pairs[k])
+
+    handles = {}
+    for name in ("positions", "item_positions"):
+        handles[name] = ExpertHandle(gating_expert(noise=0.01).expert, tmp_path / f"{name}.eec")
+        resolve(handles[name], [it for p in pairs[::2] for it in pair_items(p)])
+    at, errors = handles["positions"].positions(groups, items)
+    assert calls == list(range(1, len(pairs), 2)) and errors == {}
+    want, _ = item_positions(handles["item_positions"], groups, lambda k: pair_items(pairs[k]))
+    assert np.array_equal(at, want)
+    assert (tmp_path / "positions.eec").read_bytes() == \
+        (tmp_path / "item_positions.eec").read_bytes()
+    calls.clear()
+    _, errors = ExpertHandle(_text_audio_gate(), None).positions(groups, items,
+                                                                 GatingExpertFailure)
+    assert set(errors) == {k for k, p in enumerate(pairs) if p.raw_modality == "image"}
+    assert calls == list(range(len(pairs))) * 2
 
 
 def test_warm_store_rows_build_no_items_and_embed_nothing(tmp_path):

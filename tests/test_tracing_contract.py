@@ -3,12 +3,16 @@
 The tracer replaces methods through ``cls.__dict__`` and module functions by
 name; a renamed or deleted emblend entry point would make a traced run fail
 at install time. This test loads the tracer module read-only and checks each
-of its targets.
+of its targets. The last test checks every emblend name any perfbench module
+imports.
 """
+import ast
+import importlib
 import importlib.util
 import pathlib
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = TRACING.parent
 
 
 def _tracer():
@@ -46,3 +50,29 @@ def test_stub_embed_values_are_the_batch_rows():
         assert isinstance(emb, Embedding)
         assert emb.values.tobytes() == expert.embed_batch([item])[0].tobytes()
         assert emb.values.tobytes() == row.tobytes()
+
+
+def test_every_emblend_name_perfbench_imports_resolves():
+    """Each ``import emblend...`` and each name of ``from emblend... import``
+    in ``perfbench/*.py`` resolves, so that a moved name breaks a test and
+    not only the benchmark (``perfbench/stub.py`` runs in its own process)."""
+    unresolved, checked = [], 0
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names if a.name.split(".")[0] == "emblend"]
+                checked += len(modules)
+                for name in modules:
+                    importlib.import_module(name)
+            elif isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").split(".")[0] == "emblend":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    checked += 1
+                    if not hasattr(module, alias.name):
+                        try:
+                            importlib.import_module(f"{node.module}.{alias.name}")
+                        except ImportError:
+                            unresolved.append(f"{path.name}: {node.module}.{alias.name}")
+    assert checked > 0
+    assert unresolved == []

@@ -15,7 +15,8 @@ compare equal. BLAS and OpenMP pools are pinned to one thread. The pipeline:
   -> the same stages again with their override flags set: sns with every SNS
      flag and --jobs 2; train with --layers, --batch-size, the loss flags,
      --seed and --steps, then eval --k of that model; curate traditional
-     with --query, --seed and --n; the tau ablation grid
+     with --query, --seed, --n and --export-instructions (instructions.jsonl
+     carries each sample's annotation_text); the tau ablation grid
 
 Prints one ``sha256  relpath`` line per file under OUT_DIR, sorted by path.
 Two checkouts produce byte-identical artifacts exactly when
@@ -80,7 +81,7 @@ def pipeline():
         ["curate", "--config", "configs/gap-collapse.yaml", *trimmed,
          "--model", "train_gap-collapse/model.json", "--strategy", "traditional",
          "--query", "people outdoors", "--seed", "11", "--n", "50",
-         "--out", "curate_flags"],
+         "--export-instructions", "--out", "curate_flags"],
         ["ablate", "--config", "cached.yaml", *corpus, "--grid", "tau",
          "--out", "ablate_tau"],
     ]
