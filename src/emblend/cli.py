@@ -28,7 +28,7 @@ from .curation import (STRATEGIES, blend_stats, curate_topn, sample_stratified,
 from .dataio import (ingest, write_blend, write_corpus, write_json,
                      write_jsonl, write_nucleus_log)
 from .engine import Engine
-from .errors import (ConfigError, DescriberFailure, EmblendError,
+from .errors import (ConfigError, DescriberFailure, EmblendError, InsufficientSamples,
                      InvariantViolation, ParseError, RemoteFailure)
 from .projection import (LossWeights, forward, init_projection, load_model,
                          save_model, train)
@@ -483,6 +483,8 @@ def _ablate_lambda_depth(engine, config, samples, out, steps):
 
 def cmd_ablate(args) -> int:
     config, _, engine, out, samples = _setup(args)
+    if not samples:  # no grid has a cell to fill
+        raise InsufficientSamples(f"ablate needs at least one sample; {args.corpus} has none")
     if args.grid == "rho":
         _ablate_rho(engine, config, samples, out)
     elif args.grid == "tau":

@@ -228,11 +228,17 @@ def ingest(path) -> list:
 
 
 def sample_to_record(sample: PairedSample) -> dict:
+    """The corpus record of a sample. The annotation is its sentence list,
+    or its own text when that text differs from the sentences joined by
+    newlines and segments into exactly them, so that it reads back the same."""
+    sentences = [c.content for c in sample.annotation_components]
+    text = sample.annotation_text
+    keep_text = text != "\n".join(sentences) and segment_text(text) == sentences
     rec = {
         "sample_id": sample.sample_id,
         "pool_id": sample.pool_id,
         "modality": sample.raw_modality,
-        "annotation": [c.content for c in sample.annotation_components],
+        "annotation": text if keep_text else sentences,
     }
     if sample.presegmented or len(sample.raw_components) > 1 or sample.raw_modality != "text":
         rec["components"] = [c.content for c in sample.raw_components]

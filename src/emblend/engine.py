@@ -1,7 +1,8 @@
 """Assembly of experts, caches and side-embedding rules into one engine.
 
 A sample side embeds as the normalized mean of its component embeddings,
-for every expert, which keeps gating, fusion inputs and anchors consistent.
+for every expert, which keeps gating, fusion inputs and anchors consistent;
+``side_matrix`` averages the stored rows with ``geometry.side_vectors``.
 Raw sides of each sample pass through all experts and concatenate in config
 order into the projection input; annotation sides embed once through the
 anchor expert. Components, their items and ids are the corpus's (``dataio``).
@@ -33,9 +34,9 @@ from .config import EngineConfig, build_expert
 from .dataio import component_item_id, pair_ids, pair_items, side_ids, side_items
 from .errors import EmblendError
 from .experts import EmbedItem, PayloadDescriber, SyntheticExpert
+from .geometry import side_vectors
 from .projection import forward
 from .remote import RemoteDescriber
-from .sns import side_vectors
 
 SLICE_BATCHES = 8   # expert batches per embed_batch call and store write
 DEFAULT_BATCH = 32  # batch size of experts that do not declare one
@@ -149,16 +150,23 @@ class Engine:
         return len(self.expert_order)
 
     def describe_fn(self):
-        """Describer callable for non-text backward extraction, or None."""
+        """Describer (``describe_batch``) for non-text backward extraction, or None."""
         return self.describer
 
     def side_matrix(self, samples, side: str, expert_id: str) -> np.ndarray:
         """Side vectors of the samples through one expert, averaged from the
-        store rows of the sides' cached item ids by position."""
+        store rows of the sides' cached item ids by position (a run's padding
+        reads a row no mean uses); the first side that fails raises."""
         handle = self.handles[expert_id]
         groups = [side_ids(s, side) for s in samples]
         at, _ = handle.positions(groups, lambda k: side_items(samples[k], side))
-        return side_vectors(handle.store.matrix, list(map(len, groups)), at)
+        counts = np.array([len(group) for group in groups], dtype=np.intp)
+        runs = np.cumsum(counts)[:, None] - counts[:, None] + np.arange(counts.max(initial=1))
+        sides, errors = side_vectors(handle.store.matrix, at[np.minimum(runs, len(at) - 1)],
+                                     counts)
+        if errors:
+            raise errors[min(errors)]
+        return sides
 
     def anchor_matrix(self, samples) -> np.ndarray:
         return self.side_matrix(samples, "annotation", self.config.anchor_expert)

@@ -21,6 +21,8 @@ alone, and a batch fails with its first failing item's error.
 
 ``PayloadDescriber`` is the synthetic expert's describer for SNS: it reads
 the same content conventions and describes components as their mean payload.
+Like every describer it answers in batches (``describe_batch``), and it
+averages with ``geometry.side_vectors``.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import (DescriberFailure, DimMismatch, EmblendError, ParseError,
                      UnsupportedModality)
-from .geometry import MODALITIES, Embedding, normalize, normalize_rows, row_norms
+from .geometry import MODALITIES, Embedding, normalize_rows, row_norms, side_vectors
 
 VEC_PREFIX = "@vec:"
 
@@ -75,19 +77,8 @@ def _payload_values(raw: bytes) -> np.ndarray:
         raise ParseError(f"malformed @vec payload: {exc}") from exc
 
 
-def decode_payload(content: str) -> np.ndarray | None:
-    """Parse ``@vec:`` content into a float64 vector, or None for plain text."""
-    raw = _payload_bytes(content)
-    return None if raw is None else _payload_values(raw)
-
-
-def hash_payload(text: str, semantic_dim: int) -> np.ndarray:
-    """Deterministic token feature-hash into a unit vector of semantic_dim."""
-    return _hash_rows([text], semantic_dim)[0]
-
-
 def _hash_rows(texts, semantic_dim: int) -> np.ndarray:
-    """``hash_payload`` of each text, one row each."""
+    """Deterministic token feature-hash of each text: a unit row of semantic_dim."""
     counts = []
     for text in texts:
         vec = [0.0] * semantic_dim
@@ -265,18 +256,40 @@ class PayloadDescriber:
     def __init__(self, semantic_dim: int):
         self.semantic_dim = semantic_dim
 
-    def __call__(self, pair, components) -> str:
-        payloads = []
-        for comp in components:
-            vec = decode_payload(comp.content)
-            if vec is None:
-                vec = hash_payload(comp.content, self.semantic_dim)
-            elif vec.shape[0] != self.semantic_dim:
-                raise DescriberFailure(
-                    f"component payload dim {vec.shape[0]} != {self.semantic_dim}")
-            payloads.append(vec)
-        try:
-            mean = normalize(np.mean(payloads, axis=0))
-        except EmblendError as exc:
+    def describe_batch(self, requests) -> list:
+        """The ``@vec`` text of each (pair, components) request's mean
+        payload, in order. One pass takes every component's payload, then
+        ``side_vectors`` averages each request's. The first failing
+        component raises its own error, else the first degenerate mean
+        ``DescriberFailure``; no components mean NaN, as with ``np.mean``."""
+        sd = self.semantic_dim
+        components = [comp for _, comps in requests for comp in comps]
+        explicit, blobs, hashed, texts = [], [], [], []
+        for at, comp in enumerate(components):
+            raw = _payload_bytes(comp.content)
+            if raw is None:
+                hashed.append(at)
+                texts.append(comp.content)
+            elif len(raw) != 4 * sd:
+                n = len(_payload_values(raw))  # ParseError unless whole float32s
+                raise DescriberFailure(f"component payload dim {n} != {sd}")
+            else:
+                explicit.append(at)
+                blobs.append(raw)
+        rows = np.full((len(components) + 1, sd), np.nan)  # the last: a request of none
+        if blobs:
+            rows[explicit] = np.frombuffer(b"".join(blobs), dtype="<f4").reshape(-1, sd)
+        if texts:
+            rows[hashed] = _hash_rows(texts, sd)
+        counts = np.array([len(comps) for _, comps in requests], dtype=np.intp)
+        picks = np.cumsum(counts)[:, None] - counts[:, None] + np.arange(counts.max(initial=1))
+        picks[counts == 0, 0] = len(components)
+        means, errors = side_vectors(rows, picks, np.maximum(counts, 1))
+        if errors:
+            exc = errors[min(errors)]
             raise DescriberFailure(f"degenerate payload mean: {exc}") from exc
-        return encode_payload(mean)
+        return [encode_payload(mean) for mean in means]
+
+    def __call__(self, pair, components) -> str:
+        """One request's description: a batch of one."""
+        return self.describe_batch([(pair, components)])[0]

@@ -3,6 +3,10 @@
 All similarity in the engine is cosine on unit vectors; all gap/spread
 measurements are Euclidean on the same vectors. Loss and gradient paths
 work in float64; caches may store float32.
+
+A side embeds as the normalized mean of its component rows (``side_vector``);
+every batched side mean (SNS, the engine's side matrices, the payload
+describer) runs through one kernel, ``side_vectors`` over ``run_means``.
 """
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, EmptySet, NonFiniteVector, ZeroVector
+from .errors import DimMismatch, EmblendError, EmptySet, NonFiniteVector, ZeroVector
 
 MODALITIES = ("text", "image", "audio", "video")
 
@@ -66,6 +70,43 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
         _checked_norm(m[np.argmin(ok)])
     m /= norms[:, None]
     return m
+
+
+def side_vector(component_vectors) -> np.ndarray:
+    """Side embedding: normalized mean of its component embeddings."""
+    return normalize(np.mean(component_vectors, axis=0))
+
+
+def run_means(rows, picks, counts) -> np.ndarray:
+    """The float64 mean of the rows ``picks[k, :counts[k]]`` for each k,
+    stacked; float32 rows are upcast exactly. ``picks[k, 0]`` must be a row
+    of ``rows`` for every k; the other padding is never read.
+
+    Each mean sums its rows in pick order, as ``np.mean`` sums them: added
+    position by position across means, since ``np.add.reduceat`` does not
+    sum in order.
+    """
+    sums = np.asarray(rows[picks[:, 0]], dtype=np.float64)
+    for j in range(1, picks.shape[1]):
+        longer = counts > j
+        sums[longer] += rows[picks[longer, j]]
+    return sums / counts[:, None]
+
+
+def side_vectors(rows, picks, counts):
+    """``side_vector`` of the rows ``picks[k, :counts[k]]`` for each k, stacked
+    and bit-equal to it, and by k the EmblendError it raises for each mean
+    that does not normalize (that row is left as the mean)."""
+    means = run_means(rows, picks, counts)
+    ok = normalizable(row_norms(means))
+    means[ok] = normalize_rows(means[ok])
+    errors = {}
+    for k in np.flatnonzero(~ok).tolist():
+        try:
+            normalize(means[k])
+        except EmblendError as exc:
+            errors[k] = exc
+    return means, errors
 
 
 def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

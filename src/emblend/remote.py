@@ -132,6 +132,3 @@ class RemoteDescriber(EndpointClient):
                  for pair, components in requests]
         return self._values(items, "descriptions", "text", lambda text: isinstance(text, str),
                             task="describe")
-
-    def __call__(self, pair, components) -> str:
-        return self.describe_batch([(pair, components)])[0]

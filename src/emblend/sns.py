@@ -9,21 +9,22 @@ emitted pair is either byte-identical to its input or at least as aligned
 as the gate demands.
 
 This module holds only the algorithm: the pairs it trims and their item ids
-are ``dataio``'s, and the synthetic describer is ``experts.PayloadDescriber``.
+are ``dataio``'s, the side-mean kernel is ``geometry.side_vectors``, and a
+describer answers only ``describe_batch`` (``experts.PayloadDescriber``).
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
 
-# re-exported: perfbench/stub.py imports Component and PayloadDescriber from here
+# the noqa names are re-exported: perfbench/stub.py and test_acceptance.py import them
 from .dataio import Component, PairedSample, component_item_id, pair_ids, pair_items  # noqa: F401
 from .errors import DescriberFailure, EmblendError, GatingExpertFailure, ZeroSize
 from .experts import EmbedItem, PayloadDescriber  # noqa: F401
-from .geometry import (MODALITIES, cosine_rows, normalizable, normalize, normalize_rows,
-                       row_norms)
+from .geometry import MODALITIES, cosine_rows, side_vector, side_vectors  # noqa: F401
 
 DIRECTIONS = ("off", "forward", "backward", "bidirectional")
 
@@ -104,38 +105,6 @@ def extract(sims, tau: float):
     return kept or list(range(len(sims)))
 
 
-def side_vector(component_vectors) -> np.ndarray:
-    """Side embedding: normalized mean of its component embeddings."""
-    return normalize(np.mean(component_vectors, axis=0))
-
-
-def _run_means(rows, picks, counts) -> np.ndarray:
-    """The float64 mean of the rows ``picks[k, :counts[k]]`` for each k,
-    stacked; float32 rows are upcast exactly.
-
-    Each mean sums its rows in pick order, as ``np.mean`` sums them: added
-    position by position across means, since ``np.add.reduceat`` does not
-    sum in order.
-    """
-    sums = np.asarray(rows[picks[:, 0]], dtype=np.float64)
-    for j in range(1, picks.shape[1]):
-        longer = counts > j
-        sums[longer] += rows[picks[longer, j]]
-    return sums / counts[:, None]
-
-
-def side_vectors(rows, counts, positions=None) -> np.ndarray:
-    """``side_vector`` of each run of ``counts[i]`` consecutive rows, stacked;
-    bit-equal to it on each run. With ``positions``, the runs are those of
-    ``rows[positions]``, read from ``rows`` without gathering them first."""
-    counts = np.asarray(counts, dtype=np.intp)
-    starts = np.cumsum(counts) - counts
-    picks = starts[:, None] + np.arange(counts.max(initial=1))
-    if positions is not None:  # the padding reads a row that no mean uses
-        picks = positions[np.minimum(picks, len(positions) - 1)]
-    return normalize_rows(_run_means(rows, picks, counts))
-
-
 def _picks(starts, offsets):
     """Row positions ``starts[k] + j`` for each j in ``offsets[k]``: one
     left-aligned row per k, padded with 0, and the count of each row."""
@@ -146,25 +115,9 @@ def _picks(starts, offsets):
     return picks, counts
 
 
-def _sides(rows, picks, counts):
-    """``side_vector`` of the rows ``picks[k, :counts[k]]`` for each k,
-    stacked, and the EmblendError it raises for each k whose mean does not
-    normalize (that row is left as the mean)."""
-    means = _run_means(rows, picks, counts)
-    ok = normalizable(row_norms(means))
-    means[ok] = normalize_rows(means[ok])
-    errors = {}
-    for k in np.flatnonzero(~ok).tolist():
-        try:
-            normalize(means[k])
-        except EmblendError as exc:
-            errors[k] = exc
-    return means, errors
-
-
 def _sims(rows, picks, counts, vectors) -> list:
     """``cosine_sim`` of the rows ``picks[k, :counts[k]]`` with ``vectors[k]``,
-    one list per k; gathered position by position, like ``_run_means``."""
+    one list per k; gathered position by position, like ``run_means``."""
     sims = np.zeros(picks.shape)
     for j in range(picks.shape[1]):
         longer = counts > j
@@ -181,8 +134,8 @@ def _pair_sides(pairs, rows):
     starts = [0, *accumulate(n_raw + n_ann for n_raw, n_ann in sizes)]
     raw = _picks(starts, [range(n_raw) for n_raw, _ in sizes])
     ann = _picks(starts, [range(n_raw, n_raw + n_ann) for n_raw, n_ann in sizes])
-    raw_sides, raw_errors = _sides(rows, *raw)
-    ann_sides, ann_errors = _sides(rows, *ann)
+    raw_sides, raw_errors = side_vectors(rows, *raw)
+    ann_sides, ann_errors = side_vectors(rows, *ann)
     return (*raw, raw_sides), (*ann, ann_sides), {**ann_errors, **raw_errors}
 
 
@@ -228,7 +181,7 @@ def _forward(pairs: dict, rows, config) -> dict:
     if config.direction in ("forward", "bidirectional"):
         kept = [extract(sims, config.tau_alpha[t.pair.raw_modality])
                 for t, sims in zip(trims, _sims(rows, raw_picks, n_raw, ann_sides))]
-        nucleus_sides, nucleus_errors = _sides(rows, *_picks(raw_picks[:, 0].tolist(), kept))
+        nucleus_sides, nucleus_errors = side_vectors(rows, *_picks(raw_picks[:, 0].tolist(), kept))
         errors = {**nucleus_errors, **errors}
         sims = cosine_rows(nucleus_sides, ann_sides).tolist()
         for t, k, side, sim in zip(trims, kept, nucleus_sides, sims):
@@ -239,17 +192,6 @@ def _forward(pairs: dict, rows, config) -> dict:
             if t.fwd_accepted and config.reinject:
                 t.cur_raw, t.cur_raw_side = nucleus_raw, side
     return {i: errors.get(k, t) for k, (i, t) in enumerate(zip(pairs, trims))}
-
-
-def _describe(trim: _Trim, describe_fn) -> str:
-    """Text raw data is its own description; other modalities go to describe_fn."""
-    pair = trim.pair
-    if pair.raw_modality == "text":
-        return " ".join(c.content for c in trim.describe_base)
-    if describe_fn is None:
-        raise DescriberFailure(
-            f"modality {pair.raw_modality!r} needs a describer for backward extraction")
-    return describe_fn(pair, trim.describe_base)
 
 
 def _backward(trims: dict, rows, descs, config) -> dict:
@@ -263,7 +205,7 @@ def _backward(trims: dict, rows, descs, config) -> dict:
                                        for t in trims.values()])
     kept = [extract(sims, config.tau_beta[t.pair.raw_modality])
             for t, sims in zip(trims.values(), _sims(rows, ann_picks, n_ann, descs))]
-    sides, errors = _sides(rows, *_picks(ann_at, kept))
+    sides, errors = side_vectors(rows, *_picks(ann_at, kept))
     cur_raw_sides = np.array([t.cur_raw_side for t in trims.values()])
     for t, k, sim in zip(trims.values(), kept, cosine_rows(cur_raw_sides, sides).tolist()):
         t.sim_bwd = sim
@@ -321,35 +263,35 @@ def _pair_rows(gating, pairs):
 
 
 def _describe_all(trims: dict, describe_fn, jobs: int) -> dict:
-    """The description, or the EmblendError raised for it, of every pair.
+    """The description, or the EmblendError raised for it, of every pair, in
+    order.
 
-    A describer with ``describe_batch`` gets every non-text pair in one call;
-    if that call fails, or the describer has none, pairs are described one at
-    a time, on ``jobs`` threads.
+    Text raw data is its own description. Every other pair goes to one
+    ``describe_fn.describe_batch``; if that batch fails, each of its pairs
+    is sent alone, on ``jobs`` threads, and keeps its own error.
     """
-    out = {}
-    batch = getattr(describe_fn, "describe_batch", None)
-    media = [i for i, t in trims.items() if t.pair.raw_modality != "text"]
-    if batch is not None and media:
-        try:
-            out.update(zip(media, batch([(trims[i].pair, trims[i].describe_base)
-                                         for i in media])))
-        except EmblendError:
-            pass
+    out, media = dict.fromkeys(trims), {}
+    for i, t in trims.items():
+        if t.pair.raw_modality == "text":
+            out[i] = " ".join(c.content for c in t.describe_base)
+        elif describe_fn is None:
+            out[i] = DescriberFailure(f"modality {t.pair.raw_modality!r} needs a describer "
+                                      "for backward extraction")
+        else:
+            media[i] = (t.pair, t.describe_base)
 
-    def one(i):
+    def alone(request):
         try:
-            return _describe(trims[i], describe_fn)
+            return describe_fn.describe_batch([request])[0]
         except EmblendError as exc:
             return exc
 
-    rest = [i for i in trims if i not in out]
-    if jobs > 1 and len(rest) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            out.update(zip(rest, pool.map(one, rest)))
-    else:
-        out.update((i, one(i)) for i in rest)
+    if media:
+        try:
+            out.update(zip(media, describe_fn.describe_batch(list(media.values()))))
+        except EmblendError:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                out.update(zip(media, pool.map(alone, media.values())))
     return out
 
 
@@ -361,8 +303,8 @@ def run_sns(pairs, config: SnsConfig, gating, describe_fn=None, jobs: int = 1) -
     play: one lookup of every component by id, and one batched embed of the
     components when any is missing; the sides of every pair with
     one ``side_vectors`` pass and forward extraction, with the component sims
-    as row dots (``cosine_rows``); one describe of every non-text pair; one
-    batched embed of the descriptions, stored in pair order; backward
+    as row dots (``cosine_rows``); one ``describe_batch`` of every non-text
+    pair; one batched embed of the descriptions, stored in pair order; backward
     extraction. Only ``extract``, the gate and the records run per pair. A
     pair that fails in a phase passes through with its error and leaves the
     later phases.
@@ -386,8 +328,7 @@ def run_sns(pairs, config: SnsConfig, gating, describe_fn=None, jobs: int = 1) -
     live = survivors({i: errors.get(i, pair) for i, pair in enumerate(pairs)})
     trims = survivors(_forward(live, rows, config))
     if config.direction in ("backward", "bidirectional"):
-        descriptions = _describe_all(trims, describe_fn, jobs)
-        described = survivors({i: descriptions[i] for i in trims})
+        described = survivors(_describe_all(trims, describe_fn, jobs))
         texts = list(described.values())
         ids = [component_item_id(pairs[i].sample_id, "d", d) for i, d in described.items()]
         at, errors = gating.positions([(i,) for i in ids],

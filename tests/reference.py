@@ -16,9 +16,10 @@ from emblend.dataio import (component_item_id, pair_items, sample_from_record,
 from emblend.engine import DEFAULT_BATCH, SLICE_BATCHES
 from emblend.errors import DescriberFailure, DimMismatch, EmblendError, EmptySet, \
     GatingExpertFailure
-from emblend.experts import EmbedItem, _generate_rows, _NoiseStream
-from emblend.geometry import cosine_sim
-from emblend.sns import NucleusRecord, extract, mi_gate, side_vector, side_vectors
+from emblend.experts import (EmbedItem, _generate_rows, _hash_rows, _NoiseStream, _payload_bytes,
+                             _payload_values, encode_payload)
+from emblend.geometry import cosine_sim, normalize, side_vector, side_vectors
+from emblend.sns import NucleusRecord, extract, mi_gate
 
 # -- single-item paths ---------------------------------------------------------
 
@@ -47,17 +48,56 @@ def spread(vectors, center) -> float:
     return float(np.linalg.norm(arr - center, axis=1).mean())
 
 
+def decode_payload(content: str) -> np.ndarray | None:
+    """Parse ``@vec:`` content into a float64 vector, or None for plain text."""
+    raw = _payload_bytes(content)
+    return None if raw is None else _payload_values(raw)
+
+
+def hash_payload(text: str, semantic_dim: int) -> np.ndarray:
+    """Deterministic token feature-hash into a unit vector of semantic_dim."""
+    return _hash_rows([text], semantic_dim)[0]
+
+
+def payload_describe(semantic_dim: int, pair, components) -> str:
+    """``PayloadDescriber``'s text for one (pair, components) request, one
+    component and one mean at a time."""
+    payloads = []
+    for comp in components:
+        vec = decode_payload(comp.content)
+        if vec is None:
+            vec = hash_payload(comp.content, semantic_dim)
+        elif vec.shape[0] != semantic_dim:
+            raise DescriberFailure(f"component payload dim {vec.shape[0]} != {semantic_dim}")
+        payloads.append(vec)
+    try:
+        mean = normalize(np.mean(payloads, axis=0))
+    except EmblendError as exc:
+        raise DescriberFailure(f"degenerate payload mean: {exc}") from exc
+    return encode_payload(mean)
+
+
 class TableDescriber:
-    """Fixture describer: looks descriptions up by sample id."""
+    """Fixture describer: looks descriptions up by sample id; a batch with a
+    pair the table lacks fails."""
 
     def __init__(self, table: dict):
         self.table = dict(table)
 
-    def __call__(self, pair, components) -> str:
-        try:
-            return self.table[pair.sample_id]
-        except KeyError:
-            raise DescriberFailure(f"no description for sample {pair.sample_id!r}")
+    def describe_batch(self, requests) -> list:
+        missing = [pair.sample_id for pair, _ in requests if pair.sample_id not in self.table]
+        if missing:
+            raise DescriberFailure(f"no description for sample {missing[0]!r}")
+        return [self.table[pair.sample_id] for pair, _ in requests]
+
+
+def consecutive_runs(counts):
+    """``side_vectors``' picks and counts for runs of ``counts[k]``
+    consecutive rows; the padding repeats the last row."""
+    counts = np.asarray(counts, dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    return np.minimum(starts[:, None] + np.arange(counts.max(initial=1)),
+                      counts.sum() - 1), counts
 
 
 # -- the read routes before ExpertHandle.positions -----------------------------
@@ -141,7 +181,10 @@ def item_gather_side_matrix(engine, samples, side, expert_id):
     rows, then ``side_vectors``."""
     groups = [side_items(s, side) for s in samples]
     gathered = rows(engine.handles[expert_id], [it for group in groups for it in group])
-    return side_vectors(gathered, [len(group) for group in groups])
+    sides, errors = side_vectors(gathered, *consecutive_runs([len(group) for group in groups]))
+    if errors:
+        raise errors[min(errors)]
+    return sides
 
 
 def item_populate_caches(engine, samples) -> dict:
@@ -224,7 +267,7 @@ def reference_sns(pair, config, read, describe_fn=None):
                 raise DescriberFailure(f"modality {pair.raw_modality!r} needs a describer "
                                        "for backward extraction")
             else:
-                description = describe_fn(pair, describe_base)
+                description = describe_fn.describe_batch([(pair, describe_base)])[0]
             item = EmbedItem(component_item_id(pair.sample_id, "d", description), "text",
                              description)
             [desc_row] = rows_of([item], DescriberFailure)

@@ -336,6 +336,33 @@ def test_ablate_lambda_depth_zero_steps_is_exit_1(workspace, tmp_path, capsys):
     assert not (out / "ablate_lambda_depth.json").exists()
 
 
+@pytest.mark.parametrize("grid", ["rho", "tau", "lambda-depth"])
+def test_ablate_on_an_empty_corpus_is_exit_2_before_any_grid(workspace, tmp_path, capsys, grid):
+    """No cell to fill: a ZeroDivisionError (rho) or NaN cells, which are not
+    valid JSON (tau), unless the command stops first."""
+    corpus = tmp_path / "empty.jsonl"
+    corpus.write_text("")
+    out = tmp_path / "ab-empty"
+    code = run(["ablate", "--config", workspace["config"], "--corpus", str(corpus),
+                "--grid", grid, "--out", str(out)])
+    assert code == 2
+    assert "runtime failure: ablate needs at least one sample" in capsys.readouterr().err
+    assert not list(out.glob("ablate_*"))
+
+
+def test_sns_keeps_a_string_annotations_text(workspace, tmp_path):
+    """A pair passed through ``sns`` is written with its annotation's own
+    text, so ``trimmed.jsonl`` reads back as the input did."""
+    corpus = tmp_path / "strings.jsonl"
+    corpus.write_text(json.dumps({"sample_id": "s", "modality": "text", "raw": "Red apples.",
+                                  "annotation": "A cat.  A dog!\tWhy?"}) + "\n")
+    out = tmp_path / "sns-strings"
+    assert run(["sns", "--config", workspace["config"], "--corpus", str(corpus),
+                "--direction", "off", "--out", str(out)]) == 0
+    [record] = read_jsonl(out / "trimmed.jsonl")
+    assert record["annotation"] == "A cat.  A dog!\tWhy?"
+
+
 def test_exit_codes():
     assert run(["sns", "--corpus", "/nonexistent.jsonl"]) == 1  # missing config
     assert run(["eval", "--config", "/nonexistent.yaml", "--corpus", "x",

@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from cachefile import records
-from reference import item_gather_side_matrix, item_populate_caches
+from reference import consecutive_runs, item_gather_side_matrix, item_populate_caches
 from emblend.cache import EmbeddingCache
 from emblend.cli import run
 from emblend.config import (build_expert, config_from_dict, load_config,
@@ -18,8 +18,8 @@ from emblend.dataio import side_items
 from emblend.engine import Engine
 from emblend.errors import ConfigError
 from emblend.experts import PayloadDescriber, SyntheticExpert
+from emblend.geometry import side_vector, side_vectors
 from emblend.remote import RemoteDescriber, RemoteExpert
-from emblend.sns import side_vector, side_vectors
 from emblend.synth import SynthSpec, expert_configs, generate_corpus
 
 
@@ -227,7 +227,7 @@ def test_side_vectors_bit_equal_on_float64_rows():
     rows = rng.normal(size=(sum(counts), 7))
     starts = np.cumsum(counts) - counts
     ref = np.vstack([side_vector(list(rows[s:s + c])) for s, c in zip(starts, counts)])
-    assert np.array_equal(side_vectors(rows, counts), ref)
+    assert np.array_equal(side_vectors(rows, *consecutive_runs(counts))[0], ref)
 
 
 def test_half_warm_cache_embeds_only_misses_in_order(setup, tmp_path, monkeypatch):
@@ -407,6 +407,7 @@ def test_side_vectors_by_position_equal_the_gathered_rows(dtype):
     counts = [3, 1, 5, 2, 2]
     rows = rng.normal(size=(9, 7)).astype(dtype)
     positions = rng.integers(0, 9, size=sum(counts))  # repeats and skips rows
-    want = side_vectors(rows[positions].astype(np.float64), counts)
-    got = side_vectors(rows, counts, positions)
+    picks, counts = consecutive_runs(counts)
+    want, _ = side_vectors(rows[positions].astype(np.float64), picks, counts)
+    got, _ = side_vectors(rows, positions[picks], counts)
     assert got.dtype == np.float64 and np.array_equal(got, want)

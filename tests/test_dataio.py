@@ -85,8 +85,8 @@ def test_presegmented_video_roundtrip(tmp_path):
 def test_annotation_text_of_a_string_and_of_a_sentence_list(tmp_path):
     """A string annotation keeps its own text, spacing included; a sentence
     list reads as its sentences joined by newlines. A written corpus stores
-    the sentences, so after write_corpus -> ingest both keep their sentences
-    and read as them joined by newlines, which a second round trip keeps."""
+    a string annotation's text, so after write_corpus -> ingest both keep
+    their sentences and their text, which a second round trip keeps."""
     path = tmp_path / "c.jsonl"
     write_lines(path, [
         {"sample_id": "s", "modality": "text", "raw": "r.",
@@ -100,7 +100,7 @@ def test_annotation_text_of_a_string_and_of_a_sentence_list(tmp_path):
     for round_trip in ("once.jsonl", "twice.jsonl"):
         write_corpus(tmp_path / round_trip, [string, listed])
         string, listed = again = ingest(tmp_path / round_trip)
-        assert [s.annotation_text for s in again] == ["A cat.\nA dog!\nWhy?", "A cat.\nA dog!"]
+        assert [s.annotation_text for s in again] == ["A cat.  A dog!\tWhy?", "A cat.\nA dog!"]
         assert [[c.content for c in s.annotation_components] for s in again] == \
             [["A cat.", "A dog!", "Why?"], ["A cat.", "A dog!"]]
 
@@ -112,6 +112,22 @@ def test_record_export_shape():
     rec = sample_to_record(sample)
     assert rec["raw"] == "only sentence."
     assert rec["annotation"] == ["ann."]
+
+
+def test_record_keeps_an_annotation_text_only_when_it_reads_back_the_same():
+    """The record carries the text when it differs from the sentences joined
+    by newlines and segments into exactly them; else the sentence list."""
+    from emblend.dataio import Component, PairedSample
+    ann = [Component("A cat."), Component("A dog!")]
+
+    def annotation(text):
+        return sample_to_record(PairedSample("s", "p", "image", [Component("x")], ann,
+                                             annotation_text=text))["annotation"]
+
+    assert annotation("A cat.  A dog!") == "A cat.  A dog!"
+    assert annotation("") == annotation("A cat.\nA dog!") == ["A cat.", "A dog!"]
+    assert annotation("A cat. A dog! Why?") == ["A cat.", "A dog!"]  # another segmentation
+    assert annotation("a cat and a dog") == ["A cat.", "A dog!"]
 
 
 def test_byte_sizes_sum(tmp_path):

@@ -4,18 +4,19 @@ import itertools
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
-from emblend.errors import (DimMismatch, EmblendError, NonFiniteVector, ParseError,
-                            UnsupportedModality, ZeroVector)
-from emblend.experts import (EmbedItem, SyntheticExpert, SyntheticExpertConfig,
-                             decode_payload, encode_payload, hash_payload,
-                             orthogonal_offsets)
+from emblend.dataio import Component
+from emblend.errors import (DescriberFailure, DimMismatch, EmblendError, NonFiniteVector,
+                            ParseError, UnsupportedModality, ZeroVector)
+from emblend.experts import (EmbedItem, PayloadDescriber, SyntheticExpert, SyntheticExpertConfig,
+                             encode_payload, orthogonal_offsets)
 from emblend.geometry import MODALITIES, normalize
 from emblend.retrieval import clustering_diagnostic
-from reference import synthetic_generate
+from reference import decode_payload, hash_payload, payload_describe, synthetic_generate
 
 
 def make_config(**kw):
@@ -364,3 +365,90 @@ def test_embed_batch_raises_the_first_failing_item_error(first, second):
     assert str(got.value) == str(want.value)
     assert type(got.value) in (DimMismatch, ParseError, UnsupportedModality, ZeroVector,
                                NonFiniteVector)
+
+
+# -- PayloadDescriber: one batch against the per-pair reference ---------------
+
+def _outcome(call):
+    """The call's value, or the type and text of the EmblendError it raised."""
+    try:
+        with warnings.catch_warnings():  # np.mean of no payloads warns, then is NaN
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return call()
+    except EmblendError as exc:
+        return type(exc), str(exc)
+
+
+def _describe_requests(semantic_dim=8, n=300, seed=5):
+    """(pair, components) requests of 1 to 4 components, @vec payloads over 12
+    orders of magnitude and hashed texts mixed; the pair is never read."""
+    rng = np.random.default_rng(seed)
+    words = ["alpha", "beta", "gamma", "delta", "eps", "zeta"]
+    requests = []
+    for _ in range(n):
+        components = []
+        for _ in range(rng.integers(1, 5)):
+            if rng.random() < 0.6:
+                vec = rng.normal(size=semantic_dim) * 10.0 ** rng.uniform(-6, 6)
+                components.append(Component(encode_payload(vec)))
+            else:
+                components.append(Component(" ".join(rng.choice(words, size=rng.integers(1, 6)))))
+        requests.append((None, components))
+    return requests
+
+
+PAYLOAD = np.arange(1.0, 9.0)
+HUGE = np.eye(8)[0] * 2.0 ** 54  # 1 + 2**54 - 2**54 is 0 added in order, else 1
+ODD_REQUESTS = {
+    "summed in order": [Component(encode_payload(PAYLOAD)), Component(encode_payload(HUGE)),
+                        Component(encode_payload(-HUGE))],
+    "wrong dim": [Component(GOOD_CONTENT["vec"]), Component(BAD_CONTENT["short vec"])],
+    "malformed": [Component(BAD_CONTENT["bad base64"])],
+    "ragged": [Component("apples."), Component(BAD_CONTENT["ragged vec"])],
+    "cancelling": [Component(encode_payload(PAYLOAD)), Component(encode_payload(-PAYLOAD))],
+    "nan": [Component(BAD_CONTENT["nan vec"]), Component("apples.")],
+    "none": [],
+    "fallback text": [Component(_cancelling_text(8))],
+    "four": [Component(encode_payload(PAYLOAD)), Component("a b."),
+             Component(encode_payload(-PAYLOAD)), Component(GOOD_CONTENT["text"])],
+}
+
+
+def test_describe_batch_equals_the_per_pair_reference():
+    """Each description is the reference's string, bit for bit; alone, each
+    odd request gives the reference's string or its error, type and text."""
+    describer = PayloadDescriber(8)
+    requests = _describe_requests()
+    want = [payload_describe(8, pair, components) for pair, components in requests]
+    assert describer.describe_batch(requests) == want
+    for name, components in ODD_REQUESTS.items():
+        got = _outcome(lambda: describer.describe_batch([(None, components)]))
+        expected = _outcome(lambda: [payload_describe(8, None, components)])
+        assert got == expected, name
+    assert _outcome(lambda: describer.describe_batch([(None, ODD_REQUESTS["none"])])) == \
+        (DescriberFailure, "degenerate payload mean: vector has non-finite norm nan")
+    assert describer.describe_batch([]) == []
+
+
+def test_describe_batch_raises_the_first_failing_component_else_the_first_degenerate_mean():
+    describer = PayloadDescriber(8)
+    good = _describe_requests(n=3)
+    odd = {name: (None, components) for name, components in ODD_REQUESTS.items()}
+    batch = [good[0], odd["cancelling"], good[1], odd["wrong dim"], odd["malformed"], good[2]]
+    assert _outcome(lambda: describer.describe_batch(batch)) == \
+        _outcome(lambda: payload_describe(8, *odd["wrong dim"]))
+    batch = [good[0], odd["none"], odd["cancelling"], good[1]]
+    assert _outcome(lambda: describer.describe_batch(batch)) == \
+        _outcome(lambda: payload_describe(8, *odd["none"]))
+    batch = [good[0], odd["cancelling"], odd["nan"]]
+    assert _outcome(lambda: describer.describe_batch(batch)) == \
+        (DescriberFailure, "degenerate payload mean: cannot normalize vector with norm 0.0")
+
+
+def test_describer_called_per_item_equals_its_batch():
+    """The localhost stub's call shape, ``describer(None, components)``, is a
+    batch of one."""
+    describer = PayloadDescriber(8)
+    for pair, components in _describe_requests(n=40) + [(None, c) for c in ODD_REQUESTS.values()]:
+        assert _outcome(lambda: describer(pair, components)) == \
+            _outcome(lambda: describer.describe_batch([(pair, components)])[0])

@@ -128,7 +128,7 @@ def make_expert(endpoint, batch_size=32, max_in_flight=4, api_key=None):
 def describe(describer, sample_id, content):
     """The describer's text for a video pair of one raw component."""
     pair = PairedSample(sample_id, "p", "video", [Component(content)], [Component("x.")])
-    return describer(pair, pair.raw_components)
+    return describer.describe_batch([(pair, pair.raw_components)])[0]
 
 
 def assert_rows_are_stub_vectors(rows, items):

@@ -1,3 +1,4 @@
+import threading
 from dataclasses import replace
 from functools import partial
 
@@ -241,18 +242,18 @@ class TestDescribers:
     def test_table_describer(self):
         desc = TableDescriber({"s1": "a description"})
         pair, _ = vec_pair()
-        assert desc(pair, list(pair.raw_components)) == "a description"
+        assert desc.describe_batch([(pair, list(pair.raw_components))])[0] == "a description"
         pair2, _ = vec_pair(sample_id="s2")
         with pytest.raises(DescriberFailure):
-            desc(pair2, list(pair2.raw_components))
+            desc.describe_batch([(pair2, list(pair2.raw_components))])
 
     def test_payload_describer_mean(self):
         rng = np.random.default_rng(0)
         a, b = normalize(rng.normal(size=8)), normalize(rng.normal(size=8))
         comps = [Component(encode_payload(a)), Component(encode_payload(b))]
         pair, _ = vec_pair()
-        out = PayloadDescriber(8)(pair, comps)
-        from emblend.experts import decode_payload
+        out = PayloadDescriber(8).describe_batch([(pair, comps)])[0]
+        from reference import decode_payload
         got = decode_payload(out)
         assert np.allclose(got, normalize((a + b) / 2), atol=1e-7)
 
@@ -412,12 +413,14 @@ def test_trimmed_pairs_carry_the_annotation_text_their_record_reads_back_as():
 
 
 class _PartlyFailingDescriber(PayloadDescriber):
-    """The payload describer, except for the pairs it cannot describe."""
+    """The payload describer, except that a batch with a pair it cannot
+    describe fails with that pair's refusal."""
 
-    def __call__(self, pair, components):
-        if pair.sample_id in ("s3", "s8"):
-            raise DescriberFailure(f"describer refused {pair.sample_id}")
-        return super().__call__(pair, components)
+    def describe_batch(self, requests):
+        for pair, _ in requests:
+            if pair.sample_id in ("s3", "s8"):
+                raise DescriberFailure(f"describer refused {pair.sample_id}")
+        return super().describe_batch(requests)
 
 
 def _parity_pairs():
@@ -478,6 +481,59 @@ def test_run_sns_equals_per_pair_oracle(direction, reinject, rho):
                 assert errors["nucleus"] == "cannot normalize vector with norm 0.0"
         if direction in ("backward", "bidirectional"):
             assert (errors["s3"], errors["s8"]) == ("describer refused s3", "describer refused s8")
+
+
+class _CountingDescriber(PayloadDescriber):
+    """The payload describer, recording the sample ids of each batch it is
+    sent; a batch with a pair in ``refuse`` fails with that pair's refusal."""
+
+    def __init__(self, semantic_dim, refuse=()):
+        super().__init__(semantic_dim)
+        self.refuse = set(refuse)
+        self.batches = []
+        self._lock = threading.Lock()
+
+    def describe_batch(self, requests):
+        ids = [pair.sample_id for pair, _ in requests]
+        with self._lock:
+            self.batches.append(ids)
+        for sample_id in ids:
+            if sample_id in self.refuse:
+                raise DescriberFailure(f"describer refused {sample_id}")
+        return super().describe_batch(requests)
+
+
+@pytest.mark.parametrize("direction", ["backward", "bidirectional"])
+def test_describe_is_one_batch_and_a_failed_batch_is_retried_pair_by_pair(direction):
+    """One batch of every media pair when all pass; when one is refused, one
+    batch and then each media pair alone, so the others keep the results of
+    the batch that passed and only the refused pair fails, on 1 or 2 threads.
+    Text pairs describe themselves."""
+    pairs = _mixed_pairs()
+    media = [p.sample_id for p in pairs if p.raw_modality != "text"]
+    assert len(media) < len(pairs)
+    cfg = SnsConfig(direction=direction, tau_alpha=0.5, tau_beta=0.5, rho=0.9)
+    describer = _CountingDescriber(8)
+    want = run_sns(pairs, cfg, gating_expert(noise=0.01), describer)
+    assert describer.batches == [media]
+    assert not any(rec.error for _, rec in want)
+    for jobs in (1, 2):
+        describer = _CountingDescriber(8, refuse={"s3"})
+        got = run_sns(pairs, cfg, gating_expert(noise=0.01), describer, jobs=jobs)
+        assert len(describer.batches) == 1 + len(media)
+        assert describer.batches[0] == media
+        assert sorted(describer.batches[1:]) == sorted([sample_id] for sample_id in media)
+        errors = {rec.sample_id: rec.error for _, rec in got}
+        assert errors["s3"] == "describer refused s3"
+        assert [r for r, p in zip(got, pairs) if p.sample_id != "s3"] == \
+            [r for r, p in zip(want, pairs) if p.sample_id != "s3"]
+        assert got[3] == _passthrough_of(pairs[3], direction, "describer refused s3")
+
+
+def _passthrough_of(pair, direction, error):
+    size = (pair.raw_bytes, pair.annotation_bytes)
+    return pair, NucleusRecord(pair.sample_id, direction, False, None, None, size, size,
+                               error=error)
 
 
 def test_calibrate_taus_raises_the_first_failing_pair():
@@ -571,15 +627,15 @@ def _prepared_handle(case, path):
 
 
 class _DescriptionFailingDescriber(PayloadDescriber):
-    """The payload describer, except that it refuses one audio pair and gives
-    two others a 5-entry payload, which the gating expert cannot embed."""
+    """The payload describer, except that a batch with one audio pair fails
+    with its refusal, and two other pairs get a 5-entry payload, which the
+    gating expert cannot embed."""
 
-    def __call__(self, pair, components):
-        if pair.sample_id == "s3":
+    def describe_batch(self, requests):
+        if any(pair.sample_id == "s3" for pair, _ in requests):
             raise DescriberFailure("describer refused s3")
-        if pair.sample_id in ("s1", "s7"):
-            return encode_payload(np.ones(5))
-        return super().__call__(pair, components)
+        return [encode_payload(np.ones(5)) if pair.sample_id in ("s1", "s7") else text
+                for (pair, _), text in zip(requests, super().describe_batch(requests))]
 
 
 @pytest.mark.parametrize("case", list(ID_PATH_CASES))

@@ -13,10 +13,15 @@ compare equal. BLAS and OpenMP pools are pinned to one thread. The pipeline:
   -> curate with all four strategies (gap-collapse model, n=200)
   -> ablate the rho grid and the lambda-depth grid (60 steps)
   -> the same stages again with their override flags set: sns with every SNS
-     flag and --jobs 2; train with --layers, --batch-size, the loss flags,
-     --seed and --steps, then eval --k of that model; curate traditional
-     with --query, --seed, --n and --export-instructions (instructions.jsonl
-     carries each sample's annotation_text); the tau ablation grid
+     flag; train with --layers, --batch-size, the loss flags, --seed and
+     --steps, then eval --k of that model; curate traditional with --query,
+     --seed, --n and --export-instructions (instructions.jsonl carries each
+     sample's annotation_text); the tau ablation grid
+  -> sns --direction backward --jobs 2 on the synth corpus plus one video
+     pair whose raw components are the @vec payloads p and -p: their payload
+     mean is 0, so the batch of descriptions fails and every media pair is
+     described again on its own, while the pair's embedded side (modality
+     offset and noise added) still normalizes
 
 Prints one ``sha256  relpath`` line per file under OUT_DIR, sorted by path.
 Two checkouts produce byte-identical artifacts exactly when
@@ -29,9 +34,12 @@ prints nothing.
 from __future__ import annotations
 
 import argparse
+import base64
 import hashlib
+import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -70,8 +78,7 @@ def pipeline():
                   "--steps", "60", "--out", "ablate_lambda_depth"])
     steps += [
         ["sns", "--config", "cached.yaml", *corpus, "--direction", "forward",
-         "--rho", "0.95", "--tau-alpha", "0.2", "--tau-beta", "0.1", "--jobs", "2",
-         "--out", "sns_flags"],
+         "--rho", "0.95", "--tau-alpha", "0.2", "--tau-beta", "0.1", "--out", "sns_flags"],
         ["train", "--config", "configs/default.yaml", *trimmed, "--layers", "1",
          "--batch-size", "64", "--lambda-task", "0.99", "--lambda-cluster", "0.01",
          "--lambda-scale", "0.001", "--temperature", "0.1", "--seed", "3",
@@ -84,6 +91,8 @@ def pipeline():
          "--export-instructions", "--out", "curate_flags"],
         ["ablate", "--config", "cached.yaml", *corpus, "--grid", "tau",
          "--out", "ablate_tau"],
+        ["sns", "--config", "cached.yaml", "--corpus", "retry/corpus.jsonl",
+         "--direction", "backward", "--jobs", "2", "--out", "sns_retry"],
     ]
     return steps
 
@@ -95,6 +104,29 @@ def write_cached_config(out_dir) -> None:
     doc["cache_dir"] = "cache"
     with open(os.path.join(out_dir, "cached.yaml"), "w", encoding="utf-8") as fh:
         yaml.safe_dump(doc, fh, sort_keys=True)
+
+
+def write_retry_corpus(out_dir) -> None:
+    """``retry/corpus.jsonl``: the synth corpus, then one video pair whose raw
+    components are the payloads p and -p of the gating expert's semantic dim,
+    written as ``@vec:`` base64 of little-endian float32."""
+    with open(os.path.join(out_dir, "synth", "config.yaml"), encoding="utf-8") as fh:
+        doc = yaml.safe_load(fh)
+    gating = next(e for e in doc["experts"] if e["expert_id"] == doc["gating_expert"])
+    payload = [(k % 5) - 1.5 for k in range(gating["semantic_dim"])]
+
+    def vec(values):
+        raw = struct.pack(f"<{len(values)}f", *values)
+        return "@vec:" + base64.b64encode(raw).decode("ascii")
+
+    record = {"sample_id": "retry-00000", "pool_id": "retry", "modality": "video",
+              "components": [vec(payload), vec([-x for x in payload])],
+              "annotation": ["A clip whose frames cancel."]}
+    os.makedirs(os.path.join(out_dir, "retry"))
+    shutil.copyfile(os.path.join(out_dir, "synth", "corpus.jsonl"),
+                    os.path.join(out_dir, "retry", "corpus.jsonl"))
+    with open(os.path.join(out_dir, "retry", "corpus.jsonl"), "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def run_pipeline(checkout, out_dir) -> None:
@@ -113,6 +145,7 @@ def run_pipeline(checkout, out_dir) -> None:
             sys.exit(f"emblend {' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
         if argv[0] == "synth":
             write_cached_config(out_dir)
+            write_retry_corpus(out_dir)
 
 
 def artifact_hashes(out_dir) -> list:
