@@ -249,10 +249,13 @@ def sample_to_record(sample: PairedSample) -> dict:
     return rec
 
 
+_JSONL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def write_jsonl(path, records) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+            fh.write(_JSONL.encode(rec))
             fh.write("\n")
 
 

@@ -9,6 +9,13 @@ where L_task is in-batch InfoNCE against the fixed anchor embeddings,
 L_cluster penalizes squared distances between modality centroids and the
 batch centroid, and L_scale penalizes absolute spread differences. All
 gradients are analytic (float64); anchors never receive updates.
+
+``train`` runs every step in one ``Workspace``, sized from the batch and
+the layer widths: the step writes its gathered batch, activations, logits,
+deltas and gradients into it in place, so its speed does not hang on
+malloc's mmap threshold. All logits come from one product of the query
+fused / tau with the candidates [anchors | fused], and the group terms from
+per-group sums, without a loop over the groups.
 """
 from __future__ import annotations
 
@@ -21,23 +28,11 @@ import numpy as np
 
 from .errors import (BatchTooSmall, ConfigError, DimMismatch, EmptyModality,
                      NonFiniteLoss)
-from .geometry import normalize
 
 OPTIMIZERS = ("sgd", "momentum", "adam")
 
 MODEL_FORMAT = "emblend-projection"
 MODEL_VERSION = 1
-
-
-def softplus(x):
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-def sigmoid(x):
-    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, both from e^-|x|
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 @dataclass
@@ -123,25 +118,91 @@ def init_projection(input_dim: int, output_dim: int, layer_count: int,
     return ProjectionModel(weights, biases, seed)
 
 
+class Workspace:
+    """Every array one step of the projection writes, sized once for a batch
+    of ``n`` rows of output dim ``d``. ``train`` builds one per run and each
+    step overwrites it in place, so a step maps no fresh memory whatever
+    malloc's mmap threshold is.
+
+    With ``model`` it holds the forward pass: per-layer pre-activations and,
+    per hidden layer, e^-|z| (shared by softplus and the backprop sigmoid),
+    the sign of z and the activations. With ``weights`` it holds the
+    loss: the candidate rows [anchors | fused], the query fused / tau, the
+    n x n (or n x 2n with fused negatives) logits, the reverse logits of the
+    symmetric loss, dL/dfused and the group terms' per-row buffers. With
+    both it also holds the gathered input batch, the deltas and the
+    gradients, which ``backward`` returns.
+    """
+
+    def __init__(self, n: int, d: int, model: ProjectionModel | None = None,
+                 weights: LossWeights | None = None):
+        self.n = n
+        anchor_rows = 0 if weights is None else n
+        self.cand = np.empty((anchor_rows + n, d))  # [anchors | fused]
+        self.anchors, self.fused = self.cand[:anchor_rows], self.cand[anchor_rows:]
+        self.scratch = np.empty((n, d))
+        self.norms = np.empty((n, 1))
+        if model is not None:
+            widths = [w.shape[0] for w in model.weights]
+            self.pre = [np.empty((n, w)) for w in widths]
+            self.exp_neg = [np.empty((n, w)) for w in widths[:-1]]
+            self.sign = [np.empty((n, w)) for w in widths[:-1]]
+            self.act = [np.empty((n, w)) for w in widths[:-1]]
+        if weights is None:
+            return
+        self.query = np.empty((n, d))
+        self.logits = np.empty((n, 2 * n if weights.include_fused_negatives else n))
+        self.reverse = np.empty((n, n)) if weights.symmetric else None
+        self.d_fused = np.empty((n, d))
+        self.labels = np.empty(2 * n, dtype=np.int64)
+        self.unit, self.unit_g = np.empty((2 * n, d)), np.empty((2 * n, d))
+        self.dist, self.dist_g = np.empty(2 * n), np.empty(2 * n)
+        if model is not None:
+            self.x = np.empty((n, model.input_dim))
+            self.delta = [np.empty((n, w)) for w in widths]
+            self.grad_w = [np.empty_like(w) for w in model.weights]
+            self.grad_b = [np.empty_like(b) for b in model.biases]
+
+
+def _forward(model: ProjectionModel, ws: Workspace, x) -> list:
+    """Forward pass of ``x`` into ``ws``; the normalized outputs land in
+    ``ws.fused``. Returns the activations, input first and raw output last."""
+    last = model.layer_count - 1
+    activations = [x]
+    for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = np.matmul(activations[-1], w.T, out=ws.pre[layer])
+        z += b
+        if layer < last:
+            # softplus(z) = max(z, 0) + log1p(e^-|z|); ``sign`` holds max(z, 0)
+            # until the sum is taken
+            e, sign, h = ws.exp_neg[layer], ws.sign[layer], ws.act[layer]
+            np.maximum(z, 0.0, out=sign)
+            np.abs(z, out=e)
+            np.negative(e, out=e)
+            np.exp(e, out=e)
+            np.log1p(e, out=h)
+            h += sign
+            np.sign(z, out=sign)
+            z = h
+        activations.append(z)
+    raw, norms = activations[-1], ws.norms
+    np.multiply(raw, raw, out=ws.scratch)
+    np.sum(ws.scratch, axis=1, out=norms[:, 0])
+    np.sqrt(norms, out=norms)
+    if np.any(norms < 1e-12):
+        raise DimMismatch("projection produced a zero output vector")
+    np.divide(raw, norms, out=ws.fused)
+    return activations
+
+
 def forward(model: ProjectionModel, x):
     """Batch forward pass; returns normalized outputs and backprop caches."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != model.input_dim:
         raise DimMismatch(f"input dim {x.shape[1]} != model input {model.input_dim}")
-    activations = [x]
-    pre_acts = []
-    h = x
-    for layer in range(model.layer_count):
-        a = h @ model.weights[layer].T + model.biases[layer]
-        pre_acts.append(a)
-        h = softplus(a) if layer < model.layer_count - 1 else a
-        activations.append(h)
-    raw = activations[-1]
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    if np.any(norms < 1e-12):
-        raise DimMismatch("projection produced a zero output vector")
-    fused = raw / norms
-    return fused, (activations, pre_acts, norms)
+    ws = Workspace(x.shape[0], model.output_dim, model)
+    activations = _forward(model, ws, x)
+    return ws.fused, (activations, ws.pre, ws.norms)
 
 
 # ---------------------------------------------------------------------------
@@ -149,64 +210,68 @@ def forward(model: ProjectionModel, x):
 # ---------------------------------------------------------------------------
 
 def _softmax_xent(logits):
-    """Mean cross-entropy of row i against target column i, and its gradient
-    with respect to the logits. Overwrites ``logits``: they are shifted and
-    exponentiated in place, then turned into the gradient, which is returned."""
-    n = logits.shape[0]
-    diag = np.arange(n)
+    """Mean cross-entropy of row i against target column i. Leaves the
+    shifted exps P in ``logits`` and returns (loss, s): the gradient of the
+    mean with respect to the logits is s * P less 1/n at each target, where
+    the column s is 1 / (n * row sum of P)."""
+    n, m = logits.shape
     logits -= logits.max(axis=1, keepdims=True)
-    target = logits[diag, diag]
+    target = logits.reshape(-1)[::m + 1].copy()
     np.exp(logits, out=logits)
     denom = logits.sum(axis=1, keepdims=True)
-    loss = -(target - np.log(denom[:, 0])).mean()
-    logits /= denom
-    logits[diag, diag] -= 1.0
-    logits /= n
-    return loss, logits
+    loss = float(np.mean(np.log(denom[:, 0]) - target))
+    return loss, 1.0 / (denom * n)
 
 
-def _task_loss_grad(fused, anchors, weights: LossWeights):
-    n = fused.shape[0]
+def _task_term(ws: Workspace, weights: LossWeights) -> float:
+    """In-batch InfoNCE of ``ws.fused`` against its candidates. Writes
+    lambda_task * dL_task/dfused into ``ws.d_fused``; returns L_task.
+
+    The gradient's row scales s go onto the n x d products, not the logits:
+    d/dfused = (s * P) @ cand, plus (s * P_F).T @ fused for the fused rows as
+    negatives, or (s_r * P_r).T @ anchors for the reverse direction, less
+    anchors / n per direction, all over tau."""
+    n = ws.n
     if n < 2:
         raise BatchTooSmall("InfoNCE needs at least 2 pairs in a batch")
     tau = weights.temperature
+    logits, grad, tmp, query = ws.logits, ws.d_fused, ws.scratch, ws.query
+    cand = ws.cand[:logits.shape[1]]  # the anchors, then the fused rows if negatives
+    np.divide(ws.fused, tau, out=query)
+    np.matmul(query, cand.T, out=logits)
     if weights.include_fused_negatives:
-        # [annotation candidates | fused candidates] side by side in one buffer
-        logits = np.empty((n, 2 * n))
-        logits_a, logits_f = logits[:, :n], logits[:, n:]
-        np.matmul(fused, anchors.T, out=logits_a)
-        logits_a /= tau
-        np.matmul(fused, fused.T, out=logits_f)
-        logits_f /= tau
-        np.fill_diagonal(logits_f, -np.inf)  # a query is not its own negative
-        loss, dlogits = _softmax_xent(logits)
-        da, df_part = dlogits[:, :n], dlogits[:, n:]
-        np.fill_diagonal(df_part, 0.0)
-        grad = da @ anchors / tau + df_part @ fused / tau + df_part.T @ fused / tau
-        return loss, grad
-
-    logits_a = fused @ anchors.T / tau  # queries x annotation candidates
-    loss_fwd, dlog_fwd = _softmax_xent(logits_a.copy() if weights.symmetric else logits_a)
-    grad = dlog_fwd @ anchors / tau
-    if not weights.symmetric:
-        return loss_fwd, grad
-    # reverse direction: anchor queries against fused candidates, reduced over
-    # the transposed view itself (a contiguous copy sums in another order)
-    loss_bwd, dlog_bwd = _softmax_xent(logits_a.T)
-    grad_bwd = dlog_bwd.T @ anchors / tau
-    return 0.5 * (loss_fwd + loss_bwd), 0.5 * (grad + grad_bwd)
+        logits.reshape(-1)[n::2 * n + 1] = -np.inf  # a query is not its own negative
+    if weights.symmetric:
+        # anchor queries against fused candidates: the transposed logits
+        np.copyto(ws.reverse, logits.T)
+    loss, scale = _softmax_xent(logits)
+    np.matmul(logits, cand, out=grad)
+    grad *= scale
+    directions, back = 1, None  # back: the fused rows' side as candidates
+    if weights.include_fused_negatives:
+        back = logits[:, n:], scale, ws.fused
+    elif weights.symmetric:
+        loss_r, scale_r = _softmax_xent(ws.reverse)
+        loss, directions = 0.5 * (loss + loss_r), 2
+        back = ws.reverse, scale_r, ws.anchors
+    if back is not None:
+        probs, back_scale, back_rows = back
+        np.multiply(back_rows, back_scale, out=query)  # the query is spent
+        np.matmul(probs.T, query, out=tmp)
+        grad += tmp
+    np.multiply(ws.anchors, directions / n, out=tmp)
+    grad -= tmp
+    grad *= weights.lambda_task / (tau * directions)
+    return loss
 
 
 def loss_task(fused, anchors, temperature: float = 0.07,
               include_fused_negatives: bool = False, symmetric: bool = False) -> float:
     """In-batch InfoNCE over (fused, anchor) pairs."""
-    fused = np.asarray(fused, dtype=np.float64)
-    anchors = np.asarray(anchors, dtype=np.float64)
     w = LossWeights(lambda_task=1.0, lambda_cluster=0.0, lambda_scale=0.0,
                     temperature=temperature,
                     include_fused_negatives=include_fused_negatives, symmetric=symmetric)
-    value, _ = _task_loss_grad(fused, anchors, w)
-    return float(value)
+    return _task_term(_loss_workspace(fused, anchors, w), w)
 
 
 def modality_codes(modalities) -> np.ndarray:
@@ -221,68 +286,81 @@ def modality_codes(modalities) -> np.ndarray:
                        dtype=np.int64, count=len(modalities))
 
 
-def _group_indices(codes, n_anchor):
-    """Group rows of the stacked (fused + anchor) cloud by modality code, in
-    first-occurrence order; the anchor rows join ``text``, which goes last
-    when no fused row carries it. Returns (rows, fused rows) per group."""
-    n_fused = codes.shape[0]
-    anchor_rows = np.arange(n_fused, n_fused + n_anchor)
-    present, first = np.unique(codes, return_index=True)
-    groups = []
-    for code in present[np.argsort(first)]:
-        rows = np.flatnonzero(codes == code)
-        groups.append((np.concatenate([rows, anchor_rows]) if code == 0 else rows, rows))
-    if present[0] != 0:
-        groups.append((anchor_rows, anchor_rows[:0]))
-    return groups
+def _group_labels(codes):
+    """Group of each fused row, the groups numbered in first-occurrence order
+    of their codes. Returns (labels, text group, group count): the anchor
+    rows join ``text``, which goes last when no fused row carries it."""
+    present, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    if present[0] == 0:
+        return rank[inverse], rank[0], first.size
+    return rank[inverse], first.size, first.size + 1
 
 
-def _group_loss_grads(points, groups, n_fused, weights: LossWeights):
-    """L_cluster and L_scale with their gradients w.r.t. the fused rows, in one
-    pass over the groups that shares the overall and per-group centroids. A
-    term with zero weight is skipped: its loss reads 0 and its gradient None."""
-    n, d = points.shape
-    with_cluster, with_scale = weights.lambda_cluster > 0, weights.lambda_scale > 0
-    mu = points.mean(axis=0)
-    l_cluster, grad_cluster, sum_dev = 0.0, None, None
-    l_scale, grad_scale, sign_total = 0.0, None, 0.0
-    if with_cluster:
-        sum_dev = np.zeros_like(mu)
-        grad_cluster = np.zeros((n_fused, d))
-    if with_scale:
-        diff = points - mu
-        dist = np.linalg.norm(diff, axis=1)
-        unit = np.divide(diff, dist[:, None], out=np.zeros_like(diff),
-                         where=dist[:, None] > 0)
-        sigma = dist.mean()
-        d_sigma = (unit - unit.mean(axis=0)) / n  # d sigma / d point, rows
-        grad_scale = np.zeros((n_fused, d))
-    for idx, fused_idx in groups:
-        group = points[idx]
-        mu_m = group.mean(axis=0)
-        if with_cluster:
-            dev = mu_m - mu
-            l_cluster += float(dev @ dev)
-            sum_dev += dev
-            grad_cluster[fused_idx] += 2.0 * dev / idx.size
-        if with_scale:
-            diff_m = group - mu_m
-            dist_m = np.linalg.norm(diff_m, axis=1)
-            sigma_m = dist_m.mean()
-            s = np.sign(sigma_m - sigma)  # subgradient 0 at the kink
-            l_scale += abs(sigma_m - sigma)
-            sign_total += s
-            if s != 0:
-                unit_m = np.divide(diff_m, dist_m[:, None], out=np.zeros_like(diff_m),
-                                   where=dist_m[:, None] > 0)
-                d_sigma_m = (unit_m - unit_m.mean(axis=0)) / idx.size
-                # the fused rows lead every group's index list
-                grad_scale[fused_idx] += s * d_sigma_m[:fused_idx.size]
-    if with_cluster:
-        grad_cluster -= 2.0 * sum_dev / n
-    if with_scale:
-        grad_scale -= sign_total * d_sigma[:n_fused]
-    return l_cluster, grad_cluster, float(l_scale), grad_scale
+def _gather(rows, index, out) -> None:
+    """``out[:] = rows[index]`` without a temporary. Mode "clip" writes
+    straight into ``out`` where "raise" would buffer a copy first; every
+    caller's index is in range."""
+    np.take(rows, index, axis=0, out=out, mode="clip")
+
+
+def _unit_rows(diff, dist) -> None:
+    """Row norms of ``diff`` into ``dist``, then each row of ``diff`` scaled
+    to unit length in place; a row of norm 0 becomes 0."""
+    np.vecdot(diff, diff, out=dist)
+    np.sqrt(dist, out=dist)
+    inv = np.zeros_like(dist)
+    np.divide(1.0, dist, out=inv, where=dist > 0)
+    diff *= inv[:, None]
+
+
+def _group_terms(ws: Workspace, codes, weights: LossWeights):
+    """L_cluster and L_scale over the modality groups of the [anchors | fused]
+    cloud, from per-group sums taken as one indicator-matrix product. Adds
+    their weighted gradients to ``ws.d_fused``; a term with zero weight is
+    skipped and reads 0. Returns (L_cluster, L_scale)."""
+    n, points, grad, tmp = ws.n, ws.cand, ws.d_fused, ws.scratch
+    total = points.shape[0]
+    labels, text, groups = _group_labels(codes)
+    lab = ws.labels
+    lab[:n] = text
+    lab[n:] = labels
+    member = np.zeros((groups, total))
+    member[lab, np.arange(total)] = 1.0
+    count = member.sum(axis=1)[:, None]
+    # both means from the same group sums, so a lone group's centroid is mu
+    sums = member @ points
+    mu, mu_g = sums.sum(axis=0) / total, sums / count
+    l_cluster = l_scale = 0.0
+    if weights.lambda_cluster > 0:
+        dev = mu_g - mu
+        l_cluster = float(np.vecdot(dev, dev).sum())
+        _gather(dev * (2.0 * weights.lambda_cluster / count), labels, tmp)
+        grad += tmp
+        grad -= (2.0 * weights.lambda_cluster / total) * dev.sum(axis=0)
+    if weights.lambda_scale > 0:
+        # spread = mean distance to the centroid; d spread / d row is the
+        # row's unit offset minus the mean unit offset, over the row count
+        unit, unit_g = ws.unit, ws.unit_g
+        np.subtract(points, mu, out=unit)
+        _unit_rows(unit, ws.dist)
+        _gather(mu_g, lab, unit_g)
+        np.subtract(points, unit_g, out=unit_g)
+        _unit_rows(unit_g, ws.dist_g)
+        # both spreads summed in one order, so a lone group's spread is sigma
+        sigma = np.bincount(lab, weights=ws.dist).sum() / total
+        gap = np.bincount(lab, weights=ws.dist_g, minlength=groups) / count[:, 0] - sigma
+        sign = np.sign(gap)  # subgradient 0 at the kink
+        l_scale = float(np.abs(gap).sum())
+        _gather(member @ unit_g / count, labels, tmp)
+        np.subtract(unit_g[n:], tmp, out=tmp)
+        tmp *= (weights.lambda_scale * sign / count[:, 0])[labels][:, None]
+        grad += tmp
+        np.subtract(unit[n:], unit.mean(axis=0), out=tmp)
+        tmp *= weights.lambda_scale * sign.sum() / total
+        grad -= tmp
+    return l_cluster, l_scale
 
 
 def loss_cluster(groups: dict) -> float:
@@ -313,60 +391,93 @@ def loss_scale(groups: dict) -> float:
     return float(total)
 
 
-def batch_losses(fused, anchors, modalities, weights: LossWeights):
-    """Total loss and per-term breakdown for one batch (no gradients)."""
-    total, breakdown, _ = _batch_loss_grad_fused(
-        np.asarray(fused, dtype=np.float64), np.asarray(anchors, dtype=np.float64),
-        modality_codes(modalities), weights)
-    return total, breakdown
-
-
-def _batch_loss_grad_fused(fused, anchors, codes, weights):
-    n = fused.shape[0]
-    grad = np.zeros_like(fused)
+def _loss_grad(ws: Workspace, codes, weights: LossWeights):
+    """Total loss and per-term breakdown of the batch in ``ws``, leaving the
+    weighted dL/dfused in ``ws.d_fused``."""
     l_task = l_cluster = l_scale = 0.0
     if weights.lambda_task > 0:
-        l_task, g = _task_loss_grad(fused, anchors, weights)
-        grad += weights.lambda_task * g
+        l_task = _task_term(ws, weights)
+    else:
+        ws.d_fused.fill(0.0)
     if weights.lambda_cluster > 0 or weights.lambda_scale > 0:
-        points = np.concatenate([fused, anchors], axis=0)
-        groups = _group_indices(codes, anchors.shape[0])
-        l_cluster, g_cluster, l_scale, g_scale = _group_loss_grads(points, groups, n, weights)
-        if g_cluster is not None:
-            grad += weights.lambda_cluster * g_cluster
-        if g_scale is not None:
-            grad += weights.lambda_scale * g_scale
+        l_cluster, l_scale = _group_terms(ws, codes, weights)
     total = (weights.lambda_task * l_task + weights.lambda_cluster * l_cluster
              + weights.lambda_scale * l_scale)
     breakdown = {"L_task": float(l_task), "L_cluster": float(l_cluster),
                  "L_scale": float(l_scale), "L_total": float(total)}
-    return float(total), breakdown, grad
+    return float(total), breakdown
 
 
-def backward(model: ProjectionModel, inputs, anchors, modalities, weights: LossWeights):
+def _loss_workspace(fused, anchors, weights: LossWeights) -> Workspace:
+    fused = np.asarray(fused, dtype=np.float64)
+    anchors = np.asarray(anchors, dtype=np.float64)
+    if fused.ndim != 2 or anchors.shape != fused.shape:
+        raise DimMismatch(f"anchors {anchors.shape} do not pair with fused rows {fused.shape}")
+    ws = Workspace(fused.shape[0], fused.shape[1], weights=weights)
+    ws.fused[...] = fused
+    ws.anchors[...] = anchors
+    return ws
+
+
+def batch_losses(fused, anchors, modalities, weights: LossWeights):
+    """Total loss and per-term breakdown for one batch (no gradients)."""
+    return _loss_grad(_loss_workspace(fused, anchors, weights),
+                      modality_codes(modalities), weights)
+
+
+def backward(model: ProjectionModel, inputs, anchors, modalities, weights: LossWeights,
+             workspace: Workspace | None = None):
     """Analytic gradients of the total loss w.r.t. all layer parameters.
 
     ``modalities`` holds one tag per row, or their ``modality_codes``.
-    Returns (grad_weights, grad_biases, breakdown).
+    Returns (grad_weights, grad_biases, breakdown). Without ``workspace``
+    the step runs in a fresh one; with it (sized for this batch, ``model``
+    and ``weights``), the gradients returned are its arrays, which the next
+    call overwrites. Rows already in its ``x`` and ``anchors`` are not copied.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     anchors = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
-    fused, (activations, pre_acts, norms) = forward(model, inputs)
-    _, breakdown, d_fused = _batch_loss_grad_fused(
-        fused, anchors, modality_codes(modalities), weights)
+    if inputs.shape[1] != model.input_dim:
+        raise DimMismatch(f"input dim {inputs.shape[1]} != model input {model.input_dim}")
+    if anchors.shape != (inputs.shape[0], model.output_dim):
+        raise DimMismatch(f"anchors {anchors.shape} do not pair with {inputs.shape[0]} "
+                          f"inputs of output dim {model.output_dim}")
+    ws = workspace
+    if ws is None:
+        ws = Workspace(inputs.shape[0], model.output_dim, model, weights)
+    if ws.x.shape != inputs.shape:
+        raise DimMismatch(f"workspace is sized for {ws.x.shape} inputs, not {inputs.shape}")
+    if inputs is not ws.x:
+        ws.x[...] = inputs
+    if anchors is not ws.anchors:
+        ws.anchors[...] = anchors
+    activations = _forward(model, ws, ws.x)
+    _, breakdown = _loss_grad(ws, modality_codes(modalities), weights)
 
     # through row-wise normalization: u = raw / |raw|
-    inner = np.sum(fused * d_fused, axis=1, keepdims=True)
-    delta = (d_fused - fused * inner) / norms
+    fused, delta, tmp = ws.fused, ws.delta[-1], ws.scratch
+    np.multiply(fused, ws.d_fused, out=tmp)
+    inner = tmp.sum(axis=1, keepdims=True)
+    np.multiply(fused, inner, out=tmp)
+    np.subtract(ws.d_fused, tmp, out=delta)
+    delta /= ws.norms
 
-    grad_w = [None] * model.layer_count
-    grad_b = [None] * model.layer_count
     for layer in range(model.layer_count - 1, -1, -1):
-        grad_w[layer] = delta.T @ activations[layer]
-        grad_b[layer] = delta.sum(axis=0)
+        np.matmul(delta.T, activations[layer], out=ws.grad_w[layer])
+        np.sum(delta, axis=0, out=ws.grad_b[layer])
         if layer > 0:
-            delta = (delta @ model.weights[layer]) * sigmoid(pre_acts[layer - 1])
-    return grad_w, grad_b, breakdown
+            prev = np.matmul(delta, model.weights[layer], out=ws.delta[layer - 1])
+            # sigmoid(z) = max(e, sign z) / (1 + e) with e = e^-|z| from the
+            # forward pass: 1 / (1 + e) for z >= 0 (e = 1 at 0), e / (1 + e)
+            # below. That layer's activations have fed grad_w above, so they
+            # hold 1 + e, and e becomes the sigmoid itself.
+            e, denom = ws.exp_neg[layer - 1], activations[layer]
+            np.add(e, 1.0, out=denom)
+            np.maximum(e, ws.sign[layer - 1], out=e)
+            e /= denom
+            prev *= e
+            delta = prev
+    return ws.grad_w, ws.grad_b, breakdown
 
 
 # ---------------------------------------------------------------------------
@@ -382,27 +493,36 @@ class _Optimizer:
             self.m = [np.zeros(s) for s in shapes]
         if kind == "adam":
             self.v = [np.zeros(s) for s in shapes]
+        self.tmp = [(np.empty(s), np.empty(s)) for s in shapes]  # per-step temporaries
 
     def update(self, params, grads):
         self.step_no += 1
         if self.kind == "sgd":
-            for p, g in zip(params, grads):
-                p -= self.lr * g
+            for p, g, (t, _) in zip(params, grads, self.tmp):
+                p -= np.multiply(g, self.lr, out=t)
         elif self.kind == "momentum":
-            for p, g, m in zip(params, grads, self.m):
+            for p, g, m, (t, _) in zip(params, grads, self.m, self.tmp):
                 m *= 0.9
                 m += g
-                p -= self.lr * m
-        else:  # adam
+                p -= np.multiply(m, self.lr, out=t)
+        else:  # adam: p -= lr * (m / c1) / (sqrt(v / c2) + eps)
             b1, b2, eps = 0.9, 0.999, 1e-8
             c1 = 1.0 - b1 ** self.step_no
             c2 = 1.0 - b2 ** self.step_no
-            for p, g, m, v in zip(params, grads, self.m, self.v):
+            for p, g, m, v, (t, u) in zip(params, grads, self.m, self.v, self.tmp):
                 m *= b1
-                m += (1 - b1) * g
+                m += np.multiply(g, 1 - b1, out=t)
                 v *= b2
-                v += (1 - b2) * g * g
-                p -= self.lr * (m / c1) / (np.sqrt(v / c2) + eps)
+                np.multiply(g, 1 - b2, out=t)
+                t *= g
+                v += t
+                np.divide(v, c2, out=t)
+                np.sqrt(t, out=t)
+                t += eps
+                np.divide(m, c1, out=u)
+                u *= self.lr
+                u /= t
+                p -= u
 
 
 def _check_finite(step, breakdown, grad_w, grad_b):
@@ -423,6 +543,7 @@ def train(inputs, anchors, modalities, model: ProjectionModel,
     Deterministic for a fixed seed: init, shuffle order, and batch slicing
     are all driven by the config seed. Anchors are never modified. Raises
     NonFiniteLoss at the first step whose loss or gradient is not finite.
+    Every step runs in one Workspace built for the run.
     Returns (trained model, per-step loss log).
     """
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -442,6 +563,7 @@ def train(inputs, anchors, modalities, model: ProjectionModel,
     params = model.weights + model.biases
     opt = _Optimizer(train_config.optimizer, train_config.learning_rate,
                      [p.shape for p in params])
+    ws = Workspace(batch, model.output_dim, model, weights)
     rng = np.random.Generator(np.random.PCG64(train_config.seed))
     order = np.arange(n)
     cursor = n  # force an epoch boundary on the first step
@@ -452,8 +574,10 @@ def train(inputs, anchors, modalities, model: ProjectionModel,
             cursor = 0
         take = order[cursor:cursor + batch]
         cursor += batch
+        _gather(inputs, take, ws.x)
+        _gather(anchors, take, ws.anchors)
         grad_w, grad_b, breakdown = backward(
-            model, inputs[take], anchors[take], codes[take], weights)
+            model, ws.x, ws.anchors, codes[take], weights, ws)
         _check_finite(step, breakdown, grad_w, grad_b)
         opt.update(params, grad_w + grad_b)
         log.append({"step": step, **breakdown})

@@ -1,7 +1,7 @@
 """References the tests compare emblend against: single-item paths that
 left ``src/``, the routes stored rows were read along before
-``ExpertHandle.positions`` became the one read path, and SNS one pair at a
-time.
+``ExpertHandle.positions`` became the one read path, SNS one pair at a
+time, and the projection step's modality groups one group at a time.
 
 Each is written one item, one group or one sample at a time, as it was in
 ``src/``; only the tests import this module.
@@ -294,3 +294,22 @@ def reference_sns(pair, config, read, describe_fn=None):
         pair.sample_id, config.direction, accepted, sim_original, sim_variant, size,
         (emitted.raw_bytes, emitted.annotation_bytes), sim_forward=sim_fwd,
         sim_backward=sim_bwd, forward_accepted=fwd_accepted, backward_accepted=bwd_accepted)
+
+
+# -- the projection step's modality groups -------------------------------------
+
+
+def group_indices(codes, n_anchor):
+    """Group rows of the stacked (fused + anchor) cloud by modality code, in
+    first-occurrence order; the anchor rows join ``text``, which goes last
+    when no fused row carries it. Returns (rows, fused rows) per group."""
+    n_fused = codes.shape[0]
+    anchor_rows = np.arange(n_fused, n_fused + n_anchor)
+    present, first = np.unique(codes, return_index=True)
+    groups = []
+    for code in present[np.argsort(first)]:
+        rows = np.flatnonzero(codes == code)
+        groups.append((np.concatenate([rows, anchor_rows]) if code == 0 else rows, rows))
+    if present[0] != 0:
+        groups.append((anchor_rows, anchor_rows[:0]))
+    return groups

@@ -114,10 +114,13 @@ def stub_server():
     StubHandler.seen_headers = []
     StubHandler.max_active = 0
     server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll, so that shutdown() returns without waiting out the 0.5 s default
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/embed"
     server.shutdown()
+    server.server_close()
 
 
 def make_expert(endpoint, batch_size=32, max_in_flight=4, api_key=None):
