@@ -4,11 +4,10 @@ Subcommands: synth, embed, sns, train, eval, curate, ablate. All but synth
 share one set-up path: load --config, lay the subcommand's flags over it
 (FLAG_FIELDS), build the Engine, create --out and ingest --corpus. Each flag
 is checked exactly like the config field it overrides, so a value the
-config file would reject exits 1. The SNS runs of ``sns`` and ``ablate``
-honour --jobs. Every run writes a manifest.json with the resolved
-configuration, seeds and versions, sufficient to reproduce its artifacts
-byte for byte. Exit codes: 0 success, 1 validation error, 2 runtime
-failure, 3 remote-service failure.
+config file would reject exits 1. Every run writes a manifest.json with
+the resolved configuration, seeds and versions, sufficient to reproduce
+its artifacts byte for byte. Exit codes: 0 success, 1 validation error, 2
+runtime failure, 3 remote-service failure.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ from collections import Counter
 
 import numpy as np
 
-from . import __version__, kernels
+from . import __version__
 from .config import (EngineConfig, config_from_dict, load_config, save_config,
                      with_overrides)
 from .curation import (STRATEGIES, blend_stats, curate_topn, sample_stratified,
@@ -73,7 +72,6 @@ def write_manifest(out_dir, args, config: EngineConfig, extra=None):
         "versions": {
             "emblend": __version__,
             "numpy": np.__version__,
-            "kernel_backend": kernels.active_backend(),
         },
     }
     if extra:
@@ -137,7 +135,6 @@ def cmd_synth(args) -> int:
         "gating_expert": experts[0].expert_id,
         "anchor_expert": experts[-1].expert_id,
         "seed": spec.seed,
-        "output_dir": out,
     }
     config = config_from_dict(doc)
     engine = Engine(config)
@@ -168,7 +165,7 @@ def cmd_embed(args) -> int:
 
 def cmd_sns(args) -> int:
     config, _, engine, out, samples = _setup(args)
-    results = run_sns(samples, config.sns, engine.gating, engine.describe_fn(), config.jobs)
+    results = run_sns(samples, config.sns, engine.gating, engine.describe_fn())
     emitted = [pair for pair, _ in results]
     records = [rec for _, rec in results]
     write_corpus(os.path.join(out, "trimmed.jsonl"), emitted)
@@ -390,7 +387,7 @@ def _ablate_rho(engine, config, samples, out):
     acceptance = {}
     for rho in RHO_GRID:
         results = run_sns(samples, dataclasses.replace(config.sns, rho=rho), engine.gating,
-                          engine.describe_fn(), config.jobs)
+                          engine.describe_fn())
         rate = sum(1 for _, r in results if r.accepted) / len(results)
         acceptance[str(rho)] = rate
         recalls = _recall10_by_expert(engine, [pair for pair, _ in results])
@@ -429,8 +426,7 @@ def _ablate_tau(engine, config, samples, out):
         for tb in TAU_GRID:
             sns_config = dataclasses.replace(config.sns, direction="bidirectional",
                                              tau_alpha=ta, tau_beta=tb)
-            results = run_sns(samples, sns_config, engine.gating, engine.describe_fn(),
-                              config.jobs)
+            results = run_sns(samples, sns_config, engine.gating, engine.describe_fn())
             recalls = _recall10_by_expert(engine, [pair for pair, _ in results])
             mean_r2a = float(np.mean([v["R2A"] for v in recalls.values()]))
             mean_a2r = float(np.mean([v["A2R"] for v in recalls.values()]))
@@ -505,22 +501,22 @@ def cmd_ablate(args) -> int:
 # checked exactly like that value in the config file. RUN_ONLY fields steer
 # the run but stay out of the manifest's config; the manifest's extras list
 # them instead.
-_SEED_JOBS = (("seed", "seed"), ("jobs", "jobs"))
+_SEED = (("seed", "seed"),)
 FLAG_FIELDS = {
-    "embed": _SEED_JOBS,
-    "sns": _SEED_JOBS + (("rho", "sns.rho"), ("tau_alpha", "sns.tau_alpha"),
-                         ("tau_beta", "sns.tau_beta"), ("direction", "sns.direction")),
-    "train": _SEED_JOBS + (("seed", "train.seed"), ("steps", "train.step_count"),
-                           ("batch_size", "train.batch_size"),
-                           ("lambda_task", "loss.lambda_task"),
-                           ("lambda_cluster", "loss.lambda_cluster"),
-                           ("lambda_scale", "loss.lambda_scale"),
-                           ("temperature", "loss.temperature"),
-                           ("layers", "projection.layer_count")),
-    "eval": _SEED_JOBS,
-    "curate": _SEED_JOBS + (("strategy", "curation.strategy"), ("n", "curation.n"),
-                            ("query", "curation.query")),
-    "ablate": _SEED_JOBS,
+    "embed": _SEED,
+    "sns": _SEED + (("rho", "sns.rho"), ("tau_alpha", "sns.tau_alpha"),
+                    ("tau_beta", "sns.tau_beta"), ("direction", "sns.direction")),
+    "train": _SEED + (("seed", "train.seed"), ("steps", "train.step_count"),
+                      ("batch_size", "train.batch_size"),
+                      ("lambda_task", "loss.lambda_task"),
+                      ("lambda_cluster", "loss.lambda_cluster"),
+                      ("lambda_scale", "loss.lambda_scale"),
+                      ("temperature", "loss.temperature"),
+                      ("layers", "projection.layer_count")),
+    "eval": _SEED,
+    "curate": _SEED + (("strategy", "curation.strategy"), ("n", "curation.n"),
+                       ("query", "curation.query")),
+    "ablate": _SEED,
 }
 RUN_ONLY = frozenset({"projection.layer_count", "curation.strategy", "curation.n",
                       "curation.query"})
@@ -535,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="engine config YAML")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None)
         p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark corpus")

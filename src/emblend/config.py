@@ -85,9 +85,7 @@ class EngineConfig:
     remote: RemoteSettings = field(default_factory=RemoteSettings)
     curation: CurationSettings = field(default_factory=CurationSettings)
     seed: int = 0
-    jobs: int = 1
     cache_dir: str | None = None
-    output_dir: str = "runs"
 
     def __post_init__(self):
         self.validate()
@@ -121,8 +119,6 @@ class EngineConfig:
             self.anchor_expert = ids[-1]
         if self.anchor_expert not in ids:
             raise ConfigError(f"anchor expert {self.anchor_expert!r} not among experts")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
 
     @property
     def dim(self) -> int:
@@ -159,14 +155,12 @@ def config_from_dict(doc: dict) -> EngineConfig:
         remote=_build_section(RemoteSettings, doc.get("remote", {}), "remote"),
         curation=_build_section(CurationSettings, curation_doc, "curation"),
         seed=int(doc.get("seed", 0)),
-        jobs=int(doc.get("jobs", 1)),
         cache_dir=doc.get("cache_dir"),
-        output_dir=doc.get("output_dir", "runs"),
     )
 
 
 def with_overrides(config: EngineConfig, fields: dict) -> EngineConfig:
-    """A copy of ``config`` with each dotted field (``"jobs"``, ``"sns.rho"``)
+    """A copy of ``config`` with each dotted field (``"seed"``, ``"sns.rho"``)
     set, every value checked exactly like the same value in the config file.
 
     A number set on a per-modality mapping (the SNS thresholds) fills each

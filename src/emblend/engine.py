@@ -155,15 +155,13 @@ class Engine:
 
     def side_matrix(self, samples, side: str, expert_id: str) -> np.ndarray:
         """Side vectors of the samples through one expert, averaged from the
-        store rows of the sides' cached item ids by position (a run's padding
-        reads a row no mean uses); the first side that fails raises."""
+        store rows of the sides' cached item ids by position, one run per
+        side; the first side that fails raises."""
         handle = self.handles[expert_id]
         groups = [side_ids(s, side) for s in samples]
         at, _ = handle.positions(groups, lambda k: side_items(samples[k], side))
         counts = np.array([len(group) for group in groups], dtype=np.intp)
-        runs = np.cumsum(counts)[:, None] - counts[:, None] + np.arange(counts.max(initial=1))
-        sides, errors = side_vectors(handle.store.matrix, at[np.minimum(runs, len(at) - 1)],
-                                     counts)
+        sides, errors = side_vectors(handle.store.matrix, at, counts)
         if errors:
             raise errors[min(errors)]
         return sides

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import (DescriberFailure, DimMismatch, EmblendError, ParseError,
                      UnsupportedModality)
-from .geometry import MODALITIES, Embedding, normalize_rows, row_norms, side_vectors
+from .geometry import MODALITIES, Embedding, normalize_rows, row_norms, run_starts, side_vectors
 
 VEC_PREFIX = "@vec:"
 
@@ -261,7 +261,8 @@ class PayloadDescriber:
         payload, in order. One pass takes every component's payload, then
         ``side_vectors`` averages each request's. The first failing
         component raises its own error, else the first degenerate mean
-        ``DescriberFailure``; no components mean NaN, as with ``np.mean``."""
+        ``DescriberFailure``; no components mean NaN, as with ``np.mean``
+        (the run of such a request is one NaN row)."""
         sd = self.semantic_dim
         components = [comp for _, comps in requests for comp in comps]
         explicit, blobs, hashed, texts = [], [], [], []
@@ -282,9 +283,9 @@ class PayloadDescriber:
         if texts:
             rows[hashed] = _hash_rows(texts, sd)
         counts = np.array([len(comps) for _, comps in requests], dtype=np.intp)
-        picks = np.cumsum(counts)[:, None] - counts[:, None] + np.arange(counts.max(initial=1))
-        picks[counts == 0, 0] = len(components)
-        means, errors = side_vectors(rows, picks, np.maximum(counts, 1))
+        at = np.insert(np.arange(len(components)), run_starts(counts)[counts == 0],
+                       len(components))
+        means, errors = side_vectors(rows, at, np.maximum(counts, 1))
         if errors:
             exc = errors[min(errors)]
             raise DescriberFailure(f"degenerate payload mean: {exc}") from exc

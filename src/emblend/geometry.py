@@ -5,8 +5,9 @@ measurements are Euclidean on the same vectors. Loss and gradient paths
 work in float64; caches may store float32.
 
 A side embeds as the normalized mean of its component rows (``side_vector``);
-every batched side mean (SNS, the engine's side matrices, the payload
-describer) runs through one kernel, ``side_vectors`` over ``run_means``.
+SNS, the engine and the payload describer batch it with ``side_vectors``. Its
+rows come as a run layout, which only this module walks: row positions
+``at``, run k being the next ``counts[k]`` (>= 1) of them.
 """
 from __future__ import annotations
 
@@ -77,27 +78,44 @@ def side_vector(component_vectors) -> np.ndarray:
     return normalize(np.mean(component_vectors, axis=0))
 
 
-def run_means(rows, picks, counts) -> np.ndarray:
-    """The float64 mean of the rows ``picks[k, :counts[k]]`` for each k,
-    stacked; float32 rows are upcast exactly. ``picks[k, 0]`` must be a row
-    of ``rows`` for every k; the other padding is never read.
+def run_starts(counts) -> np.ndarray:
+    """The index in ``at`` of each run's first row position."""
+    return np.cumsum(counts) - counts
 
-    Each mean sums its rows in pick order, as ``np.mean`` sums them: added
+
+def run_means(rows, at, counts) -> np.ndarray:
+    """The float64 mean of each run's rows, stacked; float32 rows are upcast
+    exactly.
+
+    Each mean sums its rows in run order, as ``np.mean`` sums them: added
     position by position across means, since ``np.add.reduceat`` does not
     sum in order.
     """
-    sums = np.asarray(rows[picks[:, 0]], dtype=np.float64)
-    for j in range(1, picks.shape[1]):
+    starts = run_starts(counts)
+    sums = np.asarray(rows[at[starts]], dtype=np.float64)
+    for j in range(1, counts.max(initial=1)):
         longer = counts > j
-        sums[longer] += rows[picks[longer, j]]
+        sums[longer] += rows[at[starts[longer] + j]]
     return sums / counts[:, None]
 
 
-def side_vectors(rows, picks, counts):
-    """``side_vector`` of the rows ``picks[k, :counts[k]]`` for each k, stacked
-    and bit-equal to it, and by k the EmblendError it raises for each mean
-    that does not normalize (that row is left as the mean)."""
-    means = run_means(rows, picks, counts)
+def run_cosines(rows, at, counts, vectors) -> list:
+    """``cosine_sim`` of each row of run k with ``vectors[k]``, one list per
+    run; gathered position by position, like ``run_means``, so that no copy
+    of every run's rows is alive at once."""
+    starts = run_starts(counts)
+    sims = np.zeros((len(counts), counts.max(initial=1)))
+    for j in range(sims.shape[1]):
+        longer = counts > j
+        sims[longer, j] = cosine_rows(rows[at[starts[longer] + j]], vectors[longer])
+    return [row[:n] for row, n in zip(sims.tolist(), counts.tolist())]
+
+
+def side_vectors(rows, at, counts):
+    """``side_vector`` of each run's rows, stacked and bit-equal to it, and by
+    run the EmblendError it raises for each mean that does not normalize
+    (that row is left as the mean)."""
+    means = run_means(rows, at, counts)
     ok = normalizable(row_norms(means))
     means[ok] = normalize_rows(means[ok])
     errors = {}

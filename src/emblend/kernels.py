@@ -1,7 +1,7 @@
 """Hot numeric kernels, exact and in plain numpy.
 
 Every kernel is deterministic run to run. ``active_backend()`` names the
-implementation so run manifests can record it.
+implementation for the benchmark harness (``perfbench/run.py``) alone.
 
 ``gram`` is the one product of the O(n^2) passes: ``a @ b.T`` as one
 ``gemm``, written into the front of a caller's flat float64 workspace when

@@ -374,23 +374,6 @@ def loss_cluster(groups: dict) -> float:
     return float(sum(((g.mean(axis=0) - mu) ** 2).sum() for g in mats.values()))
 
 
-def loss_scale(groups: dict) -> float:
-    """Sum of |group spread - overall spread| over modality groups."""
-    mats = {m: np.atleast_2d(np.asarray(g, dtype=np.float64)) for m, g in groups.items()}
-    for m, g in mats.items():
-        if g.shape[0] == 0:
-            raise EmptyModality(f"modality {m!r} group is empty")
-    points = np.concatenate(list(mats.values()), axis=0)
-    mu = points.mean(axis=0)
-    sigma = np.linalg.norm(points - mu, axis=1).mean()
-    total = 0.0
-    for g in mats.values():
-        mu_m = g.mean(axis=0)
-        sigma_m = np.linalg.norm(g - mu_m, axis=1).mean()
-        total += abs(sigma_m - sigma)
-    return float(total)
-
-
 def _loss_grad(ws: Workspace, codes, weights: LossWeights):
     """Total loss and per-term breakdown of the batch in ``ws``, leaving the
     weighted dL/dfused in ``ws.d_fused``."""

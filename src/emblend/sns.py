@@ -14,7 +14,6 @@ describer answers only ``describe_batch`` (``experts.PayloadDescriber``).
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
@@ -24,7 +23,8 @@ import numpy as np
 from .dataio import Component, PairedSample, component_item_id, pair_ids, pair_items  # noqa: F401
 from .errors import DescriberFailure, EmblendError, GatingExpertFailure, ZeroSize
 from .experts import EmbedItem, PayloadDescriber  # noqa: F401
-from .geometry import MODALITIES, cosine_rows, side_vector, side_vectors  # noqa: F401
+from .geometry import (MODALITIES, cosine_rows, run_cosines, run_starts, side_vector,  # noqa: F401
+                       side_vectors)
 
 DIRECTIONS = ("off", "forward", "backward", "bidirectional")
 
@@ -105,35 +105,22 @@ def extract(sims, tau: float):
     return kept or list(range(len(sims)))
 
 
-def _picks(starts, offsets):
-    """Row positions ``starts[k] + j`` for each j in ``offsets[k]``: one
-    left-aligned row per k, padded with 0, and the count of each row."""
-    counts = np.array([len(off) for off in offsets], dtype=np.intp)
-    picks = np.zeros((len(counts), counts.max(initial=1)), dtype=np.intp)
-    picks[np.arange(picks.shape[1]) < counts[:, None]] = [
-        start + j for start, off in zip(starts, offsets) for j in off]
-    return picks, counts
-
-
-def _sims(rows, picks, counts, vectors) -> list:
-    """``cosine_sim`` of the rows ``picks[k, :counts[k]]`` with ``vectors[k]``,
-    one list per k; gathered position by position, like ``run_means``."""
-    sims = np.zeros(picks.shape)
-    for j in range(picks.shape[1]):
-        longer = counts > j
-        sims[longer, j] = cosine_rows(rows[picks[longer, j]], vectors[longer])
-    return [row[:n] for row, n in zip(sims.tolist(), counts.tolist())]
+def _layout(firsts, offsets):
+    """The run layout (``geometry.run_starts``) of the row positions
+    ``firsts[k] + j`` for each j in ``offsets[k]``, run k after run k - 1."""
+    at = np.array([first + j for first, off in zip(firsts, offsets) for j in off], dtype=np.intp)
+    return at, np.array([len(off) for off in offsets], dtype=np.intp)
 
 
 def _pair_sides(pairs, rows):
     """For pairs whose rows lie one after another, raw then annotation: the
-    picks, counts and sides of their raw and of their annotation components,
+    run layout and sides of their raw and of their annotation components,
     and the EmblendError of each pair (by position) whose raw, else whose
     annotation, side does not normalize."""
     sizes = [(len(p.raw_components), len(p.annotation_components)) for p in pairs]
     starts = [0, *accumulate(n_raw + n_ann for n_raw, n_ann in sizes)]
-    raw = _picks(starts, [range(n_raw) for n_raw, _ in sizes])
-    ann = _picks(starts, [range(n_raw, n_raw + n_ann) for n_raw, n_ann in sizes])
+    raw = _layout(starts, [range(n_raw) for n_raw, _ in sizes])
+    ann = _layout(starts, [range(n_raw, n_raw + n_ann) for n_raw, n_ann in sizes])
     raw_sides, raw_errors = side_vectors(rows, *raw)
     ann_sides, ann_errors = side_vectors(rows, *ann)
     return (*raw, raw_sides), (*ann, ann_sides), {**ann_errors, **raw_errors}
@@ -169,19 +156,20 @@ def _forward(pairs: dict, rows, config) -> dict:
     rows one after another, raw then annotation."""
     if not pairs:
         return {}
-    (raw_picks, n_raw, raw_sides), (ann_picks, n_ann, ann_sides), errors = _pair_sides(
+    (raw_at, n_raw, raw_sides), (ann_at, n_ann, ann_sides), errors = _pair_sides(
         pairs.values(), rows)
     # Bidirectional describes the forward-extraction output; backward-only
     # describes the original raw side.
     trims = [_Trim(pair, at, sim, list(pair.raw_components), side,
                    list(pair.raw_components), list(pair.annotation_components))
-             for pair, at, sim, side in zip(pairs.values(), ann_picks[:, 0].tolist(),
+             for pair, at, sim, side in zip(pairs.values(), ann_at[run_starts(n_ann)].tolist(),
                                             cosine_rows(raw_sides, ann_sides).tolist(),
                                             raw_sides)]
     if config.direction in ("forward", "bidirectional"):
         kept = [extract(sims, config.tau_alpha[t.pair.raw_modality])
-                for t, sims in zip(trims, _sims(rows, raw_picks, n_raw, ann_sides))]
-        nucleus_sides, nucleus_errors = side_vectors(rows, *_picks(raw_picks[:, 0].tolist(), kept))
+                for t, sims in zip(trims, run_cosines(rows, raw_at, n_raw, ann_sides))]
+        nucleus_sides, nucleus_errors = side_vectors(
+            rows, *_layout(raw_at[run_starts(n_raw)].tolist(), kept))
         errors = {**nucleus_errors, **errors}
         sims = cosine_rows(nucleus_sides, ann_sides).tolist()
         for t, k, side, sim in zip(trims, kept, nucleus_sides, sims):
@@ -200,12 +188,11 @@ def _backward(trims: dict, rows, descs, config) -> dict:
     that fails pair i}."""
     if not trims:
         return {}
-    ann_at = [t.ann_at for t in trims.values()]
-    ann_picks, n_ann = _picks(ann_at, [range(len(t.pair.annotation_components))
-                                       for t in trims.values()])
+    firsts = [t.ann_at for t in trims.values()]
+    ann = _layout(firsts, [range(len(t.pair.annotation_components)) for t in trims.values()])
     kept = [extract(sims, config.tau_beta[t.pair.raw_modality])
-            for t, sims in zip(trims.values(), _sims(rows, ann_picks, n_ann, descs))]
-    sides, errors = side_vectors(rows, *_picks(ann_at, kept))
+            for t, sims in zip(trims.values(), run_cosines(rows, *ann, descs))]
+    sides, errors = side_vectors(rows, *_layout(firsts, kept))
     cur_raw_sides = np.array([t.cur_raw_side for t in trims.values()])
     for t, k, sim in zip(trims.values(), kept, cosine_rows(cur_raw_sides, sides).tolist()):
         t.sim_bwd = sim
@@ -262,13 +249,13 @@ def _pair_rows(gating, pairs):
     return gating.store.matrix[at[at >= 0]], errors
 
 
-def _describe_all(trims: dict, describe_fn, jobs: int) -> dict:
+def _describe_all(trims: dict, describe_fn) -> dict:
     """The description, or the EmblendError raised for it, of every pair, in
     order.
 
     Text raw data is its own description. Every other pair goes to one
-    ``describe_fn.describe_batch``; if that batch fails, each of its pairs
-    is sent alone, on ``jobs`` threads, and keeps its own error.
+    ``describe_fn.describe_batch``; a batch that fails is split into halves,
+    each retried as a batch, down to single pairs, which keep their own error.
     """
     out, media = dict.fromkeys(trims), {}
     for i, t in trims.items():
@@ -280,22 +267,21 @@ def _describe_all(trims: dict, describe_fn, jobs: int) -> dict:
         else:
             media[i] = (t.pair, t.describe_base)
 
-    def alone(request):
+    def describe(requests) -> list:
         try:
-            return describe_fn.describe_batch([request])[0]
+            return describe_fn.describe_batch(requests)
         except EmblendError as exc:
-            return exc
+            if len(requests) == 1:
+                return [exc]
+            half = len(requests) // 2
+            return describe(requests[:half]) + describe(requests[half:])
 
     if media:
-        try:
-            out.update(zip(media, describe_fn.describe_batch(list(media.values()))))
-        except EmblendError:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                out.update(zip(media, pool.map(alone, media.values())))
+        out.update(zip(media, describe(list(media.values()))))
     return out
 
 
-def run_sns(pairs, config: SnsConfig, gating, describe_fn=None, jobs: int = 1) -> list:
+def run_sns(pairs, config: SnsConfig, gating, describe_fn=None) -> list:
     """``apply_sns`` over many pairs: the (emitted_pair, NucleusRecord) of each.
 
     ``gating`` is an engine ``ExpertHandle``; every vector is a row read from
@@ -303,11 +289,11 @@ def run_sns(pairs, config: SnsConfig, gating, describe_fn=None, jobs: int = 1) -
     play: one lookup of every component by id, and one batched embed of the
     components when any is missing; the sides of every pair with
     one ``side_vectors`` pass and forward extraction, with the component sims
-    as row dots (``cosine_rows``); one ``describe_batch`` of every non-text
-    pair; one batched embed of the descriptions, stored in pair order; backward
-    extraction. Only ``extract``, the gate and the records run per pair. A
-    pair that fails in a phase passes through with its error and leaves the
-    later phases.
+    as row dots (``run_cosines``); one ``describe_batch`` of every non-text
+    pair, bisected when it fails; one batched embed of the descriptions,
+    stored in pair order; backward extraction. Only ``extract``, the gate and
+    the records run per pair. A pair that fails in a phase passes through
+    with its error and leaves the later phases.
     """
     pairs = list(pairs)
     if config.direction == "off":
@@ -328,7 +314,7 @@ def run_sns(pairs, config: SnsConfig, gating, describe_fn=None, jobs: int = 1) -
     live = survivors({i: errors.get(i, pair) for i, pair in enumerate(pairs)})
     trims = survivors(_forward(live, rows, config))
     if config.direction in ("backward", "bidirectional"):
-        described = survivors(_describe_all(trims, describe_fn, jobs))
+        described = survivors(_describe_all(trims, describe_fn))
         texts = list(described.values())
         ids = [component_item_id(pairs[i].sample_id, "d", d) for i, d in described.items()]
         at, errors = gating.positions([(i,) for i in ids],
@@ -358,11 +344,11 @@ def calibrate_taus(samples, gating, low_pct: float = 10.0, high_pct: float = 90.
     fwd_sims = {m: [] for m in MODALITIES}
     bwd_sims = {m: [] for m in MODALITIES}
     if live:
-        (raw_picks, n_raw, raw_sides), (ann_picks, n_ann, ann_sides), side_errors = \
+        (raw_at, n_raw, raw_sides), (ann_at, n_ann, ann_sides), side_errors = \
             _pair_sides([samples[k] for k in live], rows)
         errors.update((live[j], exc) for j, exc in side_errors.items())
-        for k, fwd, bwd in zip(live, _sims(rows, raw_picks, n_raw, ann_sides),
-                               _sims(rows, ann_picks, n_ann, raw_sides)):
+        for k, fwd, bwd in zip(live, run_cosines(rows, raw_at, n_raw, ann_sides),
+                               run_cosines(rows, ann_at, n_ann, raw_sides)):
             fwd_sims[samples[k].raw_modality].extend(fwd)
             bwd_sims[samples[k].raw_modality].extend(bwd)
     if errors:

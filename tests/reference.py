@@ -14,8 +14,8 @@ import numpy as np
 from emblend.dataio import (component_item_id, pair_items, sample_from_record,
                             sample_to_record, side_items)
 from emblend.engine import DEFAULT_BATCH, SLICE_BATCHES
-from emblend.errors import DescriberFailure, DimMismatch, EmblendError, EmptySet, \
-    GatingExpertFailure
+from emblend.errors import DescriberFailure, DimMismatch, EmblendError, EmptyModality, \
+    EmptySet, GatingExpertFailure
 from emblend.experts import (EmbedItem, _generate_rows, _hash_rows, _NoiseStream, _payload_bytes,
                              _payload_values, encode_payload)
 from emblend.geometry import cosine_sim, normalize, side_vector, side_vectors
@@ -89,15 +89,6 @@ class TableDescriber:
         if missing:
             raise DescriberFailure(f"no description for sample {missing[0]!r}")
         return [self.table[pair.sample_id] for pair, _ in requests]
-
-
-def consecutive_runs(counts):
-    """``side_vectors``' picks and counts for runs of ``counts[k]``
-    consecutive rows; the padding repeats the last row."""
-    counts = np.asarray(counts, dtype=np.intp)
-    starts = np.cumsum(counts) - counts
-    return np.minimum(starts[:, None] + np.arange(counts.max(initial=1)),
-                      counts.sum() - 1), counts
 
 
 # -- the read routes before ExpertHandle.positions -----------------------------
@@ -181,7 +172,8 @@ def item_gather_side_matrix(engine, samples, side, expert_id):
     rows, then ``side_vectors``."""
     groups = [side_items(s, side) for s in samples]
     gathered = rows(engine.handles[expert_id], [it for group in groups for it in group])
-    sides, errors = side_vectors(gathered, *consecutive_runs([len(group) for group in groups]))
+    sides, errors = side_vectors(gathered, np.arange(len(gathered)),
+                                 np.array([len(group) for group in groups], dtype=np.intp))
     if errors:
         raise errors[min(errors)]
     return sides
@@ -313,3 +305,20 @@ def group_indices(codes, n_anchor):
     if present[0] != 0:
         groups.append((anchor_rows, anchor_rows[:0]))
     return groups
+
+
+def loss_scale(groups: dict) -> float:
+    """Sum of |group spread - overall spread| over modality groups."""
+    mats = {m: np.atleast_2d(np.asarray(g, dtype=np.float64)) for m, g in groups.items()}
+    for m, g in mats.items():
+        if g.shape[0] == 0:
+            raise EmptyModality(f"modality {m!r} group is empty")
+    points = np.concatenate(list(mats.values()), axis=0)
+    mu = points.mean(axis=0)
+    sigma = np.linalg.norm(points - mu, axis=1).mean()
+    total = 0.0
+    for g in mats.values():
+        mu_m = g.mean(axis=0)
+        sigma_m = np.linalg.norm(g - mu_m, axis=1).mean()
+        total += abs(sigma_m - sigma)
+    return float(total)

@@ -45,7 +45,7 @@ def test_synth_outputs(workspace):
     assert set(config["sns"]["tau_alpha"]) == {"text", "image", "audio", "video"}
     manifest = read_json(os.path.dirname(workspace["corpus"]) + "/manifest.json")
     assert manifest["command"] == "synth"
-    assert "kernel_backend" in manifest["versions"]
+    assert set(manifest["versions"]) == {"emblend", "numpy"}
 
 
 def test_embed_populates_caches(workspace, tmp_path):
@@ -536,8 +536,9 @@ def test_sns_cold_cache_matches_warm(workspace, tmp_path):
     assert outputs["cold"] == outputs["warm"]
 
 
-def test_sns_jobs_2_gating_cache_bytes_repeat(workspace, tmp_path):
-    """Descriptions are stored in pair order, whatever the thread count."""
+def test_sns_rerun_gating_cache_bytes_repeat(workspace, tmp_path):
+    """Descriptions are stored in pair order: three runs from the same warm
+    cache append the same bytes."""
     import shutil
     cfg = yaml.safe_load(open(workspace["config"]))
     cfg["cache_dir"] = str(tmp_path / "cache")
@@ -547,13 +548,25 @@ def test_sns_jobs_2_gating_cache_bytes_repeat(workspace, tmp_path):
     assert run(["embed"] + base + ["--out", str(tmp_path / "emb")]) == 0
     shutil.copytree(tmp_path / "cache", tmp_path / "warm")
     gating = {}
-    for name, jobs in (("a", "2"), ("b", "2"), ("c", "1")):
+    for name in ("a", "b", "c"):
         shutil.rmtree(tmp_path / "cache")
         shutil.copytree(tmp_path / "warm", tmp_path / "cache")
-        assert run(["sns"] + base + ["--jobs", jobs, "--out", str(tmp_path / name)]) == 0
+        assert run(["sns"] + base + ["--out", str(tmp_path / name)]) == 0
         gating[name] = (tmp_path / "cache" / f"{cfg['gating_expert']}.eec").read_bytes()
     assert len(gating["a"]) > (tmp_path / "warm" / f"{cfg['gating_expert']}.eec").stat().st_size
     assert gating["a"] == gating["b"] == gating["c"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth"], ["embed", "--corpus", "c"], ["sns", "--corpus", "c"], ["train", "--corpus", "c"],
+    ["eval", "--corpus", "c", "--model", "m"], ["curate", "--corpus", "c"],
+    ["ablate", "--corpus", "c", "--grid", "rho"],
+], ids=lambda argv: argv[0])
+def test_no_subcommand_accepts_jobs(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_version_1_cache_file_is_exit_2(workspace, tmp_path, capsys):

@@ -58,18 +58,16 @@ def invoke(ws, tmp_path, command, *flags):
 
 def test_sns_flags(ws, tmp_path):
     out, doc = invoke(ws, tmp_path, "sns", "--direction", "forward", "--rho", "0.95",
-                      "--tau-alpha", "0.2", "--tau-beta", "0.1", "--jobs", "2",
-                      "--seed", "9")
+                      "--tau-alpha", "0.2", "--tau-beta", "0.1", "--seed", "9")
     expected = base_config(ws)
     expected["sns"].update(direction="forward", rho=0.95,
                            tau_alpha={"image": 0.2, "audio": 0.2},
                            tau_beta={"image": 0.1, "audio": 0.1})
-    expected.update(jobs=2, seed=9)
+    expected.update(seed=9)
     assert doc["config"] == expected
     assert doc["args"] == {"command": "sns", "config": ws["config"],
                            "corpus": ws["corpus"], "out": out, "direction": "forward",
-                           "rho": 0.95, "tau_alpha": 0.2, "tau_beta": 0.1, "jobs": 2,
-                           "seed": 9}
+                           "rho": 0.95, "tau_alpha": 0.2, "tau_beta": 0.1, "seed": 9}
     with open(os.path.join(out, "sns_summary.json")) as fh:
         summary = json.load(fh)
     assert summary["direction"] == "forward" and summary["rho"] == 0.95
@@ -85,12 +83,12 @@ def test_train_flags(ws, tmp_path):
     out, doc = invoke(ws, tmp_path, "train", "--layers", "1", "--steps", "4",
                       "--batch-size", "16", "--lambda-task", "0.99",
                       "--lambda-cluster", "0.01", "--lambda-scale", "0.001",
-                      "--temperature", "0.1", "--seed", "3", "--jobs", "2")
+                      "--temperature", "0.1", "--seed", "3")
     expected = base_config(ws)
     expected["loss"].update(lambda_task=0.99, lambda_cluster=0.01, lambda_scale=0.001,
                             temperature=0.1)
     expected["train"].update(step_count=4, batch_size=16, seed=3)
-    expected.update(seed=3, jobs=2)
+    expected.update(seed=3)
     # --layers is not written into the config, only into the extras
     assert doc["config"] == expected
     assert doc["layer_count"] == 1
@@ -98,8 +96,7 @@ def test_train_flags(ws, tmp_path):
     assert doc["args"] == {"command": "train", "config": ws["config"],
                            "corpus": ws["corpus"], "out": out, "layers": 1, "steps": 4,
                            "batch_size": 16, "lambda_task": 0.99, "lambda_cluster": 0.01,
-                           "lambda_scale": 0.001, "temperature": 0.1, "seed": 3,
-                           "jobs": 2}
+                           "lambda_scale": 0.001, "temperature": 0.1, "seed": 3}
     with open(os.path.join(out, "model.json")) as fh:
         assert json.load(fh)["layer_count"] == 1
     with open(os.path.join(out, "train_log.jsonl")) as fh:
@@ -113,16 +110,16 @@ def test_train_without_flags_uses_config_layers(ws, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["embed", "eval", "ablate"])
-def test_seed_and_jobs_elsewhere_set_only_top_level(ws, tmp_path, command):
+def test_seed_elsewhere_sets_only_top_level(ws, tmp_path, command):
     flags = {"embed": [], "eval": ["--model", ws["model"], "--k", "1,5"],
              "ablate": ["--grid", "rho"]}[command]
-    out, doc = invoke(ws, tmp_path, command, *flags, "--seed", "4", "--jobs", "2")
+    out, doc = invoke(ws, tmp_path, command, *flags, "--seed", "4")
     expected = base_config(ws)
-    expected.update(seed=4, jobs=2)
+    expected.update(seed=4)
     if command == "embed":  # a config without a cache directory caches under --out
         expected["cache_dir"] = os.path.join(out, "cache")
     assert doc["config"] == expected
-    assert doc["args"]["seed"] == 4 and doc["args"]["jobs"] == 2
+    assert doc["args"]["seed"] == 4
 
 
 def test_eval_k_values(ws, tmp_path):
@@ -159,7 +156,7 @@ def test_curate_without_flags_uses_config(ws, tmp_path):
 @pytest.mark.parametrize("command, flags", [
     ("sns", ["--rho", "-1"]),
     ("sns", ["--tau-alpha", "2"]),
-    ("sns", ["--jobs", "0"]),
+    ("sns", ["--tau-beta", "-2"]),
     ("train", ["--steps", "0"]),
     ("train", ["--lambda-task", "-1"]),
     ("eval", ["--k", "0"]),

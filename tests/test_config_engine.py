@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from cachefile import records
-from reference import consecutive_runs, item_gather_side_matrix, item_populate_caches
+from reference import item_gather_side_matrix, item_populate_caches
 from emblend.cache import EmbeddingCache
 from emblend.cli import run
 from emblend.config import (build_expert, config_from_dict, load_config,
@@ -227,7 +227,8 @@ def test_side_vectors_bit_equal_on_float64_rows():
     rows = rng.normal(size=(sum(counts), 7))
     starts = np.cumsum(counts) - counts
     ref = np.vstack([side_vector(list(rows[s:s + c])) for s, c in zip(starts, counts)])
-    assert np.array_equal(side_vectors(rows, *consecutive_runs(counts))[0], ref)
+    got, _ = side_vectors(rows, np.arange(len(rows)), np.array(counts, dtype=np.intp))
+    assert np.array_equal(got, ref)
 
 
 def test_half_warm_cache_embeds_only_misses_in_order(setup, tmp_path, monkeypatch):
@@ -287,9 +288,7 @@ def hand_written_to_dict(config):
         "remote": {k: v for k, v in asdict(config.remote).items() if k != "api_key"},
         "curation": asdict(config.curation),
         "seed": config.seed,
-        "jobs": config.jobs,
         "cache_dir": config.cache_dir,
-        "output_dir": config.output_dir,
     }
 
 
@@ -307,6 +306,18 @@ def test_to_dict_equals_the_hand_written_dict(source, tmp_path):
     config.remote.api_key = "secret"
     # same keys in the same order, so the manifests' bytes do not move
     assert json.dumps(config.to_dict()) == json.dumps(hand_written_to_dict(config))
+
+
+def test_a_config_that_still_sets_jobs_and_output_dir_loads_unchanged(tmp_path):
+    """Older config files set ``jobs`` and ``output_dir``; the engine reads
+    neither now, and like any top-level key it does not read, they are
+    ignored."""
+    doc = yaml.safe_load((PRESETS / "default.yaml").read_text(encoding="utf-8"))
+    old = tmp_path / "old.yaml"
+    old.write_text(yaml.safe_dump({**doc, "jobs": 4, "output_dir": "x"}), encoding="utf-8")
+    config = load_config(old)
+    assert config == load_config(PRESETS / "default.yaml")
+    assert "jobs" not in config.to_dict() and "output_dir" not in config.to_dict()
 
 
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
@@ -407,7 +418,7 @@ def test_side_vectors_by_position_equal_the_gathered_rows(dtype):
     counts = [3, 1, 5, 2, 2]
     rows = rng.normal(size=(9, 7)).astype(dtype)
     positions = rng.integers(0, 9, size=sum(counts))  # repeats and skips rows
-    picks, counts = consecutive_runs(counts)
-    want, _ = side_vectors(rows[positions].astype(np.float64), picks, counts)
-    got, _ = side_vectors(rows, positions[picks], counts)
+    counts = np.array(counts, dtype=np.intp)
+    want, _ = side_vectors(rows[positions].astype(np.float64), np.arange(len(positions)), counts)
+    got, _ = side_vectors(rows, positions, counts)
     assert got.dtype == np.float64 and np.array_equal(got, want)

@@ -15,9 +15,9 @@ from emblend.geometry import centroid
 from emblend.projection import (LossWeights, TrainConfig,
                                 backward, batch_losses, forward,
                                 init_projection, load_model, loss_cluster,
-                                loss_scale, loss_task, save_model,
+                                loss_task, save_model,
                                 train)
-from reference import group_indices, spread
+from reference import group_indices, loss_scale, spread
 
 rng = np.random.default_rng(7)
 

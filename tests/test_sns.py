@@ -1,4 +1,3 @@
-import threading
 from dataclasses import replace
 from functools import partial
 
@@ -329,7 +328,7 @@ def test_run_sns_matches_apply_sns(direction, describer):
     describe = PayloadDescriber(8) if describer else None
     expected = [reference_sns(p, cfg, embedded_each(gating_expert(noise=0.01).expert), describe)
                 for p in pairs]
-    got = run_sns(pairs, cfg, gating_expert(noise=0.01), describe, jobs=2)
+    got = run_sns(pairs, cfg, gating_expert(noise=0.01), describe)
     assert_matches_reference(got, expected)
     assert_matches_reference([apply_sns(p, cfg, gating_expert(noise=0.01), describe)
                               for p in pairs], expected)
@@ -491,12 +490,10 @@ class _CountingDescriber(PayloadDescriber):
         super().__init__(semantic_dim)
         self.refuse = set(refuse)
         self.batches = []
-        self._lock = threading.Lock()
 
     def describe_batch(self, requests):
         ids = [pair.sample_id for pair, _ in requests]
-        with self._lock:
-            self.batches.append(ids)
+        self.batches.append(ids)
         for sample_id in ids:
             if sample_id in self.refuse:
                 raise DescriberFailure(f"describer refused {sample_id}")
@@ -505,29 +502,40 @@ class _CountingDescriber(PayloadDescriber):
 
 @pytest.mark.parametrize("direction", ["backward", "bidirectional"])
 def test_describe_is_one_batch_and_a_failed_batch_is_retried_pair_by_pair(direction):
-    """One batch of every media pair when all pass; when one is refused, one
-    batch and then each media pair alone, so the others keep the results of
-    the batch that passed and only the refused pair fails, on 1 or 2 threads.
-    Text pairs describe themselves."""
+    """One batch of every media pair when all pass. A batch that fails is
+    bisected: its halves, in order, are retried as batches, down to single
+    pairs. The other pairs keep the results of the run where every batch
+    passed, and each refused pair passes through with its own error; with
+    every media pair refused, m pairs take 2m - 1 calls. Text pairs describe
+    themselves."""
     pairs = _mixed_pairs()
     media = [p.sample_id for p in pairs if p.raw_modality != "text"]
-    assert len(media) < len(pairs)
+    assert media == [f"s{k}" for k in range(12)] and len(media) < len(pairs)
     cfg = SnsConfig(direction=direction, tau_alpha=0.5, tau_beta=0.5, rho=0.9)
     describer = _CountingDescriber(8)
     want = run_sns(pairs, cfg, gating_expert(noise=0.01), describer)
     assert describer.batches == [media]
     assert not any(rec.error for _, rec in want)
-    for jobs in (1, 2):
-        describer = _CountingDescriber(8, refuse={"s3"})
-        got = run_sns(pairs, cfg, gating_expert(noise=0.01), describer, jobs=jobs)
-        assert len(describer.batches) == 1 + len(media)
-        assert describer.batches[0] == media
-        assert sorted(describer.batches[1:]) == sorted([sample_id] for sample_id in media)
-        errors = {rec.sample_id: rec.error for _, rec in got}
-        assert errors["s3"] == "describer refused s3"
-        assert [r for r, p in zip(got, pairs) if p.sample_id != "s3"] == \
-            [r for r, p in zip(want, pairs) if p.sample_id != "s3"]
-        assert got[3] == _passthrough_of(pairs[3], direction, "describer refused s3")
+    s3_calls = [media, media[:6], media[:3], media[3:6], ["s3"], ["s4", "s5"]]
+    for refuse, batches in [
+        ({"s3"}, s3_calls + [media[6:]]),
+        ({"s3", "s8"}, s3_calls + [media[6:], media[6:9], ["s6"], ["s7", "s8"], ["s7"], ["s8"],
+                                   media[9:]]),
+        (set(media), None),
+    ]:
+        describer = _CountingDescriber(8, refuse=refuse)
+        got = run_sns(pairs, cfg, gating_expert(noise=0.01), describer)
+        if batches is None:
+            assert len(describer.batches) == 2 * len(media) - 1
+            assert [b for b in describer.batches if len(b) == 1] == [[k] for k in media]
+        else:
+            assert describer.batches == batches
+        for pair, result, wanted in zip(pairs, got, want):
+            if pair.sample_id in refuse:
+                error = f"describer refused {pair.sample_id}"
+                assert result == _passthrough_of(pair, direction, error)
+            else:
+                assert result == wanted
 
 
 def _passthrough_of(pair, direction, error):

@@ -17,11 +17,11 @@ compare equal. BLAS and OpenMP pools are pinned to one thread. The pipeline:
      --steps, then eval --k of that model; curate traditional with --query,
      --seed, --n and --export-instructions (instructions.jsonl carries each
      sample's annotation_text); the tau ablation grid
-  -> sns --direction backward --jobs 2 on the synth corpus plus one video
-     pair whose raw components are the @vec payloads p and -p: their payload
-     mean is 0, so the batch of descriptions fails and every media pair is
-     described again on its own, while the pair's embedded side (modality
-     offset and noise added) still normalizes
+  -> sns --direction backward on the synth corpus plus one video pair whose
+     raw components are the @vec payloads p and -p: their payload mean is 0,
+     so the batch of descriptions fails and is bisected down to that pair,
+     while the pair's embedded side (modality offset and noise added) still
+     normalizes
 
 Prints one ``sha256  relpath`` line per file under OUT_DIR, sorted by path.
 Two checkouts produce byte-identical artifacts exactly when
@@ -92,7 +92,7 @@ def pipeline():
         ["ablate", "--config", "cached.yaml", *corpus, "--grid", "tau",
          "--out", "ablate_tau"],
         ["sns", "--config", "cached.yaml", "--corpus", "retry/corpus.jsonl",
-         "--direction", "backward", "--jobs", "2", "--out", "sns_retry"],
+         "--direction", "backward", "--out", "sns_retry"],
     ]
     return steps
 
