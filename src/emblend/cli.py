@@ -24,8 +24,8 @@ from .config import (EngineConfig, config_from_dict, load_config, save_config,
                      with_overrides)
 from .curation import (STRATEGIES, blend_stats, curate_topn, sample_stratified,
                        sample_uniform, traditional_pipeline)
-from .dataio import (ingest, write_blend, write_corpus, write_json,
-                     write_jsonl, write_nucleus_log)
+from .dataio import (Corpus, ingest, write_blend, write_corpus, write_instruction_dataset,
+                     write_json, write_jsonl, write_nucleus_log)
 from .engine import Engine
 from .errors import (ConfigError, DescriberFailure, EmblendError, InsufficientSamples,
                      InvariantViolation, ParseError, RemoteFailure)
@@ -83,7 +83,7 @@ def _setup(args, cache_under_out=False):
     """Load --config under the subcommand's FLAG_FIELDS, create --out, build
     the Engine and ingest --corpus. Returns the config the manifest records,
     the settings the run uses (that config plus the RUN_ONLY flags), the
-    engine, the output directory and the samples. ``cache_under_out`` gives
+    engine, the output directory and the corpus. ``cache_under_out`` gives
     a config without a cache directory one under --out.
     """
     if not args.config:
@@ -138,8 +138,7 @@ def cmd_synth(args) -> int:
     }
     config = config_from_dict(doc)
     engine = Engine(config)
-    calib = samples[: min(len(samples), 200)]
-    tau_alpha, tau_beta = calibrate_taus(calib, engine.gating)
+    tau_alpha, tau_beta = calibrate_taus(Corpus.from_pairs(samples[:200]), engine.gating)
     config.sns.tau_alpha = tau_alpha
     config.sns.tau_beta = tau_beta
     config_path = os.path.join(out, "config.yaml")
@@ -152,11 +151,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    config, _, engine, out, samples = _setup(args, cache_under_out=True)
-    counts = engine.populate_caches(samples)
+    config, _, engine, out, corpus = _setup(args, cache_under_out=True)
+    counts = engine.populate_caches(corpus)
     write_manifest(out, args, config)
     write_json(os.path.join(out, "embed_summary.json"),
-               {"corpus": os.path.basename(args.corpus), "samples": len(samples),
+               {"corpus": os.path.basename(args.corpus), "samples": len(corpus),
                 "items_per_expert": counts, "cache_dir": config.cache_dir})
     for eid, n in sorted(counts.items()):
         print(f"expert {eid}: {n} items cached")
@@ -164,8 +163,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_sns(args) -> int:
-    config, _, engine, out, samples = _setup(args)
-    results = run_sns(samples, config.sns, engine.gating, engine.describe_fn())
+    config, _, engine, out, corpus = _setup(args)
+    results = run_sns(corpus, config.sns, engine.gating, engine.describe_fn())
     emitted = [pair for pair, _ in results]
     records = [rec for _, rec in results]
     write_corpus(os.path.join(out, "trimmed.jsonl"), emitted)
@@ -190,14 +189,13 @@ def cmd_sns(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config, settings, engine, out, samples = _setup(args)
+    config, settings, engine, out, corpus = _setup(args)
     layers = settings.projection.layer_count
-    inputs = engine.fused_inputs(samples)
-    anchors = engine.anchor_matrix(samples)
-    modalities = [s.raw_modality for s in samples]
+    inputs = engine.fused_inputs(corpus)
+    anchors = engine.anchor_matrix(corpus)
     model = init_projection(inputs.shape[1], engine.dim, layers,
                             hidden_dim=config.projection.hidden_dim, seed=config.train.seed)
-    model, log = train(inputs, anchors, modalities, model, config.train, config.loss)
+    model, log = train(inputs, anchors, corpus.modalities, model, config.train, config.loss)
     save_model(model, os.path.join(out, "model.json"))
     write_jsonl(os.path.join(out, "train_log.jsonl"), log)
     write_manifest(out, args, config,
@@ -231,7 +229,7 @@ def _space_metrics(raw, anchors, modalities, k_values, workspace):
 
 
 def cmd_eval(args) -> int:
-    config, _, engine, out, samples = _setup(args)
+    config, _, engine, out, corpus = _setup(args)
     model = _load_model(args.model, engine)
     try:
         k_values = [int(k) for k in args.k.split(",")] if args.k else [1, 3, 5, 10]
@@ -239,24 +237,24 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"--k must be comma-separated integers, got {args.k!r}") from None
     if min(k_values) < 1:
         raise ConfigError(f"--k values must be >= 1, got {args.k}")
-    modalities = [s.raw_modality for s in samples]
-    cloud_tags = modalities + ["text"] * len(samples)  # the anchors count as text
+    modalities = corpus.modalities
+    cloud_tags = modalities + ["text"] * len(corpus)  # the anchors count as text
     check_clustering_samples(cloud_tags)
     # Every input is built before the workspace is touched. The anchor matrix
     # comes first, which fixes a cold cache's record order; then each
     # expert's raw and annotation side matrices, each built once; then the
     # fused outputs, whose forward caches are dropped at once.
-    anchors = engine.anchor_matrix(samples)
+    anchors = engine.anchor_matrix(corpus)
     raws, anns = [], []
     for eid in engine.expert_order:
-        raws.append(engine.side_matrix(samples, "raw", eid))
+        raws.append(engine.side_matrix(corpus, "raw", eid))
         anns.append(anchors if eid == config.anchor_expert
-                    else engine.side_matrix(samples, "annotation", eid))
+                    else engine.side_matrix(corpus, "annotation", eid))
     fused = forward(model, np.concatenate(raws, axis=1))[0]
-    # the stores and the corpus are freed before the workspace is written
-    expert_order, n = engine.expert_order, len(samples)
-    sample_ids = [s.sample_id for s in samples] if args.export_embeddings else None
-    del engine, samples
+    # the stores and the corpus, but for its ids and modalities, are freed before the
+    # workspace is written
+    expert_order, n, sample_ids = engine.expert_order, len(corpus), corpus.sample_ids
+    del engine, corpus
     # one buffer for the largest product: the n x n recall similarities or
     # the Gram matrix of the cloud's largest modality group
     side = max(n, *Counter(cloud_tags).values())
@@ -324,21 +322,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_curate(args) -> int:
-    config, settings, engine, out, samples = _setup(args)
+    config, settings, engine, out, corpus = _setup(args)
     strategy, n, query = (settings.curation.strategy, settings.curation.n,
                           settings.curation.query)
-    samples_by_id = {s.sample_id: s for s in samples}
     if strategy == "eee_projection" and not args.model:
         raise ConfigError("strategy eee_projection requires --model")
 
     if strategy == "uniform":
-        blend = sample_uniform(samples, n, config.seed)
+        blend = sample_uniform(corpus, n, config.seed)
     elif strategy == "stratified":
-        blend = sample_stratified(samples, n, config.seed)
+        blend = sample_stratified(corpus, n, config.seed)
     elif strategy == "traditional":
-        ann = engine.side_matrix(samples, "annotation", config.anchor_expert)
+        ann = engine.side_matrix(corpus, "annotation", config.anchor_expert)
         blend, reports = traditional_pipeline(
-            samples, ann, engine.embed_query(query), n,
+            corpus, ann, engine.embed_query(query), n,
             filter_config=config.curation.filters,
             k_clusters=config.curation.dedup_k,
             epsilon=config.curation.dedup_epsilon,
@@ -347,18 +344,16 @@ def cmd_curate(args) -> int:
                     (r.to_dict() for r in reports))
     # with --model, the fused rows embed after a baseline's own rows and
     # before the eee_projection query, which fixes a cold cache's record order
-    fused_by_id = None
+    fused = None
     if args.model:
-        fused = engine.fused_outputs(samples, _load_model(args.model, engine))
-        fused_by_id = {s.sample_id: fused[i] for i, s in enumerate(samples)}
+        fused = engine.fused_outputs(corpus, _load_model(args.model, engine))
     if strategy == "eee_projection":
-        blend = curate_topn(engine.embed_query(query), samples, fused, n, query_text=query)
-    stats, coords = blend_stats(blend, samples_by_id, fused_by_id)
-    write_blend(out, "blend", blend, samples_by_id, stats, coords)
+        blend = curate_topn(engine.embed_query(query), corpus, fused, n, query_text=query)
+    stats, coords = blend_stats(blend, corpus, fused)
+    write_blend(out, "blend", blend, corpus, stats, coords)
     if args.export_instructions:
-        from .dataio import write_instruction_dataset
         write_instruction_dataset(os.path.join(out, "instructions.jsonl"),
-                                  samples, blend, config.curation.instruction)
+                                  corpus, blend, config.curation.instruction)
     write_manifest(out, args, config,
                    extra={"strategy": strategy, "n": n, "seed": config.seed})
     if blend.warning:
@@ -372,25 +367,24 @@ def cmd_curate(args) -> int:
 # ablation harness
 # ---------------------------------------------------------------------------
 
-def _recall10_by_expert(engine, samples):
+def _recall10_by_expert(engine, corpus):
     out = {}
-    ids = [s.sample_id for s in samples]
     for eid in engine.expert_order:
-        raw_m, ann_m = engine.expert_space(samples, eid)
-        recall = bidirectional_recall(raw_m, ann_m, ids, [10])
+        raw_m, ann_m = engine.expert_space(corpus, eid)
+        recall = bidirectional_recall(raw_m, ann_m, corpus.sample_ids, [10])
         out[eid] = {direction: table[10] for direction, table in recall.items()}
     return out
 
 
-def _ablate_rho(engine, config, samples, out):
+def _ablate_rho(engine, config, corpus, out):
     cells = []
     acceptance = {}
     for rho in RHO_GRID:
-        results = run_sns(samples, dataclasses.replace(config.sns, rho=rho), engine.gating,
+        results = run_sns(corpus, dataclasses.replace(config.sns, rho=rho), engine.gating,
                           engine.describe_fn())
         rate = sum(1 for _, r in results if r.accepted) / len(results)
         acceptance[str(rho)] = rate
-        recalls = _recall10_by_expert(engine, [pair for pair, _ in results])
+        recalls = _recall10_by_expert(engine, Corpus.from_pairs(pair for pair, _ in results))
         for eid, values in recalls.items():
             for direction, value in values.items():
                 cells.append({"rho": rho, "expert": eid, "direction": direction,
@@ -420,14 +414,14 @@ def _ablate_rho(engine, config, samples, out):
         fh.write("\n".join(lines))
 
 
-def _ablate_tau(engine, config, samples, out):
+def _ablate_tau(engine, config, corpus, out):
     cells = []
     for ta in TAU_GRID:
         for tb in TAU_GRID:
             sns_config = dataclasses.replace(config.sns, direction="bidirectional",
                                              tau_alpha=ta, tau_beta=tb)
-            results = run_sns(samples, sns_config, engine.gating, engine.describe_fn())
-            recalls = _recall10_by_expert(engine, [pair for pair, _ in results])
+            results = run_sns(corpus, sns_config, engine.gating, engine.describe_fn())
+            recalls = _recall10_by_expert(engine, Corpus.from_pairs(pair for pair, _ in results))
             mean_r2a = float(np.mean([v["R2A"] for v in recalls.values()]))
             mean_a2r = float(np.mean([v["A2R"] for v in recalls.values()]))
             cells.append({"tau_alpha": ta, "tau_beta": tb,
@@ -442,12 +436,11 @@ def _ablate_tau(engine, config, samples, out):
         fh.write(format_table(["tau_alpha", "tau_beta", "R2A R@10", "A2R R@10"], rows))
 
 
-def _ablate_lambda_depth(engine, config, samples, out, steps):
+def _ablate_lambda_depth(engine, config, corpus, out, steps):
     tcfg = dataclasses.replace(config.train, step_count=steps)
-    inputs = engine.fused_inputs(samples)
-    anchors = engine.anchor_matrix(samples)
-    modalities = [s.raw_modality for s in samples]
-    ids = [s.sample_id for s in samples]
+    inputs = engine.fused_inputs(corpus)
+    anchors = engine.anchor_matrix(corpus)
+    modalities, ids = corpus.modalities, corpus.sample_ids
     rows = []
     for task, scale, cluster in LAMBDA_GRID:
         for depth in DEPTH_GRID:
@@ -478,15 +471,15 @@ def _ablate_lambda_depth(engine, config, samples, out, steps):
 
 
 def cmd_ablate(args) -> int:
-    config, _, engine, out, samples = _setup(args)
-    if not samples:  # no grid has a cell to fill
+    config, _, engine, out, corpus = _setup(args)
+    if not len(corpus):  # no grid has a cell to fill
         raise InsufficientSamples(f"ablate needs at least one sample; {args.corpus} has none")
     if args.grid == "rho":
-        _ablate_rho(engine, config, samples, out)
+        _ablate_rho(engine, config, corpus, out)
     elif args.grid == "tau":
-        _ablate_tau(engine, config, samples, out)
+        _ablate_tau(engine, config, corpus, out)
     elif args.grid == "lambda-depth":
-        _ablate_lambda_depth(engine, config, samples, out, 300 if args.steps is None else args.steps)
+        _ablate_lambda_depth(engine, config, corpus, out, 300 if args.steps is None else args.steps)
     write_manifest(out, args, config, extra={"grid": args.grid})
     print(f"wrote ablate_{args.grid.replace('-', '_')} artifacts to {out}")
     return 0

@@ -3,9 +3,12 @@
 Every strategy is seed-deterministic and returns the same Blend shape, so
 downstream composition statistics and exports do not care how a blend was
 selected. Tie-breaking and scan orders are ascending sample id throughout.
+Strategies read the columns of a ``dataio.Corpus`` (sample ids, pools,
+modalities, annotation texts) and build no pair.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,14 +35,19 @@ class Blend:
         return len(self.sample_ids)
 
 
-def _compose(blend: Blend, samples_by_id: dict) -> Blend:
-    pools, mods = {}, {}
+def _rows(blend: Blend, corpus) -> list:
+    """The corpus position of each sample of the blend."""
     for sid in blend.sample_ids:
-        sample = samples_by_id.get(sid)
-        if sample is None:
+        if sid not in corpus.index:
             raise UnknownId(f"blend references unknown sample {sid!r}")
-        pools[sample.pool_id] = pools.get(sample.pool_id, 0) + 1
-        mods[sample.raw_modality] = mods.get(sample.raw_modality, 0) + 1
+    return [corpus.index[sid] for sid in blend.sample_ids]
+
+
+def _compose(blend: Blend, corpus) -> Blend:
+    pools, mods = {}, {}
+    for k in _rows(blend, corpus):
+        pools[corpus.pools[k]] = pools.get(corpus.pools[k], 0) + 1
+        mods[corpus.modalities[k]] = mods.get(corpus.modalities[k], 0) + 1
     blend.per_pool = dict(sorted(pools.items()))
     blend.per_modality = dict(sorted(mods.items()))
     return blend
@@ -53,34 +61,31 @@ def _ranked_top_n(ids, scores, n):
     return [ids[i] for i in order], [float(scores[i]) for i in order]
 
 
-def curate_topn(query_embedding, samples, fused_matrix, n: int,
+def curate_topn(query_embedding, corpus, fused_matrix, n: int,
                 query_text: str | None = None) -> Blend:
     """Rank the pool by cosine similarity of fused embeddings to the query."""
-    samples = list(samples)
-    if not samples:
+    if not len(corpus):
         raise EmptyPool("cannot curate from an empty pool")
     fused = np.atleast_2d(np.asarray(fused_matrix, dtype=np.float64))
     sims = fused @ np.asarray(query_embedding, dtype=np.float64)
-    ids = [s.sample_id for s in samples]
-    top_ids, top_scores = _ranked_top_n(ids, sims, n)
+    top_ids, top_scores = _ranked_top_n(corpus.sample_ids, sims, n)
     warning = None
-    if n > len(samples):
-        warning = f"requested {n} but pool has {len(samples)} samples"
+    if n > len(corpus):
+        warning = f"requested {n} but pool has {len(corpus)} samples"
     blend = Blend("eee_projection", top_ids, top_scores, n, query=query_text,
                   warning=warning)
-    return _compose(blend, {s.sample_id: s for s in samples})
+    return _compose(blend, corpus)
 
 
-def sample_uniform(samples, n: int, seed: int) -> Blend:
+def sample_uniform(corpus, n: int, seed: int) -> Blend:
     """n samples without replacement, deterministic for a fixed seed."""
-    samples = list(samples)
-    if n > len(samples):
-        raise NTooLarge(f"n={n} exceeds pool size {len(samples)}")
+    if n > len(corpus):
+        raise NTooLarge(f"n={n} exceeds pool size {len(corpus)}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    picked = rng.choice(len(samples), size=n, replace=False)
-    ids = [samples[i].sample_id for i in picked]
+    picked = rng.choice(len(corpus), size=n, replace=False)
+    ids = [corpus.sample_ids[i] for i in picked]
     blend = Blend("uniform", ids, [None] * len(ids), n, seed=seed)
-    return _compose(blend, {s.sample_id: s for s in samples})
+    return _compose(blend, corpus)
 
 
 def stratified_quotas(pool_sizes: dict, n: int) -> dict:
@@ -93,12 +98,11 @@ def stratified_quotas(pool_sizes: dict, n: int) -> dict:
     return quotas
 
 
-def sample_stratified(samples, n: int, seed: int) -> Blend:
+def sample_stratified(corpus, n: int, seed: int) -> Blend:
     """Uniform draws within each pool under equal (remainder-adjusted) quotas."""
-    samples = list(samples)
     by_pool = {}
-    for i, s in enumerate(samples):
-        by_pool.setdefault(s.pool_id, []).append(i)
+    for i, pool in enumerate(corpus.pools):
+        by_pool.setdefault(pool, []).append(i)
     quotas = stratified_quotas({p: len(ix) for p, ix in by_pool.items()}, n)
     for pool, quota in quotas.items():
         if quota > len(by_pool[pool]):
@@ -109,9 +113,9 @@ def sample_stratified(samples, n: int, seed: int) -> Blend:
     for pool in sorted(by_pool):
         members = by_pool[pool]
         picked = rng.choice(len(members), size=quotas[pool], replace=False)
-        ids.extend(samples[members[i]].sample_id for i in picked)
+        ids.extend(corpus.sample_ids[members[i]] for i in picked)
     blend = Blend("stratified", ids, [None] * len(ids), n, seed=seed)
-    return _compose(blend, {s.sample_id: s for s in samples})
+    return _compose(blend, corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +141,24 @@ class FilterReport:
                 "failed_rules": self.failed_rules, "measured": self.measured}
 
 
+_ALNUM_RUNS = re.compile(r"[^\W_]+")  # \w less "_" is str.isalnum
+
+
+def char_counts(text: str) -> tuple:
+    """How many characters of ``text`` are not ``str.isspace``, and how many
+    are ``str.isalnum``, counted by runs, not one Python call per character."""
+    non_ws = len("".join(text.split()))  # str.split() splits at str.isspace
+    return non_ws, sum(map(len, _ALNUM_RUNS.findall(text)))
+
+
 def heuristic_filter(text: str, config: FilterConfig, sample_id: str = "") -> FilterReport:
     """Text-quality rules: non-alphanumeric ratio, repeated lines, boilerplate."""
     failed = []
     measured = {}
     if not text.strip():
         return FilterReport(sample_id, False, ["empty_text"], {})
-    non_ws = len(text) - sum(map(str.isspace, text))
-    ratio = (non_ws - sum(map(str.isalnum, text))) / non_ws  # no character is both
+    non_ws, alnum = char_counts(text)
+    ratio = (non_ws - alnum) / non_ws  # no character is both
     measured["non_alnum_ratio"] = ratio
     if ratio > config.max_non_alnum_ratio:
         failed.append("non_alnum_ratio")
@@ -226,7 +240,7 @@ def semantic_dedup(ids, embeddings, k_clusters: int, epsilon: float, seed: int) 
     return sorted(kept)
 
 
-def traditional_pipeline(samples, annotation_matrix, query_embedding, n: int,
+def traditional_pipeline(corpus, annotation_matrix, query_embedding, n: int,
                          filter_config: FilterConfig | None = None,
                          k_clusters: int = 100, epsilon: float = 0.05,
                          seed: int = 0, query_text: str | None = None):
@@ -235,22 +249,20 @@ def traditional_pipeline(samples, annotation_matrix, query_embedding, n: int,
     Returns (Blend, filter reports). When fewer than n samples survive, all
     survivors are returned and the blend carries a warning.
     """
-    samples = list(samples)
-    if not samples:
+    if not len(corpus):
         raise EmptyPool("cannot curate from an empty pool")
     filter_config = filter_config or FilterConfig()
     ann = np.atleast_2d(np.asarray(annotation_matrix, dtype=np.float64))
-    reports = [heuristic_filter(s.annotation_text, filter_config, s.sample_id)
-               for s in samples]
+    reports = [heuristic_filter(text, filter_config, sid)
+               for text, sid in zip(corpus.annotation_texts, corpus.sample_ids)]
     survivors = [i for i, rep in enumerate(reports) if rep.passed]
-    samples_by_id = {s.sample_id: s for s in samples}
     if not survivors:
         blend = Blend("traditional", [], [], n, query=query_text, seed=seed,
                       warning="no samples survived heuristic filtering")
-        return _compose(blend, samples_by_id), reports
+        return _compose(blend, corpus), reports
 
-    surv_ids = [samples[i].sample_id for i in survivors]
-    surv_rows = {samples[i].sample_id: i for i in survivors}
+    surv_ids = [corpus.sample_ids[i] for i in survivors]
+    surv_rows = dict(zip(surv_ids, survivors))
     k_eff = min(k_clusters, len(survivors))
     kept_ids = semantic_dedup(surv_ids, ann[survivors], k_eff, epsilon, seed)
 
@@ -262,7 +274,7 @@ def traditional_pipeline(samples, annotation_matrix, query_embedding, n: int,
         warning = f"only {len(top_ids)} samples survived filtering and dedup (requested {n})"
     blend = Blend("traditional", top_ids, top_scores, n, query=query_text,
                   seed=seed, warning=warning)
-    return _compose(blend, samples_by_id), reports
+    return _compose(blend, corpus), reports
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +294,12 @@ def pca_2d(x) -> np.ndarray:
     return centered @ comps.T
 
 
-def blend_stats(blend: Blend, samples_by_id: dict, fused_by_id: dict | None = None) -> dict:
-    """Composition fractions per pool and modality, plus 2-D plot coordinates."""
+def blend_stats(blend: Blend, corpus, fused=None) -> dict:
+    """Composition fractions per pool and modality, plus 2-D plot coordinates
+    of the blend's rows of ``fused``, a matrix with one row per sample of
+    the corpus."""
     total = len(blend.sample_ids)
-    for sid in blend.sample_ids:
-        if sid not in samples_by_id:
-            raise UnknownId(f"blend references unknown sample {sid!r}")
+    rows = _rows(blend, corpus)
     stats = {
         "strategy": blend.strategy,
         "n_requested": blend.n,
@@ -301,7 +313,6 @@ def blend_stats(blend: Blend, samples_by_id: dict, fused_by_id: dict | None = No
                          for m, c in blend.per_modality.items()},
     }
     coords = None
-    if fused_by_id is not None and total:
-        matrix = np.vstack([fused_by_id[sid] for sid in blend.sample_ids])
-        coords = pca_2d(matrix)
+    if fused is not None and total:
+        coords = pca_2d(fused[rows])
     return stats, coords

@@ -5,33 +5,34 @@ for every expert, which keeps gating, fusion inputs and anchors consistent;
 ``side_matrix`` averages the stored rows with ``geometry.side_vectors``.
 Raw sides of each sample pass through all experts and concatenate in config
 order into the projection input; annotation sides embed once through the
-anchor expert. Components, their items and ids are the corpus's (``dataio``).
+anchor expert. Every stage reads the corpus's columns (``dataio.Corpus``):
+its item ids, contents and per-sample component counts; it builds no pair.
 
 Embedding is batch-first, and a stage reads every stored row through one
-method, ``ExpertHandle.positions``: given groups of item ids and a builder
-for a group's items, it looks the ids up in the store, embeds the ones it
-lacks with ``expert.embed_batch`` (first occurrence order, ``SLICE_BATCHES``
-expert batches per store write) and returns each id's row in
-``store.matrix``. Warm, cold and half-warm stores take this one path; it
-builds the items of each group with a missing id once, so a warm store
-builds none. The store is backed by the expert's cache file, or kept
-in memory when no cache directory is set; it is the only copy of an
-embedding a handle keeps, and every vector a stage uses is a row read from
-it, at storage precision. A handle opens its store on first use, so a
+method, ``ExpertHandle.positions``: given a column of item ids in groups of
+given sizes and a builder for a group's items, it looks the ids up in the
+store, embeds the ones it lacks with ``expert.embed_batch`` (first
+occurrence order, ``SLICE_BATCHES`` expert batches per store write) and
+returns each id's row in ``store.matrix``. Warm, cold and half-warm stores
+take this one path; it builds the items of each group with a missing id
+once, so a warm store builds none. The store is backed by the expert's cache
+file, or kept in memory when no cache directory is set; it is the only copy
+of an embedding a handle keeps, and every vector a stage uses is a row read
+from it, at storage precision. A handle opens its store on first use, so a
 subcommand loads only the stores of the experts it reads: ``sns`` the gating
 expert's, ``curate`` without ``--model`` under a sampling strategy none.
 """
 from __future__ import annotations
 
 import os
-from functools import cached_property
-from itertools import accumulate, chain, pairwise
+from functools import cache, cached_property
+from itertools import accumulate, pairwise
 
 import numpy as np
 
 from .cache import EmbeddingCache
 from .config import EngineConfig, build_expert
-from .dataio import component_item_id, pair_ids, pair_items, side_ids, side_items
+from .dataio import component_item_id
 from .errors import EmblendError
 from .experts import EmbedItem, PayloadDescriber, SyntheticExpert
 from .geometry import side_vectors
@@ -61,26 +62,25 @@ class ExpertHandle:
 
     def embed(self, item: EmbedItem) -> np.ndarray:
         """The item's stored float64 row, embedding it first on a miss."""
-        at, _ = self.positions([(item.item_id,)], lambda k: (item,))
+        at, _ = self.positions([item.item_id], [1], lambda k: (item,))
         return self.store.matrix[at[0]].astype(np.float64)
 
-    def positions(self, groups, items, failure=None):
-        """The row in ``store.matrix`` of every id in ``groups`` (sequences
-        of item ids), in order, after embedding the ids the store lacks, and
-        the errors of the groups that fail.
+    def positions(self, ids, counts, items, failure=None):
+        """The row in ``store.matrix`` of every id in ``ids``, in order, after
+        embedding the ids the store lacks, and the errors of the groups that
+        fail; group k is the next ``counts[k]`` ids.
 
-        ``items(k)`` builds the items of ``groups[k]``: only for a group with
-        a missing id, once per pass. Slices written before a failing one stay
+        ``items(k)`` builds the items of group k: only for a group with a
+        missing id, once per pass. Slices written before a failing one stay
         stored. With ``failure``, a failed embed is retried group by group,
         and a group that still fails gets ``failure(str(exc))`` in the
         errors, by position, and rows -1; without it the error propagates.
         """
-        ids = list(chain.from_iterable(groups))
         at = self.store.find(ids, self.expert_id)
         errors = {}
         if (at >= 0).all():
             return at, errors
-        starts = list(accumulate(map(len, groups), initial=0))
+        starts = list(accumulate(counts, initial=0))
         try:
             self._put_missing(at, starts, items)
         except EmblendError:
@@ -153,47 +153,48 @@ class Engine:
         """Describer (``describe_batch``) for non-text backward extraction, or None."""
         return self.describer
 
-    def side_matrix(self, samples, side: str, expert_id: str) -> np.ndarray:
-        """Side vectors of the samples through one expert, averaged from the
-        store rows of the sides' cached item ids by position, one run per
+    def side_matrix(self, corpus, side: str, expert_id: str) -> np.ndarray:
+        """Side vectors of the corpus's samples through one expert, averaged
+        from the store rows of the sides' item ids by position, one run per
         side; the first side that fails raises."""
         handle = self.handles[expert_id]
-        groups = [side_ids(s, side) for s in samples]
-        at, _ = handle.positions(groups, lambda k: side_items(samples[k], side))
-        counts = np.array([len(group) for group in groups], dtype=np.intp)
+        picks, counts = corpus.side(side)
+        ids = corpus.item_ids
+        at, _ = handle.positions([ids[j] for j in picks.tolist()], counts,
+                                 lambda k: corpus.items(k, side))
         sides, errors = side_vectors(handle.store.matrix, at, counts)
         if errors:
             raise errors[min(errors)]
         return sides
 
-    def anchor_matrix(self, samples) -> np.ndarray:
-        return self.side_matrix(samples, "annotation", self.config.anchor_expert)
+    def anchor_matrix(self, corpus) -> np.ndarray:
+        return self.side_matrix(corpus, "annotation", self.config.anchor_expert)
 
-    def fused_inputs(self, samples) -> np.ndarray:
+    def fused_inputs(self, corpus) -> np.ndarray:
         """Concatenated raw-side embeddings across all experts, config order."""
-        blocks = [self.side_matrix(samples, "raw", eid) for eid in self.expert_order]
+        blocks = [self.side_matrix(corpus, "raw", eid) for eid in self.expert_order]
         return np.concatenate(blocks, axis=1)
 
-    def fused_outputs(self, samples, model) -> np.ndarray:
-        fused, _ = forward(model, self.fused_inputs(samples))
+    def fused_outputs(self, corpus, model) -> np.ndarray:
+        fused, _ = forward(model, self.fused_inputs(corpus))
         return fused
 
-    def expert_space(self, samples, expert_id: str):
+    def expert_space(self, corpus, expert_id: str):
         """(raw, annotation) side matrices within one expert's own space."""
-        return (self.side_matrix(samples, "raw", expert_id),
-                self.side_matrix(samples, "annotation", expert_id))
+        return (self.side_matrix(corpus, "raw", expert_id),
+                self.side_matrix(corpus, "annotation", expert_id))
 
     def embed_query(self, text: str) -> np.ndarray:
         item = EmbedItem(component_item_id("query", "q", text), "text", text)
         return self.anchor.embed(item)
 
-    def populate_caches(self, samples) -> dict:
+    def populate_caches(self, corpus) -> dict:
         """Embed every component of every sample through every expert.
 
         Each sample contributes its raw components, then its annotation
         components; a store write follows that order.
         """
-        groups = [pair_ids(s) for s in samples]
+        items = cache(corpus.items)  # a sample's items, built once for every expert
         for eid in self.expert_order:
-            self.handles[eid].positions(groups, lambda k: pair_items(samples[k]))
-        return {eid: sum(map(len, groups)) for eid in self.expert_order}
+            self.handles[eid].positions(corpus.item_ids, corpus.n_raw + corpus.n_ann, items)
+        return {eid: len(corpus.item_ids) for eid in self.expert_order}

@@ -83,6 +83,14 @@ def run_starts(counts) -> np.ndarray:
     return np.cumsum(counts) - counts
 
 
+def consecutive_runs(firsts, counts):
+    """The layout ``(at, counts)`` of runs of consecutive row positions: run
+    k is ``firsts[k]``, ``firsts[k] + 1``, ..., ``counts[k]`` of them."""
+    counts = np.asarray(counts, dtype=np.intp)
+    at = np.repeat(np.asarray(firsts) - run_starts(counts), counts) + np.arange(counts.sum())
+    return at, counts
+
+
 def run_means(rows, at, counts) -> np.ndarray:
     """The float64 mean of each run's rows, stacked; float32 rows are upcast
     exactly.

@@ -8,23 +8,24 @@ similarity reaches ``rho`` times the original pair's similarity, so every
 emitted pair is either byte-identical to its input or at least as aligned
 as the gate demands.
 
-This module holds only the algorithm: the pairs it trims and their item ids
-are ``dataio``'s, the side-mean kernel is ``geometry.side_vectors``, and a
-describer answers only ``describe_batch`` (``experts.PayloadDescriber``).
+This module holds only the algorithm: it reads the columns of a
+``dataio.Corpus`` (item ids, contents, per-pair component counts) and
+builds a pair only to describe or emit it; the side-mean kernel is
+``geometry.side_vectors``, and a describer answers only ``describe_batch``
+(``experts.PayloadDescriber``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from dataclasses import dataclass, field
 
 import numpy as np
 
 # the noqa names are re-exported: perfbench/stub.py and test_acceptance.py import them
-from .dataio import Component, PairedSample, component_item_id, pair_ids, pair_items  # noqa: F401
+from .dataio import Component, Corpus, PairedSample, checked_pair, component_item_id  # noqa: F401
 from .errors import DescriberFailure, EmblendError, GatingExpertFailure, ZeroSize
 from .experts import EmbedItem, PayloadDescriber  # noqa: F401
-from .geometry import (MODALITIES, cosine_rows, run_cosines, run_starts, side_vector,  # noqa: F401
-                       side_vectors)
+from .geometry import (MODALITIES, consecutive_runs, cosine_rows, run_cosines,  # noqa: F401
+                       run_starts, side_vector, side_vectors)
 
 DIRECTIONS = ("off", "forward", "backward", "bidirectional")
 
@@ -112,15 +113,16 @@ def _layout(firsts, offsets):
     return at, np.array([len(off) for off in offsets], dtype=np.intp)
 
 
-def _pair_sides(pairs, rows):
-    """For pairs whose rows lie one after another, raw then annotation: the
-    run layout and sides of their raw and of their annotation components,
-    and the EmblendError of each pair (by position) whose raw, else whose
-    annotation, side does not normalize."""
-    sizes = [(len(p.raw_components), len(p.annotation_components)) for p in pairs]
-    starts = [0, *accumulate(n_raw + n_ann for n_raw, n_ann in sizes)]
-    raw = _layout(starts, [range(n_raw) for n_raw, _ in sizes])
-    ann = _layout(starts, [range(n_raw, n_raw + n_ann) for n_raw, n_ann in sizes])
+def _pair_sides(corpus, live, rows):
+    """For the corpus's pairs at positions ``live``, whose rows lie one after
+    another, raw then annotation: the run layout and sides of their raw and
+    of their annotation components, and the EmblendError of each pair (by
+    position in ``live``) whose raw, else whose annotation, side does not
+    normalize."""
+    n_raw, n_ann = corpus.n_raw[live], corpus.n_ann[live]
+    firsts = run_starts(n_raw + n_ann)
+    raw = consecutive_runs(firsts, n_raw)
+    ann = consecutive_runs(firsts + n_raw, n_ann)
     raw_sides, raw_errors = side_vectors(rows, *raw)
     ann_sides, ann_errors = side_vectors(rows, *ann)
     return (*raw, raw_sides), (*ann, ann_sides), {**ann_errors, **raw_errors}
@@ -129,15 +131,15 @@ def _pair_sides(pairs, rows):
 @dataclass
 class _Trim:
     """One pair between the phases of ``run_sns``; its annotation rows start
-    at row ``ann_at``."""
+    at row ``ann_at``. The kept components are indices into the pair's raw
+    (``cur_raw``, ``describe_base``) and annotation (``cur_ann``) sides."""
 
-    pair: PairedSample
     ann_at: int
     sim_original: float
-    cur_raw: list
+    cur_raw: range | list
     cur_raw_side: np.ndarray
-    describe_base: list
-    cur_ann: list
+    describe_base: range | list
+    cur_ann: range | list
     sim_fwd: float | None = None
     fwd_accepted: bool | None = None
     sim_bwd: float | None = None
@@ -150,70 +152,71 @@ def _passthrough(pair, config, error=None):
                                size, size, error=error)
 
 
-def _forward(pairs: dict, rows, config) -> dict:
-    """Sides of each pair, then forward extraction when configured: {i:
-    _Trim, or the EmblendError that fails pair i}. ``rows`` holds the pairs'
-    rows one after another, raw then annotation."""
-    if not pairs:
+def _forward(corpus, live: list, rows, config) -> dict:
+    """Sides of each pair at the positions ``live``, then forward extraction
+    when configured: {i: _Trim, or the EmblendError that fails pair i}.
+    ``rows`` holds the pairs' rows one after another, raw then annotation."""
+    if not live:
         return {}
     (raw_at, n_raw, raw_sides), (ann_at, n_ann, ann_sides), errors = _pair_sides(
-        pairs.values(), rows)
+        corpus, live, rows)
     # Bidirectional describes the forward-extraction output; backward-only
     # describes the original raw side.
-    trims = [_Trim(pair, at, sim, list(pair.raw_components), side,
-                   list(pair.raw_components), list(pair.annotation_components))
-             for pair, at, sim, side in zip(pairs.values(), ann_at[run_starts(n_ann)].tolist(),
-                                            cosine_rows(raw_sides, ann_sides).tolist(),
-                                            raw_sides)]
+    trims = [_Trim(at, sim, range(nr), side, range(nr), range(na))
+             for at, sim, side, nr, na in zip(ann_at[run_starts(n_ann)].tolist(),
+                                              cosine_rows(raw_sides, ann_sides).tolist(),
+                                              raw_sides, n_raw.tolist(), n_ann.tolist())]
     if config.direction in ("forward", "bidirectional"):
-        kept = [extract(sims, config.tau_alpha[t.pair.raw_modality])
-                for t, sims in zip(trims, run_cosines(rows, raw_at, n_raw, ann_sides))]
+        kept = [extract(sims, config.tau_alpha[corpus.modalities[i]])
+                for i, sims in zip(live, run_cosines(rows, raw_at, n_raw, ann_sides))]
         nucleus_sides, nucleus_errors = side_vectors(
             rows, *_layout(raw_at[run_starts(n_raw)].tolist(), kept))
         errors = {**nucleus_errors, **errors}
         sims = cosine_rows(nucleus_sides, ann_sides).tolist()
         for t, k, side, sim in zip(trims, kept, nucleus_sides, sims):
-            nucleus_raw = [t.pair.raw_components[j] for j in k]
-            t.describe_base = nucleus_raw
+            t.describe_base = k
             t.sim_fwd = sim
             t.fwd_accepted = mi_gate(sim, t.sim_original, config.rho)
             if t.fwd_accepted and config.reinject:
-                t.cur_raw, t.cur_raw_side = nucleus_raw, side
-    return {i: errors.get(k, t) for k, (i, t) in enumerate(zip(pairs, trims))}
+                t.cur_raw, t.cur_raw_side = k, side
+    return {i: errors.get(k, t) for k, (i, t) in enumerate(zip(live, trims))}
 
 
-def _backward(trims: dict, rows, descs, config) -> dict:
+def _backward(corpus, trims: dict, rows, descs, config) -> dict:
     """Backward extraction of each trim against its description's stored row
     (``descs``, one row per trim in order): {i: the trim, or the EmblendError
     that fails pair i}."""
     if not trims:
         return {}
     firsts = [t.ann_at for t in trims.values()]
-    ann = _layout(firsts, [range(len(t.pair.annotation_components)) for t in trims.values()])
-    kept = [extract(sims, config.tau_beta[t.pair.raw_modality])
-            for t, sims in zip(trims.values(), run_cosines(rows, *ann, descs))]
+    ann = consecutive_runs(firsts, corpus.n_ann[list(trims)])
+    kept = [extract(sims, config.tau_beta[corpus.modalities[i]])
+            for i, sims in zip(trims, run_cosines(rows, *ann, descs))]
     sides, errors = side_vectors(rows, *_layout(firsts, kept))
     cur_raw_sides = np.array([t.cur_raw_side for t in trims.values()])
     for t, k, sim in zip(trims.values(), kept, cosine_rows(cur_raw_sides, sides).tolist()):
         t.sim_bwd = sim
         t.bwd_accepted = mi_gate(sim, t.sim_original, config.rho)
         if t.bwd_accepted and config.reinject:
-            t.cur_ann = [t.pair.annotation_components[j] for j in k]
+            t.cur_ann = k
     return {i: errors.get(k, t) for k, (i, t) in enumerate(trims.items())}
 
 
-def _emit(trim: _Trim, config):
-    """The emitted pair and its record."""
-    pair = trim.pair
+def _emit(pair: PairedSample, trim: _Trim, config):
+    """The emitted pair and its record. A variant keeps the checked
+    components of ``pair`` and is built without checking them again; a
+    trimmed annotation reads as its sentences joined by newlines."""
     sim_fwd, fwd_accepted = trim.sim_fwd, trim.fwd_accepted
     sim_bwd, bwd_accepted = trim.sim_bwd, trim.bwd_accepted
     accepted = bool(fwd_accepted) or bool(bwd_accepted)
     emitted = pair
     if config.reinject and accepted:
-        ann = tuple(trim.cur_ann)
-        text = pair.annotation_text if ann == pair.annotation_components else ""
-        emitted = replace(pair, raw_components=tuple(trim.cur_raw),
-                          annotation_components=ann, annotation_text=text)
+        ann = tuple(pair.annotation_components[j] for j in trim.cur_ann)
+        text = (pair.annotation_text if len(ann) == len(pair.annotation_components)
+                else "\n".join(c.content for c in ann))
+        emitted = checked_pair(**vars(pair) | {
+            "raw_components": tuple(pair.raw_components[j] for j in trim.cur_raw),
+            "annotation_components": ann, "annotation_text": text})
     # sim of the emitted pair when accepted, else of the last rejected candidate
     if bwd_accepted:
         sim_variant = sim_bwd
@@ -236,20 +239,20 @@ def apply_sns(pair: PairedSample, config: SnsConfig, gating, describe_fn=None):
     Returns (emitted_pair, NucleusRecord). Backend failures never drop a
     pair: it passes through unchanged with accepted=False and an error note.
     """
-    return run_sns([pair], config, gating, describe_fn)[0]
+    return run_sns(Corpus.from_pairs([pair]), config, gating, describe_fn)[0]
 
 
-def _pair_rows(gating, pairs):
+def _pair_rows(gating, corpus):
     """The stored rows of every pair's components, raw then annotation, one
     pair after another, at storage precision; the rows of a pair whose
     components cannot be embedded are left out, and its
     ``GatingExpertFailure`` is given by position."""
-    at, errors = gating.positions([pair_ids(p) for p in pairs], lambda k: pair_items(pairs[k]),
+    at, errors = gating.positions(corpus.item_ids, corpus.n_raw + corpus.n_ann, corpus.items,
                                   GatingExpertFailure)
     return gating.store.matrix[at[at >= 0]], errors
 
 
-def _describe_all(trims: dict, describe_fn) -> dict:
+def _describe_all(corpus, trims: dict, describe_fn) -> dict:
     """The description, or the EmblendError raised for it, of every pair, in
     order.
 
@@ -259,13 +262,16 @@ def _describe_all(trims: dict, describe_fn) -> dict:
     """
     out, media = dict.fromkeys(trims), {}
     for i, t in trims.items():
-        if t.pair.raw_modality == "text":
-            out[i] = " ".join(c.content for c in t.describe_base)
+        modality = corpus.modalities[i]
+        if modality == "text":
+            lo = int(corpus.starts[i])
+            out[i] = " ".join(corpus.contents[lo + j] for j in t.describe_base)
         elif describe_fn is None:
-            out[i] = DescriberFailure(f"modality {t.pair.raw_modality!r} needs a describer "
+            out[i] = DescriberFailure(f"modality {modality!r} needs a describer "
                                       "for backward extraction")
         else:
-            media[i] = (t.pair, t.describe_base)
+            pair = corpus[i]
+            media[i] = (pair, [pair.raw_components[j] for j in t.describe_base])
 
     def describe(requests) -> list:
         try:
@@ -281,8 +287,9 @@ def _describe_all(trims: dict, describe_fn) -> dict:
     return out
 
 
-def run_sns(pairs, config: SnsConfig, gating, describe_fn=None) -> list:
-    """``apply_sns`` over many pairs: the (emitted_pair, NucleusRecord) of each.
+def run_sns(corpus, config: SnsConfig, gating, describe_fn=None) -> list:
+    """``apply_sns`` over every pair of a ``Corpus``: the (emitted_pair,
+    NucleusRecord) of each.
 
     ``gating`` is an engine ``ExpertHandle``; every vector is a row read from
     its store. Each phase works on the row matrices of all pairs still in
@@ -295,62 +302,61 @@ def run_sns(pairs, config: SnsConfig, gating, describe_fn=None) -> list:
     the records run per pair. A pair that fails in a phase passes through
     with its error and leaves the later phases.
     """
-    pairs = list(pairs)
     if config.direction == "off":
-        return [_passthrough(p, config) for p in pairs]
-    results = [None] * len(pairs)
+        return [_passthrough(pair, config) for pair in corpus]
+    results = [None] * len(corpus)
 
     def survivors(outcomes: dict) -> dict:
         """The outcomes that are not errors; an error passes its pair through."""
         kept = {}
         for i, outcome in outcomes.items():
             if isinstance(outcome, EmblendError):
-                results[i] = _passthrough(pairs[i], config, str(outcome))
+                results[i] = _passthrough(corpus[i], config, str(outcome))
             else:
                 kept[i] = outcome
         return kept
 
-    rows, errors = _pair_rows(gating, pairs)
-    live = survivors({i: errors.get(i, pair) for i, pair in enumerate(pairs)})
-    trims = survivors(_forward(live, rows, config))
+    rows, errors = _pair_rows(gating, corpus)
+    survivors(errors)
+    trims = survivors(_forward(corpus, [i for i in range(len(corpus)) if i not in errors],
+                               rows, config))
     if config.direction in ("backward", "bidirectional"):
-        described = survivors(_describe_all(trims, describe_fn))
+        described = survivors(_describe_all(corpus, trims, describe_fn))
         texts = list(described.values())
-        ids = [component_item_id(pairs[i].sample_id, "d", d) for i, d in described.items()]
-        at, errors = gating.positions([(i,) for i in ids],
+        ids = [component_item_id(corpus.sample_ids[i], "d", d) for i, d in described.items()]
+        at, errors = gating.positions(ids, [1] * len(ids),
                                       lambda k: (EmbedItem(ids[k], "text", texts[k]),),
                                       DescriberFailure)
         # float64, so that the sims with the component rows compute in float64
         descs = gating.store.matrix[at[at >= 0]].astype(np.float64)
         embedded = survivors({i: errors.get(k, trims[i]) for k, i in enumerate(described)})
-        trims = survivors(_backward(embedded, rows, descs, config))
+        trims = survivors(_backward(corpus, embedded, rows, descs, config))
     for i, trim in trims.items():
-        results[i] = _emit(trim, config)
+        results[i] = _emit(corpus[i], trim, config)
     return results
 
 
-def calibrate_taus(samples, gating, low_pct: float = 10.0, high_pct: float = 90.0):
+def calibrate_taus(corpus, gating, low_pct: float = 10.0, high_pct: float = 90.0):
     """Per-modality thresholds at the midpoint of the observed similarity band.
 
     Forward bands come from raw-component-vs-annotation similarities, backward
-    bands from annotation-sentence-vs-raw-side similarities. ``gating`` is an
-    engine ``ExpertHandle``, read as in ``run_sns``; the first pair, in
-    sample order, whose components cannot be embedded or whose side does not
-    normalize raises its error.
+    bands from annotation-sentence-vs-raw-side similarities, over the pairs
+    of a ``Corpus``. ``gating`` is an engine ``ExpertHandle``, read as in
+    ``run_sns``; the first pair, in sample order, whose components cannot be
+    embedded or whose side does not normalize raises its error.
     """
-    samples = list(samples)
-    rows, errors = _pair_rows(gating, samples)
-    live = [k for k in range(len(samples)) if k not in errors]
+    rows, errors = _pair_rows(gating, corpus)
+    live = [k for k in range(len(corpus)) if k not in errors]
     fwd_sims = {m: [] for m in MODALITIES}
     bwd_sims = {m: [] for m in MODALITIES}
     if live:
         (raw_at, n_raw, raw_sides), (ann_at, n_ann, ann_sides), side_errors = \
-            _pair_sides([samples[k] for k in live], rows)
+            _pair_sides(corpus, live, rows)
         errors.update((live[j], exc) for j, exc in side_errors.items())
         for k, fwd, bwd in zip(live, run_cosines(rows, raw_at, n_raw, ann_sides),
                                run_cosines(rows, ann_at, n_ann, raw_sides)):
-            fwd_sims[samples[k].raw_modality].extend(fwd)
-            bwd_sims[samples[k].raw_modality].extend(bwd)
+            fwd_sims[corpus.modalities[k]].extend(fwd)
+            bwd_sims[corpus.modalities[k]].extend(bwd)
     if errors:
         raise errors[min(errors)]
 

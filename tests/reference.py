@@ -1,25 +1,119 @@
 """References the tests compare emblend against: single-item paths that
-left ``src/``, the routes stored rows were read along before
+left ``src/``, the corpus read one ``PairedSample`` at a time with its item
+ids per pair, the routes stored rows were read along before
 ``ExpertHandle.positions`` became the one read path, SNS one pair at a
 time, and the projection step's modality groups one group at a time.
 
 Each is written one item, one group or one sample at a time, as it was in
 ``src/``; only the tests import this module.
 """
+import json
 from dataclasses import replace
 from operator import attrgetter
 
 import numpy as np
 
-from emblend.dataio import (component_item_id, pair_items, sample_from_record,
-                            sample_to_record, side_items)
+from emblend.dataio import (Component, PairedSample, component_item_id, sample_to_record,
+                            segment_text)
 from emblend.engine import DEFAULT_BATCH, SLICE_BATCHES
 from emblend.errors import DescriberFailure, DimMismatch, EmblendError, EmptyModality, \
-    EmptySet, GatingExpertFailure
+    EmptySet, GatingExpertFailure, InvariantViolation, ParseError
 from emblend.experts import (EmbedItem, _generate_rows, _hash_rows, _NoiseStream, _payload_bytes,
                              _payload_values, encode_payload)
 from emblend.geometry import cosine_sim, normalize, side_vector, side_vectors
 from emblend.sns import NucleusRecord, extract, mi_gate
+
+# -- the corpus one pair at a time -----------------------------------------------
+
+
+def _components_from(value, segment: bool):
+    if isinstance(value, list):
+        return [Component(str(v)) for v in value], True
+    text = str(value)
+    if segment:
+        return [Component(c) for c in segment_text(text)], False
+    return ([Component(text)] if text else []), False
+
+
+def sample_from_record(rec: dict) -> PairedSample:
+    """The checked ``PairedSample`` of one corpus record."""
+    sample_id = rec.get("sample_id")
+    if not sample_id:
+        raise InvariantViolation("record is missing sample_id")
+    modality = rec.get("modality")
+    raw_value = rec.get("components", rec.get("raw"))
+    if raw_value is None:
+        raise InvariantViolation("record has no raw side", sample_id)
+    ann_value = rec.get("annotation")
+    if ann_value is None:
+        raise InvariantViolation("record has no annotation side", sample_id)
+    raw_components, presegmented = _components_from(raw_value, segment=(modality == "text"))
+    presegmented = presegmented or "components" in rec
+    ann_components, _ = _components_from(ann_value, segment=True)
+    return PairedSample(
+        sample_id=str(sample_id),
+        pool_id=str(rec.get("pool_id", "default")),
+        raw_modality=str(modality),
+        raw_components=raw_components,
+        annotation_components=ann_components,
+        presegmented=presegmented,
+        annotation_text="" if isinstance(ann_value, list) else str(ann_value),
+        media_ref=rec.get("media_ref"),
+    )
+
+
+def ingest_pairs(path) -> list:
+    """A JSONL corpus parsed into a list of checked PairedSamples."""
+    samples = []
+    seen = set()
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError("line is not valid UTF-8", line=lineno) from None
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(str(exc), line=lineno)
+            if not isinstance(rec, dict):
+                raise ParseError("record is not a JSON object", line=lineno)
+            sample = sample_from_record(rec)
+            if sample.sample_id in seen:
+                raise InvariantViolation("duplicate sample_id", sample.sample_id)
+            seen.add(sample.sample_id)
+            samples.append(sample)
+    return samples
+
+
+def side_ids(pair, side: str) -> tuple:
+    """Item ids of one side's components."""
+    components, tag = ((pair.raw_components, "r") if side == "raw"
+                       else (pair.annotation_components, "a"))
+    return tuple(component_item_id(pair.sample_id, tag, c.content) for c in components)
+
+
+def side_items(pair, side: str) -> tuple:
+    """Items of one side's components: raw keeps the pair's modality, the
+    annotation side is text."""
+    components, modality = ((pair.raw_components, pair.raw_modality) if side == "raw"
+                            else (pair.annotation_components, "text"))
+    return tuple(EmbedItem(item_id, modality, c.content)
+                 for item_id, c in zip(side_ids(pair, side), components))
+
+
+def pair_ids(pair) -> tuple:
+    """Raw, then annotation component item ids of one pair."""
+    return side_ids(pair, "raw") + side_ids(pair, "annotation")
+
+
+def pair_items(pair) -> tuple:
+    """Raw, then annotation component items of one pair."""
+    return side_items(pair, "raw") + side_items(pair, "annotation")
+
 
 # -- single-item paths ---------------------------------------------------------
 
@@ -149,28 +243,28 @@ def item_pair_rows(gating, pairs):
     return stored_rows(gating, [pair_items(p) for p in pairs], GatingExpertFailure)
 
 
-def item_positions(handle, groups, items, failure=None):
+def item_positions(handle, ids, counts, items, failure=None):
     """``ExpertHandle.positions`` along the old routes: every group's items
     built and sent through ``resolve``, or ``stored_rows`` with ``failure``;
     the rows are then looked up by id, -1 for a failed group."""
-    built = [items(k) for k in range(len(groups))]
+    built = [items(k) for k in range(len(counts))]
     errors = {}
     if failure is None:
         resolve(handle, [it for group in built for it in group])
     else:
         _, errors = stored_rows(handle, built, failure)
-    at = handle.store.find([i for group in groups for i in group], handle.expert_id)
-    starts = np.cumsum([0, *map(len, groups)])
+    at = handle.store.find(list(ids), handle.expert_id)
+    starts = np.cumsum([0, *counts])
     for k in errors:
         at[starts[k]:starts[k + 1]] = -1
     return at, errors
 
 
-def item_gather_side_matrix(engine, samples, side, expert_id):
+def item_gather_side_matrix(engine, corpus, side, expert_id):
     """``Engine.side_matrix`` as it was before rows were read by position:
-    every side's items resolved through the handle, gathered as float64
+    every pair's side items resolved through the handle, gathered as float64
     rows, then ``side_vectors``."""
-    groups = [side_items(s, side) for s in samples]
+    groups = [side_items(s, side) for s in corpus]
     gathered = rows(engine.handles[expert_id], [it for group in groups for it in group])
     sides, errors = side_vectors(gathered, np.arange(len(gathered)),
                                  np.array([len(group) for group in groups], dtype=np.intp))
@@ -179,10 +273,10 @@ def item_gather_side_matrix(engine, samples, side, expert_id):
     return sides
 
 
-def item_populate_caches(engine, samples) -> dict:
-    """``Engine.populate_caches`` with every component's item built and
-    resolved through each expert's handle."""
-    items = [it for s in samples for it in pair_items(s)]
+def item_populate_caches(engine, corpus) -> dict:
+    """``Engine.populate_caches`` with every pair's component items built
+    and resolved through each expert's handle."""
+    items = [it for s in corpus for it in pair_items(s)]
     for eid in engine.expert_order:
         resolve(engine.handles[eid], items)
     return {eid: len(items) for eid in engine.expert_order}
@@ -198,8 +292,9 @@ def embedded_each(expert):
 
 
 def emitted_pair(pair, raw, ann):
-    """The pair with the kept components. A trimmed annotation carries the
-    text its corpus record reads back as; an untrimmed one keeps the pair's."""
+    """The pair with the kept components, rebuilt and checked by
+    ``dataclasses.replace``. A trimmed annotation carries the text its corpus
+    record reads back as; an untrimmed one keeps the pair's."""
     emitted = replace(pair, raw_components=tuple(raw), annotation_components=tuple(ann))
     if len(ann) < len(pair.annotation_components):
         emitted = replace(emitted, annotation_text=sample_from_record(

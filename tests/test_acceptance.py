@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from emblend.config import config_from_dict
+from emblend.dataio import Corpus
 from emblend.curation import (FilterConfig, heuristic_filter, sample_stratified,
                               sample_uniform, semantic_dedup)
 from emblend.engine import Engine
@@ -166,7 +167,7 @@ def projection_study():
                      dim=32, semantic_dim=16, gap_magnitude=1.8,
                      noise_sigma=0.02, text_gap=0.08, text_noise=0.14,
                      raw_distractors=0, annotation_extras=0)
-    samples = generate_corpus(spec)
+    samples = Corpus.from_pairs(generate_corpus(spec))
     engine = engine_for(spec)
     mods = [s.raw_modality for s in samples]
     ids = [s.sample_id for s in samples]
@@ -240,7 +241,7 @@ def test_c5_sns_gate_safety_and_monotonicity():
                      noise_sigma=0.02, raw_distractors=2, annotation_extras=1)
     samples = generate_corpus(spec)
     engine = engine_for(spec)
-    tau_alpha, tau_beta = calibrate_taus(samples[:200], engine.gating)
+    tau_alpha, tau_beta = calibrate_taus(Corpus.from_pairs(samples[:200]), engine.gating)
     describe = engine.describe_fn()
     verifier = SyntheticExpert(expert_configs(spec)[0])  # fresh, memo-free
 
@@ -354,15 +355,15 @@ def test_c7_curation_baselines():
                            k_clusters=8, epsilon=0.05, seed=7)
     ok_b = ok_b and kept2 == kept
 
-    samples = [PairedSample(
+    samples = Corpus.from_pairs(PairedSample(
         sample_id=f"s{i:05d}", pool_id=f"pool{i % 5}", raw_modality="text",
         raw_components=[Component(f"r{i}.")],
         annotation_components=[Component(f"a{i}.")])
-        for i in range(10000)]
+        for i in range(10000))
     blend = sample_stratified(samples, 5000, seed=9)
     ok_c = len(blend.per_pool) == 5 and all(v == 1000 for v in blend.per_pool.values())
 
-    small = samples[:10]
+    small = Corpus.from_pairs(samples.pairs[:10])
     counts = {s.sample_id: 0 for s in small}
     for seed in range(1000):
         for sid in sample_uniform(small, 5, seed=seed).sample_ids:

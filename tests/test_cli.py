@@ -647,3 +647,48 @@ def test_damaged_store_of_an_expert_a_command_does_not_read(workspace, tmp_path,
     assert run(["embed"] + base + ["--out", str(tmp_path / "emb")]) == 2
     assert f"{path}: version 1 cache file" in capsys.readouterr().err
     assert path.read_bytes() == data
+
+
+def test_eval_and_curate_build_no_pair(workspace, small_model, tmp_path, monkeypatch):
+    """``eval`` and every ``curate`` strategy read the corpus's columns: no
+    ``PairedSample`` is checked, built or indexed."""
+    from emblend import dataio
+    from emblend.dataio import Corpus, PairedSample
+    calls = []
+    post_init, getitem, checked_pair = (PairedSample.__post_init__, Corpus.__getitem__,
+                                        dataio.checked_pair)
+    monkeypatch.setattr(PairedSample, "__post_init__",
+                        lambda self: calls.append("check") or post_init(self))
+    monkeypatch.setattr(Corpus, "__getitem__",
+                        lambda self, k: calls.append("index") or getitem(self, k))
+    monkeypatch.setattr(dataio, "checked_pair",
+                        lambda **fields: calls.append("build") or checked_pair(**fields))
+    base = ["--config", workspace["config"], "--corpus", workspace["corpus"]]
+    runs = [["eval", "--model", small_model]] + [
+        ["curate", "--strategy", strategy, "--n", "20", "--model", small_model]
+        for strategy in ("eee_projection", "uniform", "stratified", "traditional")]
+    for k, command in enumerate(runs):
+        assert run(command + base + ["--out", str(tmp_path / f"run{k}")]) == 0
+        assert calls == [], command
+    PairedSample("s", "p", "text", [dataio.Component("r.")], [dataio.Component("a.")])
+    assert calls == ["check"]  # the counter counts
+
+
+def test_cold_embed_writes_the_item_order(workspace, tmp_path):
+    """A cold ``embed`` stores each expert's records in the order of a
+    per-pair, raw-then-annotation walk of the corpus's items."""
+    from cachefile import records
+    from reference import ingest_pairs, item_populate_caches
+
+    from emblend.config import config_from_dict, load_config
+    from emblend.engine import Engine
+    config, doc = _cached_config(workspace, tmp_path)
+    assert run(["embed", "--config", config, "--corpus", workspace["corpus"],
+                "--out", str(tmp_path / "emb")]) == 0
+    want = config_from_dict(dict(load_config(config).to_dict(),
+                                 cache_dir=str(tmp_path / "ref")))
+    item_populate_caches(Engine(want), ingest_pairs(workspace["corpus"]))
+    for expert in doc["experts"]:
+        name = f"{expert['expert_id']}.eec"
+        got = records(tmp_path / "cache" / name, expert["dim"])
+        assert got == records(tmp_path / "ref" / name, expert["dim"]) and len(got) > 120

@@ -9,12 +9,12 @@ import pytest
 import yaml
 
 from cachefile import records
-from reference import item_gather_side_matrix, item_populate_caches
+from reference import item_gather_side_matrix, item_populate_caches, pair_ids, side_items
 from emblend.cache import EmbeddingCache
 from emblend.cli import run
 from emblend.config import (build_expert, config_from_dict, load_config,
                             save_config, with_overrides)
-from emblend.dataio import side_items
+from emblend.dataio import Corpus
 from emblend.engine import Engine
 from emblend.errors import ConfigError
 from emblend.experts import PayloadDescriber, SyntheticExpert
@@ -128,7 +128,7 @@ def setup():
          "noise_sigma": c.noise_sigma, "seed": c.seed}
         for c in expert_configs(spec)],
         "gating_expert": "e2e", "anchor_expert": "text"}
-    return config_from_dict(doc), samples
+    return config_from_dict(doc), Corpus.from_pairs(samples)
 
 
 class TestEngine:
@@ -235,7 +235,7 @@ def test_half_warm_cache_embeds_only_misses_in_order(setup, tmp_path, monkeypatc
     """A grown corpus embeds only its new items, appended in the order of a
     per-sample, raw-then-annotation walk over the grown corpus."""
     config, samples = setup
-    first, grown = samples[::2], samples
+    first, grown = Corpus.from_pairs(samples.pairs[::2]), samples
     config = config_from_dict(dict(config.to_dict(), cache_dir=str(tmp_path / "batch")))
     Engine(config).populate_caches(first)
 
@@ -245,7 +245,7 @@ def test_half_warm_cache_embeds_only_misses_in_order(setup, tmp_path, monkeypatc
                         lambda self, items: calls.extend(it.item_id for it in items)
                         or original(self, items))
     Engine(config).populate_caches(grown)
-    new = {it.item_id for s in grown[1::2] for side in ("raw", "annotation")
+    new = {it.item_id for s in grown.pairs[1::2] for side in ("raw", "annotation")
            for it in side_items(s, side)}
     assert sorted(calls) == sorted(list(new) * len(config.experts))
     monkeypatch.setattr(SyntheticExpert, "embed_batch", original)
@@ -368,8 +368,9 @@ def test_side_matrix_equals_the_item_gather(setup, tmp_path, monkeypatch, store)
     ``populate_caches`` of a corpus the store lacks, against the items it
     resolved before, likewise."""
     config, samples = setup
-    fresh = generate_corpus(SynthSpec(seed=4, pools=2, samples_per_pool=10, clusters=3,
-                                      dim=16, semantic_dim=8, modalities=("image", "text")))
+    fresh = Corpus.from_pairs(generate_corpus(SynthSpec(
+        seed=4, pools=2, samples_per_pool=10, clusters=3, dim=16, semantic_dim=8,
+        modalities=("image", "text"))))
     original = SyntheticExpert.embed_batch
     results = []
     for name, build, populate in (("positions", Engine.side_matrix, Engine.populate_caches),
@@ -377,7 +378,7 @@ def test_side_matrix_equals_the_item_gather(setup, tmp_path, monkeypatch, store)
         cache_dir = None if store == "memory" else tmp_path / name
         cfg = config_from_dict(dict(config.to_dict(), cache_dir=cache_dir and str(cache_dir)))
         if store == "half-warm file":
-            Engine(cfg).populate_caches(samples[::3])
+            Engine(cfg).populate_caches(Corpus.from_pairs(samples.pairs[::3]))
         engine = Engine(cfg)
         calls = []
         monkeypatch.setattr(SyntheticExpert, "embed_batch", lambda self, items: calls.append(
@@ -397,19 +398,26 @@ def test_side_matrix_equals_the_item_gather(setup, tmp_path, monkeypatch, store)
     assert got_files == want_files
 
 
-def test_side_matrix_builds_no_items_on_a_warm_store(setup, tmp_path):
+def test_side_matrix_builds_no_items_on_a_warm_store(setup, tmp_path, monkeypatch):
+    """A warm store builds no item and no pair of the corpus; the corpus
+    hashes its item ids once, in the per-pair order."""
     config, samples = setup
     config = config_from_dict(dict(config.to_dict(), cache_dir=str(tmp_path / "c")))
     Engine(config).populate_caches(samples)
-    fresh = generate_corpus(SynthSpec(seed=2, pools=2, samples_per_pool=10, clusters=3,
+    pairs = generate_corpus(SynthSpec(seed=2, pools=2, samples_per_pool=10, clusters=3,
                                       dim=16, semantic_dim=8, modalities=("image", "text")))
+    fresh = Corpus.from_pairs(pairs)
+    fresh.pairs = [None] * len(pairs)  # indexing would build a pair
+    built, items = [], Corpus.items
+    monkeypatch.setattr(Corpus, "items", lambda self, k, side=None:
+                        built.append(k) or items(self, k, side))
     engine = Engine(config)
     for eid in engine.expert_order:
         for side in ("raw", "annotation"):
             assert np.array_equal(engine.side_matrix(fresh, side, eid),
                                   item_gather_side_matrix(engine, samples, side, eid))
-    assert not any("raw_items" in vars(s) or "annotation_items" in vars(s) for s in fresh)
-    assert all("raw_ids" in vars(s) and "annotation_ids" in vars(s) for s in fresh)
+    assert built == [] and fresh.pairs == [None] * len(pairs)
+    assert vars(fresh)["item_ids"] == [i for p in pairs for i in pair_ids(p)]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -5,11 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from emblend.curation import (Blend, FilterConfig, FilterReport, blend_stats, curate_topn,
-                              heuristic_filter, kmeans, pca_2d,
+from emblend.curation import (Blend, FilterConfig, FilterReport, blend_stats, char_counts,
+                              curate_topn, heuristic_filter, kmeans, pca_2d,
                               sample_stratified, sample_uniform, semantic_dedup,
                               stratified_quotas, traditional_pipeline)
-from emblend.dataio import Component, PairedSample
+from emblend.dataio import Component, Corpus, PairedSample
 from emblend.errors import (EmptyPool, KTooLarge, NTooLarge, PoolTooSmall,
                             UnknownId)
 from emblend.kernels import kmeans_assign
@@ -25,7 +25,7 @@ def make_samples(n, pools=1, modality="text"):
             raw_modality=modality,
             raw_components=[Component(f"raw {i}.")],
             annotation_components=[Component(f"annotation {i}.")]))
-    return out
+    return Corpus.from_pairs(out)
 
 
 def unit_rows(n, d, gen=None):
@@ -138,12 +138,12 @@ class TestCurateTopN:
         query = unit_rows(1, 4)[0]
         blend = curate_topn(query, samples, fused, 5)
         perm = rng.permutation(20)
-        blend2 = curate_topn(query, [samples[i] for i in perm], fused[perm], 5)
+        blend2 = curate_topn(query, Corpus.from_pairs(samples[i] for i in perm), fused[perm], 5)
         assert blend.sample_ids == blend2.sample_ids
 
     def test_empty_pool(self):
         with pytest.raises(EmptyPool):
-            curate_topn(np.ones(2), [], np.zeros((0, 2)), 1)
+            curate_topn(np.ones(2), Corpus.from_pairs([]), np.zeros((0, 2)), 1)
 
 
 class TestSampleUniform:
@@ -200,13 +200,13 @@ class TestSampleStratified:
 
     def test_pool_too_small(self):
         # pools sized {3, 1}; quotas for n=4 are 2+2, the small pool cannot fill
-        samples = make_samples(4, pools=1)
+        samples = make_samples(4, pools=1).pairs
         samples[-1] = PairedSample(
             sample_id="tiny", pool_id="poolX", raw_modality="text",
             raw_components=[Component("r.")],
             annotation_components=[Component("a.")])
         with pytest.raises(PoolTooSmall):
-            sample_stratified(samples, 4, seed=0)
+            sample_stratified(Corpus.from_pairs(samples), 4, seed=0)
 
     def test_deterministic(self):
         samples = make_samples(40, pools=4)
@@ -254,6 +254,19 @@ class TestHeuristicFilter:
                 "failed_rules": list(report.failed_rules), "measured": dict(report.measured)}
         assert json.dumps(report.to_dict()) == json.dumps(want)
         assert json.dumps(report.to_dict()) == json.dumps(dataclasses.asdict(report))
+
+    def test_char_counts_equal_the_per_character_count_for_every_code_point(self):
+        chars = [chr(c) for c in range(sys.maxunicode + 1)]  # lone surrogates too
+        assert list(map(char_counts, chars)) == \
+            [(int(not c.isspace()), int(c.isalnum())) for c in chars]
+
+    def test_char_counts_of_corpus_texts(self):
+        from emblend.synth import SynthSpec, generate_corpus
+        pairs = generate_corpus(SynthSpec(seed=5, pools=4, samples_per_pool=40))
+        texts = [text for p in pairs for text in (p.annotation_text, p.raw_components[0].content)]
+        for text in texts + UNICODE_TEXTS + ["".join(map(chr, range(128)))]:
+            assert char_counts(text) == (sum(not c.isspace() for c in text),
+                                         sum(c.isalnum() for c in text))
 
     @pytest.mark.parametrize("text", UNICODE_TEXTS)
     def test_ratio_equals_the_per_character_count(self, text):
@@ -356,7 +369,7 @@ class TestTraditionalPipeline:
                 raw_modality="text",
                 raw_components=[Component(f"raw {i}.")],
                 annotation_components=[Component(t)]))
-        return out
+        return Corpus.from_pairs(out)
 
     def test_all_filtered_yields_empty_with_warning(self):
         samples = self.annotations(["!!!", "@@@", "###"])
@@ -396,24 +409,23 @@ class TestTraditionalPipeline:
 class TestBlendStats:
     def test_single_pool_fraction(self):
         samples = make_samples(6)
-        by_id = {s.sample_id: s for s in samples}
-        blend = Blend("uniform", [s.sample_id for s in samples[:4]], [None] * 4, 4,
+        blend = Blend("uniform", samples.sample_ids[:4], [None] * 4, 4,
                       per_pool={"pool0": 4}, per_modality={"text": 4})
-        stats, coords = blend_stats(blend, by_id)
+        stats, coords = blend_stats(blend, samples)
         assert stats["per_pool"]["pool0"]["fraction"] == 1.0
         assert coords is None
 
     def test_stratified_fractions(self):
         samples = make_samples(100, pools=5)
         blend = sample_stratified(samples, 50, seed=0)
-        stats, _ = blend_stats(blend, {s.sample_id: s for s in samples})
+        stats, _ = blend_stats(blend, samples)
         for p in stats["per_pool"].values():
             assert p["fraction"] == pytest.approx(0.2)
 
     def test_unknown_id(self):
         blend = Blend("uniform", ["ghost"], [None], 1)
         with pytest.raises(UnknownId):
-            blend_stats(blend, {})
+            blend_stats(blend, Corpus.from_pairs([]))
 
     def test_pca_recovers_planar_geometry(self):
         gen = np.random.default_rng(14)

@@ -1,8 +1,9 @@
 import json
 
 import pytest
+from reference import ingest_pairs, pair_ids
 
-from emblend.dataio import ingest, sample_to_record, write_corpus
+from emblend.dataio import Corpus, ingest, sample_to_record, write_corpus
 from emblend.errors import InvariantViolation, ParseError
 
 
@@ -137,3 +138,108 @@ def test_byte_sizes_sum(tmp_path):
     sample = ingest(path)[0]
     assert sample.raw_bytes == sum(len(c.content.encode()) for c in sample.raw_components)
     assert sample.annotation_bytes == len("Delta.".encode())
+
+
+# -- the column parse against the pair-by-pair oracle ---------------------------
+
+WELL_FORMED = {
+    "string raw sides": [
+        {"sample_id": "t", "pool_id": "p0", "modality": "text",
+         "raw": "  One sentence.  Two!\tThree? tail", "annotation": "A cap.  Another one."},
+        {"sample_id": "i", "pool_id": "p1", "modality": "image", "raw": "imagedata. Not split.",
+         "annotation": "Caption."}],
+    "list raw sides": [
+        {"sample_id": "v", "modality": "video", "raw": ["clip one", "clip two", 3],
+         "annotation": "A clip."},
+        {"sample_id": "t", "modality": "text", "components": ["First.", "Second."],
+         "annotation": "Two sentences."}],
+    "list annotations": [
+        {"sample_id": "a", "modality": "audio", "raw": "rain",
+         "annotation": ["Rain falls.", "On a roof.", 7]},
+        {"sample_id": "t", "modality": "text", "raw": "A. B.", "annotation": ["Only one."]}],
+    "presegmented": [
+        {"sample_id": "s", "modality": "text", "components": "One. Two.", "annotation": "A."},
+        {"sample_id": "l", "modality": "text", "raw": ["One. Two."], "annotation": "B."},
+        {"sample_id": "r", "modality": "text", "raw": "One. Two.", "annotation": "C."}],
+    "media_ref": [
+        {"sample_id": "m", "modality": "image", "components": ["x"], "annotation": ["A."],
+         "media_ref": "/data/m.png"},
+        {"sample_id": "n", "modality": "image", "raw": "y", "annotation": "B.",
+         "media_ref": None}],
+    "non-string values and multi-byte text": [
+        {"sample_id": 12, "pool_id": 3, "modality": "text",
+         "raw": "Caf\u00e9 cr\u00e8me. \u6f22\u5b57!", "annotation": "\U0001f600 ok."}],
+}
+
+BLANK_LINES = "\n  \n\t\n"
+
+
+def write_case(path, records, blanks=""):
+    path.write_text(blanks + blanks.join(json.dumps(r) + "\n" for r in records) + blanks,
+                    encoding="utf-8")
+
+
+@pytest.mark.parametrize("blanks", ["", BLANK_LINES])
+@pytest.mark.parametrize("case", list(WELL_FORMED))
+def test_corpus_equals_the_pair_by_pair_ingest(case, blanks, tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_case(path, WELL_FORMED[case], blanks)
+    corpus, want = ingest(path), ingest_pairs(path)
+    assert isinstance(corpus, Corpus) and len(corpus) == len(want)
+    assert corpus.item_ids == [i for p in want for i in pair_ids(p)]
+    for got, pair in zip(corpus, want):
+        assert got.raw_components == pair.raw_components
+        assert got.annotation_components == pair.annotation_components
+        assert (got.annotation_text, got.presegmented) == \
+            (pair.annotation_text, pair.presegmented)
+        assert got == pair
+    comps = [c for p in want for c in p.raw_components + p.annotation_components]
+    assert corpus.contents == [c.content for c in comps]
+    assert corpus.byte_sizes == [c.byte_size for c in comps]
+    assert Corpus.from_pairs(want).item_ids == corpus.item_ids
+    if case == "presegmented":  # ``components`` or a raw list
+        assert [p.presegmented for p in corpus] == [True, True, False]
+
+
+GOOD = {"sample_id": "ok", "modality": "text", "raw": "r.", "annotation": "a."}
+
+MALFORMED = {
+    "missing annotation": [{"sample_id": "broken", "modality": "text", "raw": "x."}],
+    "missing annotation, numeric id": [{"sample_id": 7, "modality": "text", "raw": "x."}],
+    "no raw side": [{"sample_id": "n", "modality": "text", "annotation": "a."}],
+    "missing sample_id": [GOOD, {"modality": "text", "raw": "x.", "annotation": "a."}],
+    "empty sample_id": [{"sample_id": "", "modality": "text", "raw": "x.", "annotation": "a."}],
+    "empty side": [{"sample_id": "e", "modality": "text", "raw": "", "annotation": "fine."}],
+    "blank annotation": [{"sample_id": "b", "modality": "image", "raw": "x",
+                          "annotation": "  \t "}],
+    "empty component": [{"sample_id": "z", "modality": "video", "raw": ["clip", ""],
+                         "annotation": "a."}],
+    "unknown modality": [{"sample_id": "u", "modality": "smell", "raw": "", "annotation": ""}],
+    "no modality": [{"sample_id": "u", "raw": "x", "annotation": "a."}],
+    "duplicate ids": [GOOD, GOOD],
+    "duplicate ids, numeric": [dict(GOOD, sample_id="5"), dict(GOOD, sample_id=5)],
+    "not an object": [GOOD, ["a", "list"]],
+    "lone surrogate": [{"sample_id": "s", "modality": "text", "raw": ["ok", "\ud800"],
+                        "annotation": "a."}],
+}
+
+
+def _raised(parse, path):
+    with pytest.raises(Exception) as err:
+        parse(path)
+    exc = err.value
+    return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "sample_id", None)
+
+
+@pytest.mark.parametrize("case", list(MALFORMED) + ["bad json", "not UTF-8"])
+def test_malformed_input_raises_what_the_pair_by_pair_ingest_raises(case, tmp_path):
+    path = tmp_path / "c.jsonl"
+    if case == "bad json":
+        path.write_text(json.dumps(GOOD) + "\n\n{bad json\n")
+    elif case == "not UTF-8":
+        path.write_bytes(json.dumps(GOOD).encode() + b"\n" + b'{"sample_id": "\xff"}\n')
+    else:
+        write_case(path, MALFORMED[case], BLANK_LINES)
+    got = _raised(ingest, path)
+    assert got == _raised(ingest_pairs, path)
+    assert got[0] in (ParseError, InvariantViolation, UnicodeEncodeError)

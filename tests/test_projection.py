@@ -433,13 +433,14 @@ class TestTrain:
 def test_depth_three_not_worse_than_depth_one():
     # seed-averaged mean R@1, depth 3 vs depth 1, on the gapped benchmark
     from emblend.config import config_from_dict
+    from emblend.dataio import Corpus
     from emblend.engine import Engine
     from emblend.retrieval import RetrievalIndex, recall_at_k
     from emblend.synth import SynthSpec, expert_configs, generate_corpus
 
     spec = SynthSpec(seed=4, pools=4, samples_per_pool=60, clusters=6,
                      raw_distractors=0, annotation_extras=0)
-    samples = generate_corpus(spec)
+    samples = Corpus.from_pairs(generate_corpus(spec))
     doc = {"experts": [
         {"expert_id": c.expert_id, "kind": "synthetic", "dim": c.dim,
          "semantic_dim": c.semantic_dim, "gap_magnitude": c.gap_magnitude,

@@ -11,9 +11,11 @@ import pytest
 import yaml
 
 from cachefile import records
+from reference import side_items
+
 from emblend.cache import EmbeddingCache
 from emblend.cli import run
-from emblend.dataio import Component, PairedSample, ingest, side_items
+from emblend.dataio import Component, PairedSample, ingest
 from emblend.engine import SLICE_BATCHES
 from emblend.errors import DescriberFailure, RemoteFailure
 from emblend.experts import EmbedItem

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from cachefile import records
-from reference import (TableDescriber, embedded_each, item_pair_rows, item_positions,
-                       reference_sns, resolve, rows, stored_rows)
+from reference import (TableDescriber, embedded_each, emitted_pair, item_pair_rows,
+                       item_positions, pair_ids, pair_items, reference_sns, resolve, rows,
+                       sample_from_record, side_ids, side_items, stored_rows)
 from emblend import sns as sns_module
-from emblend.dataio import (Component, PairedSample, component_item_id, pair_ids,
-                            pair_items, sample_from_record, sample_to_record, segment_text,
-                            side_ids, side_items)
+from emblend.dataio import (Component, Corpus, PairedSample, component_item_id, sample_to_record,
+                            segment_text)
 from emblend.engine import ExpertHandle
 from emblend.errors import (DescriberFailure, EmblendError, GatingExpertFailure,
                             UnsupportedModality, ZeroSize, ZeroVector)
@@ -261,7 +261,7 @@ def test_calibrate_taus_lands_between_bands():
     gate = gating_expert(noise=0.01)
     pairs = [vec_pair(sample_id=f"s{i}", relevant=1, irrelevant=1,
                       ann_off=1, seed=100 + i)[0] for i in range(30)]
-    tau_alpha, tau_beta = calibrate_taus(pairs, gate)
+    tau_alpha, tau_beta = calibrate_taus(Corpus.from_pairs(pairs), gate)
     sims = []
     for p in pairs:
         raw_vecs = [gate.expert.embed(it).values for it in side_items(p, "raw")]
@@ -328,7 +328,7 @@ def test_run_sns_matches_apply_sns(direction, describer):
     describe = PayloadDescriber(8) if describer else None
     expected = [reference_sns(p, cfg, embedded_each(gating_expert(noise=0.01).expert), describe)
                 for p in pairs]
-    got = run_sns(pairs, cfg, gating_expert(noise=0.01), describe)
+    got = run_sns(Corpus.from_pairs(pairs), cfg, gating_expert(noise=0.01), describe)
     assert_matches_reference(got, expected)
     assert_matches_reference([apply_sns(p, cfg, gating_expert(noise=0.01), describe)
                               for p in pairs], expected)
@@ -342,7 +342,7 @@ def test_run_sns_gating_modality_errors_stay_per_pair():
     text_audio = SyntheticExpert(cfg, modalities=("text", "audio"))
     pairs = _mixed_pairs()
     sns_cfg = SnsConfig(direction="bidirectional", tau_alpha=0.5, tau_beta=0.5, rho=0.9)
-    got = run_sns(pairs, sns_cfg, _handle(text_audio), PayloadDescriber(8))
+    got = run_sns(Corpus.from_pairs(pairs), sns_cfg, _handle(text_audio), PayloadDescriber(8))
     assert_matches_reference(
         got, [reference_sns(p, sns_cfg, embedded_each(text_audio), PayloadDescriber(8))
               for p in pairs])
@@ -369,7 +369,7 @@ def test_calibrate_taus_through_a_handle_embeds_in_batches():
 
     gate.embed = counted("embed", embed)
     gate.embed_batch = counted("embed_batch", embed_batch)
-    assert calibrate_taus(pairs, handle) == expected
+    assert calibrate_taus(Corpus.from_pairs(pairs), handle) == expected
     assert calls == {"embed": 0, "embed_batch": 1}
 
 
@@ -381,7 +381,7 @@ def test_non_finite_component_fails_its_pair_only():
     pairs[3] = replace(bad, raw_components=(
         Component(encode_payload(np.full(8, np.nan))),) + bad.raw_components[1:])
     cfg = SnsConfig(direction="bidirectional", tau_alpha=0.5, tau_beta=0.5, rho=0.9)
-    got = run_sns(pairs, cfg, gating_expert(noise=0.01), PayloadDescriber(8))
+    got = run_sns(Corpus.from_pairs(pairs), cfg, gating_expert(noise=0.01), PayloadDescriber(8))
     assert_matches_reference(
         got, [reference_sns(p, cfg, embedded_each(gating_expert(noise=0.01).expert),
                             PayloadDescriber(8)) for p in pairs])
@@ -398,8 +398,8 @@ def test_trimmed_pairs_carry_the_annotation_text_their_record_reads_back_as():
              for p in _mixed_pairs()]
     cfg = SnsConfig(direction="bidirectional", tau_alpha=0.5, tau_beta=0.5, rho=0.9)
     trimmed = kept = 0
-    for pair, (out, _) in zip(pairs, run_sns(pairs, cfg, gating_expert(noise=0.01),
-                                             PayloadDescriber(8))):
+    for pair, (out, _) in zip(pairs, run_sns(Corpus.from_pairs(pairs), cfg,
+                                             gating_expert(noise=0.01), PayloadDescriber(8))):
         if out.annotation_components != pair.annotation_components:
             trimmed += 1
             assert out.annotation_text == sample_from_record(
@@ -409,6 +409,38 @@ def test_trimmed_pairs_carry_the_annotation_text_their_record_reads_back_as():
             kept += len(pair.annotation_components) > 1
             assert out.annotation_text == pair.annotation_text
     assert trimmed > 0 and kept > 0
+
+
+def test_emitted_pairs_equal_the_replace_oracle():
+    """Every pair SNS emits from a 4x40 synth corpus equals, field by field,
+    the pair ``dataclasses.replace`` rebuilds and checks from its input with
+    the kept components. Its annotation text is the input's while every
+    sentence is kept (half the inputs carry a text of their own), else the
+    kept sentences joined by newlines."""
+    from emblend.synth import SynthSpec, generate_corpus
+    spec = SynthSpec(seed=8, pools=4, samples_per_pool=40, dim=16, semantic_dim=8,
+                     raw_distractors=2, annotation_extras=1)
+    pairs = [replace(p, annotation_text=" ".join(c.content for c in p.annotation_components))
+             if k % 2 else p for k, p in enumerate(generate_corpus(spec))]
+    cfg = SnsConfig(direction="bidirectional", tau_alpha=0.3, tau_beta=0.3, rho=1.05)
+    seen = {"passed": 0, "raw trimmed": 0, "annotation trimmed": 0, "own text kept": 0}
+    for pair, (out, rec) in zip(pairs, run_sns(Corpus.from_pairs(pairs), cfg,
+                                               gating_expert(noise=0.01), PayloadDescriber(8))):
+        if not rec.accepted:
+            assert out is pair
+            seen["passed"] += 1
+            continue
+        want = emitted_pair(pair, out.raw_components, out.annotation_components)
+        assert type(out) is PairedSample and vars(out) == vars(want)
+        seen["raw trimmed"] += len(out.raw_components) < len(pair.raw_components)
+        if len(out.annotation_components) < len(pair.annotation_components):
+            seen["annotation trimmed"] += 1
+            assert out.annotation_text == "\n".join(c.content for c in out.annotation_components)
+        else:
+            assert out.annotation_text == pair.annotation_text
+            seen["own text kept"] += pair.annotation_text != "\n".join(
+                c.content for c in pair.annotation_components)
+    assert min(seen.values()) > 0, seen
 
 
 class _PartlyFailingDescriber(PayloadDescriber):
@@ -463,7 +495,8 @@ def test_run_sns_equals_per_pair_oracle(direction, reinject, rho):
     cfg = SnsConfig(direction=direction, tau_alpha=tau, tau_beta=dict(tau), rho=rho,
                     reinject=reinject)
     for noise in (0.0, 0.01):
-        got = run_sns(pairs, cfg, gating_expert(noise=noise), _PartlyFailingDescriber(8))
+        got = run_sns(Corpus.from_pairs(pairs), cfg, gating_expert(noise=noise),
+                      _PartlyFailingDescriber(8))
         read = partial(rows, gating_expert(noise=noise))
         want = [reference_sns(p, cfg, read, _PartlyFailingDescriber(8)) for p in pairs]
         assert [out for out, _ in got] == [out for out, _ in want]
@@ -513,7 +546,7 @@ def test_describe_is_one_batch_and_a_failed_batch_is_retried_pair_by_pair(direct
     assert media == [f"s{k}" for k in range(12)] and len(media) < len(pairs)
     cfg = SnsConfig(direction=direction, tau_alpha=0.5, tau_beta=0.5, rho=0.9)
     describer = _CountingDescriber(8)
-    want = run_sns(pairs, cfg, gating_expert(noise=0.01), describer)
+    want = run_sns(Corpus.from_pairs(pairs), cfg, gating_expert(noise=0.01), describer)
     assert describer.batches == [media]
     assert not any(rec.error for _, rec in want)
     s3_calls = [media, media[:6], media[:3], media[3:6], ["s3"], ["s4", "s5"]]
@@ -524,7 +557,7 @@ def test_describe_is_one_batch_and_a_failed_batch_is_retried_pair_by_pair(direct
         (set(media), None),
     ]:
         describer = _CountingDescriber(8, refuse=refuse)
-        got = run_sns(pairs, cfg, gating_expert(noise=0.01), describer)
+        got = run_sns(Corpus.from_pairs(pairs), cfg, gating_expert(noise=0.01), describer)
         if batches is None:
             assert len(describer.batches) == 2 * len(media) - 1
             assert [b for b in describer.batches if len(b) == 1] == [[k] for k in media]
@@ -551,9 +584,9 @@ def test_calibrate_taus_raises_the_first_failing_pair():
     cancel = next(p for p in pairs if p.sample_id == "cancel")
     unreadable = pairs[5]
     with pytest.raises(ZeroVector, match="norm 0.0"):
-        calibrate_taus([pairs[0], cancel, unreadable], gating_expert())
+        calibrate_taus(Corpus.from_pairs([pairs[0], cancel, unreadable]), gating_expert())
     with pytest.raises(GatingExpertFailure, match="norm nan"):
-        calibrate_taus([pairs[0], unreadable, cancel], gating_expert())
+        calibrate_taus(Corpus.from_pairs([pairs[0], unreadable, cancel]), gating_expert())
 
 
 def per_call_side_items(pair, side):
@@ -568,31 +601,39 @@ def per_call_side_items(pair, side):
 
 
 def test_side_items_equal_the_per_call_builder():
+    """A corpus's items and item ids, of the input pairs and of the emitted
+    ones, equal the per-call builder's; the ids are hashed once."""
     from emblend.synth import SynthSpec, generate_corpus
     spec = SynthSpec(seed=3, pools=4, samples_per_pool=12, dim=16, semantic_dim=8,
                      raw_distractors=2, annotation_extras=1)
     pairs = generate_corpus(spec)
     cfg = SnsConfig(direction="bidirectional", tau_alpha=0.3, tau_beta=0.3, rho=0.5)
-    trimmed = [emitted for emitted, _ in run_sns(pairs, cfg, gating_expert(noise=0.01),
-                                                 PayloadDescriber(8))]
+    trimmed = [emitted for emitted, _ in run_sns(Corpus.from_pairs(pairs), cfg,
+                                                 gating_expert(noise=0.01), PayloadDescriber(8))]
     assert sum(t is not p for t, p in zip(trimmed, pairs)) > 0  # some variants were emitted
     assert any(len(p.raw_components) > 2 for p in pairs)  # distractors
     assert any(len(p.annotation_components) > 1 for p in pairs)  # extras
-    for pair in pairs + trimmed:
-        for side in ("raw", "annotation"):
-            want = tuple(per_call_side_items(pair, side))
-            assert side_items(pair, side) == want
-            assert side_items(pair, side) is side_items(pair, side)  # computed once
-            assert side_ids(pair, side) == tuple(it.item_id for it in want)
-            assert side_ids(pair, side) is side_ids(pair, side)
-        assert pair_items(pair) == tuple(per_call_side_items(pair, "raw")
-                                         + per_call_side_items(pair, "annotation"))
-    # a variant's items are its own, and keep the ids of the components it kept
+    for corpus in (Corpus.from_pairs(pairs), Corpus.from_pairs(trimmed)):
+        assert corpus.item_ids is corpus.item_ids  # computed once
+        for k, pair in enumerate(corpus):
+            lo, hi = corpus.starts[k:k + 2].tolist()
+            for side in ("raw", "annotation"):
+                want = per_call_side_items(pair, side)
+                assert corpus.items(k, side) == want
+                assert side_items(pair, side) == tuple(want)
+                assert side_ids(pair, side) == tuple(it.item_id for it in want)
+            assert corpus.items(k) == per_call_side_items(pair, "raw") + \
+                per_call_side_items(pair, "annotation")
+            assert corpus.item_ids[lo:hi] == [it.item_id for it in corpus.items(k)]
+    # a variant's items keep the ids of the components it kept, which are the
+    # pair's own component objects
     for pair, variant in zip(pairs, trimmed):
         if variant is not pair:
-            kept = {it.item_id for it in variant.raw_items + variant.annotation_items}
-            assert kept <= {it.item_id for it in pair.raw_items + pair.annotation_items}
-            assert variant.raw_items is not pair.raw_items
+            kept = set(pair_ids(variant))
+            assert kept <= set(pair_ids(pair))
+            comps = pair.raw_components + pair.annotation_components
+            assert all(any(c is d for d in comps)
+                       for c in variant.raw_components + variant.annotation_components)
 
 
 # -- the rows SNS read before every read went through ExpertHandle.positions --
@@ -631,7 +672,7 @@ def _prepared_handle(case, path):
     warm = stored(make_pairs())
     if warm:
         resolve(handle, [it for p in warm for it in pair_items(p)])
-    return handle, make_pairs()
+    return handle, Corpus.from_pairs(make_pairs())
 
 
 class _DescriptionFailingDescriber(PayloadDescriber):
@@ -707,8 +748,8 @@ def test_a_group_that_fails_in_a_batch_reads_minus_one(tmp_path):
         expert.batch_size = 1
         handles[name] = ExpertHandle(expert, tmp_path / f"{name}.eec")
     handle = handles["positions"]
-    at, errors = handle.positions([[it.item_id for it in g] for g in groups],
-                                  lambda k: groups[k], GatingExpertFailure)
+    ids, counts = [it.item_id for g in groups for it in g], [len(g) for g in groups]
+    at, errors = handle.positions(ids, counts, lambda k: groups[k], GatingExpertFailure)
     want_rows, want_errors = stored_rows(handles["stored_rows"], groups, GatingExpertFailure)
     assert _errors(errors) == _errors(want_errors)
     assert list(errors) == [1] and "does not support 'image'" in str(errors[1])
@@ -717,8 +758,7 @@ def test_a_group_that_fails_in_a_batch_reads_minus_one(tmp_path):
     assert np.array_equal(handle.store.matrix[at[at >= 0]], want_rows)
     assert (tmp_path / "positions.eec").read_bytes() == (tmp_path / "stored_rows.eec").read_bytes()
     with pytest.raises(UnsupportedModality):
-        ExpertHandle(_text_audio_gate(), None).positions(
-            [[it.item_id for it in g] for g in groups], lambda k: groups[k])
+        ExpertHandle(_text_audio_gate(), None).positions(ids, counts, lambda k: groups[k])
 
 
 def test_positions_builds_the_items_of_a_group_with_a_miss_once(tmp_path):
@@ -727,7 +767,8 @@ def test_positions_builds_the_items_of_a_group_with_a_miss_once(tmp_path):
     ``item_positions``'. A failed batch is retried group by group, which
     builds each group's items once more."""
     pairs = _mixed_pairs()
-    groups = [pair_ids(p) for p in pairs]
+    ids = [i for p in pairs for i in pair_ids(p)]
+    counts = [len(pair_ids(p)) for p in pairs]
     calls = []
 
     def items(k):
@@ -738,21 +779,25 @@ def test_positions_builds_the_items_of_a_group_with_a_miss_once(tmp_path):
     for name in ("positions", "item_positions"):
         handles[name] = ExpertHandle(gating_expert(noise=0.01).expert, tmp_path / f"{name}.eec")
         resolve(handles[name], [it for p in pairs[::2] for it in pair_items(p)])
-    at, errors = handles["positions"].positions(groups, items)
+    at, errors = handles["positions"].positions(ids, counts, items)
     assert calls == list(range(1, len(pairs), 2)) and errors == {}
-    want, _ = item_positions(handles["item_positions"], groups, lambda k: pair_items(pairs[k]))
+    want, _ = item_positions(handles["item_positions"], ids, counts,
+                             lambda k: pair_items(pairs[k]))
     assert np.array_equal(at, want)
     assert (tmp_path / "positions.eec").read_bytes() == \
         (tmp_path / "item_positions.eec").read_bytes()
     calls.clear()
-    _, errors = ExpertHandle(_text_audio_gate(), None).positions(groups, items,
+    _, errors = ExpertHandle(_text_audio_gate(), None).positions(ids, counts, items,
                                                                  GatingExpertFailure)
     assert set(errors) == {k for k, p in enumerate(pairs) if p.raw_modality == "image"}
     assert calls == list(range(len(pairs))) * 2
 
 
-def test_warm_store_rows_build_no_items_and_embed_nothing(tmp_path):
+def test_warm_store_rows_build_no_items_and_embed_nothing(tmp_path, monkeypatch):
     handle, pairs = _prepared_handle("warm", tmp_path / "gate.eec")
+    built, items = [], Corpus.items
+    monkeypatch.setattr(Corpus, "items", lambda self, k, side=None:
+                        built.append(k) or items(self, k, side))
     calls = []
     embed_batch = handle.expert.embed_batch
     handle.expert.embed_batch = lambda items: calls.append(items) or embed_batch(items)
@@ -762,4 +807,4 @@ def test_warm_store_rows_build_no_items_and_embed_nothing(tmp_path):
     cfg = SnsConfig(direction="forward", tau_alpha=0.5, tau_beta=0.5, rho=0.9)
     run_sns(pairs, cfg, handle)
     assert calls == []
-    assert not any("raw_items" in vars(p) or "annotation_items" in vars(p) for p in pairs)
+    assert built == []
