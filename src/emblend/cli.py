@@ -170,12 +170,14 @@ def cmd_sns(args) -> int:
     write_corpus(os.path.join(out, "trimmed.jsonl"), emitted)
     write_nucleus_log(os.path.join(out, "nucleus_log.jsonl"), records)
     accepted = sum(1 for r in records if r.accepted)
+    errors = sum(1 for r in records if r.error is not None)
     bytes_before = sum(r.size_before[0] + r.size_before[1] for r in records)
     bytes_after = sum(r.size_after[0] + r.size_after[1] for r in records)
     summary = {
         "samples": len(records),
         "accepted": accepted,
         "acceptance_rate": accepted / len(records) if records else 0.0,
+        "errors": errors,
         "bytes_before": bytes_before,
         "bytes_after": bytes_after,
         "direction": config.sns.direction,
@@ -184,7 +186,8 @@ def cmd_sns(args) -> int:
     write_json(os.path.join(out, "sns_summary.json"), summary)
     write_manifest(out, args, config)
     print(f"accepted {accepted}/{len(records)} nucleus variants "
-          f"({summary['acceptance_rate']:.3f}); bytes {bytes_before} -> {bytes_after}")
+          f"({summary['acceptance_rate']:.3f}); errors {errors}; "
+          f"bytes {bytes_before} -> {bytes_after}")
     return 0
 
 

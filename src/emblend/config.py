@@ -49,6 +49,14 @@ class RemoteSettings:
     max_in_flight: int = 4
     timeout: float = 30.0
 
+    def __post_init__(self):
+        for name in ("batch_size", "max_in_flight"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ConfigError(f"remote {name} must be an integer >= 1")
+        if self.timeout <= 0:
+            raise ConfigError("remote timeout must be > 0")
+
     def with_env(self) -> "RemoteSettings":
         return replace(
             self, endpoint=os.environ.get(ENV_REMOTE_ENDPOINT, self.endpoint),
@@ -71,6 +79,8 @@ class CurationSettings:
             raise ConfigError("curation n must be >= 1")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"curation strategy must be one of {STRATEGIES}")
+        if self.dedup_k < 1:
+            raise ConfigError("curation dedup_k must be >= 1")
 
 
 @dataclass
@@ -192,7 +202,7 @@ def load_config(path) -> EngineConfig:
         raise ConfigError(f"{path}: config root must be a mapping")
     try:
         return config_from_dict(doc)
-    except (AttributeError, TypeError, ValueError) as exc:  # a value of the wrong type
+    except (AttributeError, TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 

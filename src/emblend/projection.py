@@ -5,10 +5,12 @@ vector, normalized before any similarity. Training minimizes
 
     lambda_task * L_task + lambda_cluster * L_cluster + lambda_scale * L_scale
 
-where L_task is in-batch InfoNCE against the fixed anchor embeddings,
-L_cluster penalizes squared distances between modality centroids and the
-batch centroid, and L_scale penalizes absolute spread differences. All
-gradients are analytic (float64); anchors never receive updates.
+where L_task is in-batch InfoNCE of the fused rows, as queries, against the
+fixed anchor embeddings, L_cluster penalizes squared distances between
+modality centroids and the batch centroid, and L_scale penalizes absolute
+spread differences. All gradients are analytic (float64); anchors never
+receive updates. ``train`` takes Adam steps over shuffled epochs; the
+``optimizer``, ``shuffle`` and ``symmetric`` keys each accept one value.
 
 ``train`` runs every step in one ``Workspace``, sized from the batch and
 the layer widths: the step writes its gathered batch, activations, logits,
@@ -29,7 +31,7 @@ import numpy as np
 from .errors import (BatchTooSmall, ConfigError, DimMismatch, EmptyModality,
                      NonFiniteLoss)
 
-OPTIMIZERS = ("sgd", "momentum", "adam")
+OPTIMIZERS = ("adam",)
 
 MODEL_FORMAT = "emblend-projection"
 MODEL_VERSION = 1
@@ -51,8 +53,8 @@ class LossWeights:
             raise ConfigError("at least one loss weight must be > 0")
         if self.temperature <= 0:
             raise ConfigError("temperature must be > 0")
-        if self.include_fused_negatives and self.symmetric:
-            raise ConfigError("symmetric loss is only supported with annotation negatives")
+        if self.symmetric is not False:
+            raise ConfigError("symmetric must be false: the task loss has one direction")
 
 
 @dataclass
@@ -73,6 +75,8 @@ class TrainConfig:
             raise ConfigError("learning_rate must be > 0")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
+        if self.shuffle is not True:
+            raise ConfigError("shuffle must be true: every epoch is a fresh permutation")
 
 
 @dataclass
@@ -128,10 +132,9 @@ class Workspace:
     per hidden layer, e^-|z| (shared by softplus and the backprop sigmoid),
     the sign of z and the activations. With ``weights`` it holds the
     loss: the candidate rows [anchors | fused], the query fused / tau, the
-    n x n (or n x 2n with fused negatives) logits, the reverse logits of the
-    symmetric loss, dL/dfused and the group terms' per-row buffers. With
-    both it also holds the gathered input batch, the deltas and the
-    gradients, which ``backward`` returns.
+    n x n (or n x 2n with fused negatives) logits, dL/dfused and the group
+    terms' per-row buffers. With both it also holds the gathered input
+    batch, the deltas and the gradients, which ``backward`` returns.
     """
 
     def __init__(self, n: int, d: int, model: ProjectionModel | None = None,
@@ -152,7 +155,6 @@ class Workspace:
             return
         self.query = np.empty((n, d))
         self.logits = np.empty((n, 2 * n if weights.include_fused_negatives else n))
-        self.reverse = np.empty((n, n)) if weights.symmetric else None
         self.d_fused = np.empty((n, d))
         self.labels = np.empty(2 * n, dtype=np.int64)
         self.unit, self.unit_g = np.empty((2 * n, d)), np.empty((2 * n, d))
@@ -229,8 +231,7 @@ def _task_term(ws: Workspace, weights: LossWeights) -> float:
 
     The gradient's row scales s go onto the n x d products, not the logits:
     d/dfused = (s * P) @ cand, plus (s * P_F).T @ fused for the fused rows as
-    negatives, or (s_r * P_r).T @ anchors for the reverse direction, less
-    anchors / n per direction, all over tau."""
+    negatives, less anchors / n, all over tau."""
     n = ws.n
     if n < 2:
         raise BatchTooSmall("InfoNCE needs at least 2 pairs in a batch")
@@ -241,36 +242,25 @@ def _task_term(ws: Workspace, weights: LossWeights) -> float:
     np.matmul(query, cand.T, out=logits)
     if weights.include_fused_negatives:
         logits.reshape(-1)[n::2 * n + 1] = -np.inf  # a query is not its own negative
-    if weights.symmetric:
-        # anchor queries against fused candidates: the transposed logits
-        np.copyto(ws.reverse, logits.T)
     loss, scale = _softmax_xent(logits)
     np.matmul(logits, cand, out=grad)
     grad *= scale
-    directions, back = 1, None  # back: the fused rows' side as candidates
     if weights.include_fused_negatives:
-        back = logits[:, n:], scale, ws.fused
-    elif weights.symmetric:
-        loss_r, scale_r = _softmax_xent(ws.reverse)
-        loss, directions = 0.5 * (loss + loss_r), 2
-        back = ws.reverse, scale_r, ws.anchors
-    if back is not None:
-        probs, back_scale, back_rows = back
-        np.multiply(back_rows, back_scale, out=query)  # the query is spent
-        np.matmul(probs.T, query, out=tmp)
+        # the fused rows' side as candidates
+        np.multiply(ws.fused, scale, out=query)  # the query is spent
+        np.matmul(logits[:, n:].T, query, out=tmp)
         grad += tmp
-    np.multiply(ws.anchors, directions / n, out=tmp)
+    np.multiply(ws.anchors, 1 / n, out=tmp)
     grad -= tmp
-    grad *= weights.lambda_task / (tau * directions)
+    grad *= weights.lambda_task / tau
     return loss
 
 
 def loss_task(fused, anchors, temperature: float = 0.07,
-              include_fused_negatives: bool = False, symmetric: bool = False) -> float:
+              include_fused_negatives: bool = False) -> float:
     """In-batch InfoNCE over (fused, anchor) pairs."""
     w = LossWeights(lambda_task=1.0, lambda_cluster=0.0, lambda_scale=0.0,
-                    temperature=temperature,
-                    include_fused_negatives=include_fused_negatives, symmetric=symmetric)
+                    temperature=temperature, include_fused_negatives=include_fused_negatives)
     return _task_term(_loss_workspace(fused, anchors, w), w)
 
 
@@ -468,44 +458,34 @@ def backward(model: ProjectionModel, inputs, anchors, modalities, weights: LossW
 # ---------------------------------------------------------------------------
 
 class _Optimizer:
-    def __init__(self, kind, lr, shapes):
-        self.kind = kind
+    """Adam: p -= lr * (m / c1) / (sqrt(v / c2) + eps), c1 and c2 the bias corrections."""
+
+    def __init__(self, lr, shapes):
         self.lr = lr
         self.step_no = 0
-        if kind in ("momentum", "adam"):
-            self.m = [np.zeros(s) for s in shapes]
-        if kind == "adam":
-            self.v = [np.zeros(s) for s in shapes]
+        self.m = [np.zeros(s) for s in shapes]
+        self.v = [np.zeros(s) for s in shapes]
         self.tmp = [(np.empty(s), np.empty(s)) for s in shapes]  # per-step temporaries
 
     def update(self, params, grads):
         self.step_no += 1
-        if self.kind == "sgd":
-            for p, g, (t, _) in zip(params, grads, self.tmp):
-                p -= np.multiply(g, self.lr, out=t)
-        elif self.kind == "momentum":
-            for p, g, m, (t, _) in zip(params, grads, self.m, self.tmp):
-                m *= 0.9
-                m += g
-                p -= np.multiply(m, self.lr, out=t)
-        else:  # adam: p -= lr * (m / c1) / (sqrt(v / c2) + eps)
-            b1, b2, eps = 0.9, 0.999, 1e-8
-            c1 = 1.0 - b1 ** self.step_no
-            c2 = 1.0 - b2 ** self.step_no
-            for p, g, m, v, (t, u) in zip(params, grads, self.m, self.v, self.tmp):
-                m *= b1
-                m += np.multiply(g, 1 - b1, out=t)
-                v *= b2
-                np.multiply(g, 1 - b2, out=t)
-                t *= g
-                v += t
-                np.divide(v, c2, out=t)
-                np.sqrt(t, out=t)
-                t += eps
-                np.divide(m, c1, out=u)
-                u *= self.lr
-                u /= t
-                p -= u
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        c1 = 1.0 - b1 ** self.step_no
+        c2 = 1.0 - b2 ** self.step_no
+        for p, g, m, v, (t, u) in zip(params, grads, self.m, self.v, self.tmp):
+            m *= b1
+            m += np.multiply(g, 1 - b1, out=t)
+            v *= b2
+            np.multiply(g, 1 - b2, out=t)
+            t *= g
+            v += t
+            np.divide(v, c2, out=t)
+            np.sqrt(t, out=t)
+            t += eps
+            np.divide(m, c1, out=u)
+            u *= self.lr
+            u /= t
+            p -= u
 
 
 def _check_finite(step, breakdown, grad_w, grad_b):
@@ -523,11 +503,11 @@ def train(inputs, anchors, modalities, model: ProjectionModel,
           train_config: TrainConfig, weights: LossWeights):
     """Fit the projection on (concatenated expert inputs, anchor) pairs.
 
-    Deterministic for a fixed seed: init, shuffle order, and batch slicing
-    are all driven by the config seed. Anchors are never modified. Raises
-    NonFiniteLoss at the first step whose loss or gradient is not finite.
-    Every step runs in one Workspace built for the run.
-    Returns (trained model, per-step loss log).
+    Adam over shuffled epochs: each epoch is a fresh permutation of the rows,
+    drawn from the config seed, so a run is deterministic for a fixed seed.
+    Anchors are never modified. Raises NonFiniteLoss at the first step whose
+    loss or gradient is not finite. Every step runs in one Workspace built
+    for the run. Returns (trained model, per-step loss log).
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     anchors = np.asarray(anchors, dtype=np.float64)
@@ -544,17 +524,14 @@ def train(inputs, anchors, modalities, model: ProjectionModel,
     model = model.copy()
     batch = min(train_config.batch_size, n)
     params = model.weights + model.biases
-    opt = _Optimizer(train_config.optimizer, train_config.learning_rate,
-                     [p.shape for p in params])
+    opt = _Optimizer(train_config.learning_rate, [p.shape for p in params])
     ws = Workspace(batch, model.output_dim, model, weights)
     rng = np.random.Generator(np.random.PCG64(train_config.seed))
-    order = np.arange(n)
     cursor = n  # force an epoch boundary on the first step
     log = []
     for step in range(train_config.step_count):
         if cursor + batch > n:
-            order = rng.permutation(n) if train_config.shuffle else np.arange(n)
-            cursor = 0
+            order, cursor = rng.permutation(n), 0
         take = order[cursor:cursor + batch]
         cursor += batch
         _gather(inputs, take, ws.x)

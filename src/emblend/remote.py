@@ -41,8 +41,8 @@ class EndpointClient:
                  batch_size: int = 32, max_in_flight: int = 4, timeout: float = 30.0):
         self.endpoint = endpoint
         self.model = model
-        self.batch_size = max(1, int(batch_size))
-        self.max_in_flight = max(1, int(max_in_flight))
+        self.batch_size = batch_size
+        self.max_in_flight = max_in_flight
         self.timeout = timeout
         self._headers = {"Content-Type": "application/json"}
         if api_key:

@@ -3,7 +3,7 @@
 A pair is trimmed in up to two passes: forward extraction keeps raw
 components most similar to the annotation; backward extraction keeps
 annotation sentences grounded in a description of the (possibly trimmed)
-raw side. A trimmed variant replaces the original only when its gate
+raw side. A trimmed variant replaces the original exactly when its gate
 similarity reaches ``rho`` times the original pair's similarity, so every
 emitted pair is either byte-identical to its input or at least as aligned
 as the gate demands.
@@ -50,6 +50,8 @@ class SnsConfig:
                 raise ValueError("tau thresholds must lie in [-1, 1]")
         if self.rho < 0:
             raise ValueError("rho must be >= 0")
+        if self.reinject is not True:
+            raise ValueError("reinject must be true: an accepted variant replaces its pair")
 
 
 @dataclass
@@ -177,7 +179,7 @@ def _forward(corpus, live: list, rows, config) -> dict:
             t.describe_base = k
             t.sim_fwd = sim
             t.fwd_accepted = mi_gate(sim, t.sim_original, config.rho)
-            if t.fwd_accepted and config.reinject:
+            if t.fwd_accepted:
                 t.cur_raw, t.cur_raw_side = k, side
     return {i: errors.get(k, t) for k, (i, t) in enumerate(zip(live, trims))}
 
@@ -197,7 +199,7 @@ def _backward(corpus, trims: dict, rows, descs, config) -> dict:
     for t, k, sim in zip(trims.values(), kept, cosine_rows(cur_raw_sides, sides).tolist()):
         t.sim_bwd = sim
         t.bwd_accepted = mi_gate(sim, t.sim_original, config.rho)
-        if t.bwd_accepted and config.reinject:
+        if t.bwd_accepted:
             t.cur_ann = k
     return {i: errors.get(k, t) for k, (i, t) in enumerate(trims.items())}
 
@@ -210,7 +212,7 @@ def _emit(pair: PairedSample, trim: _Trim, config):
     sim_bwd, bwd_accepted = trim.sim_bwd, trim.bwd_accepted
     accepted = bool(fwd_accepted) or bool(bwd_accepted)
     emitted = pair
-    if config.reinject and accepted:
+    if accepted:
         ann = tuple(pair.annotation_components[j] for j in trim.cur_ann)
         text = (pair.annotation_text if len(ann) == len(pair.annotation_components)
                 else "\n".join(c.content for c in ann))

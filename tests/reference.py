@@ -1,8 +1,9 @@
 """References the tests compare emblend against: single-item paths that
 left ``src/``, the corpus read one ``PairedSample`` at a time with its item
 ids per pair, the routes stored rows were read along before
-``ExpertHandle.positions`` became the one read path, SNS one pair at a
-time, and the projection step's modality groups one group at a time.
+``ExpertHandle.positions`` became the one read path, SNS and its threshold
+calibration one pair at a time, the projection step's modality groups one
+group at a time, and the training step as first written.
 
 Each is written one item, one group or one sample at a time, as it was in
 ``src/``; only the tests import this module.
@@ -20,7 +21,8 @@ from emblend.errors import DescriberFailure, DimMismatch, EmblendError, EmptyMod
     EmptySet, GatingExpertFailure, InvariantViolation, ParseError
 from emblend.experts import (EmbedItem, _generate_rows, _hash_rows, _NoiseStream, _payload_bytes,
                              _payload_values, encode_payload)
-from emblend.geometry import cosine_sim, normalize, side_vector, side_vectors
+from emblend.geometry import MODALITIES, cosine_sim, normalize, side_vector, side_vectors
+from emblend.projection import _Optimizer, forward
 from emblend.sns import NucleusRecord, extract, mi_gate
 
 # -- the corpus one pair at a time -----------------------------------------------
@@ -343,7 +345,7 @@ def reference_sns(pair, config, read, describe_fn=None):
             describe_base = nucleus_raw
             sim_fwd = cosine_sim(nucleus_raw_side, ann_side)
             fwd_accepted = mi_gate(sim_fwd, sim_original, config.rho)
-            if fwd_accepted and config.reinject:
+            if fwd_accepted:
                 cur_raw, cur_raw_side = nucleus_raw, nucleus_raw_side
         cur_ann = list(pair.annotation_components)
         sim_bwd = bwd_accepted = None
@@ -362,15 +364,13 @@ def reference_sns(pair, config, read, describe_fn=None):
                            config.tau_beta[pair.raw_modality])
             sim_bwd = cosine_sim(cur_raw_side, side_vector(ann_rows[kept]))
             bwd_accepted = mi_gate(sim_bwd, sim_original, config.rho)
-            if bwd_accepted and config.reinject:
+            if bwd_accepted:
                 cur_ann = [pair.annotation_components[j] for j in kept]
     except EmblendError as exc:
         return passthrough(str(exc))
 
     accepted = bool(fwd_accepted) or bool(bwd_accepted)
-    emitted = pair
-    if config.reinject and accepted:
-        emitted = emitted_pair(pair, cur_raw, cur_ann)
+    emitted = emitted_pair(pair, cur_raw, cur_ann) if accepted else pair
     if bwd_accepted:
         sim_variant = sim_bwd
     elif fwd_accepted:
@@ -381,6 +381,29 @@ def reference_sns(pair, config, read, describe_fn=None):
         pair.sample_id, config.direction, accepted, sim_original, sim_variant, size,
         (emitted.raw_bytes, emitted.annotation_bytes), sim_forward=sim_fwd,
         sim_backward=sim_bwd, forward_accepted=fwd_accepted, backward_accepted=bwd_accepted)
+
+
+def reference_taus(pairs, expert, low_pct=10.0, high_pct=90.0):
+    """``calibrate_taus`` one pair and one component at a time, every row
+    embedded on its own by a bare expert: (tau_alpha, tau_beta)."""
+    fwd_sims = {m: [] for m in MODALITIES}
+    bwd_sims = {m: [] for m in MODALITIES}
+    read = embedded_each(expert)
+    for pair in pairs:
+        raw_vecs = read(side_items(pair, "raw"))
+        ann_vecs = read(side_items(pair, "annotation"))
+        ann_side, raw_side = side_vector(ann_vecs), side_vector(raw_vecs)
+        fwd_sims[pair.raw_modality].extend(cosine_sim(v, ann_side) for v in raw_vecs)
+        bwd_sims[pair.raw_modality].extend(cosine_sim(raw_side, v) for v in ann_vecs)
+
+    def midpoint(values):
+        if not values:
+            return 0.0
+        lo, hi = np.percentile(values, [low_pct, high_pct])
+        return float((lo + hi) / 2.0)
+
+    return ({m: midpoint(v) for m, v in fwd_sims.items()},
+            {m: midpoint(v) for m, v in bwd_sims.items()})
 
 
 # -- the projection step's modality groups -------------------------------------
@@ -417,3 +440,161 @@ def loss_scale(groups: dict) -> float:
         sigma_m = np.linalg.norm(g - mu_m, axis=1).mean()
         total += abs(sigma_m - sigma)
     return float(total)
+
+
+# -- the training step as first written ------------------------------------------
+#
+# A boolean-mask sigmoid, the full log-probability matrix, concatenated logit
+# blocks, separate L_cluster and L_scale passes and string grouping on every
+# step; ``ref_train`` updates through emblend's Adam.
+
+
+def ref_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def ref_softmax_xent(logits):
+    n = logits.shape[0]
+    row_max = logits.max(axis=1, keepdims=True)
+    expz = np.exp(logits - row_max)
+    denom = expz.sum(axis=1, keepdims=True)
+    log_probs = (logits - row_max) - np.log(denom)
+    loss = -np.diag(log_probs).mean()
+    dlogits = expz / denom
+    dlogits[np.arange(n), np.arange(n)] -= 1.0
+    dlogits /= n
+    return loss, dlogits
+
+
+def ref_task_loss_grad(fused, anchors, weights):
+    n = fused.shape[0]
+    tau = weights.temperature
+    logits_a = fused @ anchors.T / tau
+    if weights.include_fused_negatives:
+        logits_f = fused @ fused.T / tau
+        np.fill_diagonal(logits_f, -np.inf)
+        loss, dlogits = ref_softmax_xent(np.concatenate([logits_a, logits_f], axis=1))
+        da, df_part = dlogits[:, :n], dlogits[:, n:]
+        np.fill_diagonal(df_part, 0.0)
+        grad = da @ anchors / tau + df_part @ fused / tau + df_part.T @ fused / tau
+        return loss, grad
+    loss, dlogits = ref_softmax_xent(logits_a)
+    return loss, dlogits @ anchors / tau
+
+
+def ref_group_indices(n_fused, n_anchor, modalities):
+    groups = {}
+    for i, m in enumerate(modalities):
+        groups.setdefault(m, []).append(i)
+    groups.setdefault("text", [])
+    groups["text"].extend(range(n_fused, n_fused + n_anchor))
+    return {m: np.asarray(ix, dtype=np.int64) for m, ix in groups.items() if len(ix)}
+
+
+def ref_cluster_loss_grad(points, groups, n_fused):
+    n = points.shape[0]
+    mu = points.mean(axis=0)
+    loss = 0.0
+    sum_dev = np.zeros_like(mu)
+    grad = np.zeros((n_fused, points.shape[1]))
+    for idx in groups.values():
+        mu_m = points[idx].mean(axis=0)
+        dev = mu_m - mu
+        loss += float(dev @ dev)
+        sum_dev += dev
+        fused_idx = idx[idx < n_fused]
+        if fused_idx.size:
+            grad[fused_idx] += 2.0 * dev / idx.size
+    grad -= 2.0 * sum_dev / n
+    return loss, grad
+
+
+def ref_scale_loss_grad(points, groups, n_fused):
+    n, d = points.shape
+    mu = points.mean(axis=0)
+    diff = points - mu
+    dist = np.linalg.norm(diff, axis=1)
+    unit = np.divide(diff, dist[:, None], out=np.zeros_like(diff), where=dist[:, None] > 0)
+    sigma = dist.mean()
+    d_sigma = (unit - unit.mean(axis=0)) / n
+    loss = 0.0
+    sign_total = 0.0
+    grad = np.zeros((n_fused, d))
+    for idx in groups.values():
+        mu_m = points[idx].mean(axis=0)
+        diff_m = points[idx] - mu_m
+        dist_m = np.linalg.norm(diff_m, axis=1)
+        unit_m = np.divide(diff_m, dist_m[:, None], out=np.zeros_like(diff_m),
+                           where=dist_m[:, None] > 0)
+        sigma_m = dist_m.mean()
+        s = np.sign(sigma_m - sigma)
+        loss += abs(sigma_m - sigma)
+        sign_total += s
+        if s != 0:
+            d_sigma_m = (unit_m - unit_m.mean(axis=0)) / idx.size
+            inside = idx < n_fused
+            if inside.any():
+                grad[idx[inside]] += s * d_sigma_m[inside]
+    grad -= sign_total * d_sigma[:n_fused]
+    return float(loss), grad
+
+
+def ref_backward(model, inputs, anchors, modalities, weights):
+    fused, (activations, pre_acts, norms) = forward(model, inputs)
+    n = fused.shape[0]
+    d_fused = np.zeros_like(fused)
+    l_task = l_cluster = l_scale = 0.0
+    if weights.lambda_task > 0:
+        l_task, g = ref_task_loss_grad(fused, anchors, weights)
+        d_fused += weights.lambda_task * g
+    if weights.lambda_cluster > 0 or weights.lambda_scale > 0:
+        points = np.concatenate([fused, anchors], axis=0)
+        groups = ref_group_indices(n, anchors.shape[0], modalities)
+        if weights.lambda_cluster > 0:
+            l_cluster, g = ref_cluster_loss_grad(points, groups, n)
+            d_fused += weights.lambda_cluster * g
+        if weights.lambda_scale > 0:
+            l_scale, g = ref_scale_loss_grad(points, groups, n)
+            d_fused += weights.lambda_scale * g
+    total = (weights.lambda_task * l_task + weights.lambda_cluster * l_cluster
+             + weights.lambda_scale * l_scale)
+    breakdown = {"L_task": float(l_task), "L_cluster": float(l_cluster),
+                 "L_scale": float(l_scale), "L_total": float(total)}
+    inner = np.sum(fused * d_fused, axis=1, keepdims=True)
+    delta = (d_fused - fused * inner) / norms
+    grad_w = [None] * model.layer_count
+    grad_b = [None] * model.layer_count
+    for layer in range(model.layer_count - 1, -1, -1):
+        grad_w[layer] = delta.T @ activations[layer]
+        grad_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ model.weights[layer]) * ref_sigmoid(pre_acts[layer - 1])
+    return grad_w, grad_b, breakdown
+
+
+def ref_train(inputs, anchors, modalities, model, cfg, weights):
+    model = model.copy()
+    n = inputs.shape[0]
+    batch = min(cfg.batch_size, n)
+    params = model.weights + model.biases
+    opt = _Optimizer(cfg.learning_rate, [p.shape for p in params])
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    order = np.arange(n)
+    cursor = n
+    log = []
+    for step in range(cfg.step_count):
+        if cursor + batch > n:
+            order = rng.permutation(n)
+            cursor = 0
+        take = order[cursor:cursor + batch]
+        cursor += batch
+        grad_w, grad_b, breakdown = ref_backward(
+            model, inputs[take], anchors[take], [modalities[i] for i in take], weights)
+        opt.update(params, grad_w + grad_b)
+        log.append({"step": step, **breakdown})
+    return model, log

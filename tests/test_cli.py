@@ -375,16 +375,79 @@ def test_validation_error_is_exit_1(tmp_path):
     assert run(["embed", "--config", str(bad), "--corpus", "x.jsonl"]) == 1
 
 
-@pytest.mark.parametrize("case", ["not yaml", "expert not a mapping", "seed not a number"])
+# settings checked when the config loads, not where they are first used:
+# (section, key, value)
+BAD_SETTINGS = {"dedup_k 0": ("curation", "dedup_k", 0),
+                "remote batch_size 0": ("remote", "batch_size", 0),
+                "remote max_in_flight 0": ("remote", "max_in_flight", 0),
+                "remote batch_size 2.5": ("remote", "batch_size", 2.5),
+                "remote timeout -1": ("remote", "timeout", -1)}
+
+
+@pytest.mark.parametrize("case", ["not yaml", "expert not a mapping", "seed not a number",
+                                  *BAD_SETTINGS])
 def test_malformed_config_file_is_exit_1(workspace, tmp_path, capsys, case):
     doc = yaml.safe_load(open(workspace["config"]))
     bad = tmp_path / "bad.yaml"
-    bad.write_text({"not yaml": "experts: [\n",
-                    "expert not a mapping": yaml.safe_dump(dict(doc, experts=[1])),
-                    "seed not a number": yaml.safe_dump(dict(doc, seed="abc"))}[case])
+    if case in BAD_SETTINGS:
+        section, key, value = BAD_SETTINGS[case]
+        bad.write_text(yaml.safe_dump(dict(doc, **{section: {**doc[section], key: value}})))
+    else:
+        bad.write_text({"not yaml": "experts: [\n",
+                        "expert not a mapping": yaml.safe_dump(dict(doc, experts=[1])),
+                        "seed not a number": yaml.safe_dump(dict(doc, seed="abc"))}[case])
     assert run(["embed", "--config", str(bad), "--corpus", workspace["corpus"],
                 "--out", str(tmp_path / "emb")]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ")
+    if case in BAD_SETTINGS:
+        assert f"{section} {key} must be" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [("train.optimizer", "sgd"),
+                                          ("train.optimizer", "momentum"),
+                                          ("train.shuffle", False), ("loss.symmetric", True),
+                                          ("sns.reinject", False)])
+def test_another_value_of_a_one_value_key_is_exit_1(workspace, tmp_path, capsys, field, value):
+    """``optimizer``, ``shuffle``, ``symmetric`` and ``reinject`` stay in the
+    config schema, each accepting only one value; a config file that sets any
+    other exits 1 naming the key."""
+    section, key = field.split(".")
+    doc = yaml.safe_load(open(workspace["config"]))
+    doc[section][key] = value
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+    command = "sns" if section == "sns" else "train"
+    out = tmp_path / command
+    assert run([command, "--config", str(bad), "--corpus", workspace["corpus"],
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and f"{key} must be " in err
+    assert not out.exists()
+
+
+def test_sns_summary_counts_the_pairs_that_fail(workspace, tmp_path, capsys):
+    """``errors`` in sns_summary.json and on the printed line counts the
+    records whose error is set: 0 on a clean run, and 1 when the describer
+    refuses one video pair, whose payloads p and -p have mean 0."""
+    from emblend.experts import encode_payload
+    doc = yaml.safe_load(open(workspace["config"]))
+    gating = next(e for e in doc["experts"] if e["expert_id"] == doc["gating_expert"])
+    p = np.arange(gating["semantic_dim"]) % 5 - 1.5
+    record = {"sample_id": "refused", "pool_id": "retry", "modality": "video",
+              "components": [encode_payload(p), encode_payload(-p)],
+              "annotation": ["A clip whose frames cancel."]}
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(open(workspace["corpus"]).read() + json.dumps(record) + "\n")
+    for name, path, want in (("clean", workspace["corpus"], 0), ("refused", corpus, 1)):
+        out = tmp_path / name
+        assert run(["sns", "--config", workspace["config"], "--corpus", str(path),
+                    "--direction", "backward", "--out", str(out)]) == 0
+        failed = [rec for rec in read_jsonl(out / "nucleus_log.jsonl") if rec["error"]]
+        assert read_json(out / "sns_summary.json")["errors"] == len(failed) == want
+        assert f"; errors {want}; " in capsys.readouterr().out
+    assert [rec["sample_id"] for rec in failed] == ["refused"]
+    assert failed[0]["error"].startswith("degenerate payload mean")
 
 
 def _drop(key):

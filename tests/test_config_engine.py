@@ -19,7 +19,9 @@ from emblend.engine import Engine
 from emblend.errors import ConfigError
 from emblend.experts import PayloadDescriber, SyntheticExpert
 from emblend.geometry import side_vector, side_vectors
+from emblend.projection import LossWeights, TrainConfig
 from emblend.remote import RemoteDescriber, RemoteExpert
+from emblend.sns import SnsConfig
 from emblend.synth import SynthSpec, expert_configs, generate_corpus
 
 
@@ -318,6 +320,72 @@ def test_a_config_that_still_sets_jobs_and_output_dir_loads_unchanged(tmp_path):
     config = load_config(old)
     assert config == load_config(PRESETS / "default.yaml")
     assert "jobs" not in config.to_dict() and "output_dir" not in config.to_dict()
+
+
+# keys that stay in the schema with one allowed value each, and the section
+# types that check them
+ONE_VALUE_KEYS = {"train.optimizer": "adam", "train.shuffle": True, "loss.symmetric": False,
+                  "sns.reinject": True}
+OTHER_VALUES = [("train.optimizer", "sgd"), ("train.optimizer", "momentum"),
+                ("train.shuffle", False), ("loss.symmetric", True), ("sns.reinject", False)]
+SECTION_TYPES = {"train": TrainConfig, "loss": LossWeights, "sns": SnsConfig}
+
+
+def typed(value):
+    """``value`` with its type, so that 1 does not pass for True."""
+    return value, type(value)
+
+
+def preset_with(tmp_path, field, value):
+    """configs/default.yaml with ``field`` set to ``value``, as a new file."""
+    section, key = field.split(".")
+    doc = yaml.safe_load((PRESETS / "default.yaml").read_text(encoding="utf-8"))
+    doc[section][key] = value
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("field", sorted(ONE_VALUE_KEYS))
+def test_a_one_value_key_loads_its_value_every_way(field, tmp_path):
+    section, key = field.split(".")
+    value = ONE_VALUE_KEYS[field]
+    from_file = load_config(preset_with(tmp_path, field, value))
+    assert typed(getattr(getattr(from_file, section), key)) == typed(value)
+    assert with_overrides(load_config(PRESETS / "default.yaml"), {field: value}) == from_file
+    assert typed(getattr(SECTION_TYPES[section](**{key: value}), key)) == typed(value)
+
+
+@pytest.mark.parametrize("field, value", OTHER_VALUES)
+def test_a_one_value_key_rejects_any_other_value_every_way(field, value, tmp_path):
+    section, key = field.split(".")
+    message = f"{key} must be "
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(tmp_path))}.*{message}"):
+        load_config(preset_with(tmp_path, field, value))
+    with pytest.raises(ConfigError, match=message):
+        with_overrides(load_config(PRESETS / "default.yaml"), {field: value})
+    with pytest.raises((ConfigError, ValueError), match=f"^{message}"):
+        SECTION_TYPES[section](**{key: value})
+
+
+@pytest.mark.parametrize("source", ["default", "gap-collapse"])
+def test_presets_read_back_every_value_they_set(source):
+    """Each value a preset file sets is the value its config reports, the
+    one-value keys included."""
+    doc = yaml.safe_load((PRESETS / f"{source}.yaml").read_text(encoding="utf-8"))
+    got = load_config(PRESETS / f"{source}.yaml").to_dict()
+
+    def check(want, have):
+        if isinstance(want, dict):
+            for key, value in want.items():
+                check(value, have[key])
+        else:
+            assert have == want
+
+    check(doc, got)
+    for field, value in ONE_VALUE_KEYS.items():
+        section, key = field.split(".")
+        assert typed(got[section][key]) == typed(value)
 
 
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])

@@ -17,7 +17,7 @@ from emblend.projection import (LossWeights, TrainConfig,
                                 init_projection, load_model, loss_cluster,
                                 loss_task, save_model,
                                 train)
-from reference import group_indices, loss_scale, spread
+from reference import group_indices, loss_scale, ref_train, spread
 
 rng = np.random.default_rng(7)
 
@@ -209,10 +209,9 @@ class TestBackward:
         x = gen.normal(size=(5, 8))
         anchors = unit_rows(5, 4, gen)
         mods = ["image"] * 5
-        for kwargs in ({"include_fused_negatives": True}, {"symmetric": True}):
-            model = init_projection(8, 4, 2, seed=6)
-            w = LossWeights(1.0, 0.0, 0.0, temperature=0.2, **kwargs)
-            assert finite_difference_check(model, x, anchors, mods, w) <= 1e-4
+        model = init_projection(8, 4, 2, seed=6)
+        w = LossWeights(1.0, 0.0, 0.0, temperature=0.2, include_fused_negatives=True)
+        assert finite_difference_check(model, x, anchors, mods, w) <= 1e-4
 
     def test_matches_standalone_infonce_gradient(self):
         gen = np.random.default_rng(8)
@@ -267,12 +266,12 @@ def adam_step(model, x, anchors, mods, weights, workspace=None):
     grad_w, grad_b, breakdown = backward(model, x, anchors, mods, weights, workspace)
     grads = [g.copy() for g in grad_w + grad_b]
     params = model.weights + model.biases
-    projection._Optimizer("adam", 1e-2, [p.shape for p in params]).update(params, grad_w + grad_b)
+    projection._Optimizer(1e-2, [p.shape for p in params]).update(params, grad_w + grad_b)
     return grads, breakdown, params
 
 
 class TestWorkspace:
-    @pytest.mark.parametrize("variant", ["annotation_only", "fused_negatives", "symmetric"])
+    @pytest.mark.parametrize("variant", ["annotation_only", "fused_negatives"])
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_reused_workspace_leaks_no_state(self, depth, variant):
         gen = np.random.default_rng(60 + depth)
@@ -280,8 +279,7 @@ class TestWorkspace:
         model = init_projection(d_in, d_out, depth, hidden_dim=6, seed=depth)
         batches = [(gen.normal(size=(n, d_in)), unit_rows(n, d_out, gen),
                     list(gen.choice(["image", "audio", "text"], size=n))) for _ in range(2)]
-        flags = {"fused_negatives": {"include_fused_negatives": True},
-                 "symmetric": {"symmetric": True}}.get(variant, {})
+        flags = {"fused_negatives": {"include_fused_negatives": True}}.get(variant, {})
         for mix in ((0.9, 0.05, 0.05), (0.0, 0.5, 0.5)):
             weights = LossWeights(*mix, temperature=0.2, **flags)
             want = adam_step(model, *batches[0], weights)
@@ -377,7 +375,7 @@ class TestTrain:
         x, anchors, mods = self.make_data()
         before = anchors.copy()
         cfg = TrainConfig(batch_size=16, step_count=30, learning_rate=1e-2,
-                          optimizer="momentum", seed=4)
+                          optimizer="adam", seed=4)
         train(x, anchors, mods, init_projection(x.shape[1], 6, 2, seed=4), cfg,
               LossWeights(1.0, 0.0, 0.0, temperature=0.1))
         assert np.array_equal(anchors, before)
@@ -514,176 +512,17 @@ class TestModelIO:
 
 
 # ---------------------------------------------------------------------------
-# Reference step: the training-step arithmetic as first written (boolean-mask
-# sigmoid, full log-probability matrix, concatenated logit blocks, separate
-# L_cluster and L_scale passes, string grouping on every step). The step in
-# emblend.projection scales the query by 1/tau once, takes all logits in one
-# product and sums the groups in one product, which moves the last bits: it
-# must reproduce the reference to REF_STEP_BOUND, relative.
+# ``reference.ref_train`` runs the training-step arithmetic as first written.
+# The step in emblend.projection scales the query by 1/tau once, takes all
+# logits in one product and sums the groups in one product, which moves the
+# last bits: it must reproduce the reference to REF_STEP_BOUND, relative.
 # ---------------------------------------------------------------------------
 
 REF_STEP_BOUND = 1e-12
 
 
-def ref_sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def ref_softmax_xent(logits):
-    n = logits.shape[0]
-    row_max = logits.max(axis=1, keepdims=True)
-    expz = np.exp(logits - row_max)
-    denom = expz.sum(axis=1, keepdims=True)
-    log_probs = (logits - row_max) - np.log(denom)
-    loss = -np.diag(log_probs).mean()
-    dlogits = expz / denom
-    dlogits[np.arange(n), np.arange(n)] -= 1.0
-    dlogits /= n
-    return loss, dlogits
-
-
-def ref_task_loss_grad(fused, anchors, weights):
-    n = fused.shape[0]
-    tau = weights.temperature
-    logits_a = fused @ anchors.T / tau
-    if weights.include_fused_negatives:
-        logits_f = fused @ fused.T / tau
-        np.fill_diagonal(logits_f, -np.inf)
-        loss, dlogits = ref_softmax_xent(np.concatenate([logits_a, logits_f], axis=1))
-        da, df_part = dlogits[:, :n], dlogits[:, n:]
-        np.fill_diagonal(df_part, 0.0)
-        grad = da @ anchors / tau + df_part @ fused / tau + df_part.T @ fused / tau
-        return loss, grad
-    loss_fwd, dlog_fwd = ref_softmax_xent(logits_a)
-    grad = dlog_fwd @ anchors / tau
-    if not weights.symmetric:
-        return loss_fwd, grad
-    loss_bwd, dlog_bwd = ref_softmax_xent(logits_a.T)
-    grad_bwd = dlog_bwd.T @ anchors / tau
-    return 0.5 * (loss_fwd + loss_bwd), 0.5 * (grad + grad_bwd)
-
-
-def ref_group_indices(n_fused, n_anchor, modalities):
-    groups = {}
-    for i, m in enumerate(modalities):
-        groups.setdefault(m, []).append(i)
-    groups.setdefault("text", [])
-    groups["text"].extend(range(n_fused, n_fused + n_anchor))
-    return {m: np.asarray(ix, dtype=np.int64) for m, ix in groups.items() if len(ix)}
-
-
-def ref_cluster_loss_grad(points, groups, n_fused):
-    n = points.shape[0]
-    mu = points.mean(axis=0)
-    loss = 0.0
-    sum_dev = np.zeros_like(mu)
-    grad = np.zeros((n_fused, points.shape[1]))
-    for idx in groups.values():
-        mu_m = points[idx].mean(axis=0)
-        dev = mu_m - mu
-        loss += float(dev @ dev)
-        sum_dev += dev
-        fused_idx = idx[idx < n_fused]
-        if fused_idx.size:
-            grad[fused_idx] += 2.0 * dev / idx.size
-    grad -= 2.0 * sum_dev / n
-    return loss, grad
-
-
-def ref_scale_loss_grad(points, groups, n_fused):
-    n, d = points.shape
-    mu = points.mean(axis=0)
-    diff = points - mu
-    dist = np.linalg.norm(diff, axis=1)
-    unit = np.divide(diff, dist[:, None], out=np.zeros_like(diff), where=dist[:, None] > 0)
-    sigma = dist.mean()
-    d_sigma = (unit - unit.mean(axis=0)) / n
-    loss = 0.0
-    sign_total = 0.0
-    grad = np.zeros((n_fused, d))
-    for idx in groups.values():
-        mu_m = points[idx].mean(axis=0)
-        diff_m = points[idx] - mu_m
-        dist_m = np.linalg.norm(diff_m, axis=1)
-        unit_m = np.divide(diff_m, dist_m[:, None], out=np.zeros_like(diff_m),
-                           where=dist_m[:, None] > 0)
-        sigma_m = dist_m.mean()
-        s = np.sign(sigma_m - sigma)
-        loss += abs(sigma_m - sigma)
-        sign_total += s
-        if s != 0:
-            d_sigma_m = (unit_m - unit_m.mean(axis=0)) / idx.size
-            inside = idx < n_fused
-            if inside.any():
-                grad[idx[inside]] += s * d_sigma_m[inside]
-    grad -= sign_total * d_sigma[:n_fused]
-    return float(loss), grad
-
-
-def ref_backward(model, inputs, anchors, modalities, weights):
-    fused, (activations, pre_acts, norms) = forward(model, inputs)
-    n = fused.shape[0]
-    d_fused = np.zeros_like(fused)
-    l_task = l_cluster = l_scale = 0.0
-    if weights.lambda_task > 0:
-        l_task, g = ref_task_loss_grad(fused, anchors, weights)
-        d_fused += weights.lambda_task * g
-    if weights.lambda_cluster > 0 or weights.lambda_scale > 0:
-        points = np.concatenate([fused, anchors], axis=0)
-        groups = ref_group_indices(n, anchors.shape[0], modalities)
-        if weights.lambda_cluster > 0:
-            l_cluster, g = ref_cluster_loss_grad(points, groups, n)
-            d_fused += weights.lambda_cluster * g
-        if weights.lambda_scale > 0:
-            l_scale, g = ref_scale_loss_grad(points, groups, n)
-            d_fused += weights.lambda_scale * g
-    total = (weights.lambda_task * l_task + weights.lambda_cluster * l_cluster
-             + weights.lambda_scale * l_scale)
-    breakdown = {"L_task": float(l_task), "L_cluster": float(l_cluster),
-                 "L_scale": float(l_scale), "L_total": float(total)}
-    inner = np.sum(fused * d_fused, axis=1, keepdims=True)
-    delta = (d_fused - fused * inner) / norms
-    grad_w = [None] * model.layer_count
-    grad_b = [None] * model.layer_count
-    for layer in range(model.layer_count - 1, -1, -1):
-        grad_w[layer] = delta.T @ activations[layer]
-        grad_b[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = (delta @ model.weights[layer]) * ref_sigmoid(pre_acts[layer - 1])
-    return grad_w, grad_b, breakdown
-
-
-def ref_train(inputs, anchors, modalities, model, cfg, weights):
-    model = model.copy()
-    n = inputs.shape[0]
-    batch = min(cfg.batch_size, n)
-    params = model.weights + model.biases
-    opt = projection._Optimizer(cfg.optimizer, cfg.learning_rate, [p.shape for p in params])
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    order = np.arange(n)
-    cursor = n
-    log = []
-    for step in range(cfg.step_count):
-        if cursor + batch > n:
-            order = rng.permutation(n) if cfg.shuffle else np.arange(n)
-            cursor = 0
-        take = order[cursor:cursor + batch]
-        cursor += batch
-        grad_w, grad_b, breakdown = ref_backward(
-            model, inputs[take], anchors[take], [modalities[i] for i in take], weights)
-        opt.update(params, grad_w + grad_b)
-        log.append({"step": step, **breakdown})
-    return model, log
-
-
 ORACLE_VARIANTS = {"fused_negatives": {"include_fused_negatives": True},
-                   "annotation_only": {},
-                   "symmetric": {"symmetric": True}}
+                   "annotation_only": {}}
 # (lambda_task, lambda_cluster, lambda_scale): gap-collapse mix, no L_cluster,
 # no L_scale, and the bias terms alone
 ORACLE_MIXES = ((0.9, 0.05, 0.05), (0.9, 0.0, 0.1), (0.9, 0.1, 0.0), (0.0, 0.5, 0.5))
