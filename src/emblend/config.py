@@ -1,4 +1,9 @@
-"""Engine configuration: YAML file, environment overrides, validation.
+"""Engine configuration: YAML file, overrides, environment, validation.
+
+``_build`` builds every config, from a file or from overrides. Each value is
+checked against its field's annotation, never coerced (an integer rejects
+``2.5`` and ``true``); a number for a ``tau_*`` mapping fills every modality;
+an unknown key is an error, except at a file's top level (old files set some).
 
 Remote endpoints and credentials can be overridden without touching the
 config file via EMBLEND_REMOTE_ENDPOINT, EMBLEND_DESCRIBE_ENDPOINT and
@@ -7,12 +12,15 @@ EMBLEND_REMOTE_API_KEY.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field, replace
-from functools import partial
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from functools import cache
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml when PyYAML has it
+_annotations = cache(get_type_hints)  # each dataclass's field annotations, resolved once
 
 from .curation import STRATEGIES, FilterConfig
 from .errors import ConfigError
@@ -37,6 +45,8 @@ class ProjectionSettings:
     def __post_init__(self):
         if self.layer_count not in (1, 2, 3):
             raise ConfigError("projection layer_count must be 1, 2 or 3")
+        if self.hidden_dim is not None and self.hidden_dim < 1:
+            raise ConfigError("projection hidden_dim must be >= 1")
 
 
 @dataclass
@@ -51,9 +61,8 @@ class RemoteSettings:
 
     def __post_init__(self):
         for name in ("batch_size", "max_in_flight"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(f"remote {name} must be an integer >= 1")
+            if getattr(self, name) < 1:
+                raise ConfigError(f"remote {name} must be >= 1")
         if self.timeout <= 0:
             raise ConfigError("remote timeout must be > 0")
 
@@ -141,53 +150,60 @@ class EngineConfig:
         return doc
 
 
-def _build_section(build, data, name):
-    try:
-        return build(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {name} section: {exc}") from exc
+def _fits(hint, value) -> bool:
+    """Whether ``value`` is a ``hint`` as it is: a bool only a bool, an int also a float."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return any(_fits(arg, value) for arg in args)
+    if origin is list:
+        return isinstance(value, list) and all(_fits(args[0], v) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _fits(args[0], k) and _fits(args[1], v) for k, v in value.items())
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _build(cls, data: dict, where: str, base=None):
+    """A ``cls`` with the fields ``data`` sets, checked and built alike at
+    every depth, and the other fields of ``base`` (or the defaults)."""
+    hints = _annotations(cls)
+    values = {} if base is None else {name: getattr(base, name) for name in hints}
+    for name, value in data.items():
+        hint = hints.get(name)
+        if hint is None:
+            if where or base is not None:  # only a file's top level holds keys of old versions
+                raise ConfigError(f"{where} {name} is not a setting".lstrip())
+            continue
+        if is_dataclass(hint) and isinstance(value, dict):
+            value = _build(hint, value, f"{where}.{name}".lstrip("."), values.get(name))
+        elif not _fits(hint, value):
+            kind = hint.__name__ if isinstance(hint, type) else hint  # "int", "int | None"
+            raise ConfigError(f"{where} {name} must be {kind}, got {value!r}".lstrip())
+        values[name] = value
+    return cls(**values)
 
 
 def config_from_dict(doc: dict) -> EngineConfig:
-    doc = dict(doc or {})
-    curation_doc = dict(doc.get("curation", {}))
-    if "filters" in curation_doc:
-        curation_doc["filters"] = _build_section(FilterConfig, curation_doc["filters"],
-                                                 "curation.filters")
-    return EngineConfig(
-        experts=list(doc.get("experts", [])),
-        gating_expert=doc.get("gating_expert", ""),
-        anchor_expert=doc.get("anchor_expert", ""),
-        sns=_build_section(SnsConfig, doc.get("sns", {}), "sns"),
-        loss=_build_section(LossWeights, doc.get("loss", {}), "loss"),
-        train=_build_section(TrainConfig, doc.get("train", {}), "train"),
-        projection=_build_section(ProjectionSettings, doc.get("projection", {}), "projection"),
-        remote=_build_section(RemoteSettings, doc.get("remote", {}), "remote"),
-        curation=_build_section(CurationSettings, curation_doc, "curation"),
-        seed=int(doc.get("seed", 0)),
-        cache_dir=doc.get("cache_dir"),
-    )
+    return _build(EngineConfig, doc or {}, "")
 
 
 def with_overrides(config: EngineConfig, fields: dict) -> EngineConfig:
     """A copy of ``config`` with each dotted field (``"seed"``, ``"sns.rho"``)
-    set, every value checked exactly like the same value in the config file.
-
-    A number set on a per-modality mapping (the SNS thresholds) fills each
-    modality the mapping already lists.
-    """
-    sections: dict = {}
+    set, checked by ``_build`` like the same value in a file. A number set on
+    a per-modality mapping fills each modality the mapping already lists."""
+    doc: dict = {}
     for path, value in fields.items():
-        section, _, name = path.rpartition(".")
-        sections.setdefault(section, {})[name] = value
-    top = sections.pop("", {})
-    for section, values in sections.items():
-        current = getattr(config, section)
-        for name, value in values.items():
-            if isinstance(getattr(current, name), dict):
-                values[name] = dict.fromkeys(getattr(current, name), value)
-        top[section] = _build_section(partial(replace, current), values, section)
-    return _build_section(partial(replace, config), top, "engine")
+        *sections, name = path.split(".")
+        node, current = doc, config
+        for section in sections:
+            node, current = node.setdefault(section, {}), getattr(current, section, None)
+        old = getattr(current, name, None)
+        if isinstance(old, dict) and _fits(float, value):
+            value = dict.fromkeys(old, value)
+        node[name] = value
+    return _build(EngineConfig, doc, "", config)
 
 
 def load_config(path) -> EngineConfig:
@@ -196,9 +212,7 @@ def load_config(path) -> EngineConfig:
             doc = yaml.load(fh, Loader=_LOADER)
         except (yaml.YAMLError, ValueError) as exc:
             raise ConfigError(f"{path}: not a YAML file: {exc}") from None
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, dict):
+    if not isinstance(doc, dict | None):
         raise ConfigError(f"{path}: config root must be a mapping")
     try:
         return config_from_dict(doc)

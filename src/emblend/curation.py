@@ -126,7 +126,7 @@ def sample_stratified(corpus, n: int, seed: int) -> Blend:
 class FilterConfig:
     max_non_alnum_ratio: float = 0.45
     max_repeated_line_fraction: float = 0.7
-    boilerplate: list = field(default_factory=list)
+    boilerplate: list[str] = field(default_factory=list)
 
 
 @dataclass

@@ -111,7 +111,7 @@ def init_projection(input_dim: int, output_dim: int, layer_count: int,
     """Seed-deterministic init, uniform in +-1/sqrt(fan_in) per layer."""
     if layer_count not in (1, 2, 3):
         raise ConfigError("layer_count must be 1, 2 or 3")
-    hidden = input_dim if hidden_dim is None else int(hidden_dim)
+    hidden = input_dim if hidden_dim is None else hidden_dim
     dims = [input_dim] + [hidden] * (layer_count - 1) + [output_dim]
     rng = np.random.Generator(np.random.PCG64(seed))
     weights, biases = [], []

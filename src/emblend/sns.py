@@ -16,13 +16,13 @@ builds a pair only to describe or emit it; the side-mean kernel is
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 # the noqa names are re-exported: perfbench/stub.py and test_acceptance.py import them
 from .dataio import Component, Corpus, PairedSample, checked_pair, component_item_id  # noqa: F401
-from .errors import DescriberFailure, EmblendError, GatingExpertFailure, ZeroSize
+from .errors import ConfigError, DescriberFailure, EmblendError, GatingExpertFailure, ZeroSize
 from .experts import EmbedItem, PayloadDescriber  # noqa: F401
 from .geometry import (MODALITIES, consecutive_runs, cosine_rows, run_cosines,  # noqa: F401
                        run_starts, side_vector, side_vectors)
@@ -33,25 +33,25 @@ DIRECTIONS = ("off", "forward", "backward", "bidirectional")
 @dataclass
 class SnsConfig:
     direction: str = "bidirectional"
-    tau_alpha: dict = field(default_factory=lambda: {m: 0.0 for m in MODALITIES})
-    tau_beta: dict = field(default_factory=lambda: {m: 0.0 for m in MODALITIES})
+    tau_alpha: dict[str, float] | float = 0.0  # a number fills every modality
+    tau_beta: dict[str, float] | float = 0.0
     rho: float = 1.0
     reinject: bool = True
 
     def __post_init__(self):
         if self.direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}")
+            raise ConfigError(f"direction must be one of {DIRECTIONS}")
         if isinstance(self.tau_alpha, (int, float)):
             self.tau_alpha = {m: float(self.tau_alpha) for m in MODALITIES}
         if isinstance(self.tau_beta, (int, float)):
             self.tau_beta = {m: float(self.tau_beta) for m in MODALITIES}
         for tau in (*self.tau_alpha.values(), *self.tau_beta.values()):
             if not -1.0 <= tau <= 1.0:
-                raise ValueError("tau thresholds must lie in [-1, 1]")
+                raise ConfigError("tau thresholds must lie in [-1, 1]")
         if self.rho < 0:
-            raise ValueError("rho must be >= 0")
+            raise ConfigError("rho must be >= 0")
         if self.reinject is not True:
-            raise ValueError("reinject must be true: an accepted variant replaces its pair")
+            raise ConfigError("reinject must be true: an accepted variant replaces its pair")
 
 
 @dataclass

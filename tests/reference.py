@@ -3,7 +3,8 @@ left ``src/``, the corpus read one ``PairedSample`` at a time with its item
 ids per pair, the routes stored rows were read along before
 ``ExpertHandle.positions`` became the one read path, SNS and its threshold
 calibration one pair at a time, the projection step's modality groups one
-group at a time, and the training step as first written.
+group at a time, the training step as first written, and the brute-force
+oracles of the distance, k-means, dedup and ranking kernels.
 
 Each is written one item, one group or one sample at a time, as it was in
 ``src/``; only the tests import this module.
@@ -23,6 +24,7 @@ from emblend.experts import (EmbedItem, _generate_rows, _hash_rows, _NoiseStream
                              _payload_values, encode_payload)
 from emblend.geometry import MODALITIES, cosine_sim, normalize, side_vector, side_vectors
 from emblend.projection import _Optimizer, forward
+from emblend.retrieval import RANK_BLOCK
 from emblend.sns import NucleusRecord, extract, mi_gate
 
 # -- the corpus one pair at a time -----------------------------------------------
@@ -598,3 +600,72 @@ def ref_train(inputs, anchors, modalities, model, cfg, weights):
         opt.update(params, grad_w + grad_b)
         log.append({"step": step, **breakdown})
     return model, log
+
+
+# -- kernel and retrieval oracles ----------------------------------------------
+
+def group_stats_oracle(x, labels, n_groups):
+    intra_sum = np.zeros(n_groups)
+    intra_cnt = np.zeros(n_groups, dtype=np.int64)
+    inter_sum = np.zeros((n_groups, n_groups))
+    inter_cnt = np.zeros((n_groups, n_groups), dtype=np.int64)
+    n = len(x)
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist = np.linalg.norm(x[i] - x[j])
+            gi, gj = labels[i], labels[j]
+            if gi == gj:
+                intra_sum[gi] += dist
+                intra_cnt[gi] += 1
+            else:
+                a, b = min(gi, gj), max(gi, gj)
+                inter_sum[a, b] += dist
+                inter_cnt[a, b] += 1
+    return intra_sum, intra_cnt, inter_sum, inter_cnt
+
+
+def dedup_oracle(x, eps):
+    """Plain-Python greedy scan with explicit dot products against kept rows."""
+    kept, keep = [], []
+    for row in x.tolist():
+        dup = any(1.0 - sum(a * b for a, b in zip(row, k)) <= eps + 1e-12 for k in kept)
+        keep.append(not dup)
+        if not dup:
+            kept.append(row)
+    return np.array(keep)
+
+
+def kmeans_assign_oracle(x, centroids):
+    """``kernels.kmeans_assign`` as one expression, before it worked in place."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    centroids = np.ascontiguousarray(centroids, dtype=np.float64)
+    sq_x = np.einsum("ij,ij->i", x, x)
+    sq_c = np.einsum("ij,ij->i", centroids, centroids)
+    d2 = sq_x[:, None] - 2.0 * (x @ centroids.T) + sq_c[None, :]
+    return np.argmin(d2, axis=1).astype(np.int64)
+
+
+def sort_oracle(ids, matrix, query, k):
+    """Independent full-sort ranking with the same tie rule."""
+    sims = matrix @ query
+    order = sorted(range(len(ids)), key=lambda i: (-sims[i], ids[i]))
+    return [(ids[i], float(sims[i])) for i in order[:k]]
+
+
+def blockwise_partner_ranks(queries, partner_ids, index):
+    """Oracle: the rank pass as first vectorized, with the id comparison of
+    tied candidates in every row of every block."""
+    pos = {sid: i for i, sid in enumerate(index.ids)}
+    cols = np.array([pos[pid] for pid in partner_ids], dtype=np.intp)
+    id_rank = np.empty(len(index), dtype=np.intp)
+    id_rank[np.argsort(np.asarray(index.ids))] = np.arange(len(index))
+    sims = queries @ index.matrix.T
+    ranks = np.empty(cols.size, dtype=np.int64)
+    for start in range(0, cols.size, RANK_BLOCK):
+        block = slice(start, start + RANK_BLOCK)
+        row_sims, col = sims[block], cols[block]
+        sp = row_sims[np.arange(col.size), col][:, None]
+        tied_before = (row_sims == sp) & (id_rank < id_rank[col][:, None])
+        ranks[block] = (1 + np.count_nonzero(row_sims > sp, axis=1)
+                        + np.count_nonzero(tied_before, axis=1))
+    return ranks

@@ -404,6 +404,44 @@ def test_malformed_config_file_is_exit_1(workspace, tmp_path, capsys, case):
         assert f"{section} {key} must be" in err and "Traceback" not in err
 
 
+# settings of the wrong type, or out of range where the type is right, each
+# rejected when the config loads: (section, key, value, the key as the error names it)
+WRONG_SETTINGS = [("loss", "include_fused_negatives", "no", "loss include_fused_negatives"),
+                  ("sns", "rho", True, "sns rho"),
+                  ("train", "learning_rate", True, "train learning_rate"),
+                  ("projection", "hidden_dim", 2.5, "projection hidden_dim"),
+                  ("projection", "hidden_dim", 0, "projection hidden_dim"),
+                  ("projection", "hidden_dim", -1, "projection hidden_dim"),
+                  ("train", "step_count", 2.5, "train step_count"),
+                  ("train", "batch_size", 2.5, "train batch_size"),
+                  ("train", "seed", 1.5, "train seed"),
+                  ("curation", "n", 2.5, "curation n"),
+                  ("curation", "dedup_epsilon", "x", "curation dedup_epsilon"),
+                  ("curation", "query", 5, "curation query"),
+                  ("curation", "filters", {"max_non_alnum_ratio": "a"},
+                   "curation.filters max_non_alnum_ratio"),
+                  ("curation", "filters", {"boilerplate": [1]}, "curation.filters boilerplate"),
+                  ("sns", "tau_alpha", {"text": "a"}, "sns tau_alpha"),
+                  ("sns", "tau_alpha", "0.1", "sns tau_alpha"),
+                  ("remote", "timeout", "30", "remote timeout")]
+
+
+@pytest.mark.parametrize("section, key, value, named", WRONG_SETTINGS,
+                         ids=[f"{s}.{k}={v!r}" for s, k, v, _ in WRONG_SETTINGS])
+def test_a_wrong_setting_is_exit_1_naming_its_key(workspace, tmp_path, capsys, section, key,
+                                                  value, named):
+    """A value is never coerced: each of these exits 1 with one ``error:``
+    line that names the file and the key, and no traceback."""
+    doc = yaml.safe_load(open(workspace["config"]))
+    doc[section][key] = value
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+    assert run(["train", "--config", str(bad), "--corpus", workspace["corpus"],
+                "--out", str(tmp_path / "train")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {named} must be ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("field, value", [("train.optimizer", "sgd"),
                                           ("train.optimizer", "momentum"),
                                           ("train.shuffle", False), ("loss.symmetric", True),

@@ -2,7 +2,7 @@ import json
 import os
 import pathlib
 import re
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from emblend.dataio import Corpus
 from emblend.engine import Engine
 from emblend.errors import ConfigError
 from emblend.experts import PayloadDescriber, SyntheticExpert
-from emblend.geometry import side_vector, side_vectors
+from emblend.geometry import MODALITIES, side_vector, side_vectors
 from emblend.projection import LossWeights, TrainConfig
 from emblend.remote import RemoteDescriber, RemoteExpert
 from emblend.sns import SnsConfig
@@ -322,6 +322,15 @@ def test_a_config_that_still_sets_jobs_and_output_dir_loads_unchanged(tmp_path):
     assert "jobs" not in config.to_dict() and "output_dir" not in config.to_dict()
 
 
+def test_an_override_of_a_key_the_config_does_not_have_is_rejected():
+    """An override names a setting, so unlike a file's top level, an unknown
+    key there is an error too."""
+    config = load_config(PRESETS / "default.yaml")
+    for field in ("jobs", "bogus.rho"):
+        with pytest.raises(ConfigError, match=f"^{field.split('.')[0]} is not a setting"):
+            with_overrides(config, {field: 1})
+
+
 # keys that stay in the schema with one allowed value each, and the section
 # types that check them
 ONE_VALUE_KEYS = {"train.optimizer": "adam", "train.shuffle": True, "loss.symmetric": False,
@@ -386,6 +395,65 @@ def test_presets_read_back_every_value_they_set(source):
     for field, value in ONE_VALUE_KEYS.items():
         section, key = field.split(".")
         assert typed(got[section][key]) == typed(value)
+
+
+# a value of another type than a setting's value in configs/default.yaml
+WRONG_TYPED = {bool: "yes", int: 2.5, float: True, str: 5, type(None): [1], list: "x",
+               dict: [0.1]}
+
+
+def wrong_settings():
+    """(dotted field, value) for every field of the default preset's config,
+    each given a value of the wrong type (a section a number), and a key that
+    a section and the nested filters do not have."""
+    out = [("sns.bogus", 1), ("curation.filters.bogus", 1)]
+
+    def walk(obj, prefix):
+        for f in fields(obj):
+            value, path = getattr(obj, f.name), prefix + f.name
+            out.append((path, 5 if is_dataclass(value) else WRONG_TYPED[type(value)]))
+            if is_dataclass(value):
+                walk(value, path + ".")
+
+    walk(load_config(PRESETS / "default.yaml"), "")
+    return out
+
+
+@pytest.mark.parametrize("field, value", wrong_settings())
+def test_a_wrong_setting_is_rejected_alike_from_a_file_and_an_override(field, value, tmp_path):
+    """No value is coerced: each is rejected naming its section and key, with
+    the same message from a config file and from ``with_overrides``."""
+    *sections, key = field.split(".")
+    doc = yaml.safe_load((PRESETS / "default.yaml").read_text(encoding="utf-8"))
+    node = doc
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = value
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    named = f"{'.'.join(sections)} {key} ".lstrip()
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {named}')}") as from_file:
+        load_config(path)
+    with pytest.raises(ConfigError) as from_override:
+        with_overrides(load_config(PRESETS / "default.yaml"), {field: value})
+    assert str(from_file.value) == f"{path}: {from_override.value}"
+    assert "<class" not in str(from_override.value)
+
+
+def test_a_number_for_a_tau_mapping_fills_every_modality(tmp_path):
+    """In a file a number fills every modality; as an override, each
+    modality the config's mapping lists. An integer stays an integer where a
+    number is allowed."""
+    doc = yaml.safe_load((PRESETS / "default.yaml").read_text(encoding="utf-8"))
+    doc["sns"].update(tau_alpha=0.25, tau_beta={"image": 0.5}, rho=1)
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    config = load_config(path)
+    assert config.sns.tau_alpha == dict.fromkeys(MODALITIES, 0.25)
+    assert typed(config.sns.rho) == typed(1)
+    config = with_overrides(config, {"sns.tau_beta": -0.5, "sns.tau_alpha": 0})
+    assert config.sns.tau_beta == {"image": -0.5}
+    assert all(typed(v) == typed(0) for v in config.sns.tau_alpha.values())
 
 
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])

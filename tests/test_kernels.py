@@ -8,30 +8,11 @@ import numpy as np
 import pytest
 
 from emblend import kernels
+from reference import dedup_oracle, group_stats_oracle, kmeans_assign_oracle
 
 
 rng = np.random.default_rng(42)
 TILE = kernels.TILE_ROWS
-
-
-def group_stats_oracle(x, labels, n_groups):
-    intra_sum = np.zeros(n_groups)
-    intra_cnt = np.zeros(n_groups, dtype=np.int64)
-    inter_sum = np.zeros((n_groups, n_groups))
-    inter_cnt = np.zeros((n_groups, n_groups), dtype=np.int64)
-    n = len(x)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist = np.linalg.norm(x[i] - x[j])
-            gi, gj = labels[i], labels[j]
-            if gi == gj:
-                intra_sum[gi] += dist
-                intra_cnt[gi] += 1
-            else:
-                a, b = min(gi, gj), max(gi, gj)
-                inter_sum[a, b] += dist
-                inter_cnt[a, b] += 1
-    return intra_sum, intra_cnt, inter_sum, inter_cnt
 
 
 def full_matrix_stats(x, labels, n_groups):
@@ -61,17 +42,6 @@ def full_matrix_stats(x, labels, n_groups):
                 inter_sum[g1, g2] = np.sqrt(d2).sum()
                 inter_cnt[g1, g2] = a.size * b.size
     return intra_sum, intra_cnt, inter_sum, inter_cnt
-
-
-def dedup_oracle(x, eps):
-    """Plain-Python greedy scan with explicit dot products against kept rows."""
-    kept, keep = [], []
-    for row in x.tolist():
-        dup = any(1.0 - sum(a * b for a, b in zip(row, k)) <= eps + 1e-12 for k in kept)
-        keep.append(not dup)
-        if not dup:
-            kept.append(row)
-    return np.array(keep)
 
 
 def test_backend_reported():
@@ -218,16 +188,6 @@ def test_kmeans_assign_tie_breaks_to_first():
     x = np.array([[0.0, 0.0]])
     centroids = np.array([[1.0, 0.0], [-1.0, 0.0]])
     assert kernels.kmeans_assign(x, centroids)[0] == 0
-
-
-def kmeans_assign_oracle(x, centroids):
-    """``kernels.kmeans_assign`` as one expression, before it worked in place."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    centroids = np.ascontiguousarray(centroids, dtype=np.float64)
-    sq_x = np.einsum("ij,ij->i", x, x)
-    sq_c = np.einsum("ij,ij->i", centroids, centroids)
-    d2 = sq_x[:, None] - 2.0 * (x @ centroids.T) + sq_c[None, :]
-    return np.argmin(d2, axis=1).astype(np.int64)
 
 
 @pytest.mark.parametrize("n,d,k", [(1, 3, 1), (50, 4, 3), (333, 8, 10), (2000, 32, 100)])

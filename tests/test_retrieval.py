@@ -7,6 +7,7 @@ from emblend.errors import (DimMismatch, InsufficientSamples, MissingPartner)
 from emblend.retrieval import (RANK_BLOCK, GapReport, RetrievalIndex,
                                clustering_diagnostic, gap_reduction, modality_gap,
                                partner_ranks, recall_at_k, top_k)
+from reference import blockwise_partner_ranks, sort_oracle
 
 rng = np.random.default_rng(31)
 
@@ -15,32 +16,6 @@ def unit_rows(n, d, gen=None):
     gen = gen or rng
     x = gen.normal(size=(n, d))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
-
-
-def sort_oracle(ids, matrix, query, k):
-    """Independent full-sort ranking with the same tie rule."""
-    sims = matrix @ query
-    order = sorted(range(len(ids)), key=lambda i: (-sims[i], ids[i]))
-    return [(ids[i], float(sims[i])) for i in order[:k]]
-
-
-def blockwise_partner_ranks(queries, partner_ids, index):
-    """Oracle: the rank pass as first vectorized, with the id comparison of
-    tied candidates in every row of every block."""
-    pos = {sid: i for i, sid in enumerate(index.ids)}
-    cols = np.array([pos[pid] for pid in partner_ids], dtype=np.intp)
-    id_rank = np.empty(len(index), dtype=np.intp)
-    id_rank[np.argsort(np.asarray(index.ids))] = np.arange(len(index))
-    sims = queries @ index.matrix.T
-    ranks = np.empty(cols.size, dtype=np.int64)
-    for start in range(0, cols.size, RANK_BLOCK):
-        block = slice(start, start + RANK_BLOCK)
-        row_sims, col = sims[block], cols[block]
-        sp = row_sims[np.arange(col.size), col][:, None]
-        tied_before = (row_sims == sp) & (id_rank < id_rank[col][:, None])
-        ranks[block] = (1 + np.count_nonzero(row_sims > sp, axis=1)
-                        + np.count_nonzero(tied_before, axis=1))
-    return ranks
 
 
 def loop_partner_ranks(queries, partner_ids, index):
