@@ -31,6 +31,8 @@ from .remote import RemoteExpert
 from .sns import SnsConfig
 
 EXPERT_KINDS = ("end_to_end", "fusion", "text_based", "synthetic", "remote")
+EXPERT_NUMBERS = {"dim": int, "semantic_dim": int, "seed": int,  # checked, never coerced
+                  "gap_magnitude": float, "noise_sigma": float}
 
 ENV_REMOTE_ENDPOINT = "EMBLEND_REMOTE_ENDPOINT"
 ENV_DESCRIBE_ENDPOINT = "EMBLEND_DESCRIBE_ENDPOINT"
@@ -115,12 +117,11 @@ class EngineConfig:
         ids = [e.get("expert_id") for e in self.experts]
         if len(set(ids)) != len(ids):
             raise ConfigError("expert_id values must be unique")
-        dims = {int(e.get("dim", 0)) for e in self.experts}
-        if len(dims) != 1:
-            raise ConfigError(f"all experts must share one dim, got {sorted(dims)}")
-        if min(dims) < 2:
-            raise ConfigError("expert dim must be >= 2")
         for e in self.experts:
+            for key, typ in EXPERT_NUMBERS.items():
+                if key in e and not _fits(typ, e[key]):
+                    raise ConfigError(f"expert {e.get('expert_id')!r} {key} must be "
+                                      f"{typ.__name__}, got {e[key]!r}")
             kind = e.get("kind", "synthetic")
             if kind not in EXPERT_KINDS:
                 raise ConfigError(f"unknown expert kind {kind!r}")
@@ -130,6 +131,11 @@ class EngineConfig:
                     raise ConfigError(
                         f"text_based expert {e.get('expert_id')!r} supports non-text "
                         "modalities and therefore needs a describer endpoint")
+        dims = {e.get("dim", 0) for e in self.experts}
+        if len(dims) != 1:
+            raise ConfigError(f"all experts must share one dim, got {sorted(dims)}")
+        if min(dims) < 2:
+            raise ConfigError("expert dim must be >= 2")
         if not self.gating_expert:
             self.gating_expert = ids[0]
         if self.gating_expert not in ids:
@@ -141,7 +147,7 @@ class EngineConfig:
 
     @property
     def dim(self) -> int:
-        return int(self.experts[0]["dim"])
+        return self.experts[0]["dim"]
 
     def to_dict(self) -> dict:
         """Every setting but the API key, as plain data."""
@@ -235,7 +241,7 @@ def build_expert(entry: dict, remote: RemoteSettings):
     kind = entry.get("kind", "synthetic")
     expert_id = entry["expert_id"]
     try:
-        dim = int(entry["dim"])
+        dim = entry["dim"]
         modalities = entry.get("modalities", MODALITIES)
         settings = remote.with_env()
         endpoint = entry.get("endpoint") or (settings.endpoint if kind == "remote" else None)
@@ -248,11 +254,11 @@ def build_expert(entry: dict, remote: RemoteSettings):
             raise ConfigError(f"remote expert {expert_id!r} needs an endpoint")
         cfg = SyntheticExpertConfig(
             expert_id=expert_id,
-            seed=int(entry.get("seed", 0)),
+            seed=entry.get("seed", 0),
             dim=dim,
-            semantic_dim=int(entry.get("semantic_dim", dim // 2)),
-            gap_magnitude=float(entry.get("gap_magnitude", 0.0)),
-            noise_sigma=float(entry.get("noise_sigma", 0.0)),
+            semantic_dim=entry.get("semantic_dim", dim // 2),
+            gap_magnitude=entry.get("gap_magnitude", 0.0),
+            noise_sigma=entry.get("noise_sigma", 0.0),
         )
         return SyntheticExpert(cfg, modalities)
     except ValueError as exc:

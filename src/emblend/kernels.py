@@ -11,21 +11,22 @@ recall ranks and ``group_distance_stats``, so no second n x n block is
 ever alive next to it.
 
 ``group_distance_stats`` holds one float64 Gram matrix per modality group
-(or per pair of groups) and nothing else of that size. Its sums must keep
-the bits of the plain full-matrix form, because ``eval.json`` stores them at
-full precision. Two rules keep them:
+(or per pair of groups), one tile of distances, and nothing else of that
+size. Its sums must keep the bits of the plain full-matrix form, because
+``eval.json`` stores them at full precision. Two rules keep them:
 
-- One ``gemm`` per block, on two distinct operand buffers (``x[a]`` and a
-  second copy ``x[a].T``). Splitting the product into row tiles, or
-  multiplying one buffer by its own transpose (which numpy hands to
-  ``syrk``), both changed the bits of some entries with OpenBLAS. Where the
-  product is written does not change them.
+- One ``gemm`` per block, of the doubled rows ``2 x[a]`` against ``x[b]``:
+  doubling is exact, so this is ``2 (x[a] x[b]^T)`` bit for bit, on two
+  distinct buffers even when ``a`` is ``b``. Row tiles of the product, or
+  one buffer times its own transpose (which numpy hands to ``syrk``), both
+  changed the bits of some entries with OpenBLAS; where the product is
+  written does not change them.
 - Everything after the product is elementwise, so it runs in row tiles of
-  ``TILE_ROWS``. Each tile's distances are written back, compacted in
-  row-major order, into the front of the Gram matrix's own buffer, and one
-  ``.sum()`` over that prefix sees the same contiguous sequence as the full
-  form's gathered triangle: numpy's pairwise summation then gives the same
-  bits.
+  ``TILE_ROWS`` in one reused tile buffer. Each row's distances (within a
+  group, those right of the diagonal) are written, compacted in row-major
+  order, into the front of the Gram matrix's own buffer, and one ``.sum()``
+  over that prefix sees the same contiguous sequence as the full form's
+  gathered triangle: numpy's pairwise summation then gives the same bits.
 """
 from __future__ import annotations
 
@@ -53,36 +54,33 @@ def gram(a, b, workspace=None):
 TILE_ROWS = 64  # rows of d2 alive at once next to the Gram matrix
 
 
-def _distance_sum(gram, sq_rows, sq_cols, upper):
-    """Sum of sqrt(max(sq_rows[i] + sq_cols[j] - 2 gram[i, j], 0)) over all
-    (i, j), or over j > i when ``upper``, and the number of terms.
+def _distance_sum(gram2, sq_rows, sq_cols, upper, tile):
+    """Sum of sqrt(max(sq_rows[i] + sq_cols[j] - gram2[i, j], 0)) over all
+    (i, j), or over j > i when ``upper``, and the number of terms; d2 in ``tile``.
 
-    Consumes ``gram``: row i's compacted distances land at or before flat
+    Consumes ``gram2``: row i's compacted distances land at or before flat
     offset i * n_cols, so no row is overwritten before its tile has read it.
     """
-    n_rows, n_cols = gram.shape
-    flat = gram.reshape(-1)
-    cols = np.arange(n_cols)
+    n_rows, n_cols = gram2.shape
+    flat = gram2.reshape(-1)
     pos = 0
     for r0 in range(0, n_rows, TILE_ROWS):
         r1 = min(r0 + TILE_ROWS, n_rows)
         c0 = r0 + 1 if upper else 0
-        g = gram[r0:r1, c0:]
-        g *= 2.0  # exact, and in place: the tile is read once, below
-        d2 = sq_rows[r0:r1, None] + sq_cols[None, c0:]
-        d2 -= g
+        d2 = tile[:(r1 - r0) * (n_cols - c0)].reshape(r1 - r0, n_cols - c0)
+        np.add(sq_rows[r0:r1, None], sq_cols[None, c0:], out=d2)
+        d2 -= gram2[r0:r1, c0:]
         np.maximum(d2, 0.0, out=d2)
-        if upper:
-            d2 = d2[cols[c0:] > cols[r0:r1, None]]
-        cnt = d2.size
-        np.sqrt(d2.reshape(-1), out=flat[pos:pos + cnt])
-        pos += cnt
+        # the whole tile, or each row r0 + k from the column right of its diagonal on
+        for k, row in enumerate(d2) if upper else [(0, d2.reshape(-1))]:
+            np.sqrt(row[k:], out=flat[pos:pos + row.size - k])
+            pos += row.size - k
     return flat[:pos].sum(), pos
 
 
 def group_distance_stats(x, labels, n_groups, workspace=None):
     """Pairwise L2 distance sums and counts, within and across groups. Each
-    block's Gram matrix goes to ``gram`` with ``workspace``.
+    block's doubled Gram matrix goes to ``gram`` with ``workspace``.
 
     Returns (intra_sum, intra_cnt, inter_sum, inter_cnt); inter arrays are
     upper-triangular in (g1, g2) with g1 < g2.
@@ -95,16 +93,18 @@ def group_distance_stats(x, labels, n_groups, workspace=None):
     inter_sum = np.zeros((n_groups, n_groups))
     inter_cnt = np.zeros((n_groups, n_groups), dtype=np.int64)
     idx = [np.flatnonzero(labels == g) for g in range(n_groups)]
+    tile = np.empty(TILE_ROWS * max(map(len, idx), default=0))
     for g1 in range(n_groups):
         a = idx[g1]
-        if a.size >= 2:  # x[a] twice: two buffers, so gemm, not syrk
+        x2 = 2.0 * x[a]
+        if a.size >= 2:
             intra_sum[g1], intra_cnt[g1] = _distance_sum(
-                gram(x[a], x[a], workspace), sq[a], sq[a], upper=True)
+                gram(x2, x[a], workspace), sq[a], sq[a], True, tile)
         for g2 in range(g1 + 1, n_groups):
             b = idx[g2]
             if a.size and b.size:
                 inter_sum[g1, g2], inter_cnt[g1, g2] = _distance_sum(
-                    gram(x[a], x[b], workspace), sq[a], sq[b], upper=False)
+                    gram(x2, x[b], workspace), sq[a], sq[b], False, tile)
     return intra_sum, intra_cnt, inter_sum, inter_cnt
 
 

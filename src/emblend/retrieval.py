@@ -1,4 +1,4 @@
-"""Exact similarity search, bidirectional Recall@K, and modality-geometry diagnostics."""
+"""Exact similarity search, two-way Recall@K from one product, modality-geometry diagnostics."""
 from __future__ import annotations
 
 from collections import Counter
@@ -11,7 +11,7 @@ from .errors import (DimMismatch, EmptyModality, InsufficientSamples,
                      MissingPartner)
 from .geometry import centroid
 
-RANK_BLOCK = 64  # query rows compared at once in partner_ranks
+RANK_BLOCK = 64  # rows of similarities compared at once
 
 
 @dataclass
@@ -50,12 +50,25 @@ def top_k(index: RetrievalIndex, query, k: int):
     return [(index.ids[i], float(sims[i])) for i in order]
 
 
+def _count(mask, axis):
+    """True entries along ``axis``, summed through a ``uint8`` view (faster than count_nonzero)."""
+    return mask.view(np.uint8).sum(axis, dtype=np.uint16 if mask.shape[axis] < 1 << 16 else int)
+
+
+def _rank_rows(sims, sp, partner, id_rank):
+    """1-based rank of each row's partner (similarity ``sp``, id order ``partner``) as in top_k:
+    1 + candidates above it + those tied with a smaller id (ids compared only where others tie)."""
+    sp = sp[:, None]
+    ranks = 1 + _count(sims > sp, 1).astype(np.int64)
+    tied = np.flatnonzero(_count(sims == sp, 1) > 1)
+    if tied.size:
+        ranks[tied] += _count((sims[tied] == sp[tied]) & (id_rank < partner[tied, None]), 1)
+    return ranks
+
+
 def partner_ranks(queries, partner_ids, index: RetrievalIndex, workspace=None):
-    """1-based rank of each query's ground-truth partner under top_k ordering:
-    one plus the candidates scoring higher, plus those tied with a smaller id.
-    The query-by-index similarities go through ``kernels.gram``. Each block
-    of rows takes one ``>`` and one ``==`` count; the ids of tied candidates
-    are compared only in rows where one besides the partner ties."""
+    """1-based rank of each query's ground-truth partner (see ``_rank_rows``) over
+    the query-by-index similarities of ``kernels.gram``, ``RANK_BLOCK`` rows at a time."""
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != index.dim:
         raise DimMismatch(f"query dim {queries.shape[1]} != index dim {index.dim}")
@@ -66,20 +79,14 @@ def partner_ranks(queries, partner_ids, index: RetrievalIndex, workspace=None):
         cols = np.array([pos[pid] for pid in partner_ids], dtype=np.intp)
     except KeyError as exc:
         raise MissingPartner(f"partner {exc.args[0]!r} not in index") from None
-    id_rank = np.empty(len(index), dtype=np.intp)  # position in ascending id order
-    id_rank[np.argsort(index._id_arr)] = np.arange(len(index))
+    id_rank = np.argsort(np.argsort(index._id_arr))  # position in ascending id order
     sims = kernels.gram(queries, index.matrix, workspace)
     ranks = np.empty(cols.size, dtype=np.int64)
     for start in range(0, cols.size, RANK_BLOCK):  # bounds the boolean temporaries
         block = slice(start, start + RANK_BLOCK)
         row_sims, col = sims[block], cols[block]
-        sp = row_sims[np.arange(col.size), col][:, None]
-        ranks[block] = 1 + np.count_nonzero(row_sims > sp, axis=1)
-        tied = np.flatnonzero(np.count_nonzero(row_sims == sp, axis=1) > 1)
-        if tied.size:
-            tied_before = ((row_sims[tied] == sp[tied])
-                           & (id_rank < id_rank[col[tied]][:, None]))
-            ranks[start + tied] += np.count_nonzero(tied_before, axis=1)
+        ranks[block] = _rank_rows(row_sims, row_sims[np.arange(col.size), col],
+                                  id_rank[col], id_rank)
     return ranks
 
 
@@ -92,10 +99,33 @@ def recall_at_k(queries, partner_ids, index: RetrievalIndex, k_values, workspace
 def bidirectional_recall(raw, anchors, ids, k_values, workspace=None) -> dict:
     """Recall@K both ways over paired rows: raw queries against the anchor
     index ("R2A") and anchor queries against the raw index ("A2R")."""
-    ann_index = RetrievalIndex(ids, anchors)
-    raw_index = RetrievalIndex(ids, raw)
-    return {"R2A": recall_at_k(raw, ids, ann_index, k_values, workspace),
-            "A2R": recall_at_k(anchors, ids, raw_index, k_values, workspace)}
+    return {name: {int(k): float(np.mean(r <= k)) for k in k_values} for name, r
+            in zip(("R2A", "A2R"), bidirectional_ranks(raw, anchors, ids, workspace))}
+
+
+def bidirectional_ranks(raw, anchors, ids, workspace=None):
+    """(R2A, A2R) partner ranks along the rows and down the columns of one product
+    ``S = raw @ anchors.T``, against its diagonal, in the same ``RANK_BLOCK`` row blocks.
+    A rank can differ from the two-product form (A2R from ``anchors @ raw.T``, which may
+    round ``S[j, i]`` otherwise) only where two similarities lie within one ulp."""
+    raw, anchors = (RetrievalIndex(ids, m).matrix for m in (raw, anchors))
+    if raw.shape != anchors.shape:
+        raise DimMismatch(f"raw shape {raw.shape} != anchor shape {anchors.shape}")
+    id_rank = np.argsort(np.argsort(np.asarray(ids)))
+    sims = kernels.gram(raw, anchors, workspace)
+    diag = sims.diagonal().copy()
+    r2a, a2r = np.empty(len(ids), dtype=np.int64), np.ones(len(ids), dtype=np.int64)
+    for start in range(0, len(ids), RANK_BLOCK):
+        block = slice(start, start + RANK_BLOCK)
+        rows = sims[block]
+        r2a[block] = _rank_rows(rows, diag[block], id_rank[block], id_rank)
+        a2r += _count(rows > diag, 0)
+        tied = rows == diag
+        np.fill_diagonal(tied[:, start:], False)  # each column's own partner
+        cols = np.flatnonzero(_count(tied, 0))
+        if cols.size:
+            a2r[cols] += _count(tied[:, cols] & (id_rank[block, None] < id_rank[cols]), 0)
+    return r2a, a2r
 
 
 @dataclass

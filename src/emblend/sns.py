@@ -306,6 +306,10 @@ def run_sns(corpus, config: SnsConfig, gating, describe_fn=None) -> list:
     """
     if config.direction == "off":
         return [_passthrough(pair, config) for pair in corpus]
+    for key, used in (("tau_alpha", "forward"), ("tau_beta", "backward")):
+        missing = sorted(set(corpus.modalities) - set(getattr(config, key)))
+        if missing and config.direction in (used, "bidirectional"):
+            raise ConfigError(f"sns {key} has no threshold for modality {missing[0]!r}")
     results = [None] * len(corpus)
 
     def survivors(outcomes: dict) -> dict:

@@ -1,30 +1,38 @@
 """References the tests compare emblend against: single-item paths that
-left ``src/``, the corpus read one ``PairedSample`` at a time with its item
-ids per pair, the routes stored rows were read along before
-``ExpertHandle.positions`` became the one read path, SNS and its threshold
-calibration one pair at a time, the projection step's modality groups one
-group at a time, the training step as first written, and the brute-force
-oracles of the distance, k-means, dedup and ranking kernels.
+left ``src/`` (the synthetic expert's payloads and rows among them), the
+corpus read one ``PairedSample`` at a time with its item ids per pair, the
+routes stored rows were read along before ``ExpertHandle.positions`` became
+the one read path, the store's index as one tuple-keyed dict, SNS and its
+threshold calibration one pair at a time, the projection step's modality
+groups one group at a time, the training step as first written, the
+heuristic filter and k-means as first written, the brute-force oracles of
+the distance, k-means, dedup and ranking kernels, and those kernels' earlier
+forms: the distance tiles before the doubled product, and recall as two
+products.
 
 Each is written one item, one group or one sample at a time, as it was in
 ``src/``; only the tests import this module.
 """
+import hashlib
 import json
+import re
 from dataclasses import replace
 from operator import attrgetter
 
 import numpy as np
 
+from emblend.curation import FilterReport
 from emblend.dataio import (Component, PairedSample, component_item_id, sample_to_record,
                             segment_text)
 from emblend.engine import DEFAULT_BATCH, SLICE_BATCHES
 from emblend.errors import DescriberFailure, DimMismatch, EmblendError, EmptyModality, \
-    EmptySet, GatingExpertFailure, InvariantViolation, ParseError
+    EmptySet, GatingExpertFailure, InvariantViolation, ParseError, UnsupportedModality
 from emblend.experts import (EmbedItem, _generate_rows, _hash_rows, _NoiseStream, _payload_bytes,
                              _payload_values, encode_payload)
 from emblend.geometry import MODALITIES, cosine_sim, normalize, side_vector, side_vectors
+from emblend.kernels import TILE_ROWS, gram, kmeans_assign
 from emblend.projection import _Optimizer, forward
-from emblend.retrieval import RANK_BLOCK
+from emblend.retrieval import RANK_BLOCK, RetrievalIndex
 from emblend.sns import NucleusRecord, extract, mi_gate
 
 # -- the corpus one pair at a time -----------------------------------------------
@@ -189,6 +197,68 @@ class TableDescriber:
         return [self.table[pair.sample_id] for pair, _ in requests]
 
 
+def reference_normalize(v):
+    v = np.asarray(v, dtype=np.float64)
+    return v / float(np.linalg.norm(v))
+
+
+def reference_hash_payload(text, semantic_dim):
+    vec = np.zeros(semantic_dim)
+    for tok in re.findall(r"\w+", text.lower()) or [text]:
+        digest = hashlib.blake2b(tok.encode("utf-8"), digest_size=8).digest()
+        vec[int.from_bytes(digest[:4], "little") % semantic_dim] += 1.0 if digest[4] & 1 else -1.0
+    norm = np.linalg.norm(vec)
+    if norm < 1e-12:
+        vec[:] = 0.0
+        vec[0] = 1.0
+        return vec
+    return vec / norm
+
+
+def reference_generate(cfg, payload, modality, item_id):
+    """synthetic_generate as a per-item path: a fresh Philox(key=...) per item."""
+    vec = np.zeros(cfg.dim)
+    vec[: cfg.semantic_dim] = payload
+    if cfg.gap_magnitude > 0:
+        vec = vec + cfg.gap_magnitude * cfg.modality_offsets[modality]
+    if cfg.noise_sigma > 0:
+        digest = hashlib.blake2b(f"{cfg.seed}|{item_id}".encode("utf-8"), digest_size=16).digest()
+        rng = np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
+        vec = vec + rng.normal(0.0, cfg.noise_sigma, cfg.dim)
+    return reference_normalize(vec)
+
+
+def reference_embed(cfg, item):
+    """normalize(synthetic_generate(payload)) with np.linalg.norm throughout."""
+    explicit = decode_payload(item.content)
+    if explicit is not None:
+        payload = reference_normalize(explicit)
+    else:
+        payload = reference_hash_payload(item.content, cfg.semantic_dim)
+    return reference_normalize(reference_generate(cfg, payload, item.modality, item.item_id))
+
+
+def item_by_item_payloads(expert, items):
+    """The payloads of the old per-item loop, in batch order: each item's
+    modality check, then its @vec payload decoded, length-checked and
+    normalized, or its text hashed. Raises the first failing item's error."""
+    sd = expert.config.semantic_dim
+    payloads = []
+    for it in items:
+        if it.modality not in expert.modalities:
+            raise UnsupportedModality(
+                f"expert {expert.expert_id!r} does not support {it.modality!r}")
+        explicit = decode_payload(it.content)
+        if explicit is None:
+            payloads.append(reference_hash_payload(it.content, sd))
+        elif explicit.shape != (sd,):
+            raise DimMismatch(f"@vec payload has {explicit.shape[0]} entries, expected {sd}")
+        else:
+            payloads.append(normalize(explicit))
+    return payloads
+
+
+
 # -- the read routes before ExpertHandle.positions -----------------------------
 
 
@@ -284,6 +354,33 @@ def item_populate_caches(engine, corpus) -> dict:
     for eid in engine.expert_order:
         resolve(engine.handles[eid], items)
     return {eid: len(items) for eid in engine.expert_order}
+
+
+def reference_side(engine, samples, side, expert_id):
+    """Per-sample side_vector over values read back one item at a time."""
+    handle = engine.handles[expert_id]
+    rows = []
+    for s in samples:
+        vecs = []
+        for item in side_items(s, side):
+            stored = handle.store.get(item.item_id, expert_id)
+            vecs.append((stored or handle.expert.embed(item)).values)
+        rows.append(side_vector(vecs))
+    return np.vstack(rows)
+
+
+def tuple_keyed_merge(batches):
+    """Oracle: the store's index as one dict from (item_id, expert_id) to row,
+    taking records in order: a new key takes the next row, and a key's last
+    record gives its value and modality."""
+    index, values, modalities = {}, {}, {}
+    for expert_id, items, block in batches:
+        for it, v in zip(items, block):
+            key = (it.item_id, expert_id)
+            index.setdefault(key, len(index))
+            values[key], modalities[key] = v, it.modality
+    return index, values, modalities
+
 
 
 # -- SNS one pair at a time ------------------------------------------------------
@@ -602,7 +699,7 @@ def ref_train(inputs, anchors, modalities, model, cfg, weights):
     return model, log
 
 
-# -- kernel and retrieval oracles ----------------------------------------------
+# -- kernel, curation and retrieval oracles -------------------------------------
 
 def group_stats_oracle(x, labels, n_groups):
     intra_sum = np.zeros(n_groups)
@@ -645,6 +742,66 @@ def kmeans_assign_oracle(x, centroids):
     return np.argmin(d2, axis=1).astype(np.int64)
 
 
+def heuristic_filter_oracle(text, config, sample_id=""):
+    """``heuristic_filter`` as first written: one pass per character over the
+    non-whitespace characters."""
+    failed, measured = [], {}
+    if not text.strip():
+        return FilterReport(sample_id, False, ["empty_text"], {})
+    non_ws = [c for c in text if not c.isspace()]
+    non_alnum = sum(1 for c in non_ws if not c.isalnum())
+    ratio = non_alnum / len(non_ws)
+    measured["non_alnum_ratio"] = ratio
+    if ratio > config.max_non_alnum_ratio:
+        failed.append("non_alnum_ratio")
+    lines = text.split("\n")
+    repeated = 1.0 - len(set(lines)) / len(lines)
+    measured["repeated_line_fraction"] = repeated
+    if repeated > config.max_repeated_line_fraction:
+        failed.append("repeated_line_fraction")
+    lowered = text.lower()
+    hits = [b for b in config.boilerplate if b.lower() in lowered]
+    measured["boilerplate_hits"] = hits
+    if hits:
+        failed.append("boilerplate")
+    return FilterReport(sample_id, not failed, failed, measured)
+
+
+def kmeans_oracle(x, k, seed, max_iter=50, tol=1e-6):
+    """``kmeans`` as first written: one boolean mask per cluster per iteration."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    n = x.shape[0]
+    gen = np.random.Generator(np.random.PCG64(seed))
+    order = gen.permutation(n)
+    chosen, seen = [], set()
+    for i in order:
+        key = x[i].tobytes()
+        if key not in seen:
+            seen.add(key)
+            chosen.append(i)
+        if len(chosen) == k:
+            break
+    for i in order:
+        if len(chosen) == k:
+            break
+        if i not in chosen:
+            chosen.append(i)
+    centroids = x[np.asarray(chosen[:k])].copy()
+    for _ in range(max_iter):
+        labels = kmeans_assign(x, centroids)
+        new_centroids = centroids.copy()
+        for j in range(k):
+            members = labels == j
+            if members.any():
+                new_centroids[j] = x[members].mean(axis=0)
+        shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
+        centroids = new_centroids
+        if shift <= tol:
+            break
+    return kmeans_assign(x, centroids), centroids
+
+
+
 def sort_oracle(ids, matrix, query, k):
     """Independent full-sort ranking with the same tie rule."""
     sims = matrix @ query
@@ -669,3 +826,83 @@ def blockwise_partner_ranks(queries, partner_ids, index):
         ranks[block] = (1 + np.count_nonzero(row_sims > sp, axis=1)
                         + np.count_nonzero(tied_before, axis=1))
     return ranks
+
+
+def _masked_distance_sum(gram, sq_rows, sq_cols, upper):
+    """``kernels._distance_sum`` before the doubled product and the tile
+    buffer: each tile doubles its Gram rows in place, takes a fresh d2, and
+    gathers the upper triangle through a boolean mask."""
+    n_rows, n_cols = gram.shape
+    flat = gram.reshape(-1)
+    cols = np.arange(n_cols)
+    pos = 0
+    for r0 in range(0, n_rows, TILE_ROWS):
+        r1 = min(r0 + TILE_ROWS, n_rows)
+        c0 = r0 + 1 if upper else 0
+        g = gram[r0:r1, c0:]
+        g *= 2.0
+        d2 = sq_rows[r0:r1, None] + sq_cols[None, c0:]
+        d2 -= g
+        np.maximum(d2, 0.0, out=d2)
+        if upper:
+            d2 = d2[cols[c0:] > cols[r0:r1, None]]
+        cnt = d2.size
+        np.sqrt(d2.reshape(-1), out=flat[pos:pos + cnt])
+        pos += cnt
+    return flat[:pos].sum(), pos
+
+
+def masked_group_distance_stats(x, labels, n_groups, workspace=None):
+    """``kernels.group_distance_stats`` with ``_masked_distance_sum``: one
+    product ``x[a] @ x[b].T`` per block, doubled afterwards."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    sq = np.einsum("ij,ij->i", x, x)
+    intra_sum = np.zeros(n_groups)
+    intra_cnt = np.zeros(n_groups, dtype=np.int64)
+    inter_sum = np.zeros((n_groups, n_groups))
+    inter_cnt = np.zeros((n_groups, n_groups), dtype=np.int64)
+    idx = [np.flatnonzero(labels == g) for g in range(n_groups)]
+    for g1 in range(n_groups):
+        a = idx[g1]
+        if a.size >= 2:
+            intra_sum[g1], intra_cnt[g1] = _masked_distance_sum(
+                gram(x[a], x[a], workspace), sq[a], sq[a], upper=True)
+        for g2 in range(g1 + 1, n_groups):
+            b = idx[g2]
+            if a.size and b.size:
+                inter_sum[g1, g2], inter_cnt[g1, g2] = _masked_distance_sum(
+                    gram(x[a], x[b], workspace), sq[a], sq[b], upper=False)
+    return intra_sum, intra_cnt, inter_sum, inter_cnt
+
+
+def counted_partner_ranks(queries, partner_ids, index, workspace=None):
+    """``retrieval.partner_ranks`` before its counts moved into
+    ``_rank_rows``: ``count_nonzero`` along each block's rows."""
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    pos = {sid: i for i, sid in enumerate(index.ids)}
+    cols = np.array([pos[pid] for pid in partner_ids], dtype=np.intp)
+    id_rank = np.empty(len(index), dtype=np.intp)
+    id_rank[np.argsort(np.asarray(index.ids))] = np.arange(len(index))
+    sims = gram(queries, index.matrix, workspace)
+    ranks = np.empty(cols.size, dtype=np.int64)
+    for start in range(0, cols.size, RANK_BLOCK):
+        block = slice(start, start + RANK_BLOCK)
+        row_sims, col = sims[block], cols[block]
+        sp = row_sims[np.arange(col.size), col][:, None]
+        ranks[block] = 1 + np.count_nonzero(row_sims > sp, axis=1)
+        tied = np.flatnonzero(np.count_nonzero(row_sims == sp, axis=1) > 1)
+        if tied.size:
+            tied_before = ((row_sims[tied] == sp[tied])
+                           & (id_rank < id_rank[col[tied]][:, None]))
+            ranks[start + tied] += np.count_nonzero(tied_before, axis=1)
+    return ranks
+
+
+def two_product_ranks(raw, anchors, ids):
+    """``retrieval.bidirectional_ranks`` as two products: raw queries
+    against the anchor index (R2A), then anchor queries against the raw
+    index (A2R), each through ``counted_partner_ranks``."""
+    return (counted_partner_ranks(raw, ids, RetrievalIndex(ids, anchors)),
+            counted_partner_ranks(anchors, ids, RetrievalIndex(ids, raw)))
+

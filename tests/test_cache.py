@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cachefile import HEADER, records, reseal, segment_spans, v1_bytes
+from reference import tuple_keyed_merge
 from emblend.cache import MAGIC, EmbeddingCache
 from emblend.errors import CacheCorrupt
 from emblend.experts import EmbedItem
@@ -426,19 +427,6 @@ def test_first_occurrence_row_and_last_write_hold_across_segments(tmp_path):
         assert np.array_equal(store.rows(order, "ex"),
                               np.array([last[sid][0].astype(cast) for sid in order]))
         assert [store.get(sid, "ex").modality for sid in order] == [last[s][1] for s in order]
-
-
-def tuple_keyed_merge(batches):
-    """Oracle: the store's index as one dict from (item_id, expert_id) to row,
-    taking records in order: a new key takes the next row, and a key's last
-    record gives its value and modality."""
-    index, values, modalities = {}, {}, {}
-    for expert_id, items, block in batches:
-        for it, v in zip(items, block):
-            key = (it.item_id, expert_id)
-            index.setdefault(key, len(index))
-            values[key], modalities[key] = v, it.modality
-    return index, values, modalities
 
 
 def test_interleaved_experts_keep_rows_in_first_occurrence_order(tmp_path):

@@ -200,7 +200,7 @@ def test_eval_products_share_one_workspace(workspace, small_model, tmp_path, mon
     assert run(["eval", "--config", workspace["config"], "--corpus", workspace["corpus"],
                 "--model", small_model, "--out", str(tmp_path / "eval")]) == 0
     assert len(bases) == 1 and bases[0]() is None  # one buffer, gone once eval returned
-    assert shapes.count((120, 120)) == 2 * 4  # both recall directions, 4 spaces
+    assert shapes.count((120, 120)) == 4  # one product for both recall directions, 4 spaces
     assert len(shapes) > 2 * 4
     texts = sum(1 for line in read_jsonl(workspace["corpus"]) if line["modality"] == "text")
     assert max(m * n for m, n in shapes) == (120 + texts) ** 2  # the anchors join the text group
@@ -440,6 +440,56 @@ def test_a_wrong_setting_is_exit_1_naming_its_key(workspace, tmp_path, capsys, s
                 "--out", str(tmp_path / "train")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: {named} must be ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("dim", 32.5), ("dim", "32"), ("dim", True),
+                                        ("semantic_dim", 8.0), ("seed", "1"),
+                                        ("gap_magnitude", "1.8"), ("noise_sigma", False)])
+def test_a_wrong_expert_number_is_exit_1_naming_the_expert_and_key(workspace, tmp_path, capsys,
+                                                                   key, value):
+    """An expert's numbers are checked like every other setting, never
+    coerced: ``dim: 32.5`` no longer embeds 32-dimensional rows."""
+    doc = yaml.safe_load(open(workspace["config"]))
+    expert = doc["experts"][1]
+    expert[key] = value
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "emb"
+    assert run(["embed", "--config", str(bad), "--corpus", workspace["corpus"],
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    kind = "int" if key in ("dim", "semantic_dim", "seed") else "float"
+    assert err == (f"error: {bad}: expert {expert['expert_id']!r} {key} must be {kind}, "
+                   f"got {value!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("direction, key", [("forward", "tau_alpha"), ("backward", "tau_beta"),
+                                            ("bidirectional", "tau_alpha"),
+                                            ("bidirectional", "tau_beta")])
+def test_a_tau_mapping_without_a_corpus_modality_is_exit_1(workspace, tmp_path, capsys,
+                                                          direction, key):
+    """A ``tau_*`` mapping that its direction reads must cover every modality
+    of the corpus; one that only lists text exits 1 naming the key and the
+    first modality it lacks, where it was a ``KeyError`` traceback. A mapping
+    the direction does not read may lack modalities."""
+    doc = yaml.safe_load(open(workspace["config"]))
+    modalities = {line["modality"] for line in read_jsonl(workspace["corpus"])}
+    assert modalities - {"text"}
+    doc["sns"].update(direction=direction, **{key: {"text": 0.1}})
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    base = ["sns", "--config", str(config), "--corpus", workspace["corpus"]]
+    assert run([*base, "--out", str(tmp_path / "sns")]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: sns {key} has no threshold for modality "
+                   f"{min(modalities - {'text'})!r}\n")
+    assert not (tmp_path / "sns" / "trimmed.jsonl").exists()
+    if direction != "bidirectional":
+        other = "forward" if direction == "backward" else "backward"
+        doc["sns"]["direction"] = other
+        config.write_text(yaml.safe_dump(doc))
+        assert run([*base, "--out", str(tmp_path / other)]) == 0
 
 
 @pytest.mark.parametrize("field, value", [("train.optimizer", "sgd"),

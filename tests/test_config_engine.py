@@ -9,7 +9,8 @@ import pytest
 import yaml
 
 from cachefile import records
-from reference import item_gather_side_matrix, item_populate_caches, pair_ids, side_items
+from reference import (item_gather_side_matrix, item_populate_caches, pair_ids, reference_side,
+                       side_items)
 from emblend.cache import EmbeddingCache
 from emblend.cli import run
 from emblend.config import (build_expert, config_from_dict, load_config,
@@ -192,19 +193,6 @@ class TestEngine:
         assert (describer.endpoint, describer.timeout) == ("http://svc/describe", 30.0)
 
 
-def _reference_side(engine, samples, side, expert_id):
-    """Per-sample side_vector over values read back one item at a time."""
-    handle = engine.handles[expert_id]
-    rows = []
-    for s in samples:
-        vecs = []
-        for item in side_items(s, side):
-            stored = handle.store.get(item.item_id, expert_id)
-            vecs.append((stored or handle.expert.embed(item)).values)
-        rows.append(side_vector(vecs))
-    return np.vstack(rows)
-
-
 @pytest.mark.parametrize("cached", [False, True])
 def test_side_matrices_bit_equal_per_sample_reference(setup, tmp_path, cached):
     config, samples = setup
@@ -216,11 +204,11 @@ def test_side_matrices_bit_equal_per_sample_reference(setup, tmp_path, cached):
     blocks = []
     for eid in engine.expert_order:
         raw, ann = engine.expert_space(samples, eid)
-        assert np.array_equal(raw, _reference_side(engine, samples, "raw", eid))
-        assert np.array_equal(ann, _reference_side(engine, samples, "annotation", eid))
+        assert np.array_equal(raw, reference_side(engine, samples, "raw", eid))
+        assert np.array_equal(ann, reference_side(engine, samples, "annotation", eid))
         blocks.append(raw)
     assert np.array_equal(fused, np.concatenate(blocks, axis=1))
-    assert np.array_equal(anchors, _reference_side(engine, samples, "annotation", "text"))
+    assert np.array_equal(anchors, reference_side(engine, samples, "annotation", "text"))
 
 
 def test_side_vectors_bit_equal_on_float64_rows():

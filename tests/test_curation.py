@@ -5,14 +5,14 @@ import sys
 import numpy as np
 import pytest
 
-from emblend.curation import (Blend, FilterConfig, FilterReport, blend_stats, char_counts,
+from emblend.curation import (Blend, FilterConfig, blend_stats, char_counts,
                               curate_topn, heuristic_filter, kmeans, pca_2d,
                               sample_stratified, sample_uniform, semantic_dedup,
                               stratified_quotas, traditional_pipeline)
 from emblend.dataio import Component, Corpus, PairedSample
 from emblend.errors import (EmptyPool, KTooLarge, NTooLarge, PoolTooSmall,
                             UnknownId)
-from emblend.kernels import kmeans_assign
+from reference import heuristic_filter_oracle, kmeans_oracle
 
 rng = np.random.default_rng(17)
 
@@ -48,65 +48,6 @@ UNICODE_TEXTS = [
     "\t\n\x0b\x0c\r mixed \u2009thin\u200bzero-width",
     "\u00a0\u00a0x",
 ]
-
-
-def heuristic_filter_oracle(text, config, sample_id=""):
-    """``heuristic_filter`` as first written: one pass per character over the
-    non-whitespace characters."""
-    failed, measured = [], {}
-    if not text.strip():
-        return FilterReport(sample_id, False, ["empty_text"], {})
-    non_ws = [c for c in text if not c.isspace()]
-    non_alnum = sum(1 for c in non_ws if not c.isalnum())
-    ratio = non_alnum / len(non_ws)
-    measured["non_alnum_ratio"] = ratio
-    if ratio > config.max_non_alnum_ratio:
-        failed.append("non_alnum_ratio")
-    lines = text.split("\n")
-    repeated = 1.0 - len(set(lines)) / len(lines)
-    measured["repeated_line_fraction"] = repeated
-    if repeated > config.max_repeated_line_fraction:
-        failed.append("repeated_line_fraction")
-    lowered = text.lower()
-    hits = [b for b in config.boilerplate if b.lower() in lowered]
-    measured["boilerplate_hits"] = hits
-    if hits:
-        failed.append("boilerplate")
-    return FilterReport(sample_id, not failed, failed, measured)
-
-
-def kmeans_oracle(x, k, seed, max_iter=50, tol=1e-6):
-    """``kmeans`` as first written: one boolean mask per cluster per iteration."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    n = x.shape[0]
-    gen = np.random.Generator(np.random.PCG64(seed))
-    order = gen.permutation(n)
-    chosen, seen = [], set()
-    for i in order:
-        key = x[i].tobytes()
-        if key not in seen:
-            seen.add(key)
-            chosen.append(i)
-        if len(chosen) == k:
-            break
-    for i in order:
-        if len(chosen) == k:
-            break
-        if i not in chosen:
-            chosen.append(i)
-    centroids = x[np.asarray(chosen[:k])].copy()
-    for _ in range(max_iter):
-        labels = kmeans_assign(x, centroids)
-        new_centroids = centroids.copy()
-        for j in range(k):
-            members = labels == j
-            if members.any():
-                new_centroids[j] = x[members].mean(axis=0)
-        shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
-        centroids = new_centroids
-        if shift <= tol:
-            break
-    return kmeans_assign(x, centroids), centroids
 
 
 class TestCurateTopN:

@@ -1,7 +1,6 @@
 import base64
 import hashlib
 import itertools
-import re
 import sys
 import threading
 import warnings
@@ -16,7 +15,9 @@ from emblend.experts import (EmbedItem, PayloadDescriber, SyntheticExpert, Synth
                              encode_payload, orthogonal_offsets)
 from emblend.geometry import MODALITIES, normalize
 from emblend.retrieval import clustering_diagnostic
-from reference import decode_payload, hash_payload, payload_describe, synthetic_generate
+from reference import (decode_payload, hash_payload, item_by_item_payloads, payload_describe,
+                       reference_embed, reference_generate, reference_hash_payload,
+                       reference_normalize, synthetic_generate)
 
 
 def make_config(**kw):
@@ -149,47 +150,6 @@ class TestSyntheticExpert:
         assert diag["clustered"] is True
 
 
-def _reference_normalize(v):
-    v = np.asarray(v, dtype=np.float64)
-    return v / float(np.linalg.norm(v))
-
-
-def _reference_hash_payload(text, semantic_dim):
-    vec = np.zeros(semantic_dim)
-    for tok in re.findall(r"\w+", text.lower()) or [text]:
-        digest = hashlib.blake2b(tok.encode("utf-8"), digest_size=8).digest()
-        vec[int.from_bytes(digest[:4], "little") % semantic_dim] += 1.0 if digest[4] & 1 else -1.0
-    norm = np.linalg.norm(vec)
-    if norm < 1e-12:
-        vec[:] = 0.0
-        vec[0] = 1.0
-        return vec
-    return vec / norm
-
-
-def _reference_generate(cfg, payload, modality, item_id):
-    """synthetic_generate as a per-item path: a fresh Philox(key=...) per item."""
-    vec = np.zeros(cfg.dim)
-    vec[: cfg.semantic_dim] = payload
-    if cfg.gap_magnitude > 0:
-        vec = vec + cfg.gap_magnitude * cfg.modality_offsets[modality]
-    if cfg.noise_sigma > 0:
-        digest = hashlib.blake2b(f"{cfg.seed}|{item_id}".encode("utf-8"), digest_size=16).digest()
-        rng = np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
-        vec = vec + rng.normal(0.0, cfg.noise_sigma, cfg.dim)
-    return _reference_normalize(vec)
-
-
-def _reference_embed(cfg, item):
-    """normalize(synthetic_generate(payload)) with np.linalg.norm throughout."""
-    explicit = decode_payload(item.content)
-    if explicit is not None:
-        payload = _reference_normalize(explicit)
-    else:
-        payload = _reference_hash_payload(item.content, cfg.semantic_dim)
-    return _reference_normalize(_reference_generate(cfg, payload, item.modality, item.item_id))
-
-
 def _mixed_items(n, semantic_dim=8, seed=3):
     """@vec payloads over 12 orders of magnitude and hashed texts, all four
     modalities; ids repeat from item 250 on."""
@@ -212,7 +172,7 @@ def test_embed_batch_bit_equal_to_per_item_reference(gap, noise):
     expert = SyntheticExpert(cfg)
     items = _mixed_items(300)  # longer than one engine slice (8 batches of 32)
     assert len({it.item_id for it in items}) < len(items)
-    expected = [_reference_embed(cfg, it) for it in items]
+    expected = [reference_embed(cfg, it) for it in items]
     for start, stop in ((0, 300), (0, 256), (5, 6)):
         got = expert.embed_batch(items[start:stop])
         assert isinstance(got, np.ndarray)
@@ -233,7 +193,7 @@ def test_synthetic_generate_bit_equal_to_per_item_reference(gap, noise):
     for i, m in enumerate(MODALITIES * 5):
         payload = normalize(rng.normal(size=8))
         got = synthetic_generate(cfg, payload, m, item_id=f"x{i}")
-        assert got.tobytes() == _reference_generate(cfg, payload, m, f"x{i}").tobytes()
+        assert got.tobytes() == reference_generate(cfg, payload, m, f"x{i}").tobytes()
 
 
 def test_unsupported_modality_mid_batch_raises():
@@ -291,26 +251,6 @@ def _cancelling_text(semantic_dim):
     raise AssertionError("no cancelling pair")
 
 
-def _item_by_item(expert, items):
-    """The payloads of the old per-item loop, in batch order: each item's
-    modality check, then its @vec payload decoded, length-checked and
-    normalized, or its text hashed. Raises the first failing item's error."""
-    sd = expert.config.semantic_dim
-    payloads = []
-    for it in items:
-        if it.modality not in expert.modalities:
-            raise UnsupportedModality(
-                f"expert {expert.expert_id!r} does not support {it.modality!r}")
-        explicit = decode_payload(it.content)
-        if explicit is None:
-            payloads.append(_reference_hash_payload(it.content, sd))
-        elif explicit.shape != (sd,):
-            raise DimMismatch(f"@vec payload has {explicit.shape[0]} entries, expected {sd}")
-        else:
-            payloads.append(normalize(explicit))
-    return payloads
-
-
 GOOD_CONTENT = {
     "vec": encode_payload(np.arange(1.0, 9.0)),
     "text": "a plain sentence about apples.",
@@ -331,12 +271,12 @@ def test_embed_batch_mixed_rows_bit_equal_to_reference(noise):
     expert = SyntheticExpert(make_config(gap_magnitude=0.9, noise_sigma=noise))
     cfg = expert.config
     contents = [*GOOD_CONTENT.values(), _cancelling_text(cfg.semantic_dim)]
-    assert _reference_hash_payload(contents[-1], cfg.semantic_dim).tolist() == \
+    assert reference_hash_payload(contents[-1], cfg.semantic_dim).tolist() == \
         [1.0] + [0.0] * (cfg.semantic_dim - 1)
     items = [EmbedItem(f"m{i}", MODALITIES[i % 4], contents[i % len(contents)])
              for i in range(40)]
-    payloads = _item_by_item(expert, items)
-    want = [_reference_normalize(_reference_generate(cfg, p, it.modality, it.item_id))
+    payloads = item_by_item_payloads(expert, items)
+    want = [reference_normalize(reference_generate(cfg, p, it.modality, it.item_id))
             for p, it in zip(payloads, items)]
     got = expert.embed_batch(items)
     assert [row.tobytes() for row in got] == [v.tobytes() for v in want]
@@ -359,7 +299,7 @@ def test_embed_batch_raises_the_first_failing_item_error(first, second):
             for i, content in enumerate(GOOD_CONTENT.values())]
     items = [good[0], _bad_item(first), good[1], _bad_item(second), good[2]]
     with pytest.raises(EmblendError) as want:
-        _item_by_item(expert, items)
+        item_by_item_payloads(expert, items)
     with pytest.raises(type(want.value)) as got:
         expert.embed_batch(items)
     assert str(got.value) == str(want.value)

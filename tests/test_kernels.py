@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from emblend import kernels
-from reference import dedup_oracle, group_stats_oracle, kmeans_assign_oracle
+from reference import (dedup_oracle, group_stats_oracle, kmeans_assign_oracle,
+                       masked_group_distance_stats)
 
 
 rng = np.random.default_rng(42)
@@ -130,6 +131,44 @@ def test_group_distance_stats_bits_with_one_blas_thread():
         env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert f"{2 * 2 * 5 * len(GROUP_SIZES)} passed" in proc.stdout
+
+
+@pytest.mark.parametrize("n", (2, TILE - 1, TILE + 1, 4 * TILE + 1))
+@pytest.mark.parametrize("others", OTHERS, ids=OTHERS_IDS)
+def test_group_distance_stats_equals_the_masked_tile_form(n, others):
+    """The doubled product and the row-by-row compaction keep the bits of
+    the kernel before them, through one stale workspace too."""
+    sizes = (n,) + others
+    local = np.random.default_rng(n + 7 * len(others))
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    local.shuffle(labels)
+    x = local.normal(size=(labels.size, 32))
+    want = masked_group_distance_stats(x, labels, len(sizes))
+    for workspace in (None, np.full(labels.size ** 2, np.nan)):
+        got = kernels.group_distance_stats(x, labels, len(sizes), workspace)
+        for a, b in zip(want, got, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_group_distance_stats_one_gemm_per_block_on_two_buffers(monkeypatch):
+    """One product per block, of the doubled rows against the rows, whose
+    operands never share memory (a shared buffer would be syrk's bits)."""
+    sizes = (TILE + 1, 5, 1)
+    labels = np.repeat(np.arange(3), sizes)
+    x = np.random.default_rng(2).normal(size=(labels.size, 8))
+    calls, original = [], kernels.gram
+
+    def recording(a, b, workspace=None):
+        calls.append((a.copy(), b.copy(), np.shares_memory(a, b)))
+        return original(a, b, workspace)
+
+    monkeypatch.setattr(kernels, "gram", recording)
+    kernels.group_distance_stats(x, labels, 3)
+    blocks = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2)]  # a 1-row group has no intra block
+    assert len(calls) == len(blocks)
+    for (a, b, shared), (g1, g2) in zip(calls, blocks, strict=True):
+        assert not shared
+        assert np.array_equal(a, 2.0 * x[labels == g1]) and np.array_equal(b, x[labels == g2])
 
 
 def test_group_distance_stats_peak_is_one_gram_matrix():

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from emblend.errors import (DimMismatch, InsufficientSamples, MissingPartner)
-from emblend.retrieval import (RANK_BLOCK, GapReport, RetrievalIndex,
-                               clustering_diagnostic, gap_reduction, modality_gap,
-                               partner_ranks, recall_at_k, top_k)
-from reference import blockwise_partner_ranks, sort_oracle
+from emblend import kernels, retrieval
+from emblend.retrieval import (RANK_BLOCK, GapReport, RetrievalIndex, bidirectional_ranks,
+                               bidirectional_recall, clustering_diagnostic, gap_reduction,
+                               modality_gap, partner_ranks, recall_at_k, top_k)
+from reference import (blockwise_partner_ranks, counted_partner_ranks, sort_oracle,
+                       two_product_ranks)
 
 rng = np.random.default_rng(31)
 
@@ -191,6 +193,101 @@ class TestRecall:
         index = RetrievalIndex(["a"], np.array([[1.0, 0.0]]))
         with pytest.raises(MissingPartner):
             recall_at_k(np.array([[1.0, 0.0]]), ["zz"], index, [1])
+
+
+def tied_pairs(n, gen):
+    """Sign-vector raw and anchor rows, whose similarities are small integers
+    and so tie exactly under any product; a quarter of each side repeats one
+    row, at different places on the two sides. Ids are shuffled strings, so
+    their order differs from the row order."""
+    raw, anchors = np.sign(gen.normal(size=(n, 6))), np.sign(gen.normal(size=(n, 6)))
+    raw[n // 2: n // 2 + n // 4] = raw[-1]
+    anchors[: n // 4] = anchors[n // 3]
+    ids = [f"s{v:05d}" for v in gen.permutation(10 * n)[:n]]
+    return raw, anchors, ids
+
+
+def other_ties(sims):
+    """Per row: the entries besides the diagonal that tie with it."""
+    return np.count_nonzero(sims == np.diagonal(sims)[:, None], axis=1) - 1
+
+
+class TestBidirectionalRecall:
+    @pytest.mark.parametrize("n", [7, RANK_BLOCK, RANK_BLOCK + 37, 300])
+    def test_ranks_equal_two_products_with_ties(self, n):
+        raw, anchors, ids = tied_pairs(n, np.random.default_rng(n + 3))
+        got, want = bidirectional_ranks(raw, anchors, ids), two_product_ranks(raw, anchors, ids)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        sims = raw @ anchors.T
+        for direction in (sims, sims.T):  # ties broken by id, in both directions
+            assert (other_ties(direction) > 0).sum() > n // 4
+        assert (got[1][: n // 4] > 1).any()
+
+    @pytest.mark.parametrize("n", [RANK_BLOCK - 1, RANK_BLOCK, RANK_BLOCK + 1, 255, 500, 2000])
+    def test_ranks_equal_two_products_on_unit_rows(self, n):
+        gen = np.random.default_rng(n)
+        raw, anchors = unit_rows(n, 32, gen), unit_rows(n, 32, gen)
+        anchors = 0.6 * raw + anchors  # partners closer than chance, so the ranks spread
+        anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
+        ids = [f"s{i}" for i in range(n)]
+        got, want = bidirectional_ranks(raw, anchors, ids), two_product_ranks(raw, anchors, ids)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+            assert (g == 1).any() and (g > 1).any()
+        ks = [1, 5, n]
+        assert bidirectional_recall(raw, anchors, ids, ks) == {
+            name: {k: float(np.mean(r <= k)) for k in ks} for name, r in zip(("R2A", "A2R"), want)}
+
+    def test_one_product_for_both_directions(self, monkeypatch):
+        """Both directions read one n x n product, written into the front of
+        the workspace, and give the ranks of a run without one."""
+        n = 2 * RANK_BLOCK + 5
+        raw, anchors, ids = tied_pairs(n, np.random.default_rng(8))
+        want = bidirectional_ranks(raw, anchors, ids)
+        shapes, original = [], kernels.gram
+        monkeypatch.setattr(kernels, "gram", lambda a, b, workspace=None: (
+            shapes.append((len(a), len(b))), original(a, b, workspace))[1])
+        workspace = np.full(n * n + 7, np.nan)
+        got = bidirectional_ranks(raw, anchors, ids, workspace)
+        assert shapes == [(n, n)] and np.isnan(workspace[n * n:]).all()
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+    def test_ranks_allocate_little_beside_a_workspace(self):
+        n = 2000
+        gen = np.random.default_rng(6)
+        raw, anchors, workspace = unit_rows(n, 32, gen), unit_rows(n, 32, gen), np.empty(n * n)
+        ids = [f"s{i}" for i in range(n)]
+        tracemalloc.start()
+        try:
+            bidirectional_ranks(raw, anchors, ids, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.3 * n * n * 8
+
+    @pytest.mark.parametrize("n", [7, RANK_BLOCK + 37, 300])
+    def test_partner_ranks_equal_the_counted_form(self, n):
+        """``partner_ranks`` through ``_rank_rows`` equals its form before,
+        with arbitrary partners, on exact ties and on unit rows."""
+        gen = np.random.default_rng(n + 5)
+        raw, anchors, ids = tied_pairs(n, gen)
+        partners = [ids[i] for i in gen.permutation(n)]
+        for queries, matrix in ((raw, anchors), (unit_rows(n, 16, gen), unit_rows(n, 16, gen))):
+            index = RetrievalIndex(ids, matrix)
+            got = partner_ranks(queries, partners, index)
+            want = counted_partner_ranks(queries, partners, index)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_counts_past_the_uint16_range(self):
+        mask = np.ones((2, 70_000), dtype=bool)
+        mask[1, ::2] = False
+        assert retrieval._count(mask, 1).tolist() == [70_000, 35_000]
+        assert retrieval._count(mask, 0).tolist()[:2] == [1, 2]
+
+    def test_dim_mismatch(self):
+        with pytest.raises(DimMismatch):
+            bidirectional_recall(np.eye(3), np.eye(3)[:, :2], ["a", "b", "c"], [1])
 
 
 class TestModalityGap:
