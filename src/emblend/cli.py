@@ -2,9 +2,10 @@
 
 Subcommands: synth, embed, sns, train, eval, curate, ablate. All but synth
 share one set-up path: load --config, lay the subcommand's flags over it
-(FLAG_FIELDS), build the Engine, create --out and ingest --corpus. Each flag
-is checked exactly like the config field it overrides, so a value the
-config file would reject exits 1. Every run writes a manifest.json with
+(FLAG_FIELDS), build the Engine, create --out and ingest --corpus. A flag's
+text is read as the type of the config field it overrides and then checked
+exactly like that field, so text that is no such value, or a value the
+config file would reject, exits 1. Every run writes a manifest.json with
 the resolved configuration, seeds and versions, sufficient to reproduce
 its artifacts byte for byte. Exit codes: 0 success, 1 validation error, 2
 runtime failure, 3 remote-service failure.
@@ -20,9 +21,9 @@ from collections import Counter
 import numpy as np
 
 from . import __version__
-from .config import (EngineConfig, config_from_dict, load_config, save_config,
+from .config import (EngineConfig, config_from_dict, field_type, load_config, save_config,
                      with_overrides)
-from .curation import (STRATEGIES, blend_stats, curate_topn, sample_stratified,
+from .curation import (blend_stats, curate_topn, sample_stratified,
                        sample_uniform, traditional_pipeline)
 from .dataio import (Corpus, ingest, write_blend, write_corpus, write_instruction_dataset,
                      write_json, write_jsonl, write_nucleus_log)
@@ -79,6 +80,12 @@ def write_manifest(out_dir, args, config: EngineConfig, extra=None):
     write_json(os.path.join(out_dir, "manifest.json"), doc)
 
 
+def write_report(path, text: str) -> None:
+    """A text report: the desk-scale note, a blank line, then ``text``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(DESK_SCALE_NOTE + "\n\n" + text)
+
+
 def _setup(args, cache_under_out=False):
     """Load --config under the subcommand's FLAG_FIELDS, create --out, build
     the Engine and ingest --corpus. Returns the config the manifest records,
@@ -105,8 +112,6 @@ def _setup(args, cache_under_out=False):
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    out = args.out or "runs/out"
-    os.makedirs(out, exist_ok=True)
     spec = SynthSpec(
         seed=args.seed if args.seed is not None else 0,
         pools=args.pools,
@@ -120,6 +125,8 @@ def cmd_synth(args) -> int:
         raw_distractors=args.distractors,
         annotation_extras=args.annotation_extras,
     )
+    out = args.out or "runs/out"
+    os.makedirs(out, exist_ok=True)
     samples = generate_corpus(spec)
     corpus_path = os.path.join(out, "corpus.jsonl")
     write_corpus(corpus_path, samples)
@@ -191,14 +198,19 @@ def cmd_sns(args) -> int:
     return 0
 
 
+def _fit(config, inputs, anchors, modalities, layers, train_config, weights):
+    """A fresh ``layers``-layer projection of the config's hidden width,
+    trained on ``inputs`` against ``anchors``, and its log."""
+    model = init_projection(inputs.shape[1], anchors.shape[1], layers,
+                            hidden_dim=config.projection.hidden_dim, seed=train_config.seed)
+    return train(inputs, anchors, modalities, model, train_config, weights)
+
+
 def cmd_train(args) -> int:
     config, settings, engine, out, corpus = _setup(args)
     layers = settings.projection.layer_count
-    inputs = engine.fused_inputs(corpus)
-    anchors = engine.anchor_matrix(corpus)
-    model = init_projection(inputs.shape[1], engine.dim, layers,
-                            hidden_dim=config.projection.hidden_dim, seed=config.train.seed)
-    model, log = train(inputs, anchors, corpus.modalities, model, config.train, config.loss)
+    model, log = _fit(config, engine.fused_inputs(corpus), engine.anchor_matrix(corpus),
+                      corpus.modalities, layers, config.train, config.loss)
     save_model(model, os.path.join(out, "model.json"))
     write_jsonl(os.path.join(out, "train_log.jsonl"), log)
     write_manifest(out, args, config,
@@ -305,12 +317,9 @@ def cmd_eval(args) -> int:
                                + [f"{tables[direction][k]:.4f}" for k in k_values])
     recall_table = format_table(["space", "direction"] + [f"R@{k}" for k in k_values],
                                 recall_rows)
-    with open(os.path.join(out, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(DESK_SCALE_NOTE + "\n\nModality gaps (L2 between per-modality "
-                 "raw/annotation centroids)\n")
-        fh.write(gap_table)
-        fh.write("\nRecall\n")
-        fh.write(recall_table)
+    write_report(os.path.join(out, "report.txt"),
+                 "Modality gaps (L2 between per-modality raw/annotation centroids)\n"
+                 + gap_table + "\nRecall\n" + recall_table)
     if args.export_embeddings:
         rows = []
         for space, matrix in (("projection", fused), ("anchor", anchors)):
@@ -370,73 +379,60 @@ def cmd_curate(args) -> int:
 # ablation harness
 # ---------------------------------------------------------------------------
 
-def _recall10_by_expert(engine, corpus):
-    out = {}
+def _sns_sweep(engine, corpus, sns_config):
+    """One SNS run over ``corpus`` under ``sns_config``: its acceptance rate,
+    and each expert's R@10 over the corpus it emits, keyed by (expert,
+    direction)."""
+    results = run_sns(corpus, sns_config, engine.gating, engine.describe_fn())
+    emitted = Corpus.from_pairs(pair for pair, _ in results)
+    r10 = {}
     for eid in engine.expert_order:
-        raw_m, ann_m = engine.expert_space(corpus, eid)
-        recall = bidirectional_recall(raw_m, ann_m, corpus.sample_ids, [10])
-        out[eid] = {direction: table[10] for direction, table in recall.items()}
-    return out
+        raw_m, ann_m = engine.expert_space(emitted, eid)
+        recall = bidirectional_recall(raw_m, ann_m, emitted.sample_ids, [10])
+        r10.update({(eid, direction): table[10] for direction, table in recall.items()})
+    return sum(1 for _, r in results if r.accepted) / len(results), r10
 
 
 def _ablate_rho(engine, config, corpus, out):
-    cells = []
-    acceptance = {}
+    acceptance, r10 = {}, {}
     for rho in RHO_GRID:
-        results = run_sns(corpus, dataclasses.replace(config.sns, rho=rho), engine.gating,
-                          engine.describe_fn())
-        rate = sum(1 for _, r in results if r.accepted) / len(results)
-        acceptance[str(rho)] = rate
-        recalls = _recall10_by_expert(engine, Corpus.from_pairs(pair for pair, _ in results))
-        for eid, values in recalls.items():
-            for direction, value in values.items():
-                cells.append({"rho": rho, "expert": eid, "direction": direction,
-                              "r_at_10": value})
+        acceptance[str(rho)], recall = _sns_sweep(engine, corpus,
+                                                  dataclasses.replace(config.sns, rho=rho))
+        r10.update({(eid, direction, rho): v for (eid, direction), v in recall.items()})
+    cells = [{"rho": rho, "expert": eid, "direction": direction, "r_at_10": v}
+             for (eid, direction, rho), v in r10.items()]
     doc = {"note": DESK_SCALE_NOTE, "grid": "rho", "rho_values": list(RHO_GRID),
            "direction": config.sns.direction, "acceptance_rate": acceptance,
            "cells": cells}
     write_json(os.path.join(out, "ablate_rho.json"), doc)
-    lines = [DESK_SCALE_NOTE, "", "R@10 by expert and MI gate ratio", ""]
+    lines = ["R@10 by expert and MI gate ratio", ""]
     for direction, label in (("R2A", "(a) Raw -> Annotation"),
                              ("A2R", "(b) Annotation -> Raw")):
-        rows = []
-        for eid in engine.expert_order:
-            row = [eid]
-            for rho in RHO_GRID:
-                val = next(c["r_at_10"] for c in cells
-                           if c["expert"] == eid and c["direction"] == direction
-                           and c["rho"] == rho)
-                row.append(f"{val:.2f}")
-            rows.append(row)
-        lines.append(label)
-        lines.append(format_table(["expert"] + [f"rho={r}" for r in RHO_GRID], rows))
-    lines.append("Acceptance rate by rho")
-    lines.append(format_table(["rho", "acceptance"],
-                              [[r, f"{acceptance[str(r)]:.3f}"] for r in RHO_GRID]))
-    with open(os.path.join(out, "ablate_rho.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+        rows = [[eid] + [f"{r10[eid, direction, rho]:.2f}" for rho in RHO_GRID]
+                for eid in engine.expert_order]
+        lines += [label, format_table(["expert"] + [f"rho={r}" for r in RHO_GRID], rows)]
+    lines += ["Acceptance rate by rho", format_table(
+        ["rho", "acceptance"], [[r, f"{acceptance[str(r)]:.3f}"] for r in RHO_GRID])]
+    write_report(os.path.join(out, "ablate_rho.txt"), "\n".join(lines))
 
 
 def _ablate_tau(engine, config, corpus, out):
     cells = []
     for ta in TAU_GRID:
         for tb in TAU_GRID:
-            sns_config = dataclasses.replace(config.sns, direction="bidirectional",
-                                             tau_alpha=ta, tau_beta=tb)
-            results = run_sns(corpus, sns_config, engine.gating, engine.describe_fn())
-            recalls = _recall10_by_expert(engine, Corpus.from_pairs(pair for pair, _ in results))
-            mean_r2a = float(np.mean([v["R2A"] for v in recalls.values()]))
-            mean_a2r = float(np.mean([v["A2R"] for v in recalls.values()]))
-            cells.append({"tau_alpha": ta, "tau_beta": tb,
-                          "R2A_r10": mean_r2a, "A2R_r10": mean_a2r})
+            _, r10 = _sns_sweep(engine, corpus, dataclasses.replace(
+                config.sns, direction="bidirectional", tau_alpha=ta, tau_beta=tb))
+            cells.append({"tau_alpha": ta, "tau_beta": tb, **{
+                f"{d}_r10": float(np.mean([r10[eid, d] for eid in engine.expert_order]))
+                for d in ("R2A", "A2R")}})
     doc = {"note": DESK_SCALE_NOTE, "grid": "tau", "tau_values": list(TAU_GRID),
            "cells": cells}
     write_json(os.path.join(out, "ablate_tau.json"), doc)
     rows = [[c["tau_alpha"], c["tau_beta"], f"{c['R2A_r10']:.2f}", f"{c['A2R_r10']:.2f}"]
             for c in cells]
-    with open(os.path.join(out, "ablate_tau.txt"), "w", encoding="utf-8") as fh:
-        fh.write(DESK_SCALE_NOTE + "\n\nMean R@10 over experts by thresholds\n")
-        fh.write(format_table(["tau_alpha", "tau_beta", "R2A R@10", "A2R R@10"], rows))
+    write_report(os.path.join(out, "ablate_tau.txt"),
+                 "Mean R@10 over experts by thresholds\n"
+                 + format_table(["tau_alpha", "tau_beta", "R2A R@10", "A2R R@10"], rows))
 
 
 def _ablate_lambda_depth(engine, config, corpus, out, steps):
@@ -447,13 +443,9 @@ def _ablate_lambda_depth(engine, config, corpus, out, steps):
     rows = []
     for task, scale, cluster in LAMBDA_GRID:
         for depth in DEPTH_GRID:
-            weights = LossWeights(lambda_task=task, lambda_cluster=cluster,
-                                  lambda_scale=scale,
+            weights = LossWeights(lambda_task=task, lambda_cluster=cluster, lambda_scale=scale,
                                   temperature=config.loss.temperature)
-            model = init_projection(inputs.shape[1], engine.dim, depth,
-                                    hidden_dim=config.projection.hidden_dim,
-                                    seed=tcfg.seed)
-            model, _ = train(inputs, anchors, modalities, model, tcfg, weights)
+            model, _ = _fit(config, inputs, anchors, modalities, depth, tcfg, weights)
             fused, _ = forward(model, inputs)
             recall = bidirectional_recall(fused, anchors, ids, [1, 3, 5])
             mean_r = {k: (recall["R2A"][k] + recall["A2R"][k]) / 2.0 for k in (1, 3, 5)}
@@ -466,11 +458,10 @@ def _ablate_lambda_depth(engine, config, corpus, out, steps):
     write_json(os.path.join(out, "ablate_lambda_depth.json"), doc)
     table_rows = [[r["lambda_task"], r["lambda_scale"], r["lambda_cluster"], r["layers"],
                    f"{r['R1']:.4f}", f"{r['R3']:.4f}", f"{r['R5']:.4f}"] for r in rows]
-    with open(os.path.join(out, "ablate_lambda_depth.txt"), "w", encoding="utf-8") as fh:
-        fh.write(DESK_SCALE_NOTE + "\n\nMean recall (avg of A2R and R2A) by loss "
-                 "weights and depth\n")
-        fh.write(format_table(["task", "scale", "cluster", "layers", "R@1", "R@3", "R@5"],
-                              table_rows))
+    write_report(os.path.join(out, "ablate_lambda_depth.txt"),
+                 "Mean recall (avg of A2R and R2A) by loss weights and depth\n"
+                 + format_table(["task", "scale", "cluster", "layers", "R@1", "R@3", "R@5"],
+                                table_rows))
 
 
 def cmd_ablate(args) -> int:
@@ -493,10 +484,11 @@ def cmd_ablate(args) -> int:
 # ---------------------------------------------------------------------------
 
 # The config field each flag overrides, per subcommand, as (flag, dotted
-# field) pairs. An unset or empty flag keeps the config's value; a set one is
-# checked exactly like that value in the config file. RUN_ONLY fields steer
-# the run but stay out of the manifest's config; the manifest's extras list
-# them instead.
+# field) pairs; build_parser declares each flag from this table. A flag's text
+# is read as its field's type; an unset or empty flag keeps the config's
+# value, and a set one is checked exactly like that value in the config file.
+# RUN_ONLY fields steer the run but stay out of the manifest's config; the
+# manifest's extras list them instead.
 _SEED = (("seed", "seed"),)
 FLAG_FIELDS = {
     "embed": _SEED,
@@ -518,91 +510,75 @@ RUN_ONLY = frozenset({"projection.layer_count", "curation.strategy", "curation.n
                       "curation.query"})
 
 
+def _flag_type(field: str):
+    """The argparse ``type`` of a flag that sets ``field``: it reads the text
+    as the field's type, or raises the ConfigError that the config builder
+    gives a value of the wrong type."""
+    typ = field_type(field)
+    where, _, name = field.rpartition(".")
+
+    def convert(text):
+        try:
+            return typ(text)
+        except ValueError:
+            message = f"{where} {name} must be {typ.__name__}, got {text!r}"
+            raise ConfigError(message.lstrip()) from None
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="emblend",
                                      description="multimodal datablend curation engine")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    parsers = {}
+    for name, func, help_text in (
+            ("synth", cmd_synth, "generate a synthetic benchmark corpus"),
+            ("embed", cmd_embed, "populate embedding caches for all experts"),
+            ("sns", cmd_sns, "apply nucleus subsampling over a corpus"),
+            ("train", cmd_train, "fit the fusion projection"),
+            ("eval", cmd_eval, "recall tables, gap report, clustering diagnostic"),
+            ("curate", cmd_curate, "build a datablend"),
+            ("ablate", cmd_ablate, "sweep a hyperparameter grid")):
+        p = parsers[name] = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="engine config YAML")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", help="output directory")
+        if name != "synth":
+            p.add_argument("--corpus", required=True)
+        # as a dict, train's --seed (seed and train.seed) is added once
+        for dest, field in dict(FLAG_FIELDS.get(name, ())).items():
+            p.add_argument("--" + dest.replace("_", "-"), type=_flag_type(field))
 
-    p = sub.add_parser("synth", help="generate a synthetic benchmark corpus")
-    common(p)
-    p.add_argument("--pools", type=int, default=4)
-    p.add_argument("--samples-per-pool", type=int, default=500)
+    p = parsers["synth"]
     p.add_argument("--modalities", help="comma-separated, cycled over pools")
-    p.add_argument("--clusters", type=int, default=8)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--semantic-dim", type=int, default=16)
-    p.add_argument("--gap", type=float, default=1.25)
-    p.add_argument("--noise", type=float, default=0.02)
-    p.add_argument("--distractors", type=int, default=2)
-    p.add_argument("--annotation-extras", type=int, default=1)
-    p.set_defaults(func=cmd_synth)
+    for flag, typ, default in (
+            ("--seed", int, None), ("--pools", int, 4), ("--samples-per-pool", int, 500),
+            ("--clusters", int, 8), ("--dim", int, 32), ("--semantic-dim", int, 16),
+            ("--gap", float, 1.25), ("--noise", float, 0.02), ("--distractors", int, 2),
+            ("--annotation-extras", int, 1)):
+        p.add_argument(flag, type=typ, default=default)
 
-    p = sub.add_parser("embed", help="populate embedding caches for all experts")
-    common(p)
-    p.add_argument("--corpus", required=True)
-    p.set_defaults(func=cmd_embed)
-
-    p = sub.add_parser("sns", help="apply nucleus subsampling over a corpus")
-    common(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--tau-alpha", type=float, default=None)
-    p.add_argument("--tau-beta", type=float, default=None)
-    p.add_argument("--direction", choices=("off", "forward", "backward", "bidirectional"),
-                   default=None)
-    p.set_defaults(func=cmd_sns)
-
-    p = sub.add_parser("train", help="fit the fusion projection")
-    common(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lambda-task", type=float, default=None)
-    p.add_argument("--lambda-cluster", type=float, default=None)
-    p.add_argument("--lambda-scale", type=float, default=None)
-    p.add_argument("--temperature", type=float, default=None)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="recall tables, gap report, clustering diagnostic")
-    common(p)
-    p.add_argument("--corpus", required=True)
+    p = parsers["eval"]
     p.add_argument("--model", required=True)
     p.add_argument("--k", help="comma-separated K values")
     p.add_argument("--export-embeddings", action="store_true",
                    help="also write fused and anchor vectors for external plotting")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("curate", help="build a datablend")
-    common(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--strategy", choices=STRATEGIES, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--query", default=None)
-    p.add_argument("--model", default=None)
+    p = parsers["curate"]
+    p.add_argument("--model")
     p.add_argument("--export-instructions", action="store_true",
                    help="also write a prompt/completion JSONL of the blend")
-    p.set_defaults(func=cmd_curate)
 
-    p = sub.add_parser("ablate", help="sweep a hyperparameter grid")
-    common(p)
-    p.add_argument("--corpus", required=True)
+    p = parsers["ablate"]
     p.add_argument("--grid", choices=("rho", "tau", "lambda-depth"), required=True)
-    p.add_argument("--steps", type=int, default=None)
-    p.set_defaults(func=cmd_ablate)
+    p.add_argument("--steps", type=_flag_type("train.step_count"))
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, ParseError, InvariantViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,8 +2,9 @@
 
 ``_build`` builds every config, from a file or from overrides. Each value is
 checked against its field's annotation, never coerced (an integer rejects
-``2.5`` and ``true``); a number for a ``tau_*`` mapping fills every modality;
-an unknown key is an error, except at a file's top level (old files set some).
+``2.5`` and ``true``, a float NaN and infinities); a number for a ``tau_*``
+mapping fills every modality; an unknown key is an error, except at a file's
+top level (old files set some).
 
 Remote endpoints and credentials can be overridden without touching the
 config file via EMBLEND_REMOTE_ENDPOINT, EMBLEND_DESCRIBE_ENDPOINT and
@@ -11,6 +12,7 @@ EMBLEND_REMOTE_API_KEY.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from functools import cache
@@ -157,7 +159,8 @@ class EngineConfig:
 
 
 def _fits(hint, value) -> bool:
-    """Whether ``value`` is a ``hint`` as it is: a bool only a bool, an int also a float."""
+    """Whether ``value`` is a ``hint`` as it is: a bool only a bool, an int
+    also a float, and a float only a finite one."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is UnionType:
         return any(_fits(arg, value) for arg in args)
@@ -168,7 +171,9 @@ def _fits(hint, value) -> bool:
             _fits(args[0], k) and _fits(args[1], v) for k, v in value.items())
     if isinstance(value, bool):
         return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
+    if hint is float:
+        return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+    return isinstance(value, hint)
 
 
 def _build(cls, data: dict, where: str, base=None):
@@ -189,6 +194,16 @@ def _build(cls, data: dict, where: str, base=None):
             raise ConfigError(f"{where} {name} must be {kind}, got {value!r}".lstrip())
         values[name] = value
     return cls(**values)
+
+
+def field_type(path: str) -> type:
+    """The scalar type of a dotted field (``"sns.rho"``): an optional
+    field's type without None, and a per-modality mapping's float."""
+    hint = EngineConfig
+    for name in path.split("."):
+        hint = _annotations(hint)[name]
+    return next(arg for arg in get_args(hint) or (hint,)
+                if get_origin(arg) is None and arg is not type(None))
 
 
 def config_from_dict(doc: dict) -> EngineConfig:

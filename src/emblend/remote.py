@@ -120,10 +120,6 @@ class RemoteDescriber(EndpointClient):
 
     failure = DescriberFailure
 
-    def __init__(self, endpoint: str, model: str, api_key: str | None = None,
-                 timeout: float = 60.0, batch_size: int = 32, max_in_flight: int = 4):
-        super().__init__(endpoint, model, api_key, batch_size, max_in_flight, timeout)
-
     def describe_batch(self, requests) -> list:
         """Descriptions of (pair, components) requests, in request order; a
         pair is sent as its raw modality and its components joined by newlines."""

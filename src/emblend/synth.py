@@ -8,11 +8,13 @@ components on both sides give the nucleus subsampler something to trim.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import Component, PairedSample
+from .errors import ConfigError
 from .experts import SyntheticExpertConfig, encode_payload
 from .geometry import MODALITIES, normalize
 
@@ -41,10 +43,16 @@ class SynthSpec:
 
     def __post_init__(self):
         self.modalities = tuple(self.modalities)
-        if not self.modalities:
-            raise ValueError("need at least one modality")
+        if not self.modalities or not set(self.modalities) <= set(MODALITIES):
+            raise ConfigError(f"synth modalities must be some of {MODALITIES}")
         if self.clusters < 1 or self.pools < 1 or self.samples_per_pool < 1:
-            raise ValueError("pools, samples_per_pool and clusters must be >= 1")
+            raise ConfigError("synth pools, samples_per_pool and clusters must be >= 1")
+        # what expert_configs and the engine config built from them need
+        if self.seed < 0 or self.dim < 2 or not 1 <= self.semantic_dim <= self.dim:
+            raise ConfigError("synth needs seed >= 0, dim >= 2 and semantic_dim in [1, dim]")
+        for name in ("gap_magnitude", "noise_sigma", "text_gap", "text_noise"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"synth {name} must be finite and >= 0")
 
 
 def expert_configs(spec: SynthSpec) -> list:

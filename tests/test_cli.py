@@ -444,7 +444,9 @@ def test_a_wrong_setting_is_exit_1_naming_its_key(workspace, tmp_path, capsys, s
 
 @pytest.mark.parametrize("key, value", [("dim", 32.5), ("dim", "32"), ("dim", True),
                                         ("semantic_dim", 8.0), ("seed", "1"),
-                                        ("gap_magnitude", "1.8"), ("noise_sigma", False)])
+                                        ("gap_magnitude", "1.8"), ("noise_sigma", False),
+                                        ("gap_magnitude", float("nan")),
+                                        ("noise_sigma", float("inf"))])
 def test_a_wrong_expert_number_is_exit_1_naming_the_expert_and_key(workspace, tmp_path, capsys,
                                                                    key, value):
     """An expert's numbers are checked like every other setting, never

@@ -3,19 +3,78 @@
 Every test runs one subcommand with flags set and compares its manifest.json
 to the config file with exactly the pinned fields changed: the flag's value
 lands in the manifest's ``config`` (or only in its extras), and the ``args``
-block lists the parsed flags. A flag value the config would reject makes
-``run()`` exit 1 with an ``error:`` line.
+block lists the parsed flags. The parser itself is pinned too. Flag text
+that is not a value of its field's type, or a value the config would reject,
+makes ``run()`` exit 1 with an ``error:`` line.
 """
+import argparse
 import json
 import os
 
 import pytest
 import yaml
 
-from emblend.cli import run
+from emblend.cli import build_parser, run
 from emblend.config import load_config
 
 QUERY = "landscape with people"
+
+
+# every subcommand's options as the parser declares them: option string ->
+# (dest, required, the type its text is read as, default). The dests and
+# types decide the bytes of the manifest's ``args``.
+_CONFIG_OUT = {"--config": ("config", False, str, None), "--out": ("out", False, str, None)}
+_SETUP = {**_CONFIG_OUT, "--corpus": ("corpus", True, str, None),
+          "--seed": ("seed", False, int, None)}
+PARSER = {
+    "synth": {**_CONFIG_OUT, "--seed": ("seed", False, int, None),
+              "--pools": ("pools", False, int, 4),
+              "--samples-per-pool": ("samples_per_pool", False, int, 500),
+              "--modalities": ("modalities", False, str, None),
+              "--clusters": ("clusters", False, int, 8), "--dim": ("dim", False, int, 32),
+              "--semantic-dim": ("semantic_dim", False, int, 16),
+              "--gap": ("gap", False, float, 1.25), "--noise": ("noise", False, float, 0.02),
+              "--distractors": ("distractors", False, int, 2),
+              "--annotation-extras": ("annotation_extras", False, int, 1)},
+    "embed": _SETUP,
+    "sns": {**_SETUP, "--rho": ("rho", False, float, None),
+            "--tau-alpha": ("tau_alpha", False, float, None),
+            "--tau-beta": ("tau_beta", False, float, None),
+            "--direction": ("direction", False, str, None)},
+    "train": {**_SETUP, "--layers": ("layers", False, int, None),
+              "--steps": ("steps", False, int, None),
+              "--batch-size": ("batch_size", False, int, None),
+              "--lambda-task": ("lambda_task", False, float, None),
+              "--lambda-cluster": ("lambda_cluster", False, float, None),
+              "--lambda-scale": ("lambda_scale", False, float, None),
+              "--temperature": ("temperature", False, float, None)},
+    "eval": {**_SETUP, "--model": ("model", True, str, None), "--k": ("k", False, str, None),
+             "--export-embeddings": ("export_embeddings", False, None, False)},
+    "curate": {**_SETUP, "--strategy": ("strategy", False, str, None),
+               "--n": ("n", False, int, None), "--query": ("query", False, str, None),
+               "--model": ("model", False, str, None),
+               "--export-instructions": ("export_instructions", False, None, False)},
+    "ablate": {**_SETUP, "--grid": ("grid", True, str, None),
+               "--steps": ("steps", False, int, None)},
+}
+
+
+def test_parser_declares_each_option_as_pinned():
+    """Each subcommand has the pinned options, each stored under its dest
+    with its default, and a flag's text is read as the pinned type: ``3``
+    reads as the int 3 or the float 3.0."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(PARSER)
+    for command, options in PARSER.items():
+        declared = {}
+        for action in sub.choices[command]._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            [option] = action.option_strings
+            read = None if action.nargs == 0 else type((action.type or str)("3"))
+            declared[option] = (action.dest, action.required, read, action.default)
+        assert declared == options, command
 
 
 def manifest(out):
@@ -161,6 +220,17 @@ def test_curate_without_flags_uses_config(ws, tmp_path):
     ("train", ["--lambda-task", "-1"]),
     ("eval", ["--k", "0"]),
     ("curate", ["--n", "-3", "--strategy", "uniform"]),
+    # text that is not a value of the field's type, or a value the field rejects
+    ("train", ["--steps", "2.5"]),
+    ("sns", ["--rho", "abc"]),
+    ("sns", ["--tau-alpha", "abc"]),
+    ("curate", ["--n", "x", "--strategy", "uniform"]),
+    ("sns", ["--direction", "sideways"]),
+    ("curate", ["--strategy", "best"]),
+    ("sns", ["--rho", "nan"]),
+    ("train", ["--temperature", "inf"]),
+    ("train", ["--lambda-task", "nan"]),
+    ("ablate", ["--grid", "lambda-depth", "--steps", "2.5"]),
 ])
 def test_bad_flag_value_is_exit_1(ws, tmp_path, capsys, command, flags):
     extra = ["--model", ws["model"]] if command == "eval" else []
@@ -168,6 +238,39 @@ def test_bad_flag_value_is_exit_1(ws, tmp_path, capsys, command, flags):
             "--out", str(tmp_path / "bad"), *extra, *flags]
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    if command != "eval":  # eval's --k is no config field: it is read after --out is made
+        assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("train", ["--steps", "2.5"], "train step_count must be int, got '2.5'"),
+    ("sns", ["--tau-beta", "x"], "sns tau_beta must be float, got 'x'"),
+    ("sns", ["--seed", "1.5"], "seed must be int, got '1.5'"),
+    ("sns", ["--rho", "nan"], "sns rho must be float, got nan"),
+    ("train", ["--temperature=-inf"], "loss temperature must be float, got -inf"),
+])
+def test_a_flag_is_rejected_like_its_field(ws, tmp_path, capsys, command, flags, message):
+    """A flag's text that is not a value of its field's type gets the config
+    builder's message for that field; so does a value the field rejects."""
+    argv = [command, "--config", ws["config"], "--corpus", ws["corpus"],
+            "--out", str(tmp_path / "bad"), *flags]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--pools", "0"], ["--samples-per-pool", "0"], ["--clusters", "0"],
+    ["--dim", "4", "--semantic-dim", "8"], ["--semantic-dim", "0"], ["--dim", "1"],
+    ["--gap", "-1"], ["--gap", "nan"], ["--noise", "-0.1"], ["--noise", "inf"],
+    ["--seed", "-1"], ["--modalities", "image,foo"],
+])
+def test_bad_synth_value_is_exit_1_writing_nothing(tmp_path, capsys, flags):
+    out = tmp_path / "synth"
+    argv = ["synth", "--out", str(out), "--pools", "1", "--samples-per-pool", "4", *flags]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: synth ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_bad_expert_entry_is_exit_1(ws, tmp_path, capsys):

@@ -388,23 +388,29 @@ def test_presets_read_back_every_value_they_set(source):
 # a value of another type than a setting's value in configs/default.yaml
 WRONG_TYPED = {bool: "yes", int: 2.5, float: True, str: 5, type(None): [1], list: "x",
                dict: [0.1]}
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 
 
 def wrong_settings():
     """(dotted field, value) for every field of the default preset's config,
-    each given a value of the wrong type (a section a number), and a key that
-    a section and the nested filters do not have."""
-    out = [("sns.bogus", 1), ("curation.filters.bogus", 1)]
+    each given a value of the wrong type (a section a number), NaN and
+    infinities where a float is set (a ``tau_*`` mapping's values too), and a
+    key that a section and the nested filters do not have."""
+    out, non_finite = [("sns.bogus", 1), ("curation.filters.bogus", 1)], []
 
     def walk(obj, prefix):
         for f in fields(obj):
             value, path = getattr(obj, f.name), prefix + f.name
             out.append((path, 5 if is_dataclass(value) else WRONG_TYPED[type(value)]))
+            if isinstance(value, float):
+                non_finite.extend((path, v) for v in NON_FINITE)
+            elif isinstance(value, dict):
+                non_finite.extend((path, {"image": v}) for v in NON_FINITE)
             if is_dataclass(value):
                 walk(value, path + ".")
 
     walk(load_config(PRESETS / "default.yaml"), "")
-    return out
+    return out + non_finite
 
 
 @pytest.mark.parametrize("field, value", wrong_settings())
